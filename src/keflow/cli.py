@@ -528,12 +528,13 @@ def pde_construct(ctx, profile_path, init, compat_threshold):
 
 
 def _coarsen(grid: MetricGrid, factor: int) -> MetricGrid:
-    """Subsample the grid axes that carry resolution by an integer factor."""
+    """Subsample every axis but the symmetry axes by an integer factor."""
     if factor == 1:
         return grid
+    sym = grid.symmetry_axes()
     axes, slices = [], []
-    for ax in grid.axes:
-        if ax.count > 5:
+    for m, ax in enumerate(grid.axes):
+        if m not in sym:
             if (ax.count - 1) % factor or (ax.count - 1) // factor + 1 < 4:
                 raise DomainError(f"axis {ax.name} ({ax.count} nodes) cannot "
                                   f"be coarsened {factor}x")

@@ -75,6 +75,8 @@ class MetricGrid:
     """
 
     kind = "metric_grid"
+    # components equal this sign times their transpose
+    transpose_sign = 1
 
     def __init__(self, axes, components, manifest: dict | None = None,
                  validate: bool = True):
@@ -100,19 +102,36 @@ class MetricGrid:
         _check_axes(self.axes)
         d = self.dim
         g = self.components
+        metric = self.transpose_sign > 0
+        noun = "metric" if metric else "form"
         expected = self.counts + (d, d)
         if g.shape != expected:
             raise GridError(f"components shape {g.shape} != {expected}")
         if not np.all(np.isfinite(g)):
-            raise GridError("non-finite metric component")
-        if not np.array_equal(g, np.swapaxes(g, -1, -2)):
-            raise GridError("metric components are not exactly symmetric")
+            raise GridError(f"non-finite {noun} component")
+        if not np.array_equal(g, self.transpose_sign * np.swapaxes(g, -1, -2)):
+            raise GridError(f"{noun} components are not exactly "
+                            f"{'' if metric else 'anti'}symmetric")
+        if not metric:
+            return
         for k in range(1, d + 1):
             minors = np.linalg.det(g[..., :k, :k]) if k > 1 else g[..., 0, 0]
             if not np.all(minors > 0.0):
                 node = np.unravel_index(np.argmin(minors), minors.shape)
                 raise GridError(
                     f"metric not positive-definite: minor {k} fails at node {node}")
+
+    def symmetry_axes(self) -> tuple[int, ...]:
+        """Node axes along which every component is exactly constant.
+
+        The test is exact equality with the first slice, never a tolerance:
+        on such an axis every central difference is exactly zero, so a
+        curvature check may evaluate one slice instead of all of them and
+        still agree with the full grid to rounding.
+        """
+        g = self.components
+        return tuple(m for m in range(self.dim)
+                     if np.all(g == g.take([0], axis=m)))
 
     def node_mesh(self) -> list[np.ndarray]:
         """Coordinate arrays of shape counts, one per axis."""
@@ -148,18 +167,7 @@ class TwoFormGrid(MetricGrid):
     """A 2-form sampled on a uniform grid; exactly antisymmetric components."""
 
     kind = "two_form_grid"
-
-    def _validate(self) -> None:
-        _check_axes(self.axes)
-        d = self.dim
-        w = self.components
-        expected = self.counts + (d, d)
-        if w.shape != expected:
-            raise GridError(f"components shape {w.shape} != {expected}")
-        if not np.all(np.isfinite(w)):
-            raise GridError("non-finite form component")
-        if not np.array_equal(w, -np.swapaxes(w, -1, -2)):
-            raise GridError("form components are not exactly antisymmetric")
+    transpose_sign = -1
 
 
 # ---------------------------------------------------------------------------

@@ -171,18 +171,22 @@ def test_pde_construct_compat_threshold(pde_run, tmp_path):
 
 def test_pde_verify_sweep_on_exact_metric(tmp_path):
     # a metric sampled exactly from a closed form isolates the verifier's
-    # own truncation, so the Richardson sweep should sit at order two
+    # own truncation, so the Richardson sweep should sit at order two; z is
+    # exactly constant, so the sweep leaves it alone whatever its node count
     consts = ClosedFormConstants(k=1.0, w3=1.0, alpha=0.37, a0=1.1, b0=0.9,
                                  c0=1.0)
-    grid = torus_metric_grid(consts, Axis("t", -0.016, 1e-3, 33))
-    path = tmp_path / "exact.json"
-    path.write_text(grid.to_json())
-    rc = main(["--out-dir", str(tmp_path / "out"), "--tol", "1e-4",
-               "pde", "verify", "--metric", str(path), "--lam", "0",
-               "--sweep", "3"])
-    assert rc == 0
-    rep = read_json(tmp_path / "out" / "verify_report.json")
-    assert 1.8 <= rep["sweep"]["order"] <= 2.2
+    for z_count in (5, 7):
+        grid = torus_metric_grid(consts, Axis("t", -0.016, 1e-3, 33),
+                                 z_axis=Axis("z", 0.0, 1e-3, z_count))
+        path = tmp_path / f"exact{z_count}.json"
+        path.write_text(grid.to_json())
+        out = tmp_path / f"out{z_count}"
+        rc = main(["--out-dir", str(out), "--tol", "1e-4",
+                   "pde", "verify", "--metric", str(path), "--lam", "0",
+                   "--sweep", "3"])
+        assert rc == 0
+        rep = read_json(out / "verify_report.json")
+        assert 1.8 <= rep["sweep"]["order"] <= 2.2
 
 
 def test_pde_verify_sweep_needs_three_levels(tmp_path, pde_run):

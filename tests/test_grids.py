@@ -76,6 +76,25 @@ def test_two_form_kind_mismatch():
         TwoFormGrid.from_json(grid.to_json())
 
 
+def test_two_form_grid_validation():
+    axes = _diag_grid().axes
+    w = np.zeros((9, 9, 2, 2))
+    w[..., 0, 1] = 0.5
+    w[..., 1, 0] = -0.5
+    assert TwoFormGrid(axes, w).dim == 2
+    sym = w.copy()
+    sym[..., 1, 0] = 0.5
+    with pytest.raises(GridError):
+        TwoFormGrid(axes, sym)
+    bad = w.copy()
+    bad[3, 4, 0, 1] = np.inf
+    bad[3, 4, 1, 0] = -np.inf
+    with pytest.raises(GridError):
+        TwoFormGrid(axes, bad)
+    with pytest.raises(GridError):
+        TwoFormGrid(axes, w[:, :8])
+
+
 def test_central_diff_accuracy_and_nan_edges():
     h = 1e-3
     x = np.arange(64) * h
