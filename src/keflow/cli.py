@@ -17,7 +17,6 @@ termination (blow-up or early stop, partial artifacts are still written);
 
 from __future__ import annotations
 
-import json
 import sys
 from pathlib import Path
 
@@ -32,7 +31,7 @@ from .curvature import (convergence_order, einstein_residual,
                         riemann_max)
 from .errors import (CompatibilityError, DomainError, GridError,
                      VerificationError)
-from .grids import Axis, MetricGrid, TwoFormGrid
+from .grids import MIN_NODES_PER_AXIS, Axis, MetricGrid, TwoFormGrid, load_json
 from .manifest import RunManifest, dump_json
 
 EXIT_OK = 0
@@ -443,7 +442,7 @@ def pde_leaf_build(ctx, h_expr, domain, n, nx, ny, ell_axis):
 @click.pass_context
 def pde_profile(ctx, spec_path, nx, ny, step, y_start, substeps):
     """Shoot geodesics off the left edge and extract the profile c(x, y)."""
-    spec = lp.LeafSpec.from_json(json.loads(Path(spec_path).read_text()))
+    spec = lp.LeafSpec.from_json(load_json(Path(spec_path).read_bytes()))
     g, _ = lp.leaf_metric(spec)
     sx, sy = g.axes
     hp = step if step is not None else sx.step
@@ -489,7 +488,7 @@ def pde_profile(ctx, spec_path, nx, ny, step, y_start, substeps):
 @click.pass_context
 def pde_construct(ctx, profile_path, init, compat_threshold):
     """Solve the linear frame system and assemble the 4-metric + form."""
-    cp = lp.CProfile.from_json(json.loads(Path(profile_path).read_text()))
+    cp = lp.CProfile.from_json(load_json(Path(profile_path).read_bytes()))
     init_vals = _parse_floats(init, 4, "--init")
     mf = _manifest(ctx, "pde construct",
                    {"profile": str(profile_path), "init": list(init_vals),
@@ -535,11 +534,11 @@ def _coarsen(grid: MetricGrid, factor: int) -> MetricGrid:
     axes, slices = [], []
     for m, ax in enumerate(grid.axes):
         if m not in sym:
-            if (ax.count - 1) % factor or (ax.count - 1) // factor + 1 < 4:
+            coarse = (ax.count - 1) // factor + 1
+            if (ax.count - 1) % factor or coarse < MIN_NODES_PER_AXIS:
                 raise DomainError(f"axis {ax.name} ({ax.count} nodes) cannot "
                                   f"be coarsened {factor}x")
-            axes.append(Axis(ax.name, ax.start, ax.step * factor,
-                             (ax.count - 1) // factor + 1))
+            axes.append(Axis(ax.name, ax.start, ax.step * factor, coarse))
             slices.append(slice(None, None, factor))
         else:
             axes.append(ax)
@@ -563,7 +562,7 @@ def pde_verify(ctx, metric_path, form_path, lam, sweep):
     """Independent curvature check of a stored metric artifact."""
     tol = ctx.obj["tol"] if ctx.obj["tol"] is not None else 5e-3
     closed_bound = 1e-10
-    grid = MetricGrid.from_json(Path(metric_path).read_text())
+    grid = MetricGrid.from_json(Path(metric_path).read_bytes())
     mf = _manifest(ctx, "pde verify",
                    {"metric": str(metric_path), "form": form_path,
                     "lam": lam, "sweep": sweep},
@@ -576,7 +575,7 @@ def pde_verify(ctx, metric_path, form_path, lam, sweep):
     doc["einstein_ok"] = doc["einstein_residual"] <= tol
 
     if form_path:
-        form = TwoFormGrid.from_json(Path(form_path).read_text())
+        form = TwoFormGrid.from_json(Path(form_path).read_bytes())
         doc["closedness"] = exterior_derivative_closedness(form)
         doc["closedness_bound"] = closed_bound
         doc["closedness_ok"] = doc["closedness"] <= closed_bound
@@ -598,9 +597,11 @@ def pde_verify(ctx, metric_path, form_path, lam, sweep):
     mf.write_json(doc, out / "verify_report.json")
     mf.save(out)
 
-    click.echo(f"einstein residual {doc['einstein_residual']:.3e} "
-               f"(bound {tol:.1e})" +
-               (f", order {doc['sweep']['order']:.3f}" if sweep >= 3 else ""))
+    line = f"einstein residual {doc['einstein_residual']:.3e} (bound {tol:.1e})"
+    if sweep >= 3:
+        order = doc["sweep"]["order"]
+        line += ", order below floor" if order is None else f", order {order:.3f}"
+    click.echo(line)
     if not doc["passed"]:
         failed = ", ".join(k[:-3] for k in checks if not doc[k])
         raise VerificationError(f"checks failed: {failed}")

@@ -486,6 +486,21 @@ def scaling_map(traj: Trajectory, k: float) -> Trajectory:
                       interpolant=interpolant)
 
 
+def _e2_samples(traj: Trajectory, t_axis: Axis, theta_axis: Axis,
+                x_axis: Axis | None, y_axis: Axis | None):
+    """Axes, node shape, and a, b, c, sin theta, cos theta shaped to
+    broadcast over the (t, x, y, theta) nodes."""
+    if x_axis is None:
+        x_axis = Axis("x", 0.0, t_axis.step, 5)
+    if y_axis is None:
+        y_axis = Axis("y", 0.0, t_axis.step, 5)
+    a, b, c = (v[:, None, None, None] for v in traj.sample(t_axis.nodes)[:3])
+    theta = theta_axis.nodes[None, None, None, :]
+    axes = (t_axis, x_axis, y_axis, theta_axis)
+    return (axes, tuple(ax.count for ax in axes), a, b, c,
+            np.sin(theta), np.cos(theta))
+
+
 def e2_metric_grid(traj: Trajectory, t_axis: Axis, theta_axis: Axis,
                    x_axis: Axis | None = None, y_axis: Axis | None = None,
                    manifest: dict | None = None) -> MetricGrid:
@@ -495,17 +510,8 @@ def e2_metric_grid(traj: Trajectory, t_axis: Axis, theta_axis: Axis,
     (t, theta) only; x and y enter as flat directions, so their axes default
     to small spans matching the t spacing.
     """
-    if x_axis is None:
-        x_axis = Axis("x", 0.0, t_axis.step, 5)
-    if y_axis is None:
-        y_axis = Axis("y", 0.0, t_axis.step, 5)
-    abc = traj.sample(t_axis.nodes)[:3]
-    a = abc[0][:, None, None, None]
-    b = abc[1][:, None, None, None]
-    c = abc[2][:, None, None, None]
-    theta = theta_axis.nodes[None, None, None, :]
-    sin, cos = np.sin(theta), np.cos(theta)
-    shape = (t_axis.count, x_axis.count, y_axis.count, theta_axis.count)
+    axes, shape, a, b, c, sin, cos = _e2_samples(traj, t_axis, theta_axis,
+                                                 x_axis, y_axis)
     g = np.zeros(shape + (4, 4))
     g[..., 0, 0] = np.broadcast_to((a * b * c) ** 2, shape)
     g[..., 1, 1] = np.broadcast_to(a ** 2 * cos ** 2 + c ** 2 * sin ** 2, shape)
@@ -514,25 +520,15 @@ def e2_metric_grid(traj: Trajectory, t_axis: Axis, theta_axis: Axis,
     g[..., 1, 2] = gxy
     g[..., 2, 1] = gxy
     g[..., 3, 3] = np.broadcast_to(b ** 2, shape)
-    return MetricGrid((t_axis, x_axis, y_axis, theta_axis), g,
-                      manifest=manifest)
+    return MetricGrid(axes, g, manifest=manifest)
 
 
 def e2_kahler_form_grid(traj: Trajectory, t_axis: Axis, theta_axis: Axis,
                         x_axis: Axis | None = None,
                         y_axis: Axis | None = None) -> TwoFormGrid:
     """The parallel 2-form in the same (t, x, y, theta) coordinates."""
-    if x_axis is None:
-        x_axis = Axis("x", 0.0, t_axis.step, 5)
-    if y_axis is None:
-        y_axis = Axis("y", 0.0, t_axis.step, 5)
-    abc = traj.sample(t_axis.nodes)[:3]
-    a = abc[0][:, None, None, None]
-    b = abc[1][:, None, None, None]
-    c = abc[2][:, None, None, None]
-    theta = theta_axis.nodes[None, None, None, :]
-    sin, cos = np.sin(theta), np.cos(theta)
-    shape = (t_axis.count, x_axis.count, y_axis.count, theta_axis.count)
+    axes, shape, a, b, c, sin, cos = _e2_samples(traj, t_axis, theta_axis,
+                                                 x_axis, y_axis)
     w = np.zeros(shape + (4, 4))
 
     def put(i, j, val):
@@ -544,4 +540,4 @@ def e2_kahler_form_grid(traj: Trajectory, t_axis: Axis, theta_axis: Axis,
     put(0, 2, abc2 * cos)
     put(1, 3, a * b * cos)
     put(2, 3, a * b * sin)
-    return TwoFormGrid((t_axis, x_axis, y_axis, theta_axis), w)
+    return TwoFormGrid(axes, w)

@@ -5,6 +5,14 @@ dimensions; the leading dimensions enumerate nodes. Derivative helpers use
 second-order central stencils and mark the boundary layer with NaN instead
 of falling back to one-sided differences, so every consumer works on a
 shrunken interior and no silent first-order contamination occurs.
+
+Grid artifacts (metric and 2-form grids here, leaf specs and profiles in
+`leafpde`) store every node array through one codec: an axis along which
+the array is exactly constant, tested with `==` against its first slice
+as in `MetricGrid.symmetry_axes`, is written once and broadcast back on
+load, so a padded Killing direction costs one slice on disk and a round
+trip is lossless. Loading rebuilds the full in-memory shape and validates
+it there.
 """
 
 from __future__ import annotations
@@ -16,7 +24,7 @@ import numpy as np
 
 from .errors import GridError
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 # Node count below which a margin-2 stencil leaves no interior at all.
 MIN_NODES_PER_AXIS = 5
@@ -55,6 +63,73 @@ class Axis:
     def from_dict(cls, d: dict) -> "Axis":
         return cls(name=d["name"], start=float(d["min"]), step=float(d["step"]),
                    count=int(d["count"]))
+
+
+def constant_axes(arr: np.ndarray, naxes: int) -> tuple[int, ...]:
+    """The first `naxes` axes along which arr is exactly constant.
+
+    The test is exact equality with the first slice, never a tolerance
+    (signed zeros compare equal, NaN never does).
+    """
+    return tuple(m for m in range(naxes)
+                 if np.all(arr == arr.take([0], axis=m)))
+
+
+def encode_array(arr: np.ndarray, naxes: int) -> dict:
+    """Artifact form of a node array: each of its first `naxes` axes on
+    which it is exactly constant is collapsed to its first slice."""
+    const = constant_axes(arr, naxes)
+    core = arr[tuple(slice(0, 1) if m in const else slice(None)
+                     for m in range(naxes))]
+    return {"constant_axes": list(const), "values": core.ravel().tolist()}
+
+
+def decode_array(doc: dict, key: str, shape: tuple[int, ...],
+                 naxes: int) -> np.ndarray:
+    """Inverse of encode_array for doc[key]: the full-shape array, equal at
+    every node to the one encoded. Malformed entries raise GridError."""
+    entry = doc.get(key)
+    if not isinstance(entry, dict) or entry.keys() != {"constant_axes",
+                                                       "values"}:
+        raise GridError(f"{key!r}: missing or not an encoded array")
+    const = entry["constant_axes"]
+    if (not isinstance(const, list)
+            or not all(isinstance(m, int) and 0 <= m < naxes for m in const)
+            or len(set(const)) != len(const)):
+        raise GridError(f"{key!r}: constant_axes {const!r} must be distinct "
+                        f"node axes below {naxes}")
+    stored = tuple(1 if m in const else n for m, n in enumerate(shape))
+    try:
+        values = np.asarray(entry["values"], dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise GridError(f"{key!r}: values are not numbers: {exc}") from None
+    if values.shape != (int(np.prod(stored)),):
+        raise GridError(f"{key!r}: {values.size} values for stored shape "
+                        f"{stored}")
+    return np.broadcast_to(values.reshape(stored), shape).copy()
+
+
+def load_json(text: str | bytes) -> dict:
+    """Parse an artifact; anything but a JSON object raises GridError."""
+    try:
+        doc = json.loads(text)
+    except ValueError as exc:
+        raise GridError(f"not a JSON document: {exc}") from None
+    if not isinstance(doc, dict):
+        raise GridError("artifact must be a JSON object")
+    return doc
+
+
+def read_axes(doc: dict, kind: str) -> tuple[Axis, ...]:
+    """Check an artifact's schema and kind and return its axes."""
+    if doc.get("schema") != SCHEMA_VERSION:
+        raise GridError(f"unsupported schema {doc.get('schema')!r}")
+    if doc.get("kind") != kind:
+        raise GridError(f"expected kind {kind!r}, got {doc.get('kind')!r}")
+    try:
+        return tuple(Axis.from_dict(a) for a in doc["axes"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise GridError(f"malformed axes in {kind} document: {exc!r}") from None
 
 
 def _check_axes(axes: tuple[Axis, ...], dims_allowed=(2, 4)) -> None:
@@ -129,9 +204,7 @@ class MetricGrid:
         curvature check may evaluate one slice instead of all of them and
         still agree with the full grid to rounding.
         """
-        g = self.components
-        return tuple(m for m in range(self.dim)
-                     if np.all(g == g.take([0], axis=m)))
+        return constant_axes(self.components, self.dim)
 
     def node_mesh(self) -> list[np.ndarray]:
         """Coordinate arrays of shape counts, one per axis."""
@@ -143,23 +216,19 @@ class MetricGrid:
             "kind": self.kind,
             "dims": self.dim,
             "axes": [ax.to_dict() for ax in self.axes],
-            "components": self.components.ravel(order="C").tolist(),
+            "components": encode_array(self.components, self.dim),
         }
         if self.manifest is not None:
             doc["manifest"] = self.manifest
         return json.dumps(doc, indent=1)
 
     @classmethod
-    def from_json(cls, text: str) -> "MetricGrid":
-        doc = json.loads(text)
-        if doc.get("schema") != SCHEMA_VERSION:
-            raise GridError(f"unsupported schema {doc.get('schema')!r}")
-        if doc.get("kind") != cls.kind:
-            raise GridError(f"expected kind {cls.kind!r}, got {doc.get('kind')!r}")
-        axes = tuple(Axis.from_dict(a) for a in doc["axes"])
+    def from_json(cls, text: str | bytes) -> "MetricGrid":
+        doc = load_json(text)
+        axes = read_axes(doc, cls.kind)
         d = len(axes)
         shape = tuple(ax.count for ax in axes) + (d, d)
-        comp = np.asarray(doc["components"], dtype=np.float64).reshape(shape)
+        comp = decode_array(doc, "components", shape, d)
         return cls(axes, comp, manifest=doc.get("manifest"))
 
 

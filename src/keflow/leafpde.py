@@ -30,8 +30,9 @@ import numpy as np
 from scipy.interpolate import RectBivariateSpline
 
 from .errors import CompatibilityError, DomainError, GridError
-from .grids import (Axis, MetricGrid, TwoFormGrid, central_diff, interior,
-                    second_diff)
+from .grids import (SCHEMA_VERSION, Axis, MetricGrid, TwoFormGrid,
+                    central_diff, decode_array, encode_array, interior,
+                    read_axes, second_diff)
 from .curvature import gauss_curvature_2d, laplace_beltrami
 
 SQRT2 = math.sqrt(2.0)
@@ -50,6 +51,15 @@ def hyperbolic_factor(x_axis: Axis, y_axis: Axis) -> np.ndarray:
     y = y_axis.nodes[None, :]
     ell = 1.0 / (2.0 * y * y)
     return np.broadcast_to(ell, (x_axis.count, y_axis.count)).copy()
+
+
+def _read_2d(data: dict, kind: str, keys: tuple[str, ...]):
+    """Axes and node arrays of a 2D leaf_spec or c_profile document."""
+    axes = read_axes(data, kind)
+    if len(axes) != 2:
+        raise GridError(f"{kind} document needs 2 axes, got {len(axes)}")
+    shape = (axes[0].count, axes[1].count)
+    return axes + tuple(decode_array(data, k, shape, 2) for k in keys)
 
 
 def harmonic_grid(expr: str, x_axis: Axis, y_axis: Axis) -> np.ndarray:
@@ -92,21 +102,15 @@ class LeafSpec:
             raise DomainError("conformal factor ell must be positive")
 
     def to_json(self) -> dict:
-        return {"schema": 1, "kind": "leaf_spec",
+        return {"schema": SCHEMA_VERSION, "kind": "leaf_spec",
                 "axes": [self.x_axis.to_dict(), self.y_axis.to_dict()],
-                "ell": self.ell.ravel().tolist(),
-                "h": self.h.ravel().tolist(),
+                "ell": encode_array(self.ell, 2),
+                "h": encode_array(self.h, 2),
                 "meta": self.meta}
 
     @classmethod
     def from_json(cls, data: dict) -> "LeafSpec":
-        if data.get("kind") != "leaf_spec":
-            raise GridError("not a leaf_spec document")
-        ax = [Axis.from_dict(d) for d in data["axes"]]
-        shape = (ax[0].count, ax[1].count)
-        return cls(ax[0], ax[1],
-                   np.asarray(data["ell"]).reshape(shape),
-                   np.asarray(data["h"]).reshape(shape),
+        return cls(*_read_2d(data, "leaf_spec", ("ell", "h")),
                    meta=data.get("meta", {}))
 
 
@@ -272,25 +276,18 @@ class CProfile:
             raise DomainError("profile coefficient c must be positive")
 
     def to_json(self) -> dict:
-        return {"schema": 1, "kind": "c_profile",
+        return {"schema": SCHEMA_VERSION, "kind": "c_profile",
                 "axes": [self.x_axis.to_dict(), self.y_axis.to_dict()],
-                "c": self.c.ravel().tolist(),
-                "x_map": np.asarray(self.x_map).ravel().tolist(),
-                "y_map": np.asarray(self.y_map).ravel().tolist(),
+                "c": encode_array(self.c, 2),
+                "x_map": encode_array(np.asarray(self.x_map), 2),
+                "y_map": encode_array(np.asarray(self.y_map), 2),
                 "coverage": self.coverage, "truncated": self.truncated,
                 "truncation_reason": self.truncation_reason,
                 "meta": self.meta}
 
     @classmethod
     def from_json(cls, data: dict) -> "CProfile":
-        if data.get("kind") != "c_profile":
-            raise GridError("not a c_profile document")
-        ax = [Axis.from_dict(d) for d in data["axes"]]
-        shape = (ax[0].count, ax[1].count)
-        return cls(ax[0], ax[1],
-                   np.asarray(data["c"]).reshape(shape),
-                   np.asarray(data["x_map"]).reshape(shape),
-                   np.asarray(data["y_map"]).reshape(shape),
+        return cls(*_read_2d(data, "c_profile", ("c", "x_map", "y_map")),
                    coverage=data.get("coverage", 1.0),
                    truncated=data.get("truncated", False),
                    truncation_reason=data.get("truncation_reason", ""),

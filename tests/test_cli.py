@@ -145,8 +145,9 @@ def test_pde_construct_report(pde_run):
     rep = read_json(pde_run / "met" / "construct_report.json")
     assert rep["compat_residual"] < 1e-2
     assert rep["det_drift"] < 1e-8
-    assert (pde_run / "met" / "metric.json").exists()
-    assert (pde_run / "met" / "kahler.json").exists()
+    # u and v are stored once, so the README-size artifacts stay small
+    assert (pde_run / "met" / "metric.json").stat().st_size < 200_000
+    assert (pde_run / "met" / "kahler.json").stat().st_size < 200_000
 
 
 def test_pde_verify_pipeline_metric(pde_run, tmp_path):
@@ -169,7 +170,7 @@ def test_pde_construct_compat_threshold(pde_run, tmp_path):
     assert "error" in rep
 
 
-def test_pde_verify_sweep_on_exact_metric(tmp_path):
+def test_pde_verify_sweep_on_exact_metric(tmp_path, capsys):
     # a metric sampled exactly from a closed form isolates the verifier's
     # own truncation, so the Richardson sweep should sit at order two; z is
     # exactly constant, so the sweep leaves it alone whatever its node count
@@ -187,6 +188,92 @@ def test_pde_verify_sweep_on_exact_metric(tmp_path):
         assert rc == 0
         rep = read_json(out / "verify_report.json")
         assert 1.8 <= rep["sweep"]["order"] <= 2.2
+    # 13 varying t nodes coarsen 4x to 4, below the 5 a grid needs
+    grid = torus_metric_grid(ClosedFormConstants(alpha=0.6, a0=0.8, b0=0.75),
+                             Axis("t", 0.5, 1e-3, 13))
+    path = tmp_path / "short.json"
+    path.write_text(grid.to_json())
+    capsys.readouterr()
+    rc = main(["--out-dir", str(tmp_path / "short"), "--tol", "1e-4",
+               "pde", "verify", "--metric", str(path), "--lam", "0",
+               "--sweep", "3"])
+    assert rc == 1
+    assert "axis t (13 nodes) cannot be coarsened 4x" in capsys.readouterr().err
+
+
+def test_pde_verify_sweep_below_floor(tmp_path, capsys):
+    # alpha = 0: every axis is exactly constant, every residual exactly 0
+    grid = torus_metric_grid(ClosedFormConstants(a0=0.8, b0=0.75),
+                             Axis("t", 0.5, 1e-3, 13))
+    assert grid.symmetry_axes() == (0, 1, 2, 3)
+    path = tmp_path / "flat.json"
+    path.write_text(grid.to_json())
+    rc = main(["--out-dir", str(tmp_path), "--tol", "1e-4", "pde", "verify",
+               "--metric", str(path), "--lam", "0", "--sweep", "3"])
+    assert rc == 0
+    assert "order below floor" in capsys.readouterr().out
+    rep = read_json(tmp_path / "verify_report.json")
+    assert rep["sweep"]["below_floor"] and rep["sweep"]["order"] is None
+    assert rep["passed"]
+
+
+def _edit(key, field, value):
+    def mutate(doc):
+        if field is None:
+            del doc[key]
+        elif field == "pop":
+            doc[key]["values"].pop()
+        else:
+            doc[key][field] = value
+        return json.dumps(doc)
+    return mutate
+
+
+# artifact -> (file in the pde_run fixture, command loading it)
+_LOADS = {"metric": ("met/metric.json", ["pde", "verify", "--metric"]),
+          "form": ("met/kahler.json", ["pde", "verify", "--metric", None,
+                                       "--form"]),
+          "spec": ("spec/leafspec.json", ["pde", "profile", "--spec"]),
+          "profile": ("prof/cprofile.json", ["pde", "construct",
+                                             "--profile"])}
+
+
+@pytest.mark.parametrize("artifact, mutate, message", [
+    ("metric", lambda doc: "{not json", "not a JSON document"),
+    ("metric", lambda doc: b"\xff\xfe{", "not a JSON document"),
+    ("metric", lambda doc: "[1, 2]", "must be a JSON object"),
+    ("metric", _edit("axes", None, None), "malformed axes"),
+    ("metric", _edit("components", None, None), "'components': missing"),
+    ("metric", _edit("components", "pop", None), "values for stored shape"),
+    ("metric", _edit("components", "constant_axes", [4]), "distinct node axes"),
+    ("metric", _edit("components", "constant_axes", [2, 2]),
+     "distinct node axes"),
+    ("metric", _edit("components", "values", ["a"]), "not numbers"),
+    ("metric", lambda doc: json.dumps(dict(doc, schema=1)),
+     "unsupported schema 1"),
+    ("form", _edit("components", "pop", None), "values for stored shape"),
+    ("spec", _edit("ell", None, None), "'ell': missing"),
+    ("spec", lambda doc: json.dumps(dict(doc, axes=[{"name": "x"}])),
+     "malformed axes"),
+    ("spec", lambda doc: json.dumps(dict(doc, axes=doc["axes"][:1])),
+     "needs 2 axes"),
+    ("profile", _edit("c", "pop", None), "values for stored shape"),
+    ("profile", lambda doc: json.dumps(dict(doc, kind="leaf_spec")),
+     "expected kind 'c_profile'"),
+])
+def test_malformed_artifacts_exit_1(pde_run, tmp_path, capsys, artifact,
+                                    mutate, message):
+    name, command = _LOADS[artifact]
+    text = mutate(read_json(pde_run / name))
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(text if isinstance(text, bytes) else text.encode())
+    args = [str(pde_run / "met/metric.json") if a is None else a
+            for a in command]
+    capsys.readouterr()
+    assert main(["--out-dir", str(tmp_path / "out")] + args + [str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert "Traceback" not in err
 
 
 def test_pde_verify_sweep_needs_three_levels(tmp_path, pde_run):

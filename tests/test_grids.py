@@ -1,9 +1,21 @@
+import importlib.util
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from keflow import e2flow as e2
 from keflow.errors import GridError
 from keflow.grids import (Axis, MetricGrid, TwoFormGrid, central_diff,
                           interior, mixed_diff, second_diff)
+
+# criterion 02's and 10's grid builders, loaded by path so that this file
+# imports under any pytest import mode
+_spec = importlib.util.spec_from_file_location(
+    "acceptance_grids", Path(__file__).with_name("test_acceptance.py"))
+acceptance = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(acceptance)
 
 
 def test_axis_nodes_and_stop():
@@ -68,6 +80,54 @@ def test_metric_grid_json_round_trip_with_manifest():
     assert back.axes == grid.axes
     np.testing.assert_array_equal(back.components, grid.components)
     assert back.manifest == grid.manifest
+
+
+def assert_round_trip(grid, constant_axes):
+    """Encode, decode and compare node for node; return the decoded grid."""
+    text = grid.to_json()
+    stored = json.loads(text)["components"]
+    assert stored["constant_axes"] == list(constant_axes)
+    kept = [n for m, n in enumerate(grid.counts) if m not in constant_axes]
+    assert len(stored["values"]) == int(np.prod(kept)) * grid.dim ** 2
+    back = type(grid).from_json(text)
+    assert back.axes == grid.axes
+    assert np.array_equal(back.components, grid.components)
+    assert back.symmetry_axes() == grid.symmetry_axes()
+    return back
+
+
+@pytest.fixture(scope="module")
+def e2_traj():
+    return e2.shoot_unstable(1.0, 1e-5, b_max=100.0, tol=1e-12)
+
+
+@pytest.mark.parametrize("h", [4e-3, 2e-3, 1e-3])
+def test_codec_round_trip_torus_and_e2(e2_traj, h):
+    assert_round_trip(acceptance.torus_grid(h), (1, 2, 3))
+    # criterion 07's grids: components depend on (t, theta) only
+    tmid = e2_traj.t[int(np.searchsorted(e2_traj.column("b"), 1.0))]
+    axes = (Axis("t", tmid - 3 * h, h, 7), Axis("theta", 0.7 - 3 * h, h, 7),
+            Axis("x", -2 * h, h, 5), Axis("y", -2 * h, h, 5))
+    assert_round_trip(e2.e2_metric_grid(e2_traj, *axes), (1, 2))
+    assert_round_trip(e2.e2_kahler_form_grid(e2_traj, *axes), (1, 2))
+
+
+def test_codec_round_trip_pipeline_metric_and_form():
+    _, g4, w4 = acceptance.leaf_pipeline(1e-3)
+    assert_round_trip(g4, (2, 3))
+    assert_round_trip(w4, (2, 3))
+
+
+def test_codec_one_ulp_keeps_axis():
+    grid = acceptance.torus_grid(1e-3)
+    g = grid.components.copy()
+    # one node: every axis through it stops being constant
+    g[3, 2, 1, 4, 0, 0] = np.nextafter(g[3, 2, 1, 4, 0, 0], np.inf)
+    assert_round_trip(MetricGrid(grid.axes, g), ())
+    g = grid.components.copy()
+    # one y slab: x and z still collapse
+    g[:, :, 1, :, 2, 2] = np.nextafter(g[:, :, 1, :, 2, 2], -np.inf)
+    assert_round_trip(MetricGrid(grid.axes, g), (1, 3))
 
 
 def test_two_form_kind_mismatch():

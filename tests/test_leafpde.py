@@ -56,12 +56,23 @@ def test_leaf_metric_prediction():
 
 
 def test_leaf_spec_json_round_trip():
-    spec = hyperbolic_spec(n=33)
-    back = lp.LeafSpec.from_json(json.loads(json.dumps(spec.to_json())))
-    assert back.x_axis == spec.x_axis
-    np.testing.assert_array_equal(back.ell, spec.ell)
-    np.testing.assert_array_equal(back.h, spec.h)
-    assert back.meta["h_expr"] == "x"
+    # ell = 1/(2 y^2) is exactly constant along x; h = x along y, h = x y
+    # along neither
+    for h_expr, h_axes in (("x", [1]), ("x*y", [])):
+        spec = hyperbolic_spec(n=33, h_expr=h_expr)
+        doc = json.loads(json.dumps(spec.to_json()))
+        assert doc["ell"]["constant_axes"] == [0]
+        assert doc["h"]["constant_axes"] == h_axes
+        back = lp.LeafSpec.from_json(doc)
+        assert back.x_axis == spec.x_axis
+        assert np.array_equal(back.ell, spec.ell)
+        assert np.array_equal(back.h, spec.h)
+        assert back.meta["h_expr"] == h_expr
+    # one ulp at one node keeps x uncollapsed and still round-trips
+    spec.ell[3, 4] = np.nextafter(spec.ell[3, 4], np.inf)
+    doc = json.loads(json.dumps(spec.to_json()))
+    assert doc["ell"]["constant_axes"] == []
+    assert np.array_equal(lp.LeafSpec.from_json(doc).ell, spec.ell)
 
 
 def test_leaf_pde_residual_negative_control():
@@ -211,6 +222,7 @@ def test_assembled_metric_structure():
 def test_cprofile_json_round_trip():
     cp = round_profile(n=41)
     back = lp.CProfile.from_json(json.loads(json.dumps(cp.to_json())))
-    np.testing.assert_array_equal(back.c, cp.c)
+    for name in ("c", "x_map", "y_map"):
+        assert np.array_equal(getattr(back, name), getattr(cp, name))
     assert back.coverage == cp.coverage
     assert back.x_axis == cp.x_axis
