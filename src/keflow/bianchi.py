@@ -92,14 +92,20 @@ class ClosedFormConstants:
     c0: float = 1.0
 
 
+def _flow(params: BianchiParams, a, b, c) -> tuple[float, float, float]:
+    """(a', b', c') at raw (a, b, c): integrate builds no ABCState, so a
+    state losing positivity ends the run as positivity_loss."""
+    a2, b2, c2 = a * a, b * b, c * c
+    alpha = params.alpha(a, b)
+    return (0.5 * a * (-params.p1 * a2 + params.p2 * b2 + params.p3 * c2),
+            0.5 * b * (params.p1 * a2 - params.p2 * b2 + params.p3 * c2),
+            0.5 * c * (params.p1 * a2 + params.p2 * b2 - params.p3 * c2
+                       + 2.0 * alpha))
+
+
 def abc_rhs(params: BianchiParams, s: ABCState) -> tuple[float, float, float]:
     """Flow derivatives (a', b', c')."""
-    a2, b2, c2 = s.a * s.a, s.b * s.b, s.c * s.c
-    alpha = params.alpha(s.a, s.b)
-    da = 0.5 * s.a * (-params.p1 * a2 + params.p2 * b2 + params.p3 * c2)
-    db = 0.5 * s.b * (params.p1 * a2 - params.p2 * b2 + params.p3 * c2)
-    dc = 0.5 * s.c * (params.p1 * a2 + params.p2 * b2 - params.p3 * c2 + 2.0 * alpha)
-    return (da, db, dc)
+    return _flow(params, s.a, s.b, s.c)
 
 
 def closed_form_params(case: str, consts: ClosedFormConstants) -> BianchiParams:
@@ -257,21 +263,9 @@ def bianchi_frame_coefficients(params: BianchiParams, s: ABCState) -> FrameCoeff
 def integrate(params: BianchiParams, s0: ABCState, t_end: float,
               tol: float = 1e-10) -> Trajectory:
     """Adaptively integrate the flow from s0 to t_end (blow-up flagged)."""
-
-    def rhs(t, y):
-        a, b, c = y
-        a2, b2, c2 = a * a, b * b, c * c
-        if params.p3 == 0.0:
-            alpha = params.alpha0
-        else:
-            alpha = -(params.lam / params.p3) * (a * b) ** 2
-        return (0.5 * a * (-params.p1 * a2 + params.p2 * b2 + params.p3 * c2),
-                0.5 * b * (params.p1 * a2 - params.p2 * b2 + params.p3 * c2),
-                0.5 * c * (params.p1 * a2 + params.p2 * b2 - params.p3 * c2
-                           + 2.0 * alpha))
-
-    return integrate_flow(rhs, s0.t, (s0.a, s0.b, s0.c), t_end,
-                          columns=("a", "b", "c"), rtol=tol, atol=tol * 1e-3,
+    return integrate_flow(lambda t, y: _flow(params, *y), s0.t,
+                          (s0.a, s0.b, s0.c), t_end, columns=("a", "b", "c"),
+                          rtol=tol, atol=tol * 1e-3,
                           positive_components=(0, 1, 2),
                           meta={"p1": params.p1, "p2": params.p2,
                                 "p3": params.p3, "lam": params.lam,

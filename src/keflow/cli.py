@@ -6,9 +6,9 @@ shooting problem and its bolt, `pde` runs the leaf-data pipeline from
 conformal factors to an assembled Ricci-flat 4-metric.
 
 Every run writes a manifest.json recording the subcommand, the full
-parameter set, the tolerances, the seed and sha256 checksums of all
-artifacts, so runs are reproducible bit for bit. Time series are CSV,
-grids and reports JSON.
+parameter set, the tolerances and sha256 checksums of all artifacts, so
+runs are reproducible bit for bit. Time series are CSV, grids and reports
+JSON.
 
 Exit codes: 0 success; 1 usage or domain error; 2 expected mathematical
 termination (blow-up or early stop, partial artifacts are still written);
@@ -31,8 +31,8 @@ from .curvature import (convergence_order, einstein_residual,
                         riemann_max)
 from .errors import (CompatibilityError, DomainError, GridError,
                      VerificationError)
-from .grids import MIN_NODES_PER_AXIS, Axis, MetricGrid, TwoFormGrid, load_json
-from .manifest import RunManifest, dump_json
+from .grids import MIN_NODES_PER_AXIS, Axis, MetricGrid, TwoFormGrid
+from .manifest import RunManifest
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -65,21 +65,12 @@ def _nanmax_abs(arr: np.ndarray) -> float:
               help="Override the command's main tolerance.")
 @click.option("--out-dir", type=click.Path(file_okay=False), default=".",
               show_default=True, help="Directory for artifacts.")
-@click.option("--seed", type=int, default=0, show_default=True,
-              help="Seed recorded in the manifest (for randomized sweeps).")
 @click.pass_context
-def cli(ctx, tol, out_dir, seed):
+def cli(ctx, tol, out_dir):
     """Cohomogeneity-one Einstein metrics: solve, construct, verify."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    ctx.obj = {"tol": tol, "out_dir": out, "seed": seed}
-
-
-def _manifest(ctx, subcommand: str, parameters: dict, tolerances: dict) -> RunManifest:
-    return RunManifest(subcommand=subcommand,
-                       parameters=parameters,
-                       tolerances=tolerances,
-                       seed=ctx.obj["seed"])
+    ctx.obj = {"tol": tol, "out_dir": out}
 
 
 # ---------------------------------------------------------------------------
@@ -148,15 +139,15 @@ def bianchi_solve(ctx, p1, p2, p3, lam, alpha, case_name, alpha_eq_ab,
         s0 = bi.ABCState(t=tv, a=av, b=bv, c=cv)
         t_stop = t_end
 
-    mf = _manifest(ctx, "bianchi solve",
-                   {"p1": params.p1, "p2": params.p2, "p3": params.p3,
-                    "lam": params.lam, "alpha0": params.alpha0,
-                    "case": case_name, "alpha_eq_ab": alpha_eq_ab,
-                    "constants": consts.__dict__ if consts else None,
-                    "start": [s0.t, s0.a, s0.b, s0.c], "t_end": t_stop,
-                    "samples": samples},
-                   {"integrator_tol": tol, "closed_form_match": match_bound,
-                    "flatness": flat_bound})
+    mf = RunManifest("bianchi solve",
+                     {"p1": params.p1, "p2": params.p2, "p3": params.p3,
+                      "lam": params.lam, "alpha0": params.alpha0,
+                      "case": case_name, "alpha_eq_ab": alpha_eq_ab,
+                      "constants": consts.__dict__ if consts else None,
+                      "start": [s0.t, s0.a, s0.b, s0.c], "t_end": t_stop,
+                      "samples": samples},
+                     {"integrator_tol": tol, "closed_form_match": match_bound,
+                      "flatness": flat_bound})
     out = ctx.obj["out_dir"]
 
     traj = bi.integrate(params, s0, t_stop, tol=tol)
@@ -232,17 +223,25 @@ def _reshoot(traj) -> "object":
     bolt analyses need, so the run is reproduced and cross-checked against
     the stored samples before use.
     """
+    if traj.columns != ("a", "b", "c", "r"):
+        raise DomainError(f"trajectory columns t,{','.join(traj.columns)} "
+                          f"are not those of 'e2 shoot' (t,a,b,c,r)")
     meta = traj.meta
     if "q" not in meta or "b_max" not in meta:
         raise DomainError("trajectory lacks shoot metadata; "
                           "produce it with 'e2 shoot'")
-    start = None if meta.get("r_origin") == "tail" else tuple(meta["start"])
     if traj.stop_reason.startswith("event:"):
         t_max = max(500.0, 2.0 * float(traj.t[-1]))
     else:
         t_max = float(traj.t[-1])
-    fresh = e2.shoot_unstable(meta["q"], eps=meta["eps"], b_max=meta["b_max"],
-                              t_max=t_max, tol=traj.rtol, start=start)
+    try:
+        start = (None if meta.get("r_origin") == "tail"
+                 else tuple(meta["start"]))
+        fresh = e2.shoot_unstable(meta["q"], eps=meta["eps"],
+                                  b_max=meta["b_max"], t_max=t_max,
+                                  tol=traj.rtol, start=start)
+    except (KeyError, TypeError) as exc:
+        raise DomainError(f"malformed shoot metadata: {exc!r}") from None
     n = min(len(traj.t), len(fresh.t))
     scale = np.maximum(np.abs(traj.states[:n]), 1e-30)
     dev = float(np.max(np.abs(fresh.states[:n] - traj.states[:n]) / scale))
@@ -267,10 +266,10 @@ def e2_shoot(ctx, q, eps, b_max, t_max, start):
     """Shoot from the saddle tail and record trajectory + diagnostics."""
     tol = ctx.obj["tol"] if ctx.obj["tol"] is not None else 1e-12
     start_state = _parse_floats(start, 3, "--start") if start else None
-    mf = _manifest(ctx, "e2 shoot",
-                   {"q": q, "eps": eps, "b_max": b_max, "t_max": t_max,
-                    "start": list(start_state) if start_state else None},
-                   {"integrator_tol": tol})
+    mf = RunManifest("e2 shoot",
+                     {"q": q, "eps": eps, "b_max": b_max, "t_max": t_max,
+                      "start": list(start_state) if start_state else None},
+                     {"integrator_tol": tol})
     out = ctx.obj["out_dir"]
 
     traj = e2.shoot_unstable(q, eps=eps, b_max=b_max, t_max=t_max, tol=tol,
@@ -295,9 +294,10 @@ def e2_shoot(ctx, q, eps, b_max, t_max, start):
 @click.pass_context
 def e2_diagnose(ctx, traj_csv):
     """Re-run a stored shoot and evaluate the qualitative diagnostics."""
-    stored = e2.Trajectory.from_csv(Path(traj_csv).read_text())
-    mf = _manifest(ctx, "e2 diagnose", {"traj_csv": str(traj_csv),
-                                        "meta": dict(stored.meta)}, {})
+    stored = e2.Trajectory.from_csv(Path(traj_csv).read_bytes())
+    mf = RunManifest("e2 diagnose",
+                     {"traj_csv": str(traj_csv), "meta": dict(stored.meta)},
+                     {})
     out = ctx.obj["out_dir"]
 
     fresh = _reshoot(stored)
@@ -331,14 +331,14 @@ def e2_diagnose(ctx, traj_csv):
 def e2_bolt(ctx, traj_csv, r_max, n, r0):
     """Arclength profile near r = 0 and the bolt smoothness extrapolation."""
     tol = ctx.obj["tol"] if ctx.obj["tol"] is not None else 1e-4
-    stored = e2.Trajectory.from_csv(Path(traj_csv).read_text())
+    stored = e2.Trajectory.from_csv(Path(traj_csv).read_bytes())
     if stored.meta.get("r_origin") != "tail":
         raise DomainError("bolt analysis needs a tail-seeded shoot "
                           "(custom --start has no bolt at r = 0)")
-    mf = _manifest(ctx, "e2 bolt",
-                   {"traj_csv": str(traj_csv), "r_max": r_max, "n": n,
-                    "r0": r0, "meta": dict(stored.meta)},
-                   {"db_dr_bound": tol})
+    mf = RunManifest("e2 bolt",
+                     {"traj_csv": str(traj_csv), "r_max": r_max, "n": n,
+                      "r0": r0, "meta": dict(stored.meta)},
+                     {"db_dr_bound": tol})
     out = ctx.obj["out_dir"]
 
     fresh = _reshoot(stored)
@@ -398,13 +398,13 @@ def pde_leaf_build(ctx, h_expr, domain, n, nx, ny, ell_axis):
             ell = np.broadcast_to(1.0 / (2.0 * x_axis.nodes[:, None] ** 2),
                                   (nx, ny)).copy()
 
-    mf = _manifest(ctx, "pde leaf-build",
-                   {"h_expr": h_expr, "domain": [x0, x1, y0, y1],
-                    "nx": nx, "ny": ny, "ell_axis": ell_axis}, {})
+    mf = RunManifest("pde leaf-build",
+                     {"h_expr": h_expr, "domain": [x0, x1, y0, y1],
+                      "nx": nx, "ny": ny, "ell_axis": ell_axis}, {})
     out = ctx.obj["out_dir"]
 
     spec = lp.leaf_spec(x_axis, y_axis, h=h_expr, ell=ell)
-    mf.write_json(spec.to_json(), out / "leafspec.json")
+    mf.write_text(spec.to_json(), out / "leafspec.json")
 
     g, K = lp.leaf_metric(spec)
     gauss_dev = _nanmax_abs(gauss_curvature_2d(g) - K)
@@ -442,7 +442,7 @@ def pde_leaf_build(ctx, h_expr, domain, n, nx, ny, ell_axis):
 @click.pass_context
 def pde_profile(ctx, spec_path, nx, ny, step, y_start, substeps):
     """Shoot geodesics off the left edge and extract the profile c(x, y)."""
-    spec = lp.LeafSpec.from_json(load_json(Path(spec_path).read_bytes()))
+    spec = lp.LeafSpec.from_json(Path(spec_path).read_bytes())
     g, _ = lp.leaf_metric(spec)
     sx, sy = g.axes
     hp = step if step is not None else sx.step
@@ -457,13 +457,14 @@ def pde_profile(ctx, spec_path, nx, ny, step, y_start, substeps):
     else:
         y_axis = None
 
-    mf = _manifest(ctx, "pde profile",
-                   {"spec": str(spec_path), "nx": nx, "ny": ny, "step": step,
-                    "y_start": y_start, "substeps": substeps}, {})
+    mf = RunManifest("pde profile",
+                     {"spec": str(spec_path), "nx": nx, "ny": ny,
+                      "step": step, "y_start": y_start,
+                      "substeps": substeps}, {})
     out = ctx.obj["out_dir"]
 
     cp = lp.geodesic_parallel_profile(g, x_axis, y_axis, substeps=substeps)
-    mf.write_json(cp.to_json(), out / "cprofile.json")
+    mf.write_text(cp.to_json(), out / "cprofile.json")
     mf.write_json({"coverage": cp.coverage, "truncated": cp.truncated,
                    "truncation_reason": cp.truncation_reason,
                    "c_min": float(np.nanmin(cp.c)),
@@ -488,11 +489,11 @@ def pde_profile(ctx, spec_path, nx, ny, step, y_start, substeps):
 @click.pass_context
 def pde_construct(ctx, profile_path, init, compat_threshold):
     """Solve the linear frame system and assemble the 4-metric + form."""
-    cp = lp.CProfile.from_json(load_json(Path(profile_path).read_bytes()))
+    cp = lp.CProfile.from_json(Path(profile_path).read_bytes())
     init_vals = _parse_floats(init, 4, "--init")
-    mf = _manifest(ctx, "pde construct",
-                   {"profile": str(profile_path), "init": list(init_vals),
-                    "compat_threshold": compat_threshold}, {})
+    mf = RunManifest("pde construct",
+                     {"profile": str(profile_path), "init": list(init_vals),
+                      "compat_threshold": compat_threshold}, {})
     out = ctx.obj["out_dir"]
 
     fields = lp.reduced_fields(cp)
@@ -563,11 +564,11 @@ def pde_verify(ctx, metric_path, form_path, lam, sweep):
     tol = ctx.obj["tol"] if ctx.obj["tol"] is not None else 5e-3
     closed_bound = 1e-10
     grid = MetricGrid.from_json(Path(metric_path).read_bytes())
-    mf = _manifest(ctx, "pde verify",
-                   {"metric": str(metric_path), "form": form_path,
-                    "lam": lam, "sweep": sweep},
-                   {"einstein": tol, "closedness": closed_bound,
-                    "order_range": [1.8, 2.2]})
+    mf = RunManifest("pde verify",
+                     {"metric": str(metric_path), "form": form_path,
+                      "lam": lam, "sweep": sweep},
+                     {"einstein": tol, "closedness": closed_bound,
+                      "order_range": [1.8, 2.2]})
     out = ctx.obj["out_dir"]
 
     doc = {"einstein_residual": einstein_residual(grid, lam),

@@ -19,12 +19,9 @@ import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
-from .bianchi import BianchiParams
 from .errors import DomainError
 from .grids import Axis, MetricGrid, TwoFormGrid
-from .odes import Trajectory, integrate_flow
-
-E2_PARAMS = BianchiParams(p1=1.0, p2=0.0, p3=1.0, lam=-1.0)
+from .odes import Trajectory, integrate_flow, read_table, write_table
 
 EQUILIBRIUM_SADDLE = "q0q"
 EQUILIBRIUM_DEGENERATE = "0q0"
@@ -36,6 +33,12 @@ def e2_rhs(a: float, b: float, c: float) -> tuple[float, float, float]:
     return (0.5 * a * (c2 - a2),
             0.5 * b * (a2 + c2),
             0.5 * c * (a2 - c2 + 2.0 * a2 * b * b))
+
+
+def _shoot_rhs(t, y):
+    """e2_rhs with the arclength column, r' = a b c."""
+    da, db, dc = e2_rhs(y[0], y[1], y[2])
+    return (da, db, dc, y[0] * y[1] * y[2])
 
 
 def e2_jacobian(a: float, b: float, c: float) -> np.ndarray:
@@ -140,11 +143,7 @@ def shoot_unstable(q: float, eps: float | None = None,
         hit_b.name = "b_max"
         events.append(hit_b)
 
-    def rhs(t, y):
-        da, db, dc = e2_rhs(y[0], y[1], y[2])
-        return (da, db, dc, y[0] * y[1] * y[2])
-
-    return integrate_flow(rhs, 0.0, abc0 + (r0,), t_max,
+    return integrate_flow(_shoot_rhs, 0.0, abc0 + (r0,), t_max,
                           columns=("a", "b", "c", "r"),
                           rtol=tol, atol=tol * 1e-2, events=events,
                           positive_components=(0, 1, 2),
@@ -191,18 +190,14 @@ def _tail_gap(traj: Trajectory, tol: float = 1e-12) -> float:
     a0, b0, c0 = traj.states[0, :3]
     est1 = a0 * b0 * c0 / (q * q)
 
-    def rhs(t, y):
-        da, db, dc = e2_rhs(y[0], y[1], y[2])
-        return (da, db, dc, y[0] * y[1] * y[2])
-
     def cut(t, y, _b=b0 / 10.0):
         return y[1] - _b
     cut.terminal = True
     cut.direction = -1.0
 
-    sol = solve_ivp(rhs, (traj.t[0], traj.t[0] - 200.0), (a0, b0, c0, 0.0),
-                    method="RK45", rtol=tol, atol=1e-20, events=[cut],
-                    dense_output=False)
+    sol = solve_ivp(_shoot_rhs, (traj.t[0], traj.t[0] - 200.0),
+                    (a0, b0, c0, 0.0), method="RK45", rtol=tol, atol=1e-20,
+                    events=[cut], dense_output=False)
     if not sol.t_events[0].size:
         raise DomainError("backward leg did not reach the b0/10 cutoff")
     ac, bc_, cc, rneg = sol.y[:, -1]
@@ -324,33 +319,12 @@ class BoltProfile:
     interpolant: object = None  # callable r -> (a, b, c), in-memory only
 
     def to_csv(self) -> str:
-        lines = [f"# meta {k}: {self.meta[k]!r}" for k in sorted(self.meta)]
-        lines.append("r,a,b,c")
-        for row in zip(self.r, self.a, self.b, self.c):
-            lines.append(",".join(repr(float(v)) for v in row))
-        return "\n".join(lines) + "\n"
+        return write_table({}, self.meta, ("r", "a", "b", "c"),
+                           (self.r, self.a, self.b, self.c))
 
     @classmethod
-    def from_csv(cls, text: str) -> "BoltProfile":
-        import ast
-        meta, rows = {}, []
-        for line in text.splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                body = line[1:].strip()
-                if body.startswith("meta ") and ":" in body:
-                    key, _, val = body[5:].partition(":")
-                    try:
-                        meta[key.strip()] = ast.literal_eval(val.strip())
-                    except (ValueError, SyntaxError):
-                        meta[key.strip()] = val.strip()
-                continue
-            if line.startswith("r,"):
-                continue
-            rows.append([float(p) for p in line.split(",")])
-        data = np.asarray(rows)
+    def from_csv(cls, text: str | bytes) -> "BoltProfile":
+        _, meta, _, data = read_table(text, {})
         return cls(r=data[:, 0], a=data[:, 1], b=data[:, 2], c=data[:, 3],
                    meta=meta)
 

@@ -75,12 +75,18 @@ def constant_axes(arr: np.ndarray, naxes: int) -> tuple[int, ...]:
                  if np.all(arr == arr.take([0], axis=m)))
 
 
+def collapse_constant(arr: np.ndarray, naxes: int):
+    """(constant_axes(arr, naxes), arr with each of them cut to its first
+    slice): the distinct values of arr, one per node off those axes."""
+    const = constant_axes(arr, naxes)
+    return const, arr[tuple(slice(0, 1) if m in const else slice(None)
+                            for m in range(naxes))]
+
+
 def encode_array(arr: np.ndarray, naxes: int) -> dict:
     """Artifact form of a node array: each of its first `naxes` axes on
     which it is exactly constant is collapsed to its first slice."""
-    const = constant_axes(arr, naxes)
-    core = arr[tuple(slice(0, 1) if m in const else slice(None)
-                     for m in range(naxes))]
+    const, core = collapse_constant(arr, naxes)
     return {"constant_axes": list(const), "values": core.ravel().tolist()}
 
 
@@ -106,39 +112,50 @@ def decode_array(doc: dict, key: str, shape: tuple[int, ...],
     if values.shape != (int(np.prod(stored)),):
         raise GridError(f"{key!r}: {values.size} values for stored shape "
                         f"{stored}")
+    if not np.all(np.isfinite(values)):
+        raise GridError(f"{key!r}: non-finite values")
     return np.broadcast_to(values.reshape(stored), shape).copy()
 
 
-def load_json(text: str | bytes) -> dict:
-    """Parse an artifact; anything but a JSON object raises GridError."""
+def dump_artifact(kind: str, axes, arrays: dict, **fields) -> str:
+    """Text of a grid artifact: schema, kind, axes, each of `arrays`
+    through encode_array, and the `fields` that are not None; keys sorted."""
+    doc = {"schema": SCHEMA_VERSION, "kind": kind,
+           "axes": [ax.to_dict() for ax in axes]}
+    doc.update((key, encode_array(arr, len(axes)))
+               for key, arr in arrays.items())
+    doc.update((key, v) for key, v in fields.items() if v is not None)
+    return json.dumps(doc, sort_keys=True, indent=1) + "\n"
+
+
+def load_artifact(text: str | bytes, kind: str, keys: tuple[str, ...],
+                  dims: tuple[int, ...] = (2,), rank: int = 0):
+    """Inverse of dump_artifact: (document, axes, arrays of `keys`), each
+    array of node shape plus `rank` axes of length dim, for a document of
+    this schema, kind and a number of axes in `dims`; else GridError."""
     try:
         doc = json.loads(text)
     except ValueError as exc:
         raise GridError(f"not a JSON document: {exc}") from None
     if not isinstance(doc, dict):
         raise GridError("artifact must be a JSON object")
-    return doc
-
-
-def read_axes(doc: dict, kind: str) -> tuple[Axis, ...]:
-    """Check an artifact's schema and kind and return its axes."""
     if doc.get("schema") != SCHEMA_VERSION:
         raise GridError(f"unsupported schema {doc.get('schema')!r}")
     if doc.get("kind") != kind:
         raise GridError(f"expected kind {kind!r}, got {doc.get('kind')!r}")
     try:
-        return tuple(Axis.from_dict(a) for a in doc["axes"])
+        axes = tuple(Axis.from_dict(a) for a in doc["axes"])
     except (KeyError, TypeError, ValueError) as exc:
         raise GridError(f"malformed axes in {kind} document: {exc!r}") from None
-
-
-def _check_axes(axes: tuple[Axis, ...], dims_allowed=(2, 4)) -> None:
-    if len(axes) not in dims_allowed:
-        raise GridError(f"grid dimension {len(axes)} not in {dims_allowed}")
-    for ax in axes:
-        if ax.count < MIN_NODES_PER_AXIS:
-            raise GridError(
-                f"axis {ax.name!r}: {ax.count} nodes < {MIN_NODES_PER_AXIS}")
+    for key in ("meta", "manifest"):
+        if not isinstance(doc.get(key, {}), dict):
+            raise GridError(f"{key!r} must be a JSON object")
+    d = len(axes)
+    if d not in dims:
+        raise GridError(f"{kind} document needs "
+                        f"{' or '.join(map(str, dims))} axes, got {d}")
+    shape = tuple(ax.count for ax in axes) + (d,) * rank
+    return doc, axes, [decode_array(doc, key, shape, d) for key in keys]
 
 
 class MetricGrid:
@@ -153,13 +170,11 @@ class MetricGrid:
     # components equal this sign times their transpose
     transpose_sign = 1
 
-    def __init__(self, axes, components, manifest: dict | None = None,
-                 validate: bool = True):
+    def __init__(self, axes, components, manifest: dict | None = None):
         self.axes = tuple(axes)
         self.components = np.ascontiguousarray(components, dtype=np.float64)
         self.manifest = manifest
-        if validate:
-            self._validate()
+        self._validate()
 
     @property
     def dim(self) -> int:
@@ -174,8 +189,13 @@ class MetricGrid:
         return tuple(ax.step for ax in self.axes)
 
     def _validate(self) -> None:
-        _check_axes(self.axes)
         d = self.dim
+        if d not in (2, 4):
+            raise GridError(f"grid dimension {d} not in (2, 4)")
+        for ax in self.axes:
+            if ax.count < MIN_NODES_PER_AXIS:
+                raise GridError(
+                    f"axis {ax.name!r}: {ax.count} nodes < {MIN_NODES_PER_AXIS}")
         g = self.components
         metric = self.transpose_sign > 0
         noun = "metric" if metric else "form"
@@ -189,6 +209,9 @@ class MetricGrid:
                             f"{'' if metric else 'anti'}symmetric")
         if not metric:
             return
+        # minors repeat exactly along constant axes: one slice gives the
+        # same verdict, and argmin the same first failing node
+        _, g = collapse_constant(g, d)
         for k in range(1, d + 1):
             minors = np.linalg.det(g[..., :k, :k]) if k > 1 else g[..., 0, 0]
             if not np.all(minors > 0.0):
@@ -211,24 +234,14 @@ class MetricGrid:
         return list(np.meshgrid(*[ax.nodes for ax in self.axes], indexing="ij"))
 
     def to_json(self) -> str:
-        doc = {
-            "schema": SCHEMA_VERSION,
-            "kind": self.kind,
-            "dims": self.dim,
-            "axes": [ax.to_dict() for ax in self.axes],
-            "components": encode_array(self.components, self.dim),
-        }
-        if self.manifest is not None:
-            doc["manifest"] = self.manifest
-        return json.dumps(doc, indent=1)
+        return dump_artifact(self.kind, self.axes,
+                             {"components": self.components}, dims=self.dim,
+                             manifest=self.manifest)
 
     @classmethod
     def from_json(cls, text: str | bytes) -> "MetricGrid":
-        doc = load_json(text)
-        axes = read_axes(doc, cls.kind)
-        d = len(axes)
-        shape = tuple(ax.count for ax in axes) + (d, d)
-        comp = decode_array(doc, "components", shape, d)
+        doc, axes, (comp,) = load_artifact(text, cls.kind, ("components",),
+                                           dims=(2, 4), rank=2)
         return cls(axes, comp, manifest=doc.get("manifest"))
 
 

@@ -23,16 +23,17 @@ L_x = 2L^2 + R^2/2 exact identities; see the radial residual definitions.
 
 from __future__ import annotations
 
+import ast
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.interpolate import RectBivariateSpline
 
 from .errors import CompatibilityError, DomainError, GridError
-from .grids import (SCHEMA_VERSION, Axis, MetricGrid, TwoFormGrid,
-                    central_diff, decode_array, encode_array, interior,
-                    read_axes, second_diff)
+from .grids import (Axis, MetricGrid, TwoFormGrid, central_diff,
+                    dump_artifact, interior, load_artifact, second_diff)
 from .curvature import gauss_curvature_2d, laplace_beltrami
 
 SQRT2 = math.sqrt(2.0)
@@ -53,29 +54,46 @@ def hyperbolic_factor(x_axis: Axis, y_axis: Axis) -> np.ndarray:
     return np.broadcast_to(ell, (x_axis.count, y_axis.count)).copy()
 
 
-def _read_2d(data: dict, kind: str, keys: tuple[str, ...]):
-    """Axes and node arrays of a 2D leaf_spec or c_profile document."""
-    axes = read_axes(data, kind)
-    if len(axes) != 2:
-        raise GridError(f"{kind} document needs 2 axes, got {len(axes)}")
-    shape = (axes[0].count, axes[1].count)
-    return axes + tuple(decode_array(data, k, shape, 2) for k in keys)
+_H_OPS = {ast.Add: operator.add, ast.Sub: operator.sub,
+          ast.Mult: operator.mul, ast.Div: operator.truediv,
+          ast.Pow: operator.pow, ast.UAdd: operator.pos, ast.USub: operator.neg}
+
+
+def _h_eval(node: ast.AST, names: dict):
+    """Value of a harmonic-expression node. The grammar is names x, y, pi;
+    int or float constants, taken as floats; + - * / **; unary +-; and
+    calls to _H_NAMESPACE functions with their number of positional
+    arguments. Any other node raises DomainError before it is evaluated."""
+    match node:
+        case ast.Constant(value=int() | float() as v) if type(v) is not bool:
+            return float(v)
+        case ast.Name(id=name) if name in names and not callable(names[name]):
+            return names[name]
+        case ast.BinOp(left=left, op=op, right=right) if type(op) in _H_OPS:
+            return _H_OPS[type(op)](_h_eval(left, names), _h_eval(right, names))
+        case ast.UnaryOp(op=op, operand=arg) if type(op) in _H_OPS:
+            return _H_OPS[type(op)](_h_eval(arg, names))
+        case ast.Call(func=ast.Name(id=f), args=args, keywords=[]):
+            # a ufunc takes arguments past nin as output arrays
+            if len(args) == getattr(names.get(f), "nin", -1):
+                return names[f](*[_h_eval(a, names) for a in args])
+    raise DomainError(f"{ast.unparse(node)!r} is outside the grammar")
 
 
 def harmonic_grid(expr: str, x_axis: Axis, y_axis: Axis) -> np.ndarray:
     """Evaluate a harmonic-function expression in x, y on the grid.
 
-    The expression sees only x, y and a small set of numpy functions;
-    harmonicity itself is checked numerically by leaf_spec.
+    The expression is parsed, never executed: it may use only x, y, pi,
+    numbers, + - * / ** and the functions of _H_NAMESPACE (see _h_eval).
+    Harmonicity itself is checked numerically by leaf_spec.
     """
     x, y = np.meshgrid(x_axis.nodes, y_axis.nodes, indexing="ij")
-    names = dict(_H_NAMESPACE)
-    names.update({"x": x, "y": y})
+    names = dict(_H_NAMESPACE, x=x, y=y)
     try:
-        values = eval(compile(expr, "<harmonic>", "eval"),
-                      {"__builtins__": {}}, names)
+        values = _h_eval(ast.parse(expr, mode="eval").body, names)
     except Exception as exc:
-        raise DomainError(f"cannot evaluate harmonic expression {expr!r}: {exc}")
+        raise DomainError(f"cannot evaluate harmonic expression {expr!r}: "
+                          f"{exc}") from None
     out = np.broadcast_to(np.asarray(values, dtype=np.float64), x.shape)
     if not np.all(np.isfinite(out)):
         raise DomainError(f"harmonic expression {expr!r} is singular on the domain")
@@ -101,17 +119,14 @@ class LeafSpec:
         if not np.all(self.ell > 0.0):
             raise DomainError("conformal factor ell must be positive")
 
-    def to_json(self) -> dict:
-        return {"schema": SCHEMA_VERSION, "kind": "leaf_spec",
-                "axes": [self.x_axis.to_dict(), self.y_axis.to_dict()],
-                "ell": encode_array(self.ell, 2),
-                "h": encode_array(self.h, 2),
-                "meta": self.meta}
+    def to_json(self) -> str:
+        return dump_artifact("leaf_spec", (self.x_axis, self.y_axis),
+                             {"ell": self.ell, "h": self.h}, meta=self.meta)
 
     @classmethod
-    def from_json(cls, data: dict) -> "LeafSpec":
-        return cls(*_read_2d(data, "leaf_spec", ("ell", "h")),
-                   meta=data.get("meta", {}))
+    def from_json(cls, text: str | bytes) -> "LeafSpec":
+        doc, axes, arrays = load_artifact(text, "leaf_spec", ("ell", "h"))
+        return cls(*axes, *arrays, meta=doc.get("meta", {}))
 
 
 def leaf_spec(x_axis: Axis, y_axis: Axis, h: str | np.ndarray = "x",
@@ -216,9 +231,7 @@ def _metric_at(splines, px, py):
 def _geodesic_acc(splines, px, py, vx, vy):
     """Acceleration -Gamma^k_ij v^i v^j from spline derivatives."""
     sxx, sxy, syy = splines
-    gxx = sxx.ev(px, py)
-    gxy = sxy.ev(px, py)
-    gyy = syy.ev(px, py)
+    gxx, gxy, gyy = _metric_at(splines, px, py)
     d = (gxx * gyy - gxy * gxy)
     ixx = gyy / d
     ixy = -gxy / d
@@ -274,24 +287,30 @@ class CProfile:
             raise GridError(f"c shape must be {shape}")
         if not np.all(self.c > 0.0):
             raise DomainError("profile coefficient c must be positive")
+        cov = self.coverage
+        if not (type(cov) is not bool and isinstance(cov, (int, float))
+                and 0.0 < cov <= 1.0 and isinstance(self.truncated, bool)
+                and isinstance(self.truncation_reason, str)):
+            raise GridError(f"coverage {cov!r}, truncated {self.truncated!r}, "
+                            f"truncation_reason {self.truncation_reason!r}: "
+                            f"need a number in (0, 1], a bool, a string")
 
-    def to_json(self) -> dict:
-        return {"schema": SCHEMA_VERSION, "kind": "c_profile",
-                "axes": [self.x_axis.to_dict(), self.y_axis.to_dict()],
-                "c": encode_array(self.c, 2),
-                "x_map": encode_array(np.asarray(self.x_map), 2),
-                "y_map": encode_array(np.asarray(self.y_map), 2),
-                "coverage": self.coverage, "truncated": self.truncated,
-                "truncation_reason": self.truncation_reason,
-                "meta": self.meta}
+    def to_json(self) -> str:
+        return dump_artifact("c_profile", (self.x_axis, self.y_axis),
+                             {"c": self.c, "x_map": np.asarray(self.x_map),
+                              "y_map": np.asarray(self.y_map)},
+                             coverage=self.coverage, truncated=self.truncated,
+                             truncation_reason=self.truncation_reason,
+                             meta=self.meta)
 
     @classmethod
-    def from_json(cls, data: dict) -> "CProfile":
-        return cls(*_read_2d(data, "c_profile", ("c", "x_map", "y_map")),
-                   coverage=data.get("coverage", 1.0),
-                   truncated=data.get("truncated", False),
-                   truncation_reason=data.get("truncation_reason", ""),
-                   meta=data.get("meta", {}))
+    def from_json(cls, text: str | bytes) -> "CProfile":
+        doc, axes, arrays = load_artifact(text, "c_profile",
+                                          ("c", "x_map", "y_map"))
+        return cls(*axes, *arrays, coverage=doc.get("coverage", 1.0),
+                   truncated=doc.get("truncated", False),
+                   truncation_reason=doc.get("truncation_reason", ""),
+                   meta=doc.get("meta", {}))
 
 
 def geodesic_parallel_profile(g: MetricGrid, x_axis: Axis | None = None,

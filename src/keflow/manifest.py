@@ -1,8 +1,8 @@
 """Run manifests: reproducible records of CLI invocations.
 
 Every CLI run writes a manifest.json capturing the subcommand, the full
-parameter set after defaults, the tolerances in force, the seed, and the
-output artifacts with their sha256 checksums. Re-running with the manifest's
+parameter set after defaults, the tolerances in force, and the output
+artifacts with their sha256 checksums. Re-running with the manifest's
 parameters must reproduce the artifacts bit for bit, so all JSON here is
 dumped with sorted keys and no locale- or time-dependent fields.
 """
@@ -56,7 +56,6 @@ class RunManifest:
     subcommand: str
     parameters: dict = field(default_factory=dict)
     tolerances: dict = field(default_factory=dict)
-    seed: int = 0
     outputs: list = field(default_factory=list)
     checksums: dict = field(default_factory=dict)
 
@@ -68,8 +67,7 @@ class RunManifest:
         return {"schema": SCHEMA_VERSION,
                 "subcommand": self.subcommand,
                 "parameters": jsonable(self.parameters),
-                "tolerances": jsonable(self.tolerances),
-                "seed": self.seed}
+                "tolerances": jsonable(self.tolerances)}
 
     def record(self, path: Path) -> None:
         """Checksum an artifact that has already been written."""
@@ -98,7 +96,6 @@ class RunManifest:
         return cls(subcommand=doc["subcommand"],
                    parameters=doc.get("parameters", {}),
                    tolerances=doc.get("tolerances", {}),
-                   seed=doc.get("seed", 0),
                    outputs=list(doc.get("outputs", [])),
                    checksums=dict(doc.get("checksums", {})))
 

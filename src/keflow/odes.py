@@ -10,7 +10,6 @@ fires, and the trajectory records which of these happened.
 from __future__ import annotations
 
 import ast
-import io
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -20,7 +19,11 @@ from scipy.integrate import solve_ivp
 from .errors import DomainError
 
 MAX_COMPONENT = 1e12
-MIN_STEP_FRACTION = 1e-12
+
+# Trajectory CSV header fields and their parsers; absent ones take the
+# Trajectory defaults (NaN for the tolerances).
+_CSV_FIELDS = {"rtol": float, "atol": float, "blow_up": lambda v: bool(int(v)),
+               "stop_reason": str, "n_steps": int, "n_rhs_evals": int}
 
 
 @dataclass
@@ -43,17 +46,9 @@ class Trajectory:
         self.t = np.asarray(self.t, dtype=np.float64)
         self.states = np.asarray(self.states, dtype=np.float64)
         if self.t.ndim != 1 or self.states.shape != (self.t.size, len(self.columns)):
-            raise ValueError("inconsistent trajectory shapes")
+            raise DomainError("inconsistent trajectory shapes")
         if not np.all(np.diff(self.t) > 0.0):
-            raise ValueError("sample times must be strictly increasing")
-
-    @property
-    def t_start(self) -> float:
-        return float(self.t[0])
-
-    @property
-    def t_end(self) -> float:
-        return float(self.t[-1])
+            raise DomainError("sample times must be strictly increasing")
 
     def column(self, name: str) -> np.ndarray:
         return self.states[:, self.columns.index(name)]
@@ -69,71 +64,71 @@ class Trajectory:
         return self.interpolant(t)
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write(f"# columns: t,{','.join(self.columns)}\n")
-        buf.write(f"# rtol: {self.rtol!r}\n")
-        buf.write(f"# atol: {self.atol!r}\n")
-        buf.write(f"# blow_up: {int(self.blow_up)}\n")
-        buf.write(f"# stop_reason: {self.stop_reason}\n")
-        buf.write(f"# n_steps: {self.n_steps}\n")
-        buf.write(f"# n_rhs_evals: {self.n_rhs_evals}\n")
-        for key in sorted(self.meta):
-            buf.write(f"# meta {key}: {self.meta[key]!r}\n")
-        buf.write("t," + ",".join(self.columns) + "\n")
-        for ti, row in zip(self.t, self.states):
-            buf.write(",".join(repr(float(v)) for v in (ti, *row)) + "\n")
-        return buf.getvalue()
+        header = {"columns": ",".join(("t",) + self.columns),
+                  "rtol": repr(self.rtol), "atol": repr(self.atol),
+                  "blow_up": int(self.blow_up),
+                  "stop_reason": self.stop_reason, "n_steps": self.n_steps,
+                  "n_rhs_evals": self.n_rhs_evals}
+        return write_table(header, self.meta, ("t",) + self.columns,
+                           (self.t, *self.states.T))
 
     @classmethod
-    def from_csv(cls, text: str) -> "Trajectory":
-        meta: dict = {}
-        info = {"rtol": np.nan, "atol": np.nan, "blow_up": 0,
-                "stop_reason": "t_end", "n_steps": 0, "n_rhs_evals": 0}
-        rows = []
-        columns: tuple[str, ...] | None = None
-        for line in text.splitlines():
-            line = line.strip()
-            if not line:
-                continue
+    def from_csv(cls, text: str | bytes) -> "Trajectory":
+        info, meta, columns, data = read_table(text, _CSV_FIELDS)
+        return cls(t=data[:, 0], states=data[:, 1:], columns=columns[1:],
+                   meta=meta, **{"rtol": np.nan, "atol": np.nan, **info})
+
+
+def write_table(header: dict, meta: dict, columns: Sequence[str],
+                data: Sequence[np.ndarray]) -> str:
+    """Sampled-table CSV: a `# key: value` line per header entry, a
+    `# meta key: repr(value)` line per meta entry in key order, the column
+    row, then one row per sample with each value written as repr(float)."""
+    lines = [f"# {key}: {val}" for key, val in header.items()]
+    lines += [f"# meta {key}: {meta[key]!r}" for key in sorted(meta)]
+    lines.append(",".join(columns))
+    rows = np.column_stack(data).astype(np.float64).tolist()
+    lines += [",".join(map(repr, row)) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+def read_table(text: str | bytes, fields: dict):
+    """Inverse of write_table: (header, meta, columns, samples). Header
+    values are parsed by fields[key] (other keys are ignored), meta values
+    as Python literals, kept as text when they are not one. Text that is
+    not such a table raises DomainError."""
+    if isinstance(text, bytes):
+        try:
+            text = text.decode()
+        except UnicodeDecodeError as exc:
+            raise DomainError(f"CSV is not UTF-8 text: {exc}") from None
+    info, meta, rows = {}, {}, []
+    columns: tuple[str, ...] | None = None
+    for n, line in enumerate(text.splitlines(), 1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
             if line.startswith("#"):
-                body = line[1:].strip()
-                if ":" not in body:
-                    continue
-                key, _, val = body.partition(":")
-                key, val = key.strip(), val.strip()
-                if key.startswith("meta "):
+                key, sep, val = (p.strip() for p in line[1:].partition(":"))
+                if sep and key.startswith("meta "):
                     try:
                         meta[key[5:]] = ast.literal_eval(val)
-                    except (ValueError, SyntaxError):
+                    except (ValueError, TypeError, SyntaxError, RecursionError):
                         meta[key[5:]] = val
-                elif key in ("rtol", "atol"):
-                    info[key] = float(val)
-                elif key in ("blow_up", "n_steps", "n_rhs_evals"):
-                    info[key] = int(val)
-                elif key == "stop_reason":
-                    info[key] = val
-                continue
-            parts = line.split(",")
-            if columns is None and not _is_float(parts[0]):
-                columns = tuple(parts[1:])
-                continue
-            rows.append([float(p) for p in parts])
-        if columns is None or not rows:
-            raise ValueError("CSV does not contain a trajectory")
-        data = np.asarray(rows)
-        return cls(t=data[:, 0], states=data[:, 1:], columns=columns,
-                   rtol=info["rtol"], atol=info["atol"],
-                   blow_up=bool(info["blow_up"]), stop_reason=info["stop_reason"],
-                   n_steps=info["n_steps"], n_rhs_evals=info["n_rhs_evals"],
-                   meta=meta)
-
-
-def _is_float(token: str) -> bool:
-    try:
-        float(token)
-        return True
-    except ValueError:
-        return False
+                elif sep and key in fields:
+                    info[key] = fields[key](val)
+            elif columns is None:
+                columns = tuple(line.split(","))
+            elif len(cells := line.split(",")) != len(columns):
+                raise ValueError(f"{len(cells)} cells, {len(columns)} columns")
+            else:
+                rows.append([float(v) for v in cells])
+        except ValueError as exc:
+            raise DomainError(f"CSV line {n}: {exc}") from None
+    if columns is None or not rows:
+        raise DomainError("CSV does not contain a sampled table")
+    return info, meta, columns, np.asarray(rows)
 
 
 def integrate_flow(rhs, t0: float, y0: Sequence[float], t_end: float,
@@ -150,6 +145,10 @@ def integrate_flow(rhs, t0: float, y0: Sequence[float], t_end: float,
     """
     if t_end == t0:
         raise DomainError("empty integration span")
+    if not (0.0 <= rtol < np.inf and 0.0 <= atol < np.inf):
+        # a NaN tolerance never lets the step control accept a step
+        raise DomainError(f"tolerances must be finite and nonnegative, got "
+                          f"rtol {rtol!r}, atol {atol!r}")
     y0 = np.asarray(y0, dtype=np.float64)
 
     def overflow(t, y):

@@ -95,6 +95,47 @@ def test_e2_bolt_from_csv(e2_run, tmp_path):
     assert (tmp_path / "bolt_profile.csv").exists()
 
 
+def _samples(edit):
+    """CSV mutation applying edit to the sample rows after the column row."""
+    def mutate(text):
+        lines = text.splitlines()
+        k = next(i for i, ln in enumerate(lines) if not ln.startswith("#"))
+        return "\n".join(lines[:k + 1] + edit(lines[k + 1:])) + "\n"
+    return mutate
+
+
+@pytest.mark.parametrize("command", ["diagnose", "bolt"])
+@pytest.mark.parametrize("mutate, message", [
+    (lambda text: "hello\n", "does not contain a sampled table"),
+    (lambda text: b"\xff\xfe", "not UTF-8"),
+    (_samples(lambda rows: rows[:3] + ["0.5,abc,1,1,1"] + rows[4:]),
+     "could not convert string to float: 'abc'"),
+    (_samples(lambda rows: rows[:3] + [rows[3].rsplit(",", 1)[0]] + rows[4:]),
+     "4 cells, 5 columns"),
+    (_samples(lambda rows: [rows[1], rows[0]] + rows[2:]),
+     "strictly increasing"),
+    (lambda text: "\n".join(ln if ln.startswith("#") else ln.rsplit(",", 1)[0]
+                            for ln in text.splitlines()),
+     "are not those of 'e2 shoot' (t,a,b,c,r)"),
+    (lambda text: text.replace("# rtol: 1e-12", "# rtol: abc"),
+     "CSV line 2: could not convert"),
+    (lambda text: text.replace("# meta q: 1.0", "# meta q: 'abc'"),
+     "malformed shoot metadata"),
+    (lambda text: text.replace("# meta eps: 1e-05\n", ""),
+     "malformed shoot metadata: KeyError('eps')"),
+])
+def test_e2_bad_csv_exit_1(e2_run, tmp_path, capsys, command, mutate,
+                           message):
+    text = mutate((e2_run / "e2_trajectory.csv").read_text())
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(text if isinstance(text, bytes) else text.encode())
+    capsys.readouterr()
+    rc = main(["--out-dir", str(tmp_path / "out"), "e2", command, str(bad)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error: ") and message in err, err
+
+
 @pytest.fixture(scope="module")
 def off_curve_run(tmp_path_factory):
     d = tmp_path_factory.mktemp("offcurve")
@@ -260,6 +301,24 @@ _LOADS = {"metric": ("met/metric.json", ["pde", "verify", "--metric"]),
     ("profile", _edit("c", "pop", None), "values for stored shape"),
     ("profile", lambda doc: json.dumps(dict(doc, kind="leaf_spec")),
      "expected kind 'c_profile'"),
+    ("profile", lambda doc: json.dumps(dict(doc, x_map=dict(
+        doc["x_map"], values=[float("nan")] + doc["x_map"]["values"][1:]))),
+     "'x_map': non-finite values"),
+    ("profile", lambda doc: json.dumps(dict(doc, coverage="abc")),
+     "coverage 'abc'"),
+    ("profile", lambda doc: json.dumps(dict(doc, coverage=0)), "coverage 0,"),
+    ("profile", lambda doc: json.dumps(dict(doc, coverage=1.5)),
+     "coverage 1.5,"),
+    ("profile", lambda doc: json.dumps(dict(doc, truncated="no")),
+     "truncated 'no'"),
+    ("profile", lambda doc: json.dumps(dict(doc, truncation_reason=5)),
+     "truncation_reason 5"),
+    ("profile", lambda doc: json.dumps(dict(doc, meta=[1])),
+     "'meta' must be a JSON object"),
+    ("spec", lambda doc: json.dumps(dict(doc, meta="x")),
+     "'meta' must be a JSON object"),
+    ("metric", lambda doc: json.dumps(dict(doc, manifest=[1])),
+     "'manifest' must be a JSON object"),
 ])
 def test_malformed_artifacts_exit_1(pde_run, tmp_path, capsys, artifact,
                                     mutate, message):
@@ -274,6 +333,18 @@ def test_malformed_artifacts_exit_1(pde_run, tmp_path, capsys, artifact,
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
     assert "Traceback" not in err
+
+
+def test_h_expr_is_parsed_not_executed(tmp_path, capsys):
+    payload = ("x*0 + [c for c in ().__class__.__base__.__subclasses__() "
+               "if c.__name__=='Popen'].__len__()")
+    capsys.readouterr()
+    rc = main(["--out-dir", str(tmp_path), "pde", "leaf-build",
+               "--h-expr", payload, "--n", "9"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot evaluate harmonic expression")
+    assert not (tmp_path / "leafspec.json").exists()
 
 
 def test_pde_verify_sweep_needs_three_levels(tmp_path, pde_run):

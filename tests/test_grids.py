@@ -65,6 +65,23 @@ def test_metric_grid_validation():
         MetricGrid(grid.axes, asym)
 
 
+def test_padded_metric_reports_first_failing_node():
+    # u, v are exactly constant, so positive-definiteness is tested on one
+    # (u, v) slice; the message must still name the first minimising node
+    axes = [Axis(n, 0.0, 0.1, c) for n, c in (("x", 7), ("y", 9), ("u", 5),
+                                              ("v", 5))]
+    g = np.zeros((7, 9, 5, 5, 4, 4))
+    for k in range(4):
+        g[..., k, k] = 1.0
+    g[3, 4, ..., 1, 1] = g[5, 1, ..., 1, 1] = -0.5
+    g[6, 2, ..., 1, 1] = -0.25
+    with pytest.raises(GridError) as err:
+        MetricGrid(axes, g)
+    assert str(err.value) == (
+        "metric not positive-definite: minor 2 fails at node "
+        "(np.int64(3), np.int64(4), np.int64(0), np.int64(0))")
+
+
 def test_metric_grid_too_few_nodes():
     axes = (Axis("x", 0.0, 0.1, 3), Axis("y", 0.0, 0.1, 9))
     g = np.zeros((3, 9, 2, 2))

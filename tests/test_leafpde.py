@@ -1,5 +1,7 @@
+import ast
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,6 +36,42 @@ def test_leaf_spec_checks_harmonicity():
         hyperbolic_spec(h_expr="x*x")
 
 
+@pytest.mark.parametrize("expr, expected", [
+    ("x", lambda x, y: x),
+    ("-x", lambda x, y: -x),
+    ("x*x", lambda x, y: x * x),
+    ("x*y", lambda x, y: x * y),
+    ("0.5*x", lambda x, y: 0.5 * x),
+    ("-0.734*x", lambda x, y: -0.734 * x),
+    ("log(hypot(x, y))", lambda x, y: np.log(np.hypot(x, y))),
+])
+def test_harmonic_grid_values(expr, expected):
+    ax, ay = Axis("x", 0.1, 0.01, 33), Axis("y", 1.0, 0.01, 29)
+    x, y = np.meshgrid(ax.nodes, ay.nodes, indexing="ij")
+    assert np.array_equal(lp.harmonic_grid(expr, ax, ay), expected(x, y))
+
+
+@pytest.mark.parametrize("expr", [
+    "x*0 + [c for c in ().__class__.__base__.__subclasses__() "
+    "if c.__name__=='Popen'].__len__()",
+    "x.__class__", "__import__('os')", "(lambda: x)()", "x[0]", "True*x",
+    "log(x=x)", "log(*[x])", "log(x, y)", "hypot(x)", "y(x)", "pi(x)", "z",
+    "x if x else y", "x % 2", "1j*x",
+    "9**9**9",
+])
+def test_harmonic_grid_rejects_outside_grammar(expr):
+    ax, ay = Axis("x", 0.1, 0.01, 9), Axis("y", 1.0, 0.01, 9)
+    with pytest.raises(DomainError, match="cannot evaluate"):
+        lp.harmonic_grid(expr, ax, ay)
+
+
+def test_no_module_evaluates_code():
+    for path in Path(lp.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                assert node.id not in ("eval", "exec", "compile"), path.name
+
+
 def test_leaf_spec_checks_curvature():
     n = 33
     h = 1.0 / (n - 1)
@@ -60,19 +98,20 @@ def test_leaf_spec_json_round_trip():
     # along neither
     for h_expr, h_axes in (("x", [1]), ("x*y", [])):
         spec = hyperbolic_spec(n=33, h_expr=h_expr)
-        doc = json.loads(json.dumps(spec.to_json()))
+        text = spec.to_json()
+        doc = json.loads(text)
         assert doc["ell"]["constant_axes"] == [0]
         assert doc["h"]["constant_axes"] == h_axes
-        back = lp.LeafSpec.from_json(doc)
+        back = lp.LeafSpec.from_json(text)
         assert back.x_axis == spec.x_axis
         assert np.array_equal(back.ell, spec.ell)
         assert np.array_equal(back.h, spec.h)
         assert back.meta["h_expr"] == h_expr
     # one ulp at one node keeps x uncollapsed and still round-trips
     spec.ell[3, 4] = np.nextafter(spec.ell[3, 4], np.inf)
-    doc = json.loads(json.dumps(spec.to_json()))
-    assert doc["ell"]["constant_axes"] == []
-    assert np.array_equal(lp.LeafSpec.from_json(doc).ell, spec.ell)
+    text = spec.to_json()
+    assert json.loads(text)["ell"]["constant_axes"] == []
+    assert np.array_equal(lp.LeafSpec.from_json(text).ell, spec.ell)
 
 
 def test_leaf_pde_residual_negative_control():
@@ -221,7 +260,7 @@ def test_assembled_metric_structure():
 
 def test_cprofile_json_round_trip():
     cp = round_profile(n=41)
-    back = lp.CProfile.from_json(json.loads(json.dumps(cp.to_json())))
+    back = lp.CProfile.from_json(cp.to_json())
     for name in ("c", "x_map", "y_map"):
         assert np.array_equal(getattr(back, name), getattr(cp, name))
     assert back.coverage == cp.coverage

@@ -34,7 +34,7 @@ def test_dump_json_is_deterministic(tmp_path):
 
 def make_manifest(out_dir):
     mf = RunManifest(subcommand="demo", parameters={"n": 5},
-                     tolerances={"tol": 1e-8}, seed=3)
+                     tolerances={"tol": 1e-8})
     mf.write_json({"value": 1.0}, out_dir / "report.json")
     mf.write_text("t,a\n0,1\n", out_dir / "table.csv")
     return mf
@@ -57,7 +57,7 @@ def test_manifest_header_excludes_checksums(tmp_path):
     assert "checksums" not in head
     assert "outputs" not in head
     assert head["schema"] == SCHEMA_VERSION
-    assert head["seed"] == 3
+    assert set(head) == {"schema", "subcommand", "parameters", "tolerances"}
 
 
 def test_manifest_checksums_match_files(tmp_path):

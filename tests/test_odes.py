@@ -76,3 +76,33 @@ def test_csv_round_trip_loses_dense_output():
     back = Trajectory.from_csv(traj.to_csv())
     with pytest.raises(DomainError):
         back.sample([0.5])
+
+
+@pytest.mark.parametrize("rtol, atol", [(np.nan, 1e-10), (np.inf, 1e-10),
+                                        (1e-8, -1.0)])
+def test_bad_tolerances_rejected(rtol, atol):
+    # without the check a NaN tolerance keeps the solver stepping forever
+    with pytest.raises(DomainError):
+        integrate_flow(lambda t, y: -y, 0.0, [1.0], 1.0, ("y",),
+                       rtol=rtol, atol=atol)
+
+
+GOLDEN_CSV = (
+    "# columns: t,u,v\n# rtol: 1e-09\n# atol: 1e-11\n# blow_up: 1\n"
+    "# stop_reason: event:b_max\n# n_steps: 2\n# n_rhs_evals: 14\n"
+    "# meta b_max: None\n# meta q: 1.5\n# meta start: [1.0, 2.0]\n"
+    "# meta tag: 'run'\nt,u,v\n0.0,1.0,-2.0\n0.5,0.1,1e-300\n"
+    "1.25,0.3333333333333333,2.5e+17\n")
+
+
+def test_csv_golden_bytes():
+    traj = Trajectory(t=[0.0, 0.5, 1.25],
+                      states=[[1.0, -2.0], [0.1, 1e-300], [1 / 3, 2.5e17]],
+                      columns=("u", "v"), rtol=1e-9, atol=1e-11, blow_up=True,
+                      stop_reason="event:b_max", n_steps=2, n_rhs_evals=14,
+                      meta={"q": 1.5, "start": [1.0, 2.0], "tag": "run",
+                            "b_max": None})
+    assert traj.to_csv() == GOLDEN_CSV
+    back = Trajectory.from_csv(GOLDEN_CSV.encode())
+    assert back.to_csv() == GOLDEN_CSV
+    assert back.blow_up and back.n_rhs_evals == 14 and back.meta == traj.meta
