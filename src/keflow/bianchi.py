@@ -219,10 +219,10 @@ def torus_metric_grid(consts: ClosedFormConstants, t_axis: Axis,
     c = c[:, None, None, None]
     shape = (t_axis.count, x_axis.count, y_axis.count, z_axis.count)
     g = np.zeros(shape + (4, 4))
-    g[..., 0, 0] = np.broadcast_to((consts.a0 * consts.b0 * c) ** 2, shape)
+    g[..., 0, 0] = (consts.a0 * consts.b0 * c) ** 2
     g[..., 1, 1] = consts.a0 ** 2
     g[..., 2, 2] = consts.b0 ** 2
-    g[..., 3, 3] = np.broadcast_to(c ** 2, shape)
+    g[..., 3, 3] = c ** 2
     return MetricGrid((t_axis, x_axis, y_axis, z_axis), g, manifest=manifest)
 
 

@@ -615,9 +615,6 @@ def main(argv=None) -> int:
         rv = cli.main(args=argv, standalone_mode=False)
     except click.exceptions.Exit as exc:
         return int(exc.exit_code)
-    except click.UsageError as exc:
-        exc.show()
-        return EXIT_USAGE
     except click.ClickException as exc:
         exc.show()
         return EXIT_USAGE

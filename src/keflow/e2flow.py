@@ -343,13 +343,16 @@ def bolt_profile(traj: Trajectory, r_max: float = 0.4, n: int = 200) -> BoltProf
     """Reparametrize a shoot by arclength r measured from the bolt.
 
     Samples are log-spaced in r between the start value (= eps on the
-    unstable curve) and r_max.
+    unstable curve) and r_max; n >= 2 and r_max must lie strictly between
+    the start value and the trajectory arclength.
     """
+    if n < 2:
+        raise DomainError(f"bolt profile needs n >= 2 samples, got {n}")
     r_of_t, r0 = _arclength(traj)
     r_span_end = r_of_t(traj.t[-1])
-    if r_max >= r_span_end:
-        raise DomainError(
-            f"r_max {r_max} beyond the trajectory arclength {r_span_end}")
+    if not (r0 < r_max < r_span_end):
+        raise DomainError(f"r_max {r_max} outside ({r0}, {r_span_end}), the "
+                          f"start radius and the trajectory arclength")
 
     def t_at_r(rt):
         return brentq(lambda tt: r_of_t(tt) - rt, traj.t[0], traj.t[-1])
@@ -394,8 +397,9 @@ def bolt_smoothness(profile: BoltProfile, r0: float | None = None) -> BoltSmooth
     """
     if r0 is None:
         r0 = profile.r[-1] / 2.0
-    if r0 / 4.0 < profile.r[0]:
-        raise DomainError("r0/4 below the smallest profile radius")
+    if not (profile.r[0] <= r0 / 4.0):
+        raise DomainError(f"r0/4 = {r0 / 4.0} below the smallest profile "
+                          f"radius {profile.r[0]} (or not a number)")
 
     def at(rv):
         a, b, c = profile.sample(rv)
@@ -487,13 +491,13 @@ def e2_metric_grid(traj: Trajectory, t_axis: Axis, theta_axis: Axis,
     axes, shape, a, b, c, sin, cos = _e2_samples(traj, t_axis, theta_axis,
                                                  x_axis, y_axis)
     g = np.zeros(shape + (4, 4))
-    g[..., 0, 0] = np.broadcast_to((a * b * c) ** 2, shape)
-    g[..., 1, 1] = np.broadcast_to(a ** 2 * cos ** 2 + c ** 2 * sin ** 2, shape)
-    g[..., 2, 2] = np.broadcast_to(a ** 2 * sin ** 2 + c ** 2 * cos ** 2, shape)
-    gxy = np.broadcast_to((a ** 2 - c ** 2) * sin * cos, shape)
+    g[..., 0, 0] = (a * b * c) ** 2
+    g[..., 1, 1] = a ** 2 * cos ** 2 + c ** 2 * sin ** 2
+    g[..., 2, 2] = a ** 2 * sin ** 2 + c ** 2 * cos ** 2
+    gxy = (a ** 2 - c ** 2) * sin * cos
     g[..., 1, 2] = gxy
     g[..., 2, 1] = gxy
-    g[..., 3, 3] = np.broadcast_to(b ** 2, shape)
+    g[..., 3, 3] = b ** 2
     return MetricGrid(axes, g, manifest=manifest)
 
 
@@ -506,8 +510,8 @@ def e2_kahler_form_grid(traj: Trajectory, t_axis: Axis, theta_axis: Axis,
     w = np.zeros(shape + (4, 4))
 
     def put(i, j, val):
-        w[..., i, j] = np.broadcast_to(val, shape)
-        w[..., j, i] = np.broadcast_to(-val, shape)
+        w[..., i, j] = val
+        w[..., j, i] = -val
 
     abc2 = a * b * c * c
     put(0, 1, -abc2 * sin)

@@ -215,7 +215,8 @@ class MetricGrid:
         for k in range(1, d + 1):
             minors = np.linalg.det(g[..., :k, :k]) if k > 1 else g[..., 0, 0]
             if not np.all(minors > 0.0):
-                node = np.unravel_index(np.argmin(minors), minors.shape)
+                node = tuple(int(i) for i in
+                             np.unravel_index(np.argmin(minors), minors.shape))
                 raise GridError(
                     f"metric not positive-definite: minor {k} fails at node {node}")
 

@@ -228,37 +228,34 @@ def _metric_at(splines, px, py):
     return sxx.ev(px, py), sxy.ev(px, py), syy.ev(px, py)
 
 
-def _geodesic_acc(splines, px, py, vx, vy):
-    """Acceleration -Gamma^k_ij v^i v^j from spline derivatives."""
-    sxx, sxy, syy = splines
+def _rk4(f_lo, f_mid, f_hi, u, h):
+    """One classical fourth-order step of u' = f(t, u) of length h, given
+    u -> f(t, u) at the start, the midpoint and the end of the step."""
+    k1 = f_lo(u)
+    k2 = f_mid(u + 0.5 * h * k1)
+    k3 = f_mid(u + 0.5 * h * k2)
+    k4 = f_hi(u + h * k3)
+    return u + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _geodesic_rhs(splines, u):
+    """d/dt of u = (px, py, vx, vy): (vx, vy, -Gamma^k_ij v^i v^j)."""
+    px, py, v = u[0], u[1], u[2:]
     gxx, gxy, gyy = _metric_at(splines, px, py)
     d = (gxx * gyy - gxy * gxy)
-    ixx = gyy / d
-    ixy = -gxy / d
-    iyy = gxx / d
-    dg = {}
-    for name, s in (("xx", sxx), ("xy", sxy), ("yy", syy)):
-        dg[name + "_x"] = s.ev(px, py, dx=1)
-        dg[name + "_y"] = s.ev(px, py, dy=1)
-
-    def gamma_low(i, j, l):
-        # (1/2)(d_i g_jl + d_j g_il - d_l g_ij) with 0 = x, 1 = y
-        def dgc(a, b, k):
-            key = ("xx", "xy", "yy")[a + b] + ("_x", "_y")[k]
-            return dg[key]
-        return 0.5 * (dgc(j, l, i) + dgc(i, l, j) - dgc(i, j, l))
-
-    ax = np.zeros_like(px)
-    ay = np.zeros_like(px)
-    v = (vx, vy)
+    inv = ((gyy / d, -gxy / d), (-gxy / d, gxx / d))
+    # dg[a + b][k] = d_k g_ab with 0 = x, 1 = y
+    dg = [(s.ev(px, py, dx=1), s.ev(px, py, dy=1)) for s in splines]
+    acc = np.zeros((2,) + px.shape)
     for i in range(2):
         for j in range(2):
-            low0 = gamma_low(i, j, 0)
-            low1 = gamma_low(i, j, 1)
+            # Gamma_ijl = (1/2)(d_i g_jl + d_j g_il - d_l g_ij)
+            low0, low1 = (0.5 * (dg[j + l][i] + dg[i + l][j] - dg[i + j][l])
+                          for l in range(2))
             vij = v[i] * v[j]
-            ax -= (ixx * low0 + ixy * low1) * vij
-            ay -= (ixy * low0 + iyy * low1) * vij
-    return ax, ay
+            for k in range(2):
+                acc[k] -= (inv[k][0] * low0 + inv[k][1] * low1) * vij
+    return np.concatenate((v, acc))
 
 
 @dataclass
@@ -322,12 +319,15 @@ def geodesic_parallel_profile(g: MetricGrid, x_axis: Axis | None = None,
     The base curve is the left edge of the source domain, parametrized by
     the source y coordinate. Geodesics leave it orthogonally with squared
     speed 2, integrated with a classical fixed-step fourth-order scheme
-    (substeps per profile step); the metric between nodes comes from cubic
-    splines. Geodesics exiting the source rectangle or focusing (c below
-    c_floor) truncate the profile, recorded in coverage/truncation_reason.
+    (substeps >= 1 per profile step); the metric between nodes comes from
+    quintic splines (cubic along an axis of at most 5 nodes). Geodesics
+    exiting the source rectangle or focusing (c below c_floor) truncate the
+    profile, recorded in coverage/truncation_reason.
     """
     if g.dim != 2:
         raise GridError("profile extraction is for 2D metrics")
+    if substeps < 1:
+        raise DomainError(f"substeps must be at least 1, got {substeps}")
     sx, sy = g.axes
     if x_axis is None:
         x_axis = Axis("x", 0.0, sx.step, sx.count)
@@ -348,6 +348,7 @@ def geodesic_parallel_profile(g: MetricGrid, x_axis: Axis | None = None,
     gxx, gxy, gyy = _metric_at(splines, px, py)
     vx = np.sqrt(2.0 / (gxx - gxy * gxy / gyy))
     vy = -vx * gxy / gyy
+    u = np.stack((px, py, vx, vy))
 
     n_park = x_axis.count
     X = np.empty((n_park, seeds.size))
@@ -366,31 +367,20 @@ def geodesic_parallel_profile(g: MetricGrid, x_axis: Axis | None = None,
         return ((ax_ >= sx.start - tol_x) & (ax_ <= sx.stop + tol_x)
                 & (ay_ >= sy.start - tol_y) & (ay_ <= sy.stop + tol_y))
 
+    def rhs(w):
+        return _geodesic_rhs(splines, w)
+
     for i in range(1, n_park):
-        ok = True
         for _ in range(substeps):
-            k1 = (vx, vy) + _geodesic_acc(splines, px, py, vx, vy)
-            m = (px + 0.5 * hs * k1[0], py + 0.5 * hs * k1[1],
-                 vx + 0.5 * hs * k1[2], vy + 0.5 * hs * k1[3])
-            k2 = (m[2], m[3]) + _geodesic_acc(splines, *m)
-            m = (px + 0.5 * hs * k2[0], py + 0.5 * hs * k2[1],
-                 vx + 0.5 * hs * k2[2], vy + 0.5 * hs * k2[3])
-            k3 = (m[2], m[3]) + _geodesic_acc(splines, *m)
-            m = (px + hs * k3[0], py + hs * k3[1],
-                 vx + hs * k3[2], vy + hs * k3[3])
-            k4 = (m[2], m[3]) + _geodesic_acc(splines, *m)
-            px = px + (hs / 6.0) * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
-            py = py + (hs / 6.0) * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
-            vx = vx + (hs / 6.0) * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2])
-            vy = vy + (hs / 6.0) * (k1[3] + 2 * k2[3] + 2 * k3[3] + k4[3])
-            if not np.all(inside(px, py)):
-                ok = False
+            u = _rk4(rhs, rhs, rhs, u, hs)
+            if not np.all(inside(u[0], u[1])):
                 break
-        if not ok:
-            delivered = i
-            reason = "geodesic left the source domain"
-            break
-        X[i], Y[i] = px, py
+        else:
+            X[i], Y[i] = u[0], u[1]
+            continue
+        delivered = i
+        reason = "geodesic left the source domain"
+        break
 
     X, Y = X[:delivered], Y[:delivered]
     dy = y_axis.step
@@ -582,13 +572,21 @@ def _half_nodes(v: np.ndarray) -> np.ndarray:
     return out
 
 
-def _rk4_linear_march(u0, mats_lo, mats_mid, mats_hi, h):
-    """One fourth-order step of u' = M(t) u per column."""
-    k1 = np.einsum("...ij,...j->...i", mats_lo, u0)
-    k2 = np.einsum("...ij,...j->...i", mats_mid, u0 + 0.5 * h * k1)
-    k3 = np.einsum("...ij,...j->...i", mats_mid, u0 + 0.5 * h * k2)
-    k4 = np.einsum("...ij,...j->...i", mats_hi, u0 + h * k3)
-    return u0 + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+def _times(m: np.ndarray):
+    """u -> m u for stacks of 2x2 matrices. einsum, not matmul: matmul can
+    round differently (fused multiply-adds) and move the last bits."""
+    return lambda u: np.einsum("...ij,...jk->...ik", m, u)
+
+
+def _linear_march(m: np.ndarray, u0: np.ndarray, h: float) -> np.ndarray:
+    """u' = m u along axis 0 of m, one RK4 step per node interval; the
+    midpoint matrices come from _half_nodes. Returns u at every node."""
+    mid = _half_nodes(m)
+    u = [u0]
+    for i in range(m.shape[0] - 1):
+        u.append(_rk4(_times(m[i]), _times(mid[i]), _times(m[i + 1]),
+                      u[-1], h))
+    return np.stack(u)
 
 
 def integrate_vecsys(coeffs: VecSysCoefficients, cp: CProfile,
@@ -596,12 +594,13 @@ def integrate_vecsys(coeffs: VecSysCoefficients, cp: CProfile,
                      compat_threshold: float | None = None) -> VecSysSolution:
     """Solve the linear frame system on the window where coefficients exist.
 
-    The y-pair (a_y = c nu r, r_y = c chi a; same with b, s) is integrated
-    up the first column, then the x-pair (a_x = alpha a + beta r,
-    r_x = -beta a - alpha r) along every y-line, with a fourth-order
+    With U = [[a, b], [r, s]], both columns solve U_y = M_y U and
+    U_x = M_x U, where M_y = [[0, c nu], [c chi, 0]] and
+    M_x = [[alpha, beta], [-beta, -alpha]]. U is integrated up the first
+    column along y, then along every y-line in x, with a fourth-order
     fixed-step scheme. The mixed-partial compatibility residual
-    max |d_y(alpha a + beta r) - d_x(c nu r)| (and the b, r, s analogues)
-    is reported; it is O(h^2) exactly when the reduced system holds.
+    max |d_y(M_x U) - d_x(M_y U)| is reported; it is O(h^2) exactly when
+    the reduced system holds.
     """
     a0, b0, r0, s0 = (float(v) for v in init)
     det0 = a0 * s0 - r0 * b0
@@ -619,62 +618,15 @@ def integrate_vecsys(coeffs: VecSysCoefficients, cp: CProfile,
     x_axis = Axis(cp.x_axis.name, cp.x_axis.nodes[win[0].start], hx, nx)
     y_axis = Axis(cp.y_axis.name, cp.y_axis.nodes[win[1].start], hy, ny)
 
-    # columns: state u = (a, b, r, s); y-system matrix [[0, cnu],[cchi, 0]]
-    # acting on (a, r) and (b, s) alike.
-    def y_mat(cn, cc):
-        m = np.zeros((4, 4))
-        m[0, 2] = cn
-        m[2, 0] = cc
-        m[1, 3] = cn
-        m[3, 1] = cc
-        return m
+    zero = np.zeros_like(c)
+    m_x = np.stack((al, be, -be, -al), -1).reshape(nx, ny, 2, 2)
+    m_y = np.stack((zero, c * nu, c * ch, zero), -1).reshape(nx, ny, 2, 2)
+    u = _linear_march(m_y[0], np.array([[a0, b0], [r0, s0]]), hy)
+    u = _linear_march(m_x, u, hx)
+    (a, b), (r, s) = np.moveaxis(u, (2, 3), (0, 1))
 
-    cn_col = c[0] * nu[0]
-    cc_col = c[0] * ch[0]
-    cn_mid, cc_mid = _half_nodes(cn_col), _half_nodes(cc_col)
-
-    a = np.empty((nx, ny))
-    b = np.empty((nx, ny))
-    r = np.empty((nx, ny))
-    s = np.empty((nx, ny))
-    u = np.array([a0, b0, r0, s0])
-    a[0, 0], b[0, 0], r[0, 0], s[0, 0] = u
-    for j in range(ny - 1):
-        u = _rk4_linear_march(u, y_mat(cn_col[j], cc_col[j]),
-                              y_mat(cn_mid[j], cc_mid[j]),
-                              y_mat(cn_col[j + 1], cc_col[j + 1]), hy)
-        a[0, j + 1], b[0, j + 1], r[0, j + 1], s[0, j + 1] = u
-
-    # x-marches, all rows at once; matrix [[alpha, beta],[-beta, -alpha]]
-    def x_mats(alr, ber):
-        m = np.zeros((ny, 4, 4))
-        m[:, 0, 0] = alr
-        m[:, 0, 2] = ber
-        m[:, 2, 0] = -ber
-        m[:, 2, 2] = -alr
-        m[:, 1, 1] = alr
-        m[:, 1, 3] = ber
-        m[:, 3, 1] = -ber
-        m[:, 3, 3] = -alr
-        return m
-
-    al_mid, be_mid = _half_nodes(al), _half_nodes(be)
-    u = np.stack([a[0], b[0], r[0], s[0]], axis=-1)
-    for i in range(nx - 1):
-        u = _rk4_linear_march(u, x_mats(al[i], be[i]),
-                              x_mats(al_mid[i], be_mid[i]),
-                              x_mats(al[i + 1], be[i + 1]), hx)
-        a[i + 1], b[i + 1], r[i + 1], s[i + 1] = u[:, 0], u[:, 1], u[:, 2], u[:, 3]
-
-    resid = 0.0
-    for f, gxy in ((a, r), (b, s)):
-        lhs = central_diff(al * f + be * gxy, hy, 1)
-        rhs = central_diff(c * nu * gxy, hx, 0)
-        resid = max(resid, _nanmax_interior(lhs - rhs))
-    for f, gxy in ((r, a), (s, b)):
-        lhs = central_diff(-be * gxy - al * f, hy, 1)
-        rhs = central_diff(c * ch * gxy, hx, 0)
-        resid = max(resid, _nanmax_interior(lhs - rhs))
+    resid = _nanmax_interior(central_diff(_times(m_x)(u), hy, 1)
+                             - central_diff(_times(m_y)(u), hx, 0))
 
     if compat_threshold is not None and not (resid <= compat_threshold):
         raise CompatibilityError(
@@ -713,17 +665,17 @@ def assemble_four_metric(v: VecSysSolution, cp: CProfile,
     xy = (slice(None), slice(None), None, None)
     g = np.zeros(shape + (4, 4))
     g[..., 0, 0] = 2.0
-    g[..., 1, 1] = np.broadcast_to((2.0 * c * c)[xy], shape)
-    g[..., 2, 2] = np.broadcast_to(((v.s ** 2 + v.b ** 2) / det ** 2)[xy], shape)
-    g[..., 3, 3] = np.broadcast_to(((v.r ** 2 + v.a ** 2) / det ** 2)[xy], shape)
-    guv = np.broadcast_to((-(v.s * v.r + v.a * v.b) / det ** 2)[xy], shape)
+    g[..., 1, 1] = (2.0 * c * c)[xy]
+    g[..., 2, 2] = ((v.s ** 2 + v.b ** 2) / det ** 2)[xy]
+    g[..., 3, 3] = ((v.r ** 2 + v.a ** 2) / det ** 2)[xy]
+    guv = (-(v.s * v.r + v.a * v.b) / det ** 2)[xy]
     g[..., 2, 3] = guv
     g[..., 3, 2] = guv
     metric = MetricGrid((v.x_axis, v.y_axis, u_axis, v_axis), g,
                         manifest=manifest)
 
     w = np.zeros(shape + (4, 4))
-    wxy = np.broadcast_to((2.0 * c)[xy], shape)
+    wxy = (2.0 * c)[xy]
     w[..., 0, 1] = wxy
     w[..., 1, 0] = -wxy
     w[..., 2, 3] = 1.0 / v.det0

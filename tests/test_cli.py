@@ -152,6 +152,23 @@ def test_e2_diagnose_flags_off_curve_start(off_curve_run, tmp_path):
     assert not diag["region_ok"]
 
 
+@pytest.mark.parametrize("args, message", [
+    (["--n", "0"], "needs n >= 2 samples"),
+    (["--r-max", "0"], "r_max 0.0 outside"),
+    (["--r-max", "-1"], "r_max -1.0 outside"),
+    (["--r-max", "nan"], "r_max nan outside"),
+    (["--r-max", "1e-6"], "r_max 1e-06 outside"),
+    (["--r0", "nan"], "r0/4 = nan below"),
+])
+def test_e2_bolt_bad_input_exit_1(e2_run, tmp_path, capsys, args, message):
+    capsys.readouterr()
+    assert main(["--out-dir", str(tmp_path), "e2", "bolt",
+                 str(e2_run / "e2_trajectory.csv")] + args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert "Traceback" not in err
+
+
 def test_e2_bolt_needs_tail_origin(off_curve_run, tmp_path):
     rc = main(["--out-dir", str(tmp_path), "e2", "bolt",
                str(off_curve_run / "e2_trajectory.csv")])
@@ -345,6 +362,18 @@ def test_h_expr_is_parsed_not_executed(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: cannot evaluate harmonic expression")
     assert not (tmp_path / "leafspec.json").exists()
+
+
+@pytest.mark.parametrize("substeps", ["0", "-1"])
+def test_pde_profile_rejects_substeps_below_one(pde_run, tmp_path, capsys,
+                                                substeps):
+    capsys.readouterr()
+    assert main(["--out-dir", str(tmp_path), "pde", "profile",
+                 "--spec", str(pde_run / "spec" / "leafspec.json"),
+                 "--substeps", substeps]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: substeps must be at least 1")
+    assert not (tmp_path / "cprofile.json").exists()
 
 
 def test_pde_verify_sweep_needs_three_levels(tmp_path, pde_run):

@@ -78,8 +78,7 @@ def test_padded_metric_reports_first_failing_node():
     with pytest.raises(GridError) as err:
         MetricGrid(axes, g)
     assert str(err.value) == (
-        "metric not positive-definite: minor 2 fails at node "
-        "(np.int64(3), np.int64(4), np.int64(0), np.int64(0))")
+        "metric not positive-definite: minor 2 fails at node (3, 4, 0, 0)")
 
 
 def test_metric_grid_too_few_nodes():

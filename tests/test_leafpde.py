@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import json
 import math
 from pathlib import Path
@@ -235,6 +236,51 @@ def leaf_pipeline(h, span):
     s2 = lp.sys2_residuals(flds, cp)
     sol = lp.integrate_vecsys(lp.vecsys_coefficients(flds), cp)
     return cp, s2, sol
+
+
+def digests(**arrays):
+    return {k: hashlib.sha256(v.tobytes()).hexdigest()[:16]
+            for k, v in arrays.items()}
+
+
+# Golden digests of the arrays the pipeline gave before the geodesic shoot
+# and the frame march shared one RK4 step (numpy 2.4.6, scipy 1.17.1,
+# x86-64). Taking the 2x2 products with matmul instead of einsum, or
+# reassociating a Christoffel sum, changes the last bits and fails them.
+
+def test_leaf_pipeline_golden_bytes():
+    h = 1.0 / 32
+    g, _ = lp.leaf_metric(hyperbolic_spec(n=33))
+    cp = lp.geodesic_parallel_profile(g, Axis("x", 0.0, h, 13),
+                                      Axis("y", 1.0 + 3 * h, h, 21))
+    sol = lp.integrate_vecsys(lp.vecsys_coefficients(lp.reduced_fields(cp)),
+                              cp)
+    assert digests(c=cp.c, x_map=cp.x_map, y_map=cp.y_map, a=sol.a,
+                   b=sol.b, r=sol.r, s=sol.s) == {
+        "c": "0612a2e22d432e74", "x_map": "7804aa47b505c8ef",
+        "y_map": "ba20563f8fb21a88", "a": "9a04a88deb5a365c",
+        "b": "f828c5c7833ade8f", "r": "9f13380be5827709",
+        "s": "3a73b6f36429cc6a"}
+    assert sol.compat_residual == 0.010763016718637886
+
+
+def test_sheared_profile_golden_bytes():
+    # a leaf metric is conformal, so g_xy = 0 and most Christoffel sums are
+    # exact; this metric is not
+    h = 1.0 / 64
+    axes = (Axis("x", 0.0, h, 65), Axis("y", 0.0, h, 65))
+    x, y = np.meshgrid(axes[0].nodes, axes[1].nodes, indexing="ij")
+    g = np.zeros((65, 65, 2, 2))
+    g[..., 0, 0] = 1.0 + 4.0 * x + 2.0 * y * y
+    g[..., 0, 1] = g[..., 1, 0] = 0.3 * x * y - 0.2 * x
+    g[..., 1, 1] = 1.0 + 8.0 * x * y + y
+    cp = lp.geodesic_parallel_profile(MetricGrid(axes, g),
+                                      Axis("x", 0.0, h, 25),
+                                      Axis("y", 6 * h, h, 41))
+    assert cp.coverage == 1.0
+    assert digests(c=cp.c, x_map=cp.x_map, y_map=cp.y_map) == {
+        "c": "543ba42a5651438f", "x_map": "59ee39701158e066",
+        "y_map": "9a896ee1b22199d7"}
 
 
 def test_leaf_pipeline_satisfies_reduced_system():
