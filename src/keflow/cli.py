@@ -429,9 +429,9 @@ def pde_leaf_build(ctx, h_expr, domain, n, nx, ny, ell_axis):
 @click.option("--spec", "spec_path", required=True,
               type=click.Path(exists=True, dir_okay=False),
               help="leafspec.json from leaf-build.")
-@click.option("--nx", type=int, default=None,
+@click.option("--nx", type=click.IntRange(min=2), default=None,
               help="Nodes along each geodesic [default: source count].")
-@click.option("--ny", type=int, default=None,
+@click.option("--ny", type=click.IntRange(min=2), default=None,
               help="Base-curve nodes [default: source count - 2].")
 @click.option("--step", type=float, default=None,
               help="Profile step [default: source step].")
@@ -446,14 +446,14 @@ def pde_profile(ctx, spec_path, nx, ny, step, y_start, substeps):
     g, _ = lp.leaf_metric(spec)
     sx, sy = g.axes
     hp = step if step is not None else sx.step
-    if nx or step is not None:
-        x_axis = Axis("x", 0.0, hp, nx if nx else sx.count)
+    if nx is not None or step is not None:
+        x_axis = Axis("x", 0.0, hp, nx if nx is not None else sx.count)
     else:
         x_axis = None
-    if ny or y_start is not None or step is not None:
+    if ny is not None or y_start is not None or step is not None:
         y_axis = Axis(sy.name,
                       y_start if y_start is not None else sy.start + hp,
-                      hp, ny if ny else sy.count - 2)
+                      hp, ny if ny is not None else sy.count - 2)
     else:
         y_axis = None
 

@@ -214,18 +214,30 @@ def leaf_pde_residual(g: MetricGrid, K: np.ndarray) -> LeafPdeReport:
 
 def _metric_splines(g: MetricGrid):
     # quintic when the grid allows it: the interpolant is differentiated
-    # twice downstream, where cubic error is not always negligible
+    # twice downstream, where cubic error is not always negligible. An
+    # exactly conformal grid (g_xy == 0, g_yy == g_xx at every node, exact
+    # as in grids.constant_axes) gets one spline, as (s, None, s)
     x, y = g.axes[0].nodes, g.axes[1].nodes
     kx = 5 if x.size > 5 else 3
     ky = 5 if y.size > 5 else 3
     comp = g.components
-    return tuple(RectBivariateSpline(x, y, comp[..., i, j], kx=kx, ky=ky, s=0)
-                 for (i, j) in ((0, 0), (0, 1), (1, 1)))
+    gxx, gxy, gyy = comp[..., 0, 0], comp[..., 0, 1], comp[..., 1, 1]
+    if np.all(gxy == 0.0) and np.all(gyy == gxx):
+        sxx = RectBivariateSpline(x, y, gxx, kx=kx, ky=ky, s=0)
+        return sxx, None, sxx
+    return tuple(RectBivariateSpline(x, y, gij, kx=kx, ky=ky, s=0)
+                 for gij in (gxx, gxy, gyy))
 
 
-def _metric_at(splines, px, py):
+def _metric_at(splines, px, py, dx=0, dy=0):
+    """(g_xx, g_xy, g_yy) or their (dx, dy) derivative at the points. With
+    one conformal spline, g_xy is 0.0 and g_yy is g_xx's array, the values
+    three splines would give, for 1 .ev call instead of 3."""
     sxx, sxy, syy = splines
-    return sxx.ev(px, py), sxy.ev(px, py), syy.ev(px, py)
+    vxx = sxx.ev(px, py, dx=dx, dy=dy)
+    if sxy is None:
+        return vxx, 0.0, vxx
+    return vxx, sxy.ev(px, py, dx=dx, dy=dy), syy.ev(px, py, dx=dx, dy=dy)
 
 
 def _rk4(f_lo, f_mid, f_hi, u, h):
@@ -245,7 +257,8 @@ def _geodesic_rhs(splines, u):
     d = (gxx * gyy - gxy * gxy)
     inv = ((gyy / d, -gxy / d), (-gxy / d, gxx / d))
     # dg[a + b][k] = d_k g_ab with 0 = x, 1 = y
-    dg = [(s.ev(px, py, dx=1), s.ev(px, py, dy=1)) for s in splines]
+    dg = list(zip(_metric_at(splines, px, py, dx=1),
+                  _metric_at(splines, px, py, dy=1)))
     acc = np.zeros((2,) + px.shape)
     for i in range(2):
         for j in range(2):
@@ -320,9 +333,12 @@ def geodesic_parallel_profile(g: MetricGrid, x_axis: Axis | None = None,
     the source y coordinate. Geodesics leave it orthogonally with squared
     speed 2, integrated with a classical fixed-step fourth-order scheme
     (substeps >= 1 per profile step); the metric between nodes comes from
-    quintic splines (cubic along an axis of at most 5 nodes). Geodesics
-    exiting the source rectangle or focusing (c below c_floor) truncate the
-    profile, recorded in coverage/truncation_reason.
+    quintic splines (cubic along an axis of at most 5 nodes), one for g_xx,
+    g_xy and g_yy each, or a single one when the grid is exactly conformal
+    (g_xy == 0 and g_yy == g_xx at every node), as every leaf metric is.
+    Geodesics exiting the source rectangle or focusing (c below c_floor)
+    truncate the profile, recorded in coverage/truncation_reason; if one
+    leaves before the second profile node, DomainError names it.
     """
     if g.dim != 2:
         raise GridError("profile extraction is for 2D metrics")
@@ -378,6 +394,13 @@ def geodesic_parallel_profile(g: MetricGrid, x_axis: Axis | None = None,
         else:
             X[i], Y[i] = u[0], u[1]
             continue
+        if i == 1:
+            y0 = seeds[np.argmin(inside(u[0], u[1]))]
+            raise DomainError(
+                f"the geodesic from base-curve y = {y0:g} leaves the source "
+                f"rectangle [{sx.start:g}, {sx.stop:g}] x [{sy.start:g}, "
+                f"{sy.stop:g}] before the second profile node (profile "
+                f"step {x_axis.step:g})")
         delivered = i
         reason = "geodesic left the source domain"
         break

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from keflow.bianchi import ClosedFormConstants, torus_metric_grid
+from keflow import manifest
 from keflow.cli import main
 from keflow.grids import Axis
 
@@ -192,6 +193,15 @@ def pde_run(tmp_path_factory):
     return d
 
 
+def test_pde_artifacts_golden_bytes(pde_run):
+    # sha256 of the README-size artifacts (n = 129) before the geodesic
+    # shoot used one spline on conformal grids; numpy 2.4.6, scipy 1.17.1
+    assert manifest.sha256_of(pde_run / "prof" / "cprofile.json") == (
+        "77e44b974d8556a53f01bab8097db9e063e8ec468289b940b86d5c04170e9a09")
+    assert manifest.sha256_of(pde_run / "spec" / "leaf_report.json") == (
+        "9e7d1c5c1825d9d1f87b436a8a06789a121a0c1447169d80318e7b3aff7c8a01")
+
+
 def test_pde_leaf_report(pde_run):
     rep = read_json(pde_run / "spec" / "leaf_report.json")
     assert rep["gauss_curvature_deviation"] < 1e-3
@@ -373,6 +383,36 @@ def test_pde_profile_rejects_substeps_below_one(pde_run, tmp_path, capsys,
                  "--substeps", substeps]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: substeps must be at least 1")
+    assert not (tmp_path / "cprofile.json").exists()
+
+
+@pytest.mark.parametrize("option", ["--nx", "--ny"])
+@pytest.mark.parametrize("count", ["0", "1", "-3"])
+def test_pde_profile_rejects_counts_below_two(pde_run, tmp_path, capsys,
+                                              option, count):
+    capsys.readouterr()
+    assert main(["--out-dir", str(tmp_path), "pde", "profile",
+                 "--spec", str(pde_run / "spec" / "leafspec.json"),
+                 "--step", "0.02", "--y-start", "1.1", option, count]) == 1
+    err = capsys.readouterr().err
+    assert f"Invalid value for '{option}'" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "cprofile.json").exists()
+
+
+@pytest.mark.parametrize("args", [[], ["--nx", "2"]])
+def test_pde_profile_names_the_geodesic_that_leaves(pde_run, tmp_path,
+                                                    capsys, args):
+    # default axes seed the base curve up to the source's top edge, and
+    # that geodesic leaves the rectangle in the first profile step
+    capsys.readouterr()
+    assert main(["--out-dir", str(tmp_path), "pde", "profile",
+                 "--spec", str(pde_run / "spec" / "leafspec.json")]
+                + args) == 1
+    err = capsys.readouterr().err
+    assert err == ("error: the geodesic from base-curve y = 2 leaves the "
+                   "source rectangle [0, 1] x [1, 2] before the second "
+                   "profile node (profile step 0.0078125)\n")
     assert not (tmp_path / "cprofile.json").exists()
 
 

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.interpolate import RectBivariateSpline
 
 from keflow import leafpde as lp
 from keflow.curvature import (einstein_residual,
@@ -30,6 +31,19 @@ def round_profile(n=81):
     g[..., 1, 1] = np.broadcast_to(2.0 * np.cos(ra.nodes[:, None]) ** 2,
                                    (n, n))
     return lp.geodesic_parallel_profile(MetricGrid((ra, rb), g))
+
+
+def sheared_grid():
+    # a leaf metric is conformal, so g_xy = 0 and most Christoffel sums are
+    # exact; this metric is not
+    h = 1.0 / 64
+    axes = (Axis("x", 0.0, h, 65), Axis("y", 0.0, h, 65))
+    x, y = np.meshgrid(axes[0].nodes, axes[1].nodes, indexing="ij")
+    g = np.zeros((65, 65, 2, 2))
+    g[..., 0, 0] = 1.0 + 4.0 * x + 2.0 * y * y
+    g[..., 0, 1] = g[..., 1, 0] = 0.3 * x * y - 0.2 * x
+    g[..., 1, 1] = 1.0 + 8.0 * x * y + y
+    return MetricGrid(axes, g)
 
 
 def test_leaf_spec_checks_harmonicity():
@@ -265,22 +279,55 @@ def test_leaf_pipeline_golden_bytes():
 
 
 def test_sheared_profile_golden_bytes():
-    # a leaf metric is conformal, so g_xy = 0 and most Christoffel sums are
-    # exact; this metric is not
     h = 1.0 / 64
-    axes = (Axis("x", 0.0, h, 65), Axis("y", 0.0, h, 65))
-    x, y = np.meshgrid(axes[0].nodes, axes[1].nodes, indexing="ij")
-    g = np.zeros((65, 65, 2, 2))
-    g[..., 0, 0] = 1.0 + 4.0 * x + 2.0 * y * y
-    g[..., 0, 1] = g[..., 1, 0] = 0.3 * x * y - 0.2 * x
-    g[..., 1, 1] = 1.0 + 8.0 * x * y + y
-    cp = lp.geodesic_parallel_profile(MetricGrid(axes, g),
+    cp = lp.geodesic_parallel_profile(sheared_grid(),
                                       Axis("x", 0.0, h, 25),
                                       Axis("y", 6 * h, h, 41))
     assert cp.coverage == 1.0
     assert digests(c=cp.c, x_map=cp.x_map, y_map=cp.y_map) == {
         "c": "543ba42a5651438f", "x_map": "59ee39701158e066",
         "y_map": "9a896ee1b22199d7"}
+
+
+@pytest.mark.parametrize("grid, calls", [
+    (lambda: lp.leaf_metric(hyperbolic_spec(n=33))[0], 3),
+    (sheared_grid, 9),
+])
+def test_geodesic_rhs_spline_evaluations(monkeypatch, grid, calls):
+    # a conformal grid has one spline: g_xx, d_x g_xx and d_y g_xx per RHS
+    g = grid()
+    splines = lp._metric_splines(g)
+    count = []
+    ev = RectBivariateSpline.ev
+
+    def counted(self, *args, **kwargs):
+        count.append(1)
+        return ev(self, *args, **kwargs)
+
+    monkeypatch.setattr(RectBivariateSpline, "ev", counted)
+    u = np.array([[0.2, 0.3], [1.2, 1.4], [1.0, 0.9], [0.1, -0.2]])
+    assert np.all(np.isfinite(lp._geodesic_rhs(splines, u)))
+    assert len(count) == calls
+
+
+@pytest.mark.parametrize("perturb", ["g_yy ulp", "g_xy node"])
+def test_nearly_conformal_grid_uses_three_splines(perturb):
+    g, _ = lp.leaf_metric(hyperbolic_spec(n=33))
+    h = 1.0 / 32
+    axes = (Axis("x", 0.0, h, 13), Axis("y", 1.0 + 3 * h, h, 21))
+    ref = lp.geodesic_parallel_profile(g, *axes)
+    assert lp._metric_splines(g)[1] is None
+    comp = g.components.copy()
+    if perturb == "g_yy ulp":
+        comp[7, 9, 1, 1] = np.nextafter(comp[7, 9, 1, 1], np.inf)
+    else:
+        comp[7, 9, 0, 1] = comp[7, 9, 1, 0] = np.nextafter(0.0, 1.0)
+    near = MetricGrid(g.axes, comp)
+    assert lp._metric_splines(near)[1] is not None
+    cp = lp.geodesic_parallel_profile(near, *axes)
+    for name in ("c", "x_map", "y_map"):
+        np.testing.assert_allclose(getattr(cp, name), getattr(ref, name),
+                                   rtol=1e-12, atol=0.0)
 
 
 def test_leaf_pipeline_satisfies_reduced_system():
