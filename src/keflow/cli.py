@@ -432,11 +432,12 @@ def pde_leaf_build(ctx, h_expr, domain, n, nx, ny, ell_axis):
 @click.option("--nx", type=click.IntRange(min=2), default=None,
               help="Nodes along each geodesic [default: source count].")
 @click.option("--ny", type=click.IntRange(min=2), default=None,
-              help="Base-curve nodes [default: source count - 2].")
+              help="Base-curve nodes [default: source count - 4, fewer "
+                   "if they would end within two steps of its top edge].")
 @click.option("--step", type=float, default=None,
               help="Profile step [default: source step].")
 @click.option("--y-start", type=float, default=None,
-              help="First base-curve seed [default: one node in].")
+              help="First base-curve seed [default: two steps in].")
 @click.option("--substeps", type=int, default=4, show_default=True,
               help="Geodesic integrator substeps per profile step.")
 @click.pass_context
@@ -451,9 +452,7 @@ def pde_profile(ctx, spec_path, nx, ny, step, y_start, substeps):
     else:
         x_axis = None
     if ny is not None or y_start is not None or step is not None:
-        y_axis = Axis(sy.name,
-                      y_start if y_start is not None else sy.start + hp,
-                      hp, ny if ny is not None else sy.count - 2)
+        y_axis = lp._base_curve_axis(sy, hp, y_start, ny)
     else:
         y_axis = None
 

@@ -323,6 +323,23 @@ class CProfile:
                    meta=doc.get("meta", {}))
 
 
+def _base_curve_axis(sy: Axis, step: float, start: float | None = None,
+                     count: int | None = None) -> Axis:
+    """Base-curve y axis of the given step. By default it starts two steps
+    above the source's lower y edge and has the source's count less four
+    nodes, fewer if they would end within two steps of its upper edge, so
+    the one-node pad seeds stay strictly inside the source."""
+    if start is None:
+        start = sy.start + 2.0 * step
+    if count is None:
+        # slack for rounding in the division, as in the shoot's domain
+        # test; a non-finite start gets count 0 and Axis names the start
+        span = (sy.stop - start) / step
+        count = (min(sy.count - 4, math.floor(span + 1e-9) - 1)
+                 if math.isfinite(span) else 0)
+    return Axis(sy.name, start, step, count)
+
+
 def geodesic_parallel_profile(g: MetricGrid, x_axis: Axis | None = None,
                               y_axis: Axis | None = None,
                               substeps: int = 4,
@@ -348,7 +365,7 @@ def geodesic_parallel_profile(g: MetricGrid, x_axis: Axis | None = None,
     if x_axis is None:
         x_axis = Axis("x", 0.0, sx.step, sx.count)
     if y_axis is None:
-        y_axis = Axis("y", sy.start + sy.step, sy.step, sy.count - 2)
+        y_axis = _base_curve_axis(sy, sy.step)
     if x_axis.start != 0.0:
         raise DomainError("profile x axis must start at 0 (the base curve)")
 

@@ -194,12 +194,13 @@ def pde_run(tmp_path_factory):
 
 
 def test_pde_artifacts_golden_bytes(pde_run):
-    # sha256 of the README-size artifacts (n = 129) before the geodesic
-    # shoot used one spline on conformal grids; numpy 2.4.6, scipy 1.17.1
+    # sha256 of the README-size artifacts (n = 129); the profile's from
+    # before the geodesic shoot used one spline on conformal grids, the
+    # report's from the pair-block curvature; numpy 2.4.6, scipy 1.17.1
     assert manifest.sha256_of(pde_run / "prof" / "cprofile.json") == (
         "77e44b974d8556a53f01bab8097db9e063e8ec468289b940b86d5c04170e9a09")
     assert manifest.sha256_of(pde_run / "spec" / "leaf_report.json") == (
-        "9e7d1c5c1825d9d1f87b436a8a06789a121a0c1447169d80318e7b3aff7c8a01")
+        "944f8b322deb1244f9e44768ed5b5beae9a9ee755f535283f4a169773c157b4d")
 
 
 def test_pde_leaf_report(pde_run):
@@ -403,17 +404,42 @@ def test_pde_profile_rejects_counts_below_two(pde_run, tmp_path, capsys,
 @pytest.mark.parametrize("args", [[], ["--nx", "2"]])
 def test_pde_profile_names_the_geodesic_that_leaves(pde_run, tmp_path,
                                                     capsys, args):
-    # default axes seed the base curve up to the source's top edge, and
-    # that geodesic leaves the rectangle in the first profile step
+    # base-curve seeds one node in, so the top pad seed lies on the source's
+    # top edge, and its geodesic leaves the rectangle in the first step
     capsys.readouterr()
     assert main(["--out-dir", str(tmp_path), "pde", "profile",
-                 "--spec", str(pde_run / "spec" / "leafspec.json")]
-                + args) == 1
+                 "--spec", str(pde_run / "spec" / "leafspec.json"),
+                 "--y-start", "1.0078125", "--ny", "127"] + args) == 1
     err = capsys.readouterr().err
     assert err == ("error: the geodesic from base-curve y = 2 leaves the "
                    "source rectangle [0, 1] x [1, 2] before the second "
                    "profile node (profile step 0.0078125)\n")
     assert not (tmp_path / "cprofile.json").exists()
+
+
+@pytest.mark.parametrize("args, y_axis", [
+    ([], (1.015625, 0.0078125, 125)),
+    (["--nx", "2"], (1.015625, 0.0078125, 125)),
+    (["--step", "0.02", "--nx", "25"], (1.04, 0.02, 47)),
+    (["--step", "0.02", "--ny", "9"], (1.04, 0.02, 9)),
+    (["--step", "0.001", "--nx", "3"], (1.002, 0.001, 125)),
+])
+def test_pde_profile_default_axes_keep_the_seeds_inside(pde_run, tmp_path,
+                                                        args, y_axis):
+    # the base curve starts two steps in and ends at least two steps below
+    # the top, so the pad seeds are strictly inside the source [1, 2]
+    assert main(["--out-dir", str(tmp_path), "pde", "profile",
+                 "--spec", str(pde_run / "spec" / "leafspec.json")]
+                + args) == 0
+    doc = read_json(tmp_path / "cprofile.json")
+    y = doc["axes"][1]
+    assert (y["min"], y["step"], y["count"]) == y_axis
+    assert 1.0 < y["min"] - y["step"]
+    assert y["min"] + y["count"] * y["step"] < 2.0
+    rep = read_json(tmp_path / "profile_report.json")
+    assert rep["truncated"] == (rep["coverage"] < 1.0)
+    if rep["truncated"]:
+        assert rep["truncation_reason"] == "geodesic left the source domain"
 
 
 def test_pde_verify_sweep_needs_three_levels(tmp_path, pde_run):

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from keflow import curvature
 from keflow import e2flow as e2
@@ -12,8 +13,10 @@ from keflow.curvature import (_interior_max, christoffel, convergence_order,
                               einstein_residual,
                               exterior_derivative_closedness,
                               gauss_curvature_2d, laplace_beltrami, ricci,
-                              riemann, riemann_max)
-from keflow.grids import Axis, MetricGrid, TwoFormGrid, interior
+                              riemann, riemann_lowered, riemann_max)
+from keflow.errors import GridError
+from keflow.grids import (Axis, MetricGrid, TwoFormGrid, central_diff,
+                          interior, mixed_diff, second_diff)
 
 # criterion 02's and 10's grid builders, loaded by path so that this file
 # imports under any pytest import mode
@@ -248,3 +251,149 @@ def test_checker_imports_only_numpy_stdlib_grids_errors():
             continue
         for root in roots:
             assert root == "numpy" or root in sys.stdlib_module_names, root
+
+
+# Reference oracle: the curvature core as it was before the pair blocks,
+# all d^4 components of R_abcd from LAPACK inverses and unreduced einsums.
+
+def oracle_inverse(g):
+    ginv = np.linalg.inv(g)
+    return 0.5 * (ginv + np.swapaxes(ginv, -1, -2))
+
+
+def oracle_curvature(g, steps, flat=()):
+    d = len(steps)
+    live = [m for m in range(d) if m not in flat]
+    dg = np.zeros(g.shape + (d,))
+    for m in live:
+        dg[..., m] = central_diff(g, steps[m], m)
+    ginv = oracle_inverse(g)
+    t1 = np.swapaxes(dg, -1, -2)
+    t3 = np.moveaxis(dg, -1, -3)
+    gamma = 0.5 * np.einsum("...kl,...lij->...kij", ginv, t1 + dg - t3)
+    ddg = np.zeros(g.shape + (d, d))
+    for k, m in enumerate(live):
+        ddg[..., m, m] = second_diff(g, steps[m], m)
+        for n in live[k + 1:]:
+            cross = mixed_diff(g, steps[m], m, steps[n], n)
+            ddg[..., m, n] = cross
+            ddg[..., n, m] = cross
+    deriv = 0.5 * (np.einsum("...adbc->...abcd", ddg)
+                   + np.einsum("...bcad->...abcd", ddg)
+                   - np.einsum("...bdac->...abcd", ddg)
+                   - np.einsum("...acbd->...abcd", ddg))
+    quad = np.einsum("...ef,...ebc,...fad->...abcd", g, gamma, gamma,
+                     optimize=True)
+    return ginv, deriv + quad - np.swapaxes(quad, -1, -2)
+
+
+def oracle_checks(grid, lam):
+    """(einstein_residual, riemann_max) of the oracle on the same slice."""
+    g, flat = curvature._symmetry_slice(grid)
+    ginv, low = oracle_curvature(g, grid.steps, flat)
+    return (_interior_max(curvature._ricci(ginv, low) - lam * g, grid, flat),
+            _interior_max(curvature._raised(ginv, low), grid, flat))
+
+
+def assert_close_arrays(new, old):
+    assert np.array_equal(np.isnan(new), np.isnan(old))
+    scale = np.nanmax(np.abs(old))
+    assert np.nanmax(np.abs(new - old)) <= 1e-12 * scale
+
+
+def assert_matches_oracle(grid, lam):
+    ginv, low = oracle_curvature(grid.components, grid.steps)
+    R = riemann_lowered(grid)
+    assert_close_arrays(R, low)
+    assert_close_arrays(ricci(grid), curvature._ricci(ginv, low))
+    # exact antisymmetry in each index pair, NaN margin included
+    assert np.array_equal(np.swapaxes(R, -4, -3), -R, equal_nan=True)
+    assert np.array_equal(np.swapaxes(R, -2, -1), -R, equal_nan=True)
+    einstein, rmax = oracle_checks(grid, lam)
+    assert abs(einstein_residual(grid, lam) - einstein) <= 1e-12 * einstein
+    assert abs(riemann_max(grid) - rmax) <= 1e-12 * rmax
+
+
+# frequencies, amplitudes and phases bounded away from zero, so that the
+# curvature is well above the rounding of the terms it is summed from
+coeffs = st.lists(st.floats(0.5, 2.0), min_size=12, max_size=12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(c=coeffs, h=st.sampled_from([1e-2, 3e-3, 1e-3]))
+def test_pair_blocks_match_oracle_on_sheared_2d(c, h):
+    def sheared(X, Y):
+        return (1.5 + 0.4 * np.sin(c[0] * X + c[1] * Y + c[2]),
+                0.2 * c[6] * np.sin(c[3] * X - c[4] * Y + c[5]),
+                1.5 + 0.2 * c[10] * np.cos(c[7] * X + c[8] * Y + c[9]))
+
+    grid = grid2(sheared, c[11], 0.3, h, 9)
+    assert_matches_oracle(grid, 0.0)
+
+
+@settings(max_examples=25, deadline=None)
+@given(c=coeffs, const=st.sets(st.integers(0, 3), max_size=3))
+def test_pair_blocks_match_oracle_in_4d(c, const):
+    # each coordinate in `const` is left out, so that axis is exactly
+    # constant and the scalar checks run on one slice along it
+    n, h = 5, 2e-2
+    axes = tuple(Axis(nm, 0.1 * k, h, n) for k, nm in enumerate("txyz"))
+    mesh = np.meshgrid(*[ax.nodes for ax in axes], indexing="ij")
+    phase = sum(0.0 if m in const else c[m] * mesh[m] for m in range(4))
+    g = np.zeros((n,) * 4 + (4, 4))
+    for a in range(4):
+        g[..., a, a] = 2.0 + 0.5 * np.sin(phase + c[4 + a])
+    for a, b in [(0, 1), (1, 3), (2, 3)]:
+        g[..., a, b] = g[..., b, a] = 0.3 * c[8 + a] * np.cos(phase + c[9 + a])
+    grid = MetricGrid(axes, g)
+    assert set(grid.symmetry_axes()) == const
+    assert_matches_oracle(grid, 0.0)
+
+
+def test_pair_blocks_match_oracle_on_acceptance_grids(e2_traj):
+    assert_matches_oracle(acceptance.torus_grid(2e-3), 0.0)
+    assert_matches_oracle(e2_grid(e2_traj, 2e-3), -1.0)
+    assert_matches_oracle(sphere_patch(), 1.0)
+
+
+def test_two_by_two_inverse_is_exactly_symmetric():
+    g = grid2(lambda X, Y: (2.0 + np.sin(X + Y), 0.3 * np.cos(X) * np.sin(Y),
+                            1.5 + 0.1 * X * X), 0.3, 0.4, 1e-2, 9).components
+    dets, ginv = curvature._inverse_metric(g)
+    assert np.array_equal(ginv, np.swapaxes(ginv, -1, -2))
+    assert np.array_equal(dets, g[..., 0, 0] * g[..., 1, 1]
+                          - g[..., 0, 1] * g[..., 1, 0])
+    ref = oracle_inverse(g)
+    assert np.max(np.abs(ginv - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("off", [1.0, 2.0, np.nan])
+def test_singular_2x2_node_is_named(off):
+    # the inverse is the adjugate over the determinant, so a node whose
+    # determinant is zero, negative or NaN must still raise, not divide
+    g = np.zeros((7, 9, 2, 2))
+    g[..., 0, 0] = g[..., 1, 1] = 1.0
+    g[2, 5, 0, 1] = g[2, 5, 1, 0] = off
+    with pytest.raises(GridError, match=r"not invertible at node \(2, 5\)"):
+        curvature._connection(g, (0.1, 0.1))
+
+
+@settings(max_examples=40, deadline=None)
+@given(dets=st.lists(st.floats(-4.0, 4.0), min_size=63, max_size=63))
+def test_minor_check_names_lapacks_first_failing_node(dets):
+    # the first failing node is the argmin of the 2x2 minors; with the
+    # closed-form determinant it is the node LAPACK's determinants name
+    axes = (Axis("x", 0.0, 0.1, 7), Axis("y", 0.0, 0.1, 9))
+    g = np.zeros((7, 9, 2, 2))
+    g[..., 0, 0] = 2.0
+    g[..., 0, 1] = g[..., 1, 0] = 1.0
+    g[..., 1, 1] = (np.reshape(dets, (7, 9)) + 1.0) / 2.0
+    minors = np.linalg.det(g)
+    if np.all(minors > 0.0):
+        MetricGrid(axes, g)
+        return
+    node = tuple(int(i) for i in np.unravel_index(np.argmin(minors), (7, 9)))
+    with pytest.raises(GridError) as err:
+        MetricGrid(axes, g)
+    assert str(err.value) == ("metric not positive-definite: minor 2 fails "
+                              f"at node {node}")
