@@ -435,7 +435,8 @@ def pde_leaf_build(ctx, h_expr, domain, n, nx, ny, ell_axis):
               help="Base-curve nodes [default: source count - 4, fewer "
                    "if they would end within two steps of its top edge].")
 @click.option("--step", type=float, default=None,
-              help="Profile step [default: source step].")
+              help="Profile step on both axes [default: each source "
+                   "axis's own step].")
 @click.option("--y-start", type=float, default=None,
               help="First base-curve seed [default: two steps in].")
 @click.option("--substeps", type=int, default=4, show_default=True,
@@ -446,15 +447,10 @@ def pde_profile(ctx, spec_path, nx, ny, step, y_start, substeps):
     spec = lp.LeafSpec.from_json(Path(spec_path).read_bytes())
     g, _ = lp.leaf_metric(spec)
     sx, sy = g.axes
-    hp = step if step is not None else sx.step
-    if nx is not None or step is not None:
-        x_axis = Axis("x", 0.0, hp, nx if nx is not None else sx.count)
-    else:
-        x_axis = None
-    if ny is not None or y_start is not None or step is not None:
-        y_axis = lp._base_curve_axis(sy, hp, y_start, ny)
-    else:
-        y_axis = None
+    x_axis = Axis("x", 0.0, sx.step if step is None else step,
+                  sx.count if nx is None else nx)
+    y_axis = lp._base_curve_axis(sy, sy.step if step is None else step,
+                                 y_start, ny)
 
     mf = RunManifest("pde profile",
                      {"spec": str(spec_path), "nx": nx, "ny": ny,

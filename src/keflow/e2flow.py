@@ -1,13 +1,14 @@
 """The Euclidean-group flow: unstable curve, completeness evidence, bolt.
 
-Specialization p = (1, 0, 1), lam = -1 of the diagonal flow. The equilibrium
-(q, 0, q) has a one-dimensional unstable manifold along (0, 1, 0); shooting
-from (q, eps, q) tracks it. Diagnostics check the trapping region
-0 <= c^2 - a^2 <= 2 a^2 b^2, monotone products, the nullcline bound
-a/c >= 1/sqrt(1+b^2), and the two distance statements: finite arclength back
-toward the equilibrium and logarithmic-in-b growth forward. Arclength from
-the t -> -infinity end uses the asymptotics a ~ q, b ~ k e^{q^2 t}, c ~ q,
-whose tail integral of a b c is a b c / q^2 at the cutoff.
+The flow is the type A flow bianchi._flow at E2_PARAMS: p = (1, 0, 1),
+lam = -1. The equilibrium (q, 0, q) has a one-dimensional unstable manifold
+along (0, 1, 0); shooting from (q, eps, q) tracks it. Diagnostics check the
+trapping region 0 <= c^2 - a^2 <= 2 a^2 b^2, monotone products, the
+nullcline bound a/c >= 1/sqrt(1+b^2), and the two distance statements:
+finite arclength back toward the equilibrium and logarithmic-in-b growth
+forward. Arclength from the t -> -infinity end uses the asymptotics a ~ q,
+b ~ k e^{q^2 t}, c ~ q, whose tail integral of a b c is a b c / q^2 at the
+cutoff.
 """
 
 from __future__ import annotations
@@ -16,29 +17,28 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
+from .bianchi import BianchiParams, _flow
 from .errors import DomainError
 from .grids import Axis, MetricGrid, TwoFormGrid
 from .odes import Trajectory, integrate_flow, read_table, write_table
 
 EQUILIBRIUM_SADDLE = "q0q"
 EQUILIBRIUM_DEGENERATE = "0q0"
+E2_PARAMS = BianchiParams(1.0, 0.0, 1.0, lam=-1.0)
 
-
-def e2_rhs(a: float, b: float, c: float) -> tuple[float, float, float]:
-    """Flow derivatives; defined for all real (a, b, c), equilibria included."""
-    a2, c2 = a * a, c * c
-    return (0.5 * a * (c2 - a2),
-            0.5 * b * (a2 + c2),
-            0.5 * c * (a2 - c2 + 2.0 * a2 * b * b))
+# diagnose's slacks, and the drop of a/c below 1 that ends the transient
+REGION_SLACK = 1e-10
+MONOTONE_SLACK = 1e-10
+NULLCLINE_SLACK = 1e-8
+TRANSIENT_DROP = 1e-6
 
 
 def _shoot_rhs(t, y):
-    """e2_rhs with the arclength column, r' = a b c."""
-    da, db, dc = e2_rhs(y[0], y[1], y[2])
-    return (da, db, dc, y[0] * y[1] * y[2])
+    """The E(2) flow with the arclength column, r' = a b c."""
+    a, b, c, _ = y.tolist()
+    return (*_flow(E2_PARAMS, a, b, c), a * b * c)
 
 
 def e2_jacobian(a: float, b: float, c: float) -> np.ndarray:
@@ -172,19 +172,22 @@ def _arclength(traj: Trajectory):
     return r_of_t, float(traj.states[0, idx])
 
 
-def _t_at_b(traj: Trajectory, b_target: float) -> float:
-    """Time of the first crossing of b = b_target (b is monotone here)."""
-    b = traj.column("b")
-    if not (b[0] <= b_target <= b[-1]):
-        raise DomainError(f"b = {b_target} outside the trajectory range")
+def _t_at(traj: Trajectory, column: str, value: float) -> float:
+    """Time at which the increasing `column` of traj equals value. A shoot
+    stopped by its b_max event crosses b_max at t[-1], whichever side of
+    b_max the stored b[-1] landed on (near blow-up it may land on either)."""
+    if (column == "b" and traj.stop_reason == "event:b_max"
+            and value == traj.meta.get("b_max")):
+        return float(traj.t[-1])
+    v = traj.column(column)
+    if not (v[0] <= value <= v[-1]):
+        raise DomainError(f"{column} = {value} outside the trajectory range")
+    idx = traj.columns.index(column)
+    return brentq(lambda t: float(traj.sample(t)[idx]) - value,
+                  traj.t[0], traj.t[-1])
 
-    def f(t):
-        return float(traj.sample(t)[1]) - b_target
 
-    return brentq(f, traj.t[0], traj.t[-1])
-
-
-def _tail_gap(traj: Trajectory, tol: float = 1e-12) -> float:
+def _tail_gap(traj: Trajectory) -> float:
     """Cauchy gap between two arclength tail estimates (cutoff b0 vs b0/10)."""
     q = traj.meta["q"]
     a0, b0, c0 = traj.states[0, :3]
@@ -194,15 +197,15 @@ def _tail_gap(traj: Trajectory, tol: float = 1e-12) -> float:
         return y[1] - _b
     cut.terminal = True
     cut.direction = -1.0
+    cut.name = "cut"
 
-    sol = solve_ivp(_shoot_rhs, (traj.t[0], traj.t[0] - 200.0),
-                    (a0, b0, c0, 0.0), method="RK45", rtol=tol, atol=1e-20,
-                    events=[cut], dense_output=False)
-    if not sol.t_events[0].size:
+    back = integrate_flow(_shoot_rhs, traj.t[0], (a0, b0, c0, 0.0),
+                          traj.t[0] - 200.0, columns=("a", "b", "c", "r"),
+                          rtol=1e-12, atol=1e-20, events=[cut])
+    if back.stop_reason != "event:cut":
         raise DomainError("backward leg did not reach the b0/10 cutoff")
-    ac, bc_, cc, rneg = sol.y[:, -1]
-    est2 = ac * bc_ * cc / (q * q) + (-rneg)
-    return abs(est1 - est2)
+    ac, bc_, cc, rneg = back.states[0]
+    return abs(est1 - (ac * bc_ * cc / (q * q) - rneg))
 
 
 @dataclass
@@ -230,28 +233,26 @@ class E2Diagnostics:
         return d
 
 
-def diagnose(traj: Trajectory, region_slack: float = 1e-10,
-             monotone_slack: float = 1e-10, nullcline_slack: float = 1e-8,
-             transient_drop: float = 1e-6) -> E2Diagnostics:
+def diagnose(traj: Trajectory) -> E2Diagnostics:
     """Evaluate the invariant-region, monotonicity and distance diagnostics."""
     a, b, c = traj.column("a"), traj.column("b"), traj.column("c")
     lower = c * c - a * a
     upper = 2.0 * a * a * b * b - lower
-    region_ok = bool(lower.min() >= -region_slack and upper.min() >= -region_slack)
+    region_ok = bool(lower.min() >= -REGION_SLACK and upper.min() >= -REGION_SLACK)
 
     monotone_ok = {}
     for name, v in (("ab", a * b), ("bc", b * c), ("ac", a * c), ("b", b)):
         rel = np.diff(v) / np.maximum(np.abs(v[:-1]), np.finfo(float).tiny)
-        monotone_ok[name] = bool(rel.min() >= -monotone_slack)
+        monotone_ok[name] = bool(rel.min() >= -MONOTONE_SLACK)
 
     ratio = a / c
     bound = 1.0 / np.sqrt(1.0 + b * b)
     nullcline_min_slack = float((ratio - bound).min())
-    nullcline_ok = bool(nullcline_min_slack >= -nullcline_slack
+    nullcline_ok = bool(nullcline_min_slack >= -NULLCLINE_SLACK
                         and ratio.max() <= 1.0)
 
     kp_fit = None
-    drop = np.nonzero(ratio < 1.0 - transient_drop)[0]
+    drop = np.nonzero(ratio < 1.0 - TRANSIENT_DROP)[0]
     if drop.size:
         b_p = b[drop[0]]
         sel = b >= b_p
@@ -275,7 +276,6 @@ def diagnose(traj: Trajectory, region_slack: float = 1e-10,
         if start_gap > 1e-6 * q:
             inconclusive = True
             notes.append("start not on the unstable curve; tail estimate invalid")
-            dist = math.nan
         else:
             dist = a[0] * b[0] * c[0] / (q * q)
             tail_gap = _tail_gap(traj)
@@ -286,10 +286,10 @@ def diagnose(traj: Trajectory, region_slack: float = 1e-10,
             notes.append("trajectory spans fewer than two b-decades")
         else:
             r_end = r_of_t(traj.t[-1])
-            r_mid = r_of_t(_t_at_b(traj, b_end / 10.0))
+            r_mid = r_of_t(_t_at(traj, "b", b_end / 10.0))
             slope = (r_end - r_mid) / math.log(10.0)
             if b_end >= 1000.0 * b[0]:
-                r_low = r_of_t(_t_at_b(traj, b_end / 100.0))
+                r_low = r_of_t(_t_at(traj, "b", b_end / 100.0))
                 decades = ((r_mid - r_low) / math.log(10.0), slope)
 
     return E2Diagnostics(
@@ -304,7 +304,7 @@ def diagnose(traj: Trajectory, region_slack: float = 1e-10,
 def distance_between_b_slices(traj: Trajectory, b_lo: float, b_hi: float) -> float:
     """Arclength between the first crossings of b = b_lo and b = b_hi."""
     r_of_t, _ = _arclength(traj)
-    return r_of_t(_t_at_b(traj, b_hi)) - r_of_t(_t_at_b(traj, b_lo))
+    return r_of_t(_t_at(traj, "b", b_hi)) - r_of_t(_t_at(traj, "b", b_lo))
 
 
 @dataclass
@@ -354,22 +354,19 @@ def bolt_profile(traj: Trajectory, r_max: float = 0.4, n: int = 200) -> BoltProf
         raise DomainError(f"r_max {r_max} outside ({r0}, {r_span_end}), the "
                           f"start radius and the trajectory arclength")
 
-    def t_at_r(rt):
-        return brentq(lambda tt: r_of_t(tt) - rt, traj.t[0], traj.t[-1])
-
-    targets = np.geomspace(r0, r_max, n)
-    samples = np.array([traj.sample(t_at_r(rt))[:3] for rt in targets])
-
     def interpolant(rq):
         rq = np.asarray(rq, dtype=np.float64)
         flat = np.atleast_1d(rq)
-        out = np.array([traj.sample(t_at_r(float(rv)))[:3] for rv in flat]).T
+        out = np.array([traj.sample(_t_at(traj, "r", float(rv)))[:3]
+                        for rv in flat]).T
         return out.reshape((3,) + rq.shape)
 
+    targets = np.geomspace(r0, r_max, n)
+    a, b, c = interpolant(targets)
     meta = dict(traj.meta)
     meta["r_origin"] = "arclength from the t -> -infinity end"
-    return BoltProfile(r=targets, a=samples[:, 0], b=samples[:, 1],
-                       c=samples[:, 2], meta=meta, interpolant=interpolant)
+    return BoltProfile(r=targets, a=a, b=b, c=c, meta=meta,
+                       interpolant=interpolant)
 
 
 @dataclass(frozen=True)

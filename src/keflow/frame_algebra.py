@@ -134,6 +134,17 @@ def from_pqrs(st: PQRSState) -> FrameCoefficients:
                              L=st.L, N=st.N)
 
 
+def _sys_flow(N, L, R, P, Q):
+    """(N', L', R', P', S') at raw values, scalars or arrays alike: the
+    structure equations of the reduced system, stated once."""
+    dn = N * N - L * N
+    dl = L * L - N * N + N * P / 4.0 + R * R / 4.0
+    dr = (P / 2.0 + L) * R
+    dp = P * L + R * R
+    ds = -Q / 2.0
+    return (dn, dl, dr, dp, ds)
+
+
 def sys_rhs(st: PQRSState) -> tuple[float, float, float, float, float]:
     """Flow derivatives (N', L', R', P', S') of the reduced system.
 
@@ -142,12 +153,7 @@ def sys_rhs(st: PQRSState) -> tuple[float, float, float, float, float]:
     """
     if st.S is None and st.Q != 0.0:
         raise DomainError("shear-free state with Q != 0 has no defined S flow")
-    dn = st.N * st.N - st.L * st.N
-    dl = st.L * st.L - st.N * st.N + st.N * st.P / 4.0 + st.R * st.R / 4.0
-    dr = (st.P / 2.0 + st.L) * st.R
-    dp = st.P * st.L + st.R * st.R
-    ds = -st.Q / 2.0
-    return (dn, dl, dr, dp, ds)
+    return _sys_flow(st.N, st.L, st.R, st.P, st.Q)
 
 
 def lambda_constraint(st: PQRSState) -> float:

@@ -35,6 +35,7 @@ from .errors import CompatibilityError, DomainError, GridError
 from .grids import (Axis, MetricGrid, TwoFormGrid, central_diff,
                     dump_artifact, interior, load_artifact, second_diff)
 from .curvature import gauss_curvature_2d, laplace_beltrami
+from .frame_algebra import _sys_flow
 
 SQRT2 = math.sqrt(2.0)
 
@@ -494,12 +495,13 @@ def _nanmax_interior(arr: np.ndarray) -> float:
 class Sys2Residuals:
     """Max residuals of the reduced first-order system on valid nodes.
 
-    radial_R:     d1 R - R (P + 2L)
+    radial_R:     d1 R - 2 R'          = d1 R - R (P + 2L)
     transverse_R: d2 R + R Q
-    radial_L:     d1 L - 2 L^2 - R^2/2
-    mixed_PQ:     d1 P - d2 Q - 2 L P - 2 R^2
+    radial_L:     d1 L - 2 L'          = d1 L - 2 L^2 - R^2/2
+    mixed_PQ:     d1 P - d2 Q - 2 P'   = d1 P - d2 Q - 2 L P - 2 R^2
     second_order: d1^2 log R + d2^2 log R - 2 L d1 log R - 3 R^2
-    with d1 = partial_x and d2 = (1/c) partial_y.
+    with d1 = partial_x, d2 = (1/c) partial_y, and R', L', P' the reduced
+    flow frame_algebra._sys_flow at N = 0.
     """
 
     radial_R: float
@@ -519,12 +521,15 @@ def sys2_residuals(fields: ReducedFields, cp: CProfile) -> Sys2Residuals:
     hx, hy = cp.x_axis.step, cp.y_axis.step
     L, R, P, Q = fields.L, fields.R, fields.P, fields.Q
     logR = np.log(R)
+    _, _, dr, dp, _ = _sys_flow(0.0, L, R, P, Q)
+    # L' meets P only through N P, 0 here; P's NaN reaches one x-node past
+    # R's, so it is filled for L' to keep radial_L defined where L, R are
+    dl = _sys_flow(0.0, L, R, np.where(np.isnan(P), 0.0, P), Q)[1]
 
-    r1 = central_diff(R, hx, 0) - R * (P + 2.0 * L)
+    r1 = central_diff(R, hx, 0) - 2.0 * dr
     r2 = central_diff(R, hy, 1) / c + R * Q
-    r3 = central_diff(L, hx, 0) - 2.0 * L * L - 0.5 * R * R
-    r4 = (central_diff(P, hx, 0) - central_diff(Q, hy, 1) / c
-          - 2.0 * L * P - 2.0 * R * R)
+    r3 = central_diff(L, hx, 0) - 2.0 * dl
+    r4 = central_diff(P, hx, 0) - central_diff(Q, hy, 1) / c - 2.0 * dp
     d1_logR = central_diff(logR, hx, 0)
     d11 = second_diff(logR, hx, 0)
     d22 = central_diff(central_diff(logR, hy, 1) / c, hy, 1) / c

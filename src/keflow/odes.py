@@ -2,7 +2,7 @@
 
 Integration uses an embedded Runge-Kutta 5(4) pair with PI step control
 (scipy's RK45). Blow-up is a flagged early stop, not an exception: the run
-terminates cleanly when a component magnitude crosses `max_component`, when
+terminates cleanly when a component magnitude crosses MAX_COMPONENT, when
 the solver's step size underflows, or when a caller-supplied terminal event
 fires, and the trajectory records which of these happened.
 """
@@ -135,7 +135,6 @@ def integrate_flow(rhs, t0: float, y0: Sequence[float], t_end: float,
                    columns: tuple[str, ...], rtol: float, atol: float,
                    events: Sequence | None = None,
                    positive_components: Sequence[int] = (),
-                   max_component: float = MAX_COMPONENT,
                    meta: dict | None = None) -> Trajectory:
     """Integrate y' = rhs(t, y) adaptively; returns samples at accepted steps.
 
@@ -152,7 +151,7 @@ def integrate_flow(rhs, t0: float, y0: Sequence[float], t_end: float,
     y0 = np.asarray(y0, dtype=np.float64)
 
     def overflow(t, y):
-        return np.max(np.abs(y)) - max_component
+        return np.max(np.abs(y)) - MAX_COMPONENT
     overflow.terminal = True
     overflow.direction = 1.0
 
@@ -197,12 +196,7 @@ def integrate_flow(rhs, t0: float, y0: Sequence[float], t_end: float,
         states = states[::-1].copy()
     # Drop duplicate times (terminal events may repeat the last node).
     keep = np.concatenate([[True], np.diff(t) > 0.0])
-    interp = sol.sol
-
-    def interpolant(tq, _s=interp):
-        return np.asarray(_s(tq))
-
     return Trajectory(t=t[keep], states=states[keep], columns=columns,
                       rtol=rtol, atol=atol, blow_up=blow_up, stop_reason=reason,
                       n_steps=int(np.sum(keep)) - 1, n_rhs_evals=int(sol.nfev),
-                      meta=meta or {}, interpolant=interpolant)
+                      meta=meta or {}, interpolant=sol.sol)

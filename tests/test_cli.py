@@ -442,6 +442,31 @@ def test_pde_profile_default_axes_keep_the_seeds_inside(pde_run, tmp_path,
         assert rep["truncation_reason"] == "geodesic left the source domain"
 
 
+@pytest.fixture(scope="module")
+def oblong_spec(tmp_path_factory):
+    d = tmp_path_factory.mktemp("oblong")
+    assert main(["--out-dir", str(d), "pde", "leaf-build", "--h-expr", "x",
+                 "--domain", "0,1,1,2", "--nx", "65", "--ny", "129"]) == 0
+    return d / "leafspec.json"
+
+
+@pytest.mark.parametrize("args, y_axis", [
+    (["--nx", "5"], (1.015625, 0.0078125, 125)),
+    (["--nx", "5", "--ny", "100"], (1.015625, 0.0078125, 100)),
+    (["--ny", "100"], (1.015625, 0.0078125, 100)),
+    (["--nx", "5", "--y-start", "1.05"], (1.05, 0.0078125, 120)),
+])
+def test_pde_profile_axes_keep_their_own_steps(oblong_spec, tmp_path, args,
+                                               y_axis):
+    # a 65 x 129 source has x step 1/64 and y step 1/128; without --step
+    # each profile axis takes its own source axis's step, whatever is set
+    assert main(["--out-dir", str(tmp_path), "pde", "profile",
+                 "--spec", str(oblong_spec)] + args) == 0
+    x, y = read_json(tmp_path / "cprofile.json")["axes"]
+    assert x["step"] == 0.015625
+    assert (y["min"], y["step"], y["count"]) == y_axis
+
+
 def test_pde_verify_sweep_needs_three_levels(tmp_path, pde_run):
     rc = main(["--out-dir", str(tmp_path), "pde", "verify",
                "--metric", str(pde_run / "met" / "metric.json"),

@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 from keflow import e2flow as e2
+from keflow.bianchi import _flow
 from keflow.curvature import (convergence_order, einstein_residual,
                               exterior_derivative_closedness)
 from keflow.errors import DomainError
@@ -16,14 +18,50 @@ def shoot100():
     return e2.shoot_unstable(1.0, 1e-5, b_max=100.0, tol=1e-12)
 
 
+def _e2_flow(a, b, c):
+    return np.array(_flow(e2.E2_PARAMS, a, b, c))
+
+
 def test_rhs_and_jacobian_consistent():
     a, b, c = 0.9, 0.4, 1.1
     J = e2.e2_jacobian(a, b, c)
     eps = 1e-7
     for j, dv in enumerate(np.eye(3) * eps):
-        fd = (np.array(e2.e2_rhs(a + dv[0], b + dv[1], c + dv[2]))
-              - np.array(e2.e2_rhs(a - dv[0], b - dv[1], c - dv[2]))) / (2 * eps)
+        fd = (_e2_flow(a + dv[0], b + dv[1], c + dv[2])
+              - _e2_flow(a - dv[0], b - dv[1], c - dv[2])) / (2 * eps)
         assert np.max(np.abs(fd - J[:, j])) < 1e-6
+
+
+def test_shoot_rhs_is_the_type_a_flow_plus_arclength():
+    rng = np.random.default_rng(8)
+    for y in rng.uniform(-3.0, 3.0, size=(200, 4)):
+        a, b, c, _ = y.tolist()
+        assert e2._shoot_rhs(0.0, y) == (*_flow(e2.E2_PARAMS, a, b, c),
+                                         a * b * c)
+
+
+def _direct_tail_gap(traj):
+    """The backward tail leg as one direct solve_ivp call (the oracle)."""
+    q = traj.meta["q"]
+    a0, b0, c0 = traj.states[0, :3]
+
+    def cut(t, y, _b=b0 / 10.0):
+        return y[1] - _b
+    cut.terminal = True
+    cut.direction = -1.0
+
+    sol = solve_ivp(e2._shoot_rhs, (traj.t[0], traj.t[0] - 200.0),
+                    (a0, b0, c0, 0.0), method="RK45", rtol=1e-12, atol=1e-20,
+                    events=[cut], dense_output=False)
+    assert sol.t_events[0].size
+    ac, bc_, cc, rneg = sol.y[:, -1]
+    return abs(a0 * b0 * c0 / (q * q) - (ac * bc_ * cc / (q * q) + (-rneg)))
+
+
+@pytest.mark.parametrize("q", [0.8, 1.0, 1.7])
+def test_tail_gap_matches_direct_solve(q):
+    traj = e2.shoot_unstable(q, b_max=10.0)
+    assert e2._tail_gap(traj) == _direct_tail_gap(traj)
 
 
 def test_saddle_spectrum():
@@ -124,6 +162,20 @@ def test_distance_between_slices_matches_growth(shoot100):
     k2 = 2.0 * math.sqrt(1.5)
     assert d >= 0.9 * k2 * math.log(10.0)
     assert d <= 1.1 * k2 * math.log(10.0)
+
+
+@pytest.mark.parametrize("b_max", [100.0, 1000.0])
+@pytest.mark.parametrize("q", [0.8, 0.85, 0.9, 0.95, 1.0, 1.05, 1.1, 1.15,
+                               1.2, 1.25])
+def test_distance_up_to_the_b_max_slice(q, b_max):
+    # the b_max event fixes t[-1] only to the ulp of t, so near blow-up the
+    # stored b[-1] lands either side of b_max; the slice is still at t[-1].
+    # The scaling symmetry keeps b-slice distances independent of q.
+    traj = e2.shoot_unstable(q, b_max=b_max)
+    assert traj.stop_reason == "event:b_max"
+    d = e2.distance_between_b_slices(traj, b_max / 10.0, b_max)
+    k2 = 2.0 * math.sqrt(1.5)
+    assert 0.9 * k2 * math.log(10.0) <= d <= 1.1 * k2 * math.log(10.0)
 
 
 def test_e2_metric_is_einstein(shoot100):

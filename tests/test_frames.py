@@ -6,8 +6,8 @@ from scipy.integrate import solve_ivp
 
 from keflow.bianchi import ABCState, BianchiParams, bianchi_frame_coefficients
 from keflow.errors import DomainError
-from keflow.frame_algebra import (FrameCoefficients, PQRSState, from_pqrs,
-                                  integrability_residuals, is_kahler,
+from keflow.frame_algebra import (FrameCoefficients, PQRSState, _sys_flow,
+                                  from_pqrs, integrability_residuals, is_kahler,
                                   kahler_relation_residuals, lambda_constraint,
                                   shear_coefficients, sys_rhs, to_pqrs)
 
@@ -96,6 +96,15 @@ def test_sys_rhs_conserves_q_and_lambda():
                         N=col[0])
         drift = max(drift, abs(lambda_constraint(cur) - lam0))
     assert drift < 1e-9
+
+
+def test_sys_flow_on_arrays_matches_sys_rhs_bitwise():
+    states = random_states(300, seed=4)
+    cols = {k: np.array([getattr(st, k) for st in states])
+            for k in ("N", "L", "R", "P", "Q")}
+    flows = _sys_flow(cols["N"], cols["L"], cols["R"], cols["P"], cols["Q"])
+    for n, st in enumerate(states):
+        assert tuple(f[n] for f in flows) == sys_rhs(st)
 
 
 def test_sys_rhs_shear_free_needs_s():

@@ -13,7 +13,7 @@ from keflow.curvature import (einstein_residual,
                               exterior_derivative_closedness,
                               gauss_curvature_2d)
 from keflow.errors import CompatibilityError, DomainError
-from keflow.grids import Axis, MetricGrid, interior
+from keflow.grids import Axis, MetricGrid, central_diff, interior
 
 
 def hyperbolic_spec(n=65, h_expr="x"):
@@ -215,6 +215,30 @@ def test_sys2_residuals_flag_non_leaf_source():
     assert s2.radial_L < 5e-4
     assert abs(s2.mixed_PQ - 3.0) < 1e-3
     assert abs(s2.second_order - 3.0) < 1e-3
+
+
+def test_sys2_residuals_keep_footprints_next_to_excluded_nodes():
+    # an excluded node as reduced_fields leaves it: R NaN there, P NaN one
+    # x-node either side, Q one y-node either side. radial_L involves no P,
+    # so it is still checked at the x-neighbours, where a dent in L peaks
+    cp = round_profile()
+    flds = lp.reduced_fields(cp)
+    L, R, P, Q = (v.copy() for v in (flds.L, flds.R, flds.P, flds.Q))
+    i, j = 40, 40
+    R[i, j] = P[i - 1, j] = P[i + 1, j] = Q[i, j - 1] = Q[i, j + 1] = np.nan
+    L[i, j] += 1e-3
+    s2 = lp.sys2_residuals(lp.ReducedFields(L, R, P, Q, n_excluded=1), cp)
+
+    hx, hy = cp.x_axis.step, cp.y_axis.step
+    d1 = lambda f: central_diff(f, hx, 0)
+    d2 = lambda f: central_diff(f, hy, 1) / cp.c
+    radial_L = d1(L) - 2.0 * L * L - 0.5 * R * R
+    assert np.isfinite(radial_L[i - 1, j]) and np.isfinite(radial_L[i + 1, j])
+    assert s2.radial_L == pytest.approx(np.nanmax(np.abs(radial_L)), rel=1e-12)
+    assert s2.radial_L > 1e-3 / (4.0 * hx)
+    assert s2.radial_R == np.nanmax(np.abs(d1(R) - R * (P + 2.0 * L)))
+    assert s2.mixed_PQ == pytest.approx(np.nanmax(np.abs(
+        d1(P) - d2(Q) - 2.0 * L * P - 2.0 * R * R)), rel=1e-12)
 
 
 def test_vecsys_on_round_metric():
