@@ -263,7 +263,7 @@ def bianchi_frame_coefficients(params: BianchiParams, s: ABCState) -> FrameCoeff
 def integrate(params: BianchiParams, s0: ABCState, t_end: float,
               tol: float = 1e-10) -> Trajectory:
     """Adaptively integrate the flow from s0 to t_end (blow-up flagged)."""
-    return integrate_flow(lambda t, y: _flow(params, *y.tolist()), s0.t,
+    return integrate_flow(lambda t, y: _flow(params, *y), s0.t,
                           (s0.a, s0.b, s0.c), t_end, columns=("a", "b", "c"),
                           rtol=tol, atol=tol * 1e-3,
                           positive_components=(0, 1, 2),

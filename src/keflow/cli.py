@@ -106,7 +106,8 @@ def bianchi():
 @click.option("--t-start", type=float, default=None,
               help="Start time on the explicit family.")
 @click.option("--t-end", type=float, default=None, help="Integration target.")
-@click.option("--samples", type=int, default=200, show_default=True,
+@click.option("--samples", type=click.IntRange(min=1), default=200,
+              show_default=True,
               help="Comparison points for the explicit-family check.")
 @click.pass_context
 def bianchi_solve(ctx, p1, p2, p3, lam, alpha, case_name, alpha_eq_ab,

@@ -37,7 +37,7 @@ TRANSIENT_DROP = 1e-6
 
 def _shoot_rhs(t, y):
     """The E(2) flow with the arclength column, r' = a b c."""
-    a, b, c, _ = y.tolist()
+    a, b, c, _ = y
     return (*_flow(E2_PARAMS, a, b, c), a * b * c)
 
 
@@ -235,6 +235,9 @@ class E2Diagnostics:
 
 def diagnose(traj: Trajectory) -> E2Diagnostics:
     """Evaluate the invariant-region, monotonicity and distance diagnostics."""
+    if traj.t.size < 2:
+        raise DomainError(f"diagnostics need two samples or more; the run "
+                          f"stopped at its start ({traj.stop_reason})")
     a, b, c = traj.column("a"), traj.column("b"), traj.column("c")
     lower = c * c - a * a
     upper = 2.0 * a * a * b * b - lower

@@ -1,24 +1,75 @@
-"""Adaptive ODE integration wrapper and the sampled-trajectory container.
+"""Adaptive ODE integration and the sampled-trajectory container.
 
-Integration uses an embedded Runge-Kutta 5(4) pair with PI step control
-(scipy's RK45). Blow-up is a flagged early stop, not an exception: the run
-terminates cleanly when a component magnitude crosses MAX_COMPONENT, when
-the solver's step size underflows, or when a caller-supplied terminal event
-fires, and the trajectory records which of these happened.
+integrate_flow marches the Dormand-Prince 5(4) pair (Dormand & Prince
+1980; Hairer, Norsett & Wanner, Solving ODEs I, sec. II.4) on Python
+floats, with the quartic dense output of Shampine (1986). Tableau, first
+step, error norm, step control and event handling are scipy RK45's: the
+fifth-order solution is kept, the RMS norm of the embedded error over
+atol + rtol max(|y|, |y_new|) must be below 1, and each step is scaled by
+0.9 err^(-1/5) clamped to [0.2, 10] (an elementary controller, not a PI
+one), with no growth on the step after a rejection; rtol below 100 eps is
+raised to 100 eps. A step below ten ulps of t, or a NaN one, ends the run
+as step_underflow. numpy's dot rounds the stage sums differently, and the
+error estimate cancels to about the tolerance, so step sizes match
+scipy's to about 1e-5 relative and step counts match except where an
+error norm lands within that of 1.
+
+`rhs(t, y)` and the event functions take y as a tuple of floats; rhs
+returns a sequence of floats. An event with a true `terminal` stops the
+run at its first crossing of zero in its `direction` (+1 rising, -1
+falling, 0 either), at the root of event(t, y(t)) on the step's dense
+output (brentq, xtol = rtol = 4 eps); other events cannot change the
+result and are not evaluated.
+
+Blow-up is a flagged early stop, not an exception: the run terminates
+cleanly when a component magnitude crosses MAX_COMPONENT, when the step
+size underflows, or when a caller-supplied terminal event fires, and the
+trajectory records which of these happened.
 """
 
 from __future__ import annotations
 
 import ast
+import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.optimize import brentq
 
 from .errors import DomainError
 
 MAX_COMPONENT = 1e12
+
+# Dormand-Prince 5(4): nodes C, stage weights A, fifth-order weights B
+# (B[1] = 0), error weights E over the stages and f(t + h, y_new), and
+# Shampine's dense-output matrix P (row 1 is zero), as in scipy's RK45.
+_C = (1 / 5, 3 / 10, 4 / 5, 8 / 9)
+_A = ((1 / 5,),
+      (3 / 40, 9 / 40),
+      (44 / 45, -56 / 15, 32 / 9),
+      (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+      (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656))
+_B = (35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)
+_E = (-71 / 57600, 71 / 16695, -71 / 1920, 17253 / 339200, -22 / 525,
+      1 / 40)
+_P = ((1, -8048581381 / 2820520608, 8663915743 / 2820520608,
+       -12715105075 / 11282082432),
+      (0, 131558114200 / 32700410799, -68118460800 / 10900136933,
+       87487479700 / 32700410799),
+      (0, -1754552775 / 470086768, 14199869525 / 1410260304,
+       -10690763975 / 1880347072),
+      (0, 127303824393 / 49829197408, -318862633887 / 49829197408,
+       701980252875 / 199316789632),
+      (0, -282668133 / 205662961, 2019193451 / 616988883,
+       -1453857185 / 822651844),
+      (0, 40617522 / 29380423, -110615467 / 29380423,
+       69997945 / 29380423))
+SAFETY, MIN_FACTOR, MAX_FACTOR = 0.9, 0.2, 10.0
+_ERROR_EXPONENT = -1 / 5
+_EPS = float(np.finfo(float).eps)
+_BLOW_UPS = ("step_underflow", "component_overflow", "positivity_loss")
 
 # Trajectory CSV header fields and their parsers; absent ones take the
 # Trajectory defaults (NaN for the tolerances).
@@ -57,8 +108,13 @@ class Trajectory:
         """Dense-output states at times t, shape (len(columns),) + t.shape."""
         if self.interpolant is None:
             raise DomainError("trajectory has no dense output (loaded from CSV?)")
+        if isinstance(t, float):
+            if not float(self.t[0]) <= t <= float(self.t[-1]):
+                raise DomainError(
+                    f"sample time outside [{self.t[0]}, {self.t[-1]}]")
+            return self.interpolant(t)
         t = np.asarray(t, dtype=np.float64)
-        if np.any(t < self.t[0]) or np.any(t > self.t[-1]):
+        if not np.all((self.t[0] <= t) & (t <= self.t[-1])):
             raise DomainError(
                 f"sample time outside [{self.t[0]}, {self.t[-1]}]")
         return self.interpolant(t)
@@ -131,6 +187,182 @@ def read_table(text: str | bytes, fields: dict):
     return info, meta, columns, np.asarray(rows)
 
 
+class _Step:
+    """One accepted step and Shampine's quartic over it:
+    y(t_old + x h) = y_old + h (Q1 x + Q2 x^2 + Q3 x^3 + Q4 x^4), where
+    Q = K^T P over the stages K, formed on the first evaluation."""
+
+    __slots__ = ("t_old", "h", "y_old", "stages", "_q")
+
+    def __init__(self, t_old: float, h: float, y_old: tuple, stages: tuple):
+        self.t_old, self.h, self.y_old, self.stages = t_old, h, y_old, stages
+        self._q = None
+
+    def __call__(self, t: float) -> tuple:
+        q = self._q
+        if q is None:
+            q = self._q = [
+                (k[0],) + tuple(sum([kj * p[c] for kj, p in zip(k, _P)])
+                                for c in (1, 2, 3))
+                for k in zip(*self.stages)]
+        h = self.h
+        x = (t - self.t_old) / h
+        x2 = x * x
+        x3 = x2 * x
+        x4 = x3 * x
+        return tuple([y + h * (q1 * x + q2 * x2 + q3 * x3 + q4 * x4)
+                      for y, (q1, q2, q3, q4) in zip(self.y_old, q)])
+
+
+class DenseOutput:
+    """The piecewise quartic dense output of integrate_flow: at a time t in
+    [nodes[0], nodes[-1]] the step that covers t is evaluated, at an inner
+    node the one on its left."""
+
+    def __init__(self, nodes: list, steps: list):
+        # both in increasing time
+        self._nodes, self._steps = nodes, steps
+
+    def at(self, t: float) -> tuple:
+        k = bisect_left(self._nodes, t) - 1
+        return self._steps[min(max(k, 0), len(self._steps) - 1)](t)
+
+    def __call__(self, t) -> np.ndarray:
+        """States at t, shape (n,) + np.shape(t)."""
+        if isinstance(t, float):
+            return np.array(self.at(t))
+        t = np.asarray(t, dtype=np.float64)
+        n = len(self._steps[0].y_old)
+        vals = np.array([self.at(v) for v in t.ravel().tolist()],
+                        dtype=np.float64).reshape(t.size, n)
+        return vals.T.reshape((n,) + t.shape)
+
+
+def _rms(values, scale) -> float:
+    """scipy's RMS norm of values / scale (NaN where a scale is 0)."""
+    try:
+        ratios = [v / s for v, s in zip(values, scale)]
+    except ZeroDivisionError:
+        return math.nan
+    return math.sqrt(sum([r * r for r in ratios])) / len(ratios) ** 0.5
+
+
+def _initial_step(rhs, t0, y0, f0, t_end, direction, rtol, atol) -> float:
+    """scipy's first-step rule (Hairer, Norsett & Wanner, sec. II.4)."""
+    span = abs(t_end - t0)
+    scale = [atol + abs(y) * rtol for y in y0]
+    d0, d1 = _rms(y0, scale), _rms(f0, scale)
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    h0 = min(h0, span)
+    f1 = rhs(t0 + h0 * direction,
+             tuple([y + h0 * direction * f for y, f in zip(y0, f0)]))
+    d2 = _rms([b - a for a, b in zip(f0, f1)], scale) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** (1 / 5)
+    return min(100 * h0, h1, span)
+
+
+def _march(rhs, t0: float, y0: tuple, t_end: float, rtol: float,
+           atol: float, stops: list):
+    """scipy RK45's march from (t0, y0) toward t_end. `stops` holds
+    (terminal event, direction, reason). Returns the node times and
+    states, the accepted steps, the RHS count and the stop reason: "t_end",
+    "step_underflow" or the reason of the event."""
+    c2, c3, c4, c5 = _C
+    (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54), \
+        (a61, a62, a63, a64, a65) = _A
+    b1, b3, b4, b5, b6 = _B
+    e1, e3, e4, e5, e6, e7 = _E
+    direction = 1.0 if t_end > t0 else -1.0
+    rms = len(y0) ** 0.5
+    f = rhs(t0, y0)
+    h_abs = _initial_step(rhs, t0, y0, f, t_end, direction, rtol, atol)
+    nfev = 2
+    events = [ev for ev, _, _ in stops]
+    g = [ev(t0, y0) for ev in events]
+    t, y = t0, y0
+    ts, ys, steps = [t0], [y0], []
+    while True:
+        min_step = 10.0 * abs(math.nextafter(t, direction * math.inf) - t)
+        if h_abs < min_step:
+            h_abs = min_step
+        rejected = False
+        while True:
+            if not h_abs >= min_step:  # a NaN step underflows too
+                return ts, ys, steps, nfev, "step_underflow"
+            t_new = t + h_abs * direction
+            if direction * (t_new - t_end) > 0.0:
+                t_new = t_end
+            h = t_new - t
+            h_abs = abs(h)
+            k1 = f
+            k2 = rhs(t + c2 * h, tuple([
+                y_ + (p * a21) * h for y_, p in zip(y, k1)]))
+            k3 = rhs(t + c3 * h, tuple([
+                y_ + (p * a31 + q * a32) * h
+                for y_, p, q in zip(y, k1, k2)]))
+            k4 = rhs(t + c4 * h, tuple([
+                y_ + (p * a41 + q * a42 + r * a43) * h
+                for y_, p, q, r in zip(y, k1, k2, k3)]))
+            k5 = rhs(t + c5 * h, tuple([
+                y_ + (p * a51 + q * a52 + r * a53 + s * a54) * h
+                for y_, p, q, r, s in zip(y, k1, k2, k3, k4)]))
+            k6 = rhs(t + h, tuple([
+                y_ + (p * a61 + q * a62 + r * a63 + s * a64 + u * a65) * h
+                for y_, p, q, r, s, u in zip(y, k1, k2, k3, k4, k5)]))
+            y_new = tuple([
+                y_ + h * (p * b1 + r * b3 + s * b4 + u * b5 + v * b6)
+                for y_, p, r, s, u, v in zip(y, k1, k3, k4, k5, k6)])
+            k7 = rhs(t + h, y_new)
+            nfev += 6
+            acc = 0.0
+            try:
+                for y_, yn, p, r, s, u, v, w in zip(y, y_new, k1, k3, k4,
+                                                     k5, k6, k7):
+                    ay, an = abs(y_), abs(yn)
+                    x = ((p * e1 + r * e3 + s * e4 + u * e5 + v * e6 + w * e7)
+                         * h / (atol + (ay if ay > an else an) * rtol))
+                    acc += x * x
+                err = math.sqrt(acc) / rms
+            except ZeroDivisionError:
+                err = math.nan
+            if err < 1.0:
+                factor = (MAX_FACTOR if err == 0.0 else
+                          min(MAX_FACTOR, SAFETY * err ** _ERROR_EXPONENT))
+                h_abs *= min(1.0, factor) if rejected else factor
+                break
+            h_abs *= max(MIN_FACTOR, SAFETY * err ** _ERROR_EXPONENT)
+            rejected = True
+
+        step = _Step(t, h, y, (k1, k3, k4, k5, k6, k7))
+        steps.append(step)
+        t_old, t, y, f = t, t_new, y_new, k7
+        reason = "t_end" if direction * (t - t_end) >= 0.0 else None
+        if events:
+            g_new = [ev(t, y) for ev in events]
+            first = None  # (root, stop index) of the earliest stopping root
+            for i, (ev, d, _) in enumerate(stops):
+                a, b = g[i], g_new[i]
+                if (a <= 0.0 <= b and d >= 0.0) or (a >= 0.0 >= b and d <= 0.0):
+                    root = brentq(lambda s, ev=ev: ev(s, step(s)), t_old, t,
+                                  xtol=4 * _EPS, rtol=4 * _EPS)
+                    if first is None or direction * (root - first[0]) < 0.0:
+                        first = (root, i)
+            g = g_new
+            if first is not None:
+                t, reason = first[0], stops[first[1]][2]
+                y = step(t)
+        if t != ts[-1]:
+            ts.append(t)
+            ys.append(y)
+        else:  # a root on the last node adds no node and no step
+            steps.pop()
+        if reason is not None:
+            return ts, ys, steps, nfev, reason
+
+
 def integrate_flow(rhs, t0: float, y0: Sequence[float], t_end: float,
                    columns: tuple[str, ...], rtol: float, atol: float,
                    events: Sequence | None = None,
@@ -138,65 +370,50 @@ def integrate_flow(rhs, t0: float, y0: Sequence[float], t_end: float,
                    meta: dict | None = None) -> Trajectory:
     """Integrate y' = rhs(t, y) adaptively; returns samples at accepted steps.
 
-    `events` are scipy-style terminal/non-terminal event functions; an entry
-    may carry a `name` attribute used in stop_reason. `positive_components`
+    `events` are event functions as in the module docstring; an entry may
+    carry a `name` attribute used in stop_reason. `positive_components`
     lists state indices whose collapse to <= 0 terminates the run.
     """
+    t0, t_end = float(t0), float(t_end)
+    y0 = tuple(float(v) for v in y0)
+    if len(y0) != len(columns):
+        raise DomainError(f"{len(y0)} initial values for columns {columns}")
+    # a NaN or infinite span never reaches t_end, and non-finite states
+    # never pass the error test
+    for name, value in (("t0", t0), ("t_end", t_end), *zip(
+            (f"initial {c}" for c in columns), y0)):
+        if not math.isfinite(value):
+            raise DomainError(f"{name} must be finite, got {value!r}")
     if t_end == t0:
         raise DomainError("empty integration span")
     if not (0.0 <= rtol < np.inf and 0.0 <= atol < np.inf):
         # a NaN tolerance never lets the step control accept a step
         raise DomainError(f"tolerances must be finite and nonnegative, got "
                           f"rtol {rtol!r}, atol {atol!r}")
-    y0 = np.asarray(y0, dtype=np.float64)
 
     def overflow(t, y):
-        return np.max(np.abs(y)) - MAX_COMPONENT
-    overflow.terminal = True
-    overflow.direction = 1.0
+        return max(map(abs, y)) - MAX_COMPONENT
 
-    evs = [overflow]
+    stops = [(overflow, 1.0, "component_overflow")]
     if positive_components:
-        floor = 1e-13 * max(1.0, float(np.min(np.abs(y0[list(positive_components)]))))
+        pos = tuple(positive_components)
+        floor = 1e-13 * max(1.0, min(abs(y0[i]) for i in pos))
 
         def positivity(t, y):
-            return np.min(y[list(positive_components)]) - floor
-        positivity.terminal = True
-        positivity.direction = -1.0
-        evs.append(positivity)
-    user_events = list(events or [])
-    evs.extend(user_events)
+            return min([y[i] for i in pos]) - floor
+        stops.append((positivity, -1.0, "positivity_loss"))
+    stops += [(ev, getattr(ev, "direction", 0.0),
+               f"event:{getattr(ev, 'name', i)}")
+              for i, ev in enumerate(events or ()) if getattr(ev, "terminal", 0)]
 
-    sol = solve_ivp(rhs, (t0, t_end), y0, method="RK45", rtol=rtol, atol=atol,
-                    events=evs, dense_output=True)
-
-    blow_up = False
-    reason = "t_end"
-    if sol.status == -1:
-        blow_up = True
-        reason = "step_underflow"
-    elif sol.status == 1:
-        if sol.t_events[0].size:
-            blow_up = True
-            reason = "component_overflow"
-        elif positive_components and sol.t_events[1].size:
-            blow_up = True
-            reason = "positivity_loss"
-        else:
-            base = 1 + bool(positive_components)
-            for i, ev in enumerate(user_events):
-                if sol.t_events[base + i].size:
-                    reason = f"event:{getattr(ev, 'name', i)}"
-                    break
-
-    t = sol.t
-    states = sol.y.T
-    if t.size > 1 and t[1] < t[0]:
-        t = t[::-1].copy()
-        states = states[::-1].copy()
-    # Drop duplicate times (terminal events may repeat the last node).
-    keep = np.concatenate([[True], np.diff(t) > 0.0])
-    return Trajectory(t=t[keep], states=states[keep], columns=columns,
-                      rtol=rtol, atol=atol, blow_up=blow_up, stop_reason=reason,
-                      n_steps=int(np.sum(keep)) - 1, n_rhs_evals=int(sol.nfev),
-                      meta=meta or {}, interpolant=sol.sol)
+    ts, ys, steps, nfev, reason = _march(rhs, t0, y0, t_end,
+                                         max(rtol, 100 * _EPS), atol, stops)
+    if t_end < t0:
+        ts.reverse()
+        ys.reverse()
+        steps.reverse()
+    dense = DenseOutput(ts, steps) if steps else None
+    return Trajectory(t=ts, states=ys, columns=columns, rtol=rtol, atol=atol,
+                      blow_up=reason in _BLOW_UPS, stop_reason=reason,
+                      n_steps=len(ts) - 1, n_rhs_evals=nfev,
+                      meta=meta or {}, interpolant=dense)

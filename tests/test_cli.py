@@ -61,6 +61,52 @@ def test_usage_error_exit_code(tmp_path):
                  "--p1", "1", "--p2", "1"]) == 1
 
 
+_EUCLIDEAN = ["bianchi", "solve", "--case", "euclidean", "--k", "1.2",
+              "--w3", "0.8", "--alpha", "0.3", "--t-start", "1.0"]
+
+
+# The nan spans used to march forever and the nan or inf starts ended in
+# a traceback from the integrator's own input check.
+@pytest.mark.parametrize("args, message", [
+    (["e2", "shoot", "--t-max", "nan"], "t_end must be finite, got nan"),
+    (_EUCLIDEAN + ["--t-end", "nan"], "t_end must be finite, got nan"),
+    (["e2", "shoot", "--q", "nan"], "initial a must be finite, got nan"),
+    (["e2", "shoot", "--q", "inf"], "initial a must be finite, got inf"),
+    (["e2", "shoot", "--q", "1e200"], "initial r must be finite, got nan"),
+    (["e2", "shoot", "--eps", "nan"], "initial b must be finite, got nan"),
+    (["e2", "shoot", "--start", "1,2,nan"],
+     "initial c must be finite, got nan"),
+])
+def test_non_finite_integration_inputs_exit_1(tmp_path, capsys, args,
+                                              message):
+    capsys.readouterr()
+    assert main(["--out-dir", str(tmp_path)] + args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}")
+
+
+def test_e2_shoot_stopped_at_its_start_exits_1(tmp_path, capsys):
+    # atol = 0 with r starting at exactly 0 leaves no step that passes the
+    # error test; the parent hung here, scipy's RK45 retrying a NaN step
+    capsys.readouterr()
+    assert main(["--out-dir", str(tmp_path), "--tol", "0", "e2", "shoot",
+                 "--start", "1,2,3"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: diagnostics need two samples or more; "
+                          "the run stopped at its start (step_underflow)")
+
+
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_bianchi_solve_rejects_samples_below_one(tmp_path, capsys, samples):
+    capsys.readouterr()
+    assert main(["--out-dir", str(tmp_path)] + _EUCLIDEAN
+                + ["--t-end", "2.0", "--samples", samples]) == 1
+    err = capsys.readouterr().err
+    assert "Invalid value for '--samples'" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "trajectory.csv").exists()
+
+
 @pytest.fixture(scope="module")
 def e2_run(tmp_path_factory):
     d = tmp_path_factory.mktemp("e2run")

@@ -2,7 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy.integrate import solve_ivp
 
 from keflow import e2flow as e2
 from keflow.bianchi import _flow
@@ -10,7 +9,7 @@ from keflow.curvature import (convergence_order, einstein_residual,
                               exterior_derivative_closedness)
 from keflow.errors import DomainError
 from keflow.grids import Axis
-from keflow.odes import Trajectory
+from keflow.odes import Trajectory, integrate_flow
 
 
 @pytest.fixture(scope="module")
@@ -41,7 +40,7 @@ def test_shoot_rhs_is_the_type_a_flow_plus_arclength():
 
 
 def _direct_tail_gap(traj):
-    """The backward tail leg as one direct solve_ivp call (the oracle)."""
+    """The backward tail leg as one direct integrate_flow call (the oracle)."""
     q = traj.meta["q"]
     a0, b0, c0 = traj.states[0, :3]
 
@@ -50,11 +49,11 @@ def _direct_tail_gap(traj):
     cut.terminal = True
     cut.direction = -1.0
 
-    sol = solve_ivp(e2._shoot_rhs, (traj.t[0], traj.t[0] - 200.0),
-                    (a0, b0, c0, 0.0), method="RK45", rtol=1e-12, atol=1e-20,
-                    events=[cut], dense_output=False)
-    assert sol.t_events[0].size
-    ac, bc_, cc, rneg = sol.y[:, -1]
+    back = integrate_flow(e2._shoot_rhs, traj.t[0], (a0, b0, c0, 0.0),
+                          traj.t[0] - 200.0, ("a", "b", "c", "r"),
+                          rtol=1e-12, atol=1e-20, events=[cut])
+    assert back.stop_reason == "event:0"
+    ac, bc_, cc, rneg = back.states[0]
     return abs(a0 * b0 * c0 / (q * q) - (ac * bc_ * cc / (q * q) + (-rneg)))
 
 

@@ -2,6 +2,9 @@ import ast
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -85,6 +88,32 @@ def test_no_module_evaluates_code():
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Name):
                 assert node.id not in ("eval", "exec", "compile"), path.name
+
+
+def test_one_ode_integrator():
+    # odes.integrate_flow is the package's only ODE integrator
+    for path in Path(lp.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [f"{node.module}.{alias.name}" for alias in node.names]
+            else:
+                names = [getattr(node, "id", getattr(node, "attr", ""))]
+            for name in names:
+                assert not name.startswith("scipy.integrate"), path.name
+                assert "solve_ivp" not in name.split("."), path.name
+
+
+def test_cli_import_leaves_scipy_integrate_out():
+    src = str(Path(lp.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, keflow.cli; print('scipy.integrate' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=60, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_leaf_spec_checks_curvature():

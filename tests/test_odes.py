@@ -6,7 +6,7 @@ from keflow.odes import Trajectory, integrate_flow
 
 
 def test_exponential_decay_matches_exact():
-    traj = integrate_flow(lambda t, y: -y, 0.0, [1.0], 3.0, ("y",),
+    traj = integrate_flow(lambda t, y: (-y[0],), 0.0, [1.0], 3.0, ("y",),
                           rtol=1e-10, atol=1e-12)
     exact = np.exp(-traj.t)
     assert traj.stop_reason == "t_end"
@@ -15,16 +15,56 @@ def test_exponential_decay_matches_exact():
 
 
 def test_sample_uses_dense_output():
-    traj = integrate_flow(lambda t, y: -y, 0.0, [1.0], 2.0, ("y",),
+    traj = integrate_flow(lambda t, y: (-y[0],), 0.0, [1.0], 2.0, ("y",),
                           rtol=1e-10, atol=1e-12)
     ts = np.linspace(0.1, 1.9, 7)
     vals = np.asarray(traj.sample(ts)).ravel()
     assert np.max(np.abs(vals - np.exp(-ts))) < 1e-8
 
 
+def test_scalar_sample_matches_array_sample():
+    traj = integrate_flow(lambda t, y: (-y[0], y[0] * y[1]), 0.0, [1.0, 0.5],
+                          2.0, ("u", "v"), rtol=1e-10, atol=1e-12)
+    for t in [0.0, 0.3, float(traj.t[5]), 2.0]:
+        np.testing.assert_array_equal(traj.sample(t), traj.sample([t])[:, 0])
+    with pytest.raises(DomainError):
+        traj.sample(2.5)
+    for t in [float("nan"), [0.5, float("nan")]]:
+        with pytest.raises(DomainError):
+            traj.sample(t)
+
+
+def test_non_finite_inputs_rejected():
+    for t0, y0, t_end in [(0.0, [1.0], np.nan), (np.inf, [1.0], 1.0),
+                          (0.0, [np.nan], 1.0)]:
+        with pytest.raises(DomainError, match="must be finite"):
+            integrate_flow(lambda t, y: (-y[0],), t0, y0, t_end, ("y",),
+                           rtol=1e-8, atol=1e-10)
+
+
+def test_rtol_below_100_eps_is_raised_to_it():
+    # scipy's RK45 raises such an rtol too, and the trajectory keeps the
+    # rtol it was given
+    runs = [integrate_flow(lambda t, y: (-y[0],), 0.0, [1.0], 1.0, ("y",),
+                           rtol=rtol, atol=1e-20)
+            for rtol in (0.0, 1e-16, 100 * np.finfo(float).eps)]
+    for traj in runs[:2]:
+        np.testing.assert_array_equal(traj.t, runs[2].t)
+        np.testing.assert_array_equal(traj.states, runs[2].states)
+    assert runs[1].rtol == 1e-16
+
+
+def test_zero_error_scale_ends_as_step_underflow():
+    # atol 0 and a component fixed at exactly 0 give a 0/0 error estimate;
+    # scipy's RK45 keeps retrying a NaN step there
+    traj = integrate_flow(lambda t, y: (-y[0], 0.0), 0.0, [1.0, 0.0], 1.0,
+                          ("u", "v"), rtol=1e-8, atol=0.0)
+    assert traj.blow_up and traj.stop_reason == "step_underflow"
+
+
 def test_finite_time_blow_up_is_flagged():
     # y' = y^2 from y(0) = 1 leaves every bound before t = 1
-    traj = integrate_flow(lambda t, y: y * y, 0.0, [1.0], 2.0, ("y",),
+    traj = integrate_flow(lambda t, y: (y[0] * y[0],), 0.0, [1.0], 2.0, ("y",),
                           rtol=1e-8, atol=1e-10)
     assert traj.blow_up
     assert traj.stop_reason in ("component_overflow", "step_underflow")
@@ -45,7 +85,7 @@ def test_named_event_stop():
     cross.terminal = True
     cross.direction = -1.0
     cross.name = "quarter"
-    traj = integrate_flow(lambda t, y: -y, 0.0, [1.0], 10.0, ("y",),
+    traj = integrate_flow(lambda t, y: (-y[0],), 0.0, [1.0], 10.0, ("y",),
                           rtol=1e-10, atol=1e-12, events=[cross])
     assert traj.stop_reason == "event:quarter"
     assert abs(traj.column("y")[-1] - 0.25) < 1e-8
@@ -53,7 +93,7 @@ def test_named_event_stop():
 
 def test_empty_span_rejected():
     with pytest.raises(DomainError):
-        integrate_flow(lambda t, y: -y, 1.0, [1.0], 1.0, ("y",),
+        integrate_flow(lambda t, y: (-y[0],), 1.0, [1.0], 1.0, ("y",),
                        rtol=1e-8, atol=1e-10)
 
 
@@ -71,7 +111,7 @@ def test_csv_round_trip_is_exact():
 
 
 def test_csv_round_trip_loses_dense_output():
-    traj = integrate_flow(lambda t, y: -y, 0.0, [1.0], 1.0, ("y",),
+    traj = integrate_flow(lambda t, y: (-y[0],), 0.0, [1.0], 1.0, ("y",),
                           rtol=1e-9, atol=1e-11)
     back = Trajectory.from_csv(traj.to_csv())
     with pytest.raises(DomainError):
@@ -83,7 +123,7 @@ def test_csv_round_trip_loses_dense_output():
 def test_bad_tolerances_rejected(rtol, atol):
     # without the check a NaN tolerance keeps the solver stepping forever
     with pytest.raises(DomainError):
-        integrate_flow(lambda t, y: -y, 0.0, [1.0], 1.0, ("y",),
+        integrate_flow(lambda t, y: (-y[0],), 0.0, [1.0], 1.0, ("y",),
                        rtol=rtol, atol=atol)
 
 
