@@ -58,7 +58,11 @@ class BianchiParams:
     def alpha(self, a: float, b: float) -> float:
         if self.p3 == 0.0:
             return float(self.alpha0)
-        return -(self.lam / self.p3) * (a * b) ** 2
+        ab = a * b
+        # a float squares through libm's pow, an ndarray exactly;
+        # float_power is that pow, so arrays round as floats do
+        square = ab ** 2 if type(ab) is float else np.float_power(ab, 2.0)
+        return -(self.lam / self.p3) * square
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,7 @@ termination (blow-up or early stop, partial artifacts are still written);
 
 from __future__ import annotations
 
+import math
 import sys
 from pathlib import Path
 
@@ -60,8 +61,14 @@ def _nanmax_abs(arr: np.ndarray) -> float:
     return float(np.nanmax(vals))
 
 
+def _positive_finite(ctx, param, value):
+    if value is not None and not 0.0 < value < math.inf:
+        raise click.BadParameter(f"{value!r} is not a positive finite number")
+    return value
+
+
 @click.group()
-@click.option("--tol", type=float, default=None,
+@click.option("--tol", type=float, default=None, callback=_positive_finite,
               help="Override the command's main tolerance.")
 @click.option("--out-dir", type=click.Path(file_okay=False), default=".",
               show_default=True, help="Directory for artifacts.")
@@ -217,41 +224,6 @@ def e2grp():
     """Complete E(2) family: shooting, diagnostics, bolt."""
 
 
-def _reshoot(traj) -> "object":
-    """Re-run a shoot deterministically from the metadata in a CSV artifact.
-
-    CSV round trips drop the dense interpolant, which the arclength and
-    bolt analyses need, so the run is reproduced and cross-checked against
-    the stored samples before use.
-    """
-    if traj.columns != ("a", "b", "c", "r"):
-        raise DomainError(f"trajectory columns t,{','.join(traj.columns)} "
-                          f"are not those of 'e2 shoot' (t,a,b,c,r)")
-    meta = traj.meta
-    if "q" not in meta or "b_max" not in meta:
-        raise DomainError("trajectory lacks shoot metadata; "
-                          "produce it with 'e2 shoot'")
-    if traj.stop_reason.startswith("event:"):
-        t_max = max(500.0, 2.0 * float(traj.t[-1]))
-    else:
-        t_max = float(traj.t[-1])
-    try:
-        start = (None if meta.get("r_origin") == "tail"
-                 else tuple(meta["start"]))
-        fresh = e2.shoot_unstable(meta["q"], eps=meta["eps"],
-                                  b_max=meta["b_max"], t_max=t_max,
-                                  tol=traj.rtol, start=start)
-    except (KeyError, TypeError) as exc:
-        raise DomainError(f"malformed shoot metadata: {exc!r}") from None
-    n = min(len(traj.t), len(fresh.t))
-    scale = np.maximum(np.abs(traj.states[:n]), 1e-30)
-    dev = float(np.max(np.abs(fresh.states[:n] - traj.states[:n]) / scale))
-    if len(fresh.t) != len(traj.t) or dev > 1e-9:
-        raise VerificationError(f"re-shoot deviates from the stored "
-                                f"trajectory (rel {dev:.3e}); artifact stale?")
-    return fresh
-
-
 @e2grp.command("shoot")
 @click.option("--q", type=float, default=1.0, show_default=True,
               help="Saddle parameter (a, b, c) = (q, 0, q).")
@@ -294,14 +266,14 @@ def e2_shoot(ctx, q, eps, b_max, t_max, start):
 @click.argument("traj_csv", type=click.Path(exists=True, dir_okay=False))
 @click.pass_context
 def e2_diagnose(ctx, traj_csv):
-    """Re-run a stored shoot and evaluate the qualitative diagnostics."""
+    """Replay a stored shoot and evaluate the qualitative diagnostics."""
     stored = e2.Trajectory.from_csv(Path(traj_csv).read_bytes())
     mf = RunManifest("e2 diagnose",
                      {"traj_csv": str(traj_csv), "meta": dict(stored.meta)},
                      {})
     out = ctx.obj["out_dir"]
 
-    fresh = _reshoot(stored)
+    fresh = e2.replay_shoot(stored)
     diag = e2.diagnose(fresh)
     doc = diag.to_dict()
     doc["monotone_all"] = all(doc["monotone_ok"].values())
@@ -330,7 +302,8 @@ def e2_diagnose(ctx, traj_csv):
               help="Anchor radius for the Richardson ladder.")
 @click.pass_context
 def e2_bolt(ctx, traj_csv, r_max, n, r0):
-    """Arclength profile near r = 0 and the bolt smoothness extrapolation."""
+    """Replay a stored shoot: arclength profile near r = 0 and the bolt
+    smoothness extrapolation."""
     tol = ctx.obj["tol"] if ctx.obj["tol"] is not None else 1e-4
     stored = e2.Trajectory.from_csv(Path(traj_csv).read_bytes())
     if stored.meta.get("r_origin") != "tail":
@@ -342,7 +315,7 @@ def e2_bolt(ctx, traj_csv, r_max, n, r0):
                      {"db_dr_bound": tol})
     out = ctx.obj["out_dir"]
 
-    fresh = _reshoot(stored)
+    fresh = e2.replay_shoot(stored)
     profile = e2.bolt_profile(fresh, r_max=r_max, n=n)
     mf.write_text(profile.to_csv(), out / "bolt_profile.csv")
     sm = e2.bolt_smoothness(profile, r0=r0)

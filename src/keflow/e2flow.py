@@ -20,9 +20,9 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .bianchi import BianchiParams, _flow
-from .errors import DomainError
+from .errors import DomainError, VerificationError
 from .grids import Axis, MetricGrid, TwoFormGrid
-from .odes import Trajectory, integrate_flow, read_table, write_table
+from .odes import Trajectory, integrate_flow, read_table, replay, write_table
 
 EQUILIBRIUM_SADDLE = "q0q"
 EQUILIBRIUM_DEGENERATE = "0q0"
@@ -101,6 +101,24 @@ def classify_start(a: float, b: float, c: float) -> str:
     return "trapped"
 
 
+def _shoot_start(q: float, eps: float | None,
+                 start: tuple[float, float, float] | None):
+    """shoot_unstable's first state (a, b, c, r) at t = 0, its eps and its
+    r_origin ("tail" on the unstable curve, "start" for a custom start)."""
+    if q <= 0.0:
+        raise DomainError("q must be positive")
+    if eps is None:
+        eps = 1e-5 * q
+    if eps <= 0.0:
+        raise DomainError("eps must be positive")
+    if start is None:
+        return (q, eps, q, q * eps * q / (q * q)), eps, "tail"
+    abc0 = tuple(float(v) for v in start)
+    if min(abc0) <= 0.0:
+        raise DomainError("custom start must have positive components")
+    return abc0 + (0.0,), eps, "start"
+
+
 def shoot_unstable(q: float, eps: float | None = None,
                    b_max: float | None = 100.0, t_max: float = 500.0,
                    tol: float = 1e-12,
@@ -117,23 +135,7 @@ def shoot_unstable(q: float, eps: float | None = None,
     start, so r measures distance from the t -> -infinity end and r = 0
     there; for a custom start the seed is 0 (meta key r_origin says which).
     """
-    if q <= 0.0:
-        raise DomainError("q must be positive")
-    if eps is None:
-        eps = 1e-5 * q
-    if eps <= 0.0:
-        raise DomainError("eps must be positive")
-    if start is None:
-        abc0 = (q, eps, q)
-        r0 = q * eps * q / (q * q)
-        r_origin = "tail"
-    else:
-        abc0 = tuple(float(v) for v in start)
-        if min(abc0) <= 0.0:
-            raise DomainError("custom start must have positive components")
-        r0 = 0.0
-        r_origin = "start"
-
+    y0, eps, r_origin = _shoot_start(q, eps, start)
     events = []
     if b_max is not None:
         def hit_b(t, y, _b=b_max):
@@ -143,13 +145,49 @@ def shoot_unstable(q: float, eps: float | None = None,
         hit_b.name = "b_max"
         events.append(hit_b)
 
-    return integrate_flow(_shoot_rhs, 0.0, abc0 + (r0,), t_max,
+    return integrate_flow(_shoot_rhs, 0.0, y0, t_max,
                           columns=("a", "b", "c", "r"),
                           rtol=tol, atol=tol * 1e-2, events=events,
                           positive_components=(0, 1, 2),
                           meta={"q": q, "eps": eps, "k": eps,
-                               "start": list(abc0), "b_max": b_max,
+                               "start": list(y0[:3]), "b_max": b_max,
                                "r_origin": r_origin})
+
+
+def replay_shoot(traj: Trajectory) -> Trajectory:
+    """traj, a shoot_unstable trajectory read from CSV, with its dense
+    output rebuilt by odes.replay from the stored rows and last_step.
+
+    The start row and tolerances must be shoot_unstable's for the stored
+    metadata, and odes.replay checks every later row and step against the
+    march, so a file that this module's shoot did not write, or one edited
+    since, raises VerificationError ("artifact stale?"). Missing or
+    malformed metadata raises DomainError.
+    """
+    if traj.columns != ("a", "b", "c", "r"):
+        raise DomainError(f"trajectory columns t,{','.join(traj.columns)} "
+                          f"are not those of 'e2 shoot' (t,a,b,c,r)")
+    meta = traj.meta
+    if "q" not in meta or "b_max" not in meta:
+        raise DomainError("trajectory lacks shoot metadata; "
+                          "produce it with 'e2 shoot'")
+    if not math.isfinite(traj.last_step):
+        raise DomainError("trajectory has no last_step header; write it "
+                          "again with 'e2 shoot', which records it")
+    try:
+        start = None if meta.get("r_origin") == "tail" else meta["start"]
+        y0 = _shoot_start(meta["q"], meta["eps"], start)[0]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DomainError(f"malformed shoot metadata: {exc!r}") from None
+    try:
+        if traj.t[0] != 0.0 or tuple(traj.states[0].tolist()) != y0:
+            raise VerificationError("the start row is not the shoot's start "
+                                    "for the stored q, eps and start")
+        if traj.atol != traj.rtol * 1e-2:
+            raise VerificationError("atol is not the shoot's rtol * 1e-2")
+        return replay(_shoot_rhs, traj)
+    except VerificationError as exc:
+        raise VerificationError(f"{exc}; artifact stale?") from None
 
 
 # ---------------------------------------------------------------------------

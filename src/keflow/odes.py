@@ -25,6 +25,20 @@ Blow-up is a flagged early stop, not an exception: the run terminates
 cleanly when a component magnitude crosses MAX_COMPONENT, when the step
 size underflows, or when a caller-supplied terminal event fires, and the
 trajectory records which of these happened.
+
+A Trajectory's CSV keeps every node exactly (repr of each float) and,
+as the `# last_step:` header, the full length of the march's final step,
+which an event root cuts short. replay(rhs, traj) rebuilds the dense
+output of a forward run from those alone: each stored row is the y_new
+of a step of length t[i+1] - t[i] (the march takes h = t_new - t), so
+all seven stages of all steps are evaluated at once on arrays by the
+march's own stage arithmetic (_stages), and each step's quartic, built
+on first use, is the march's bit for bit. The replay verifies what it
+rebuilds: every step passes the error test, every row equals the step
+replayed from the row before, bit for bit (the last one may be the
+dense output at an event root), and no step is longer than the
+controller's proposal after the step before (up to 2 ulp of t). A
+failure raises VerificationError.
 """
 
 from __future__ import annotations
@@ -32,13 +46,13 @@ from __future__ import annotations
 import ast
 import math
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
 from scipy.optimize import brentq
 
-from .errors import DomainError
+from .errors import DomainError, VerificationError
 
 MAX_COMPONENT = 1e12
 
@@ -72,14 +86,17 @@ _EPS = float(np.finfo(float).eps)
 _BLOW_UPS = ("step_underflow", "component_overflow", "positivity_loss")
 
 # Trajectory CSV header fields and their parsers; absent ones take the
-# Trajectory defaults (NaN for the tolerances).
+# Trajectory defaults (NaN for the tolerances and last_step).
 _CSV_FIELDS = {"rtol": float, "atol": float, "blow_up": lambda v: bool(int(v)),
-               "stop_reason": str, "n_steps": int, "n_rhs_evals": int}
+               "stop_reason": str, "n_steps": int, "n_rhs_evals": int,
+               "last_step": float}
 
 
 @dataclass
 class Trajectory:
-    """Samples of an ODE solution at the accepted integration steps."""
+    """Samples of an ODE solution at the accepted integration steps;
+    last_step is the full length of the march's final step (NaN when
+    unknown)."""
 
     t: np.ndarray
     states: np.ndarray
@@ -90,6 +107,7 @@ class Trajectory:
     stop_reason: str = "t_end"
     n_steps: int = 0
     n_rhs_evals: int = 0
+    last_step: float = math.nan
     meta: dict = field(default_factory=dict)
     interpolant: Callable[[float], np.ndarray] | None = None
 
@@ -125,12 +143,17 @@ class Trajectory:
                   "blow_up": int(self.blow_up),
                   "stop_reason": self.stop_reason, "n_steps": self.n_steps,
                   "n_rhs_evals": self.n_rhs_evals}
+        if math.isfinite(self.last_step):
+            header["last_step"] = repr(self.last_step)
         return write_table(header, self.meta, ("t",) + self.columns,
                            (self.t, *self.states.T))
 
     @classmethod
     def from_csv(cls, text: str | bytes) -> "Trajectory":
         info, meta, columns, data = read_table(text, _CSV_FIELDS)
+        if info.get("n_steps", len(data) - 1) != len(data) - 1:
+            raise DomainError(f"n_steps {info['n_steps']} but {len(data)} "
+                              f"sample rows; n steps store n + 1 rows")
         return cls(t=data[:, 0], states=data[:, 1:], columns=columns[1:],
                    meta=meta, **{"rtol": np.nan, "atol": np.nan, **info})
 
@@ -150,9 +173,10 @@ def write_table(header: dict, meta: dict, columns: Sequence[str],
 
 def read_table(text: str | bytes, fields: dict):
     """Inverse of write_table: (header, meta, columns, samples). Header
-    values are parsed by fields[key] (other keys are ignored), meta values
-    as Python literals, kept as text when they are not one. Text that is
-    not such a table raises DomainError."""
+    values are parsed by fields[key], meta values as Python literals, kept
+    as text when they are not one. A `# columns:` header must name the
+    column row. Text that is not such a table, or a header key that is
+    neither `columns` nor in fields, raises DomainError."""
     if isinstance(text, bytes):
         try:
             text = text.decode()
@@ -160,6 +184,7 @@ def read_table(text: str | bytes, fields: dict):
             raise DomainError(f"CSV is not UTF-8 text: {exc}") from None
     info, meta, rows = {}, {}, []
     columns: tuple[str, ...] | None = None
+    named = None  # (line, value) of the `# columns:` header
     for n, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if not line:
@@ -172,8 +197,12 @@ def read_table(text: str | bytes, fields: dict):
                         meta[key[5:]] = ast.literal_eval(val)
                     except (ValueError, TypeError, SyntaxError, RecursionError):
                         meta[key[5:]] = val
+                elif sep and key == "columns":
+                    named = (n, val)
                 elif sep and key in fields:
                     info[key] = fields[key](val)
+                else:
+                    raise ValueError(f"unknown header key {key!r}")
             elif columns is None:
                 columns = tuple(line.split(","))
             elif len(cells := line.split(",")) != len(columns):
@@ -184,6 +213,9 @@ def read_table(text: str | bytes, fields: dict):
             raise DomainError(f"CSV line {n}: {exc}") from None
     if columns is None or not rows:
         raise DomainError("CSV does not contain a sampled table")
+    if named is not None and named[1] != ",".join(columns):
+        raise DomainError(f"CSV line {named[0]}: columns header {named[1]!r} "
+                          f"does not name the column row {','.join(columns)!r}")
     return info, meta, columns, np.asarray(rows)
 
 
@@ -214,10 +246,33 @@ class _Step:
                       for y, (q1, q2, q3, q4) in zip(self.y_old, q)])
 
 
+class _ReplayedSteps:
+    """The steps of a replay as a sequence of _Step, each built from the
+    replay's arrays on first use: an analysis reads only some of them."""
+
+    def __init__(self, t0: np.ndarray, h: np.ndarray, y: np.ndarray,
+                 stages: np.ndarray):
+        # y[:, k] and stages[:, :, k] belong to step k
+        self._t0, self._h, self._y, self._stages = t0, h, y, stages
+        self._made: dict[int, _Step] = {}
+
+    def __len__(self) -> int:
+        return self._h.size
+
+    def __getitem__(self, k: int) -> _Step:
+        k = range(self._h.size)[k]
+        step = self._made.get(k)
+        if step is None:
+            step = self._made[k] = _Step(
+                float(self._t0[k]), float(self._h[k]), self._y[:, k].tolist(),
+                tuple(self._stages[:, :, k].tolist()))
+        return step
+
+
 class DenseOutput:
-    """The piecewise quartic dense output of integrate_flow: at a time t in
-    [nodes[0], nodes[-1]] the step that covers t is evaluated, at an inner
-    node the one on its left."""
+    """The piecewise quartic dense output of integrate_flow or of its
+    replay: at a time t in [nodes[0], nodes[-1]] the step that covers t is
+    evaluated, at an inner node the one on its left."""
 
     def __init__(self, nodes: list, steps: list):
         # both in increasing time
@@ -264,16 +319,51 @@ def _initial_step(rhs, t0, y0, f0, t_end, direction, rtol, atol) -> float:
     return min(100 * h0, h1, span)
 
 
+def _stages(rhs, t, y: tuple, h, k1) -> tuple:
+    """y_new and the stages (k1, k3, k4, k5, k6, k7) that the error
+    estimate and the dense output read, for the step of length h from
+    (t, y) with k1 = f(t, y). The same arithmetic serves the march, on
+    floats, and the replay, on arrays that hold every step at once."""
+    c2, c3, c4, c5 = _C
+    (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54), \
+        (a61, a62, a63, a64, a65) = _A
+    b1, b3, b4, b5, b6 = _B
+    k2 = rhs(t + c2 * h, tuple([
+        y_ + (p * a21) * h for y_, p in zip(y, k1)]))
+    k3 = rhs(t + c3 * h, tuple([
+        y_ + (p * a31 + q * a32) * h
+        for y_, p, q in zip(y, k1, k2)]))
+    k4 = rhs(t + c4 * h, tuple([
+        y_ + (p * a41 + q * a42 + r * a43) * h
+        for y_, p, q, r in zip(y, k1, k2, k3)]))
+    k5 = rhs(t + c5 * h, tuple([
+        y_ + (p * a51 + q * a52 + r * a53 + s * a54) * h
+        for y_, p, q, r, s in zip(y, k1, k2, k3, k4)]))
+    k6 = rhs(t + h, tuple([
+        y_ + (p * a61 + q * a62 + r * a63 + s * a64 + u * a65) * h
+        for y_, p, q, r, s, u in zip(y, k1, k2, k3, k4, k5)]))
+    y_new = tuple([
+        y_ + h * (p * b1 + r * b3 + s * b4 + u * b5 + v * b6)
+        for y_, p, r, s, u, v in zip(y, k1, k3, k4, k5, k6)])
+    k7 = rhs(t + h, y_new)
+    return y_new, (k1, k3, k4, k5, k6, k7)
+
+
+def _march_rtol(rtol: float, atol: float) -> float:
+    """The rtol the march uses, once both tolerances are checked."""
+    if not (0.0 <= rtol < np.inf and 0.0 <= atol < np.inf):
+        # a NaN tolerance never lets the step control accept a step
+        raise DomainError(f"tolerances must be finite and nonnegative, got "
+                          f"rtol {rtol!r}, atol {atol!r}")
+    return max(rtol, 100 * _EPS)
+
+
 def _march(rhs, t0: float, y0: tuple, t_end: float, rtol: float,
            atol: float, stops: list):
     """scipy RK45's march from (t0, y0) toward t_end. `stops` holds
     (terminal event, direction, reason). Returns the node times and
     states, the accepted steps, the RHS count and the stop reason: "t_end",
     "step_underflow" or the reason of the event."""
-    c2, c3, c4, c5 = _C
-    (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54), \
-        (a61, a62, a63, a64, a65) = _A
-    b1, b3, b4, b5, b6 = _B
     e1, e3, e4, e5, e6, e7 = _E
     direction = 1.0 if t_end > t0 else -1.0
     rms = len(y0) ** 0.5
@@ -297,30 +387,11 @@ def _march(rhs, t0: float, y0: tuple, t_end: float, rtol: float,
                 t_new = t_end
             h = t_new - t
             h_abs = abs(h)
-            k1 = f
-            k2 = rhs(t + c2 * h, tuple([
-                y_ + (p * a21) * h for y_, p in zip(y, k1)]))
-            k3 = rhs(t + c3 * h, tuple([
-                y_ + (p * a31 + q * a32) * h
-                for y_, p, q in zip(y, k1, k2)]))
-            k4 = rhs(t + c4 * h, tuple([
-                y_ + (p * a41 + q * a42 + r * a43) * h
-                for y_, p, q, r in zip(y, k1, k2, k3)]))
-            k5 = rhs(t + c5 * h, tuple([
-                y_ + (p * a51 + q * a52 + r * a53 + s * a54) * h
-                for y_, p, q, r, s in zip(y, k1, k2, k3, k4)]))
-            k6 = rhs(t + h, tuple([
-                y_ + (p * a61 + q * a62 + r * a63 + s * a64 + u * a65) * h
-                for y_, p, q, r, s, u in zip(y, k1, k2, k3, k4, k5)]))
-            y_new = tuple([
-                y_ + h * (p * b1 + r * b3 + s * b4 + u * b5 + v * b6)
-                for y_, p, r, s, u, v in zip(y, k1, k3, k4, k5, k6)])
-            k7 = rhs(t + h, y_new)
+            y_new, stages = _stages(rhs, t, y, h, f)
             nfev += 6
             acc = 0.0
             try:
-                for y_, yn, p, r, s, u, v, w in zip(y, y_new, k1, k3, k4,
-                                                     k5, k6, k7):
+                for y_, yn, p, r, s, u, v, w in zip(y, y_new, *stages):
                     ay, an = abs(y_), abs(yn)
                     x = ((p * e1 + r * e3 + s * e4 + u * e5 + v * e6 + w * e7)
                          * h / (atol + (ay if ay > an else an) * rtol))
@@ -336,9 +407,9 @@ def _march(rhs, t0: float, y0: tuple, t_end: float, rtol: float,
             h_abs *= max(MIN_FACTOR, SAFETY * err ** _ERROR_EXPONENT)
             rejected = True
 
-        step = _Step(t, h, y, (k1, k3, k4, k5, k6, k7))
+        step = _Step(t, h, y, stages)
         steps.append(step)
-        t_old, t, y, f = t, t_new, y_new, k7
+        t_old, t, y, f = t, t_new, y_new, stages[-1]
         reason = "t_end" if direction * (t - t_end) >= 0.0 else None
         if events:
             g_new = [ev(t, y) for ev in events]
@@ -386,10 +457,6 @@ def integrate_flow(rhs, t0: float, y0: Sequence[float], t_end: float,
             raise DomainError(f"{name} must be finite, got {value!r}")
     if t_end == t0:
         raise DomainError("empty integration span")
-    if not (0.0 <= rtol < np.inf and 0.0 <= atol < np.inf):
-        # a NaN tolerance never lets the step control accept a step
-        raise DomainError(f"tolerances must be finite and nonnegative, got "
-                          f"rtol {rtol!r}, atol {atol!r}")
 
     def overflow(t, y):
         return max(map(abs, y)) - MAX_COMPONENT
@@ -407,7 +474,8 @@ def integrate_flow(rhs, t0: float, y0: Sequence[float], t_end: float,
               for i, ev in enumerate(events or ()) if getattr(ev, "terminal", 0)]
 
     ts, ys, steps, nfev, reason = _march(rhs, t0, y0, t_end,
-                                         max(rtol, 100 * _EPS), atol, stops)
+                                         _march_rtol(rtol, atol), atol, stops)
+    last_step = steps[-1].h if steps else math.nan
     if t_end < t0:
         ts.reverse()
         ys.reverse()
@@ -416,4 +484,80 @@ def integrate_flow(rhs, t0: float, y0: Sequence[float], t_end: float,
     return Trajectory(t=ts, states=ys, columns=columns, rtol=rtol, atol=atol,
                       blow_up=reason in _BLOW_UPS, stop_reason=reason,
                       n_steps=len(ts) - 1, n_rhs_evals=nfev,
-                      meta=meta or {}, interpolant=dense)
+                      last_step=last_step, meta=meta or {},
+                      interpolant=dense)
+
+
+def _first(bad: np.ndarray) -> int | None:
+    """Index of the first true entry of bad, None if there is none."""
+    return int(np.argmax(bad)) if bad.any() else None
+
+
+def replay(rhs, traj: Trajectory) -> Trajectory:
+    """traj with the dense output of the forward integrate_flow run that
+    produced it, rebuilt from its rows and last_step (module docstring).
+
+    rhs is the run's right-hand side; it must take a tuple of float64
+    arrays and round on them as it does on floats. Rows that are not the
+    march's, or steps it would not have taken, raise VerificationError.
+    """
+    rtol, atol, h_last = traj.rtol, traj.atol, traj.last_step
+    if traj.t.size < 2:
+        raise DomainError("a replay needs two rows or more")
+    if not (math.isfinite(h_last) and h_last > 0.0):
+        raise DomainError(f"replay needs the positive last_step of a "
+                          f"forward run, got {h_last!r}")
+    rtol = _march_rtol(rtol, atol)
+    e1, e3, e4, e5, e6, e7 = _E
+
+    t, rows = traj.t, traj.states.T
+    h = np.diff(t)
+    cut = h_last != h[-1]  # an event root ended the run inside its step
+    if h_last < h[-1]:
+        raise VerificationError(f"the last row lies beyond the last step "
+                                f"({h[-1]:.17g} > {h_last!r})")
+    h[-1] = h_last
+    t0, y = t[:-1], tuple(rows[:, :-1])
+    with np.errstate(all="ignore"):
+        # the march evaluates k1 of each step as k7 of the one before
+        k1 = rhs(np.concatenate((t[:1], t0[:-1] + h[:-1])), y)
+        y_new, stages = _stages(rhs, t0, y, h, k1)
+        acc = 0.0
+        for y_, yn, p, r, s, u, v, w in zip(y, y_new, *stages):
+            x = ((p * e1 + r * e3 + s * e4 + u * e5 + v * e6 + w * e7) * h
+                 / (atol + np.maximum(np.abs(y_), np.abs(yn)) * rtol))
+            acc = acc + x * x
+        err = np.sqrt(acc) / len(y) ** 0.5
+        factor = np.where(err == 0.0, MAX_FACTOR, np.minimum(
+            MAX_FACTOR, SAFETY * np.float_power(err, _ERROR_EXPONENT)))
+
+    bad = _first(~(err < 1.0))
+    if bad is not None:
+        raise VerificationError(f"the step from row {bad} fails the error "
+                                f"test (norm {err[bad]:.3g})")
+    steps = _ReplayedSteps(t0, h, rows[:, :-1], np.array(
+        [[np.broadcast_to(v, h.shape) for v in k] for k in stages]))
+    replayed, stored = np.array(y_new), rows[:, 1:]
+    if cut or np.any(replayed[:, -1] != stored[:, -1]):
+        # an event root stores the dense output at the root, which may be
+        # the end of its step
+        replayed[:, -1] = steps[-1](float(t[-1]))
+    bad = _first(np.any(replayed != stored, axis=0))
+    if bad is not None:
+        dev = np.max(np.abs(replayed[:, bad] - stored[:, bad])
+                     / np.maximum(np.abs(stored[:, bad]), 1e-30))
+        raise VerificationError(f"row {bad + 1} differs from the step "
+                                f"replayed from the row before (rel "
+                                f"{dev:.3e})")
+    # the march lengthens a step only to ten ulps of t, and t + h rounds
+    ulp = np.abs(np.nextafter(t0, np.inf) - t0)
+    ends = np.maximum(np.abs(t0), np.abs(t0 + h))
+    allowed = (np.maximum(np.abs(h[:-1]) * factor[:-1], 10.0 * ulp[1:])
+               + 2.0 * np.spacing(ends[1:]))
+    bad = _first(np.abs(h[1:]) > allowed)
+    if bad is not None:
+        raise VerificationError(
+            f"the step from row {bad + 1} is longer than the controller's "
+            f"proposal after the step before ({abs(h[bad + 1]):.17g} > "
+            f"{allowed[bad]:.17g})")
+    return replace(traj, interpolant=DenseOutput(t.tolist(), steps))

@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from keflow.bianchi import (ABCState, BianchiParams, CLOSED_FORM_CASES,
-                            ClosedFormConstants, abc_rhs, closed_form,
+                            ClosedFormConstants, _flow, abc_rhs, closed_form,
                             closed_form_derivative, closed_form_params,
                             heisenberg_invariants, integrate,
                             kahler_form_components, metric_components,
                             torus_metric_grid, trajectory_states)
 from keflow.curvature import einstein_residual, riemann_max
+from keflow.e2flow import E2_PARAMS
 from keflow.errors import DomainError
 from keflow.grids import Axis
 
@@ -117,3 +119,24 @@ def test_trajectory_meta_round_trip():
     traj = integrate(params, s0, 1.0, tol=1e-10)
     assert traj.meta["p3"] == 0.0
     assert traj.meta["alpha0"] == CONSTS.alpha
+
+
+_positive = st.floats(1e-3, 1e3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(states=st.lists(st.tuples(_positive, _positive, _positive),
+                       max_size=30),
+       seed=st.integers(0, 2 ** 32 - 1),
+       params=st.sampled_from([E2_PARAMS,
+                               closed_form_params("euclidean", CONSTS)]))
+def test_flow_on_arrays_rounds_as_on_floats(states, seed, params):
+    # odes.replay evaluates _flow on arrays and must reproduce the march,
+    # which evaluates it on floats; (ab)^2 rounds differently in about 1
+    # of 1,000 states when an array squares where a float calls pow
+    bulk = np.exp(np.random.default_rng(seed).uniform(-3.0, 3.0, (1000, 3)))
+    abc = np.concatenate([np.reshape(states, (-1, 3)), bulk])
+    columns = _flow(params, *abc.T)
+    for i, state in enumerate(abc.tolist()):
+        for column, value in zip(columns, _flow(params, *state)):
+            assert column[i].tobytes() == np.float64(value).tobytes()

@@ -1,11 +1,12 @@
 import json
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from keflow.bianchi import ClosedFormConstants, torus_metric_grid
-from keflow import manifest
+from keflow import e2flow, manifest, odes
 from keflow.cli import main
 from keflow.grids import Axis
 
@@ -87,13 +88,24 @@ def test_non_finite_integration_inputs_exit_1(tmp_path, capsys, args,
 
 def test_e2_shoot_stopped_at_its_start_exits_1(tmp_path, capsys):
     # atol = 0 with r starting at exactly 0 leaves no step that passes the
-    # error test; the parent hung here, scipy's RK45 retrying a NaN step
+    # error test (scipy's RK45 hangs there, retrying a NaN step); --tol 0
+    # is refused before anything runs
     capsys.readouterr()
     assert main(["--out-dir", str(tmp_path), "--tol", "0", "e2", "shoot",
                  "--start", "1,2,3"]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: diagnostics need two samples or more; "
-                          "the run stopped at its start (step_underflow)")
+    assert "Invalid value for '--tol'" in err
+
+
+@pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
+def test_tol_must_be_positive_and_finite(tmp_path, capsys, tol):
+    capsys.readouterr()
+    assert main(["--out-dir", str(tmp_path / "out"), "--tol", tol, "e2",
+                 "shoot"]) == 1
+    err = capsys.readouterr().err
+    assert "Invalid value for '--tol'" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("samples", ["0", "-3"])
@@ -142,6 +154,35 @@ def test_e2_bolt_from_csv(e2_run, tmp_path):
     assert (tmp_path / "bolt_profile.csv").exists()
 
 
+def test_e2_diagnose_matches_the_shoot_diagnostics(e2_run, tmp_path):
+    # the replayed dense output is the shoot's, so every figure agrees
+    assert main(["--out-dir", str(tmp_path), "e2", "diagnose",
+                 str(e2_run / "e2_trajectory.csv")]) == 0
+    diag = read_json(tmp_path / "e2_diagnostics.json")
+    assert diag.pop("monotone_all")
+    assert diag == read_json(e2_run / "e2_diagnostics.json")["diagnostics"]
+
+
+@pytest.mark.parametrize("command", ["diagnose", "bolt"])
+def test_e2_analyses_integrate_no_shoot(e2_run, tmp_path, monkeypatch,
+                                        command):
+    def refuse(*args, **kwargs):
+        raise AssertionError("shot again")
+
+    spans = []
+
+    def integrate_flow(rhs, t0, y0, t_end, *args, **kwargs):
+        spans.append((t0, t_end))
+        return odes.integrate_flow(rhs, t0, y0, t_end, *args, **kwargs)
+
+    monkeypatch.setattr(e2flow, "shoot_unstable", refuse)
+    monkeypatch.setattr(e2flow, "integrate_flow", integrate_flow)
+    assert main(["--out-dir", str(tmp_path), "e2", command,
+                 str(e2_run / "e2_trajectory.csv")]) == 0
+    # diagnose's backward tail leg is the only integration left
+    assert all(t_end < t0 for t0, t_end in spans)
+
+
 def _samples(edit):
     """CSV mutation applying edit to the sample rows after the column row."""
     def mutate(text):
@@ -161,8 +202,9 @@ def _samples(edit):
      "4 cells, 5 columns"),
     (_samples(lambda rows: [rows[1], rows[0]] + rows[2:]),
      "strictly increasing"),
-    (lambda text: "\n".join(ln if ln.startswith("#") else ln.rsplit(",", 1)[0]
-                            for ln in text.splitlines()),
+    (lambda text: "\n".join(
+        ln if ln.startswith("#") and not ln.startswith("# columns:")
+        else ln.rsplit(",", 1)[0] for ln in text.splitlines()),
      "are not those of 'e2 shoot' (t,a,b,c,r)"),
     (lambda text: text.replace("# rtol: 1e-12", "# rtol: abc"),
      "CSV line 2: could not convert"),
@@ -170,6 +212,15 @@ def _samples(edit):
      "malformed shoot metadata"),
     (lambda text: text.replace("# meta eps: 1e-05\n", ""),
      "malformed shoot metadata: KeyError('eps')"),
+    (lambda text: re.sub(r"# last_step: .*\n", "", text),
+     "no last_step header; write it again with 'e2 shoot'"),
+    (lambda text: text.replace("# rtol:", "# colour: red\n# rtol:"),
+     "CSV line 2: unknown header key 'colour'"),
+    (lambda text: text.replace("# columns: t,a,b,c,r", "# columns: t,a,c,b,r"),
+     "columns header 't,a,c,b,r' does not name the column row 't,a,b,c,r'"),
+    (lambda text: re.sub(r"# n_steps: (\d+)",
+                         lambda m: f"# n_steps: {int(m[1]) + 1}", text),
+     "n_steps 1516 but 1516 sample rows; n steps store n + 1 rows"),
 ])
 def test_e2_bad_csv_exit_1(e2_run, tmp_path, capsys, command, mutate,
                            message):
@@ -181,6 +232,69 @@ def test_e2_bad_csv_exit_1(e2_run, tmp_path, capsys, command, mutate,
     err = capsys.readouterr().err
     assert rc == 1
     assert err.startswith("error: ") and message in err, err
+
+
+def _drop_row(k):
+    """CSV mutation deleting sample row k and counting one step fewer."""
+    def mutate(text):
+        n = int(re.search(r"# n_steps: (\d+)", text)[1])
+        text = text.replace(f"# n_steps: {n}", f"# n_steps: {n - 1}")
+        return _samples(lambda rows: rows[:k] + rows[k + 1:])(text)
+    return mutate
+
+
+def _scale_row(k, factor):
+    def edit(rows):
+        t, *values = rows[k].split(",")
+        scaled = [repr(float(v) * factor) for v in values]
+        return rows[:k] + [",".join([t] + scaled)] + rows[k + 1:]
+    return _samples(edit)
+
+
+@pytest.mark.parametrize("command", ["diagnose", "bolt"])
+@pytest.mark.parametrize("mutate, message", [
+    (_scale_row(700, 1 + 1e-7),
+     "row 700 differs from the step replayed from the row before"),
+    # the merged step lands 3e-13 off the stored row, and its error norm
+    # is far above 1
+    (_drop_row(700), "the step from row 699 fails the error test"),
+    (lambda text: text.replace("# meta eps: 1e-05", "# meta eps: 2e-05"),
+     "the start row is not the shoot's start"),
+    (lambda text: text.replace("# atol: 1e-14", "# atol: 1e-10"),
+     "atol is not the shoot's rtol * 1e-2"),
+])
+def test_e2_stale_csv_exit_3(e2_run, tmp_path, capsys, command, mutate,
+                             message):
+    bad = tmp_path / "stale.csv"
+    bad.write_text(mutate((e2_run / "e2_trajectory.csv").read_text()))
+    capsys.readouterr()
+    rc = main(["--out-dir", str(tmp_path / "out"), "e2", command, str(bad)])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert message in err and "artifact stale?" in err, err
+
+
+@pytest.fixture(scope="module")
+def long_step_run(tmp_path_factory):
+    # a march with safety factor 0.95 instead of 0.9 takes steps up to 6 %
+    # longer than the controller proposes, each passing its error test
+    d = tmp_path_factory.mktemp("longstep")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(odes, "SAFETY", 0.95)
+        assert main(["--out-dir", str(d), "e2", "shoot"]) == 0
+    return d
+
+
+@pytest.mark.parametrize("command", ["diagnose", "bolt"])
+def test_e2_csv_with_long_steps_exit_3(long_step_run, tmp_path, capsys,
+                                       command):
+    capsys.readouterr()
+    rc = main(["--out-dir", str(tmp_path), "e2", command,
+               str(long_step_run / "e2_trajectory.csv")])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert "longer than the controller's proposal" in err, err
+    assert "artifact stale?" in err
 
 
 @pytest.fixture(scope="module")

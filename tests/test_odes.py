@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from keflow.errors import DomainError
 from keflow.odes import Trajectory, integrate_flow
@@ -146,3 +149,48 @@ def test_csv_golden_bytes():
     back = Trajectory.from_csv(GOLDEN_CSV.encode())
     assert back.to_csv() == GOLDEN_CSV
     assert back.blow_up and back.n_rhs_evals == 14 and back.meta == traj.meta
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+_names = st.sampled_from(["a", "b", "c", "r", "u", "v"])
+_meta_values = st.one_of(st.none(), st.booleans(), st.integers(), _finite,
+                         st.text(max_size=8), st.lists(_finite, max_size=3))
+
+
+@st.composite
+def trajectories(draw):
+    t = sorted(draw(st.sets(_finite, min_size=1, max_size=6)))
+    columns = tuple(draw(st.lists(_names, min_size=1, max_size=4,
+                                  unique=True)))
+    states = draw(st.lists(st.lists(_finite, min_size=len(columns),
+                                    max_size=len(columns)),
+                           min_size=len(t), max_size=len(t)))
+    tol = st.one_of(_finite, st.just(math.nan))
+    return Trajectory(
+        t=t, states=states, columns=columns, rtol=draw(tol), atol=draw(tol),
+        blow_up=draw(st.booleans()),
+        stop_reason=draw(st.sampled_from(["t_end", "event:b_max",
+                                          "step_underflow"])),
+        n_steps=len(t) - 1, n_rhs_evals=draw(st.integers(0, 10 ** 9)),
+        last_step=draw(tol),
+        meta=draw(st.dictionaries(st.from_regex(r"[a-z_]{1,6}", fullmatch=True),
+                                  _meta_values, max_size=4)))
+
+
+def _bits(x):
+    return np.asarray(x, dtype=np.float64).tobytes()
+
+
+@settings(max_examples=80, deadline=None)
+@given(traj=trajectories())
+def test_csv_round_trip_is_bit_exact(traj):
+    back = Trajectory.from_csv(traj.to_csv())
+    assert _bits(back.t) == _bits(traj.t)
+    assert _bits(back.states) == _bits(traj.states)
+    assert back.columns == traj.columns
+    for name in ("rtol", "atol", "last_step"):
+        assert _bits(getattr(back, name)) == _bits(getattr(traj, name))
+    for name in ("blow_up", "stop_reason", "n_steps", "n_rhs_evals"):
+        assert getattr(back, name) == getattr(traj, name)
+    # repr tells -0.0 from 0.0 and True from 1
+    assert repr(sorted(back.meta.items())) == repr(sorted(traj.meta.items()))
