@@ -17,12 +17,12 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .bianchi import BianchiParams, _flow
 from .errors import DomainError, VerificationError
 from .grids import Axis, MetricGrid, TwoFormGrid
-from .odes import Trajectory, integrate_flow, read_table, replay, write_table
+from .odes import (Trajectory, integrate_flow, read_table, replay, root,
+                   write_table)
 
 EQUILIBRIUM_SADDLE = "q0q"
 EQUILIBRIUM_DEGENERATE = "0q0"
@@ -221,8 +221,9 @@ def _t_at(traj: Trajectory, column: str, value: float) -> float:
     if not (v[0] <= value <= v[-1]):
         raise DomainError(f"{column} = {value} outside the trajectory range")
     idx = traj.columns.index(column)
-    return brentq(lambda t: float(traj.sample(t)[idx]) - value,
-                  traj.t[0], traj.t[-1])
+    # at brentq's default tolerances
+    return root(lambda t: float(traj.sample(t)[idx]) - value,
+                traj.t[0], traj.t[-1], 2e-12, 4 * np.finfo(float).eps)
 
 
 def _tail_gap(traj: Trajectory) -> float:

@@ -61,8 +61,13 @@ class Axis:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Axis":
-        return cls(name=d["name"], start=float(d["min"]), step=float(d["step"]),
+        axis = cls(name=d["name"], start=float(d["min"]), step=float(d["step"]),
                    count=int(d["count"]))
+        unknown = sorted(d.keys() - {"name", "min", "step", "count"})
+        if unknown:
+            raise GridError(
+                f"unknown axis key(s) {', '.join(map(repr, unknown))}")
+        return axis
 
 
 def _det(m: np.ndarray) -> np.ndarray:
@@ -136,11 +141,17 @@ def dump_artifact(kind: str, axes, arrays: dict, **fields) -> str:
     return json.dumps(doc, sort_keys=True, indent=1) + "\n"
 
 
+# the keys every grid artifact may carry besides its arrays
+_FIELDS = ("schema", "kind", "axes", "meta", "manifest", "dims")
+
+
 def load_artifact(text: str | bytes, kind: str, keys: tuple[str, ...],
-                  dims: tuple[int, ...] = (2,), rank: int = 0):
+                  dims: tuple[int, ...] = (2,), rank: int = 0,
+                  optional: tuple[str, ...] = ()):
     """Inverse of dump_artifact: (document, axes, arrays of `keys`), each
     array of node shape plus `rank` axes of length dim, for a document of
-    this schema, kind and a number of axes in `dims`; else GridError."""
+    this schema, kind and a number of axes in `dims` whose keys are
+    _FIELDS, `keys` and `optional`; else GridError."""
     try:
         doc = json.loads(text)
     except ValueError as exc:
@@ -151,6 +162,10 @@ def load_artifact(text: str | bytes, kind: str, keys: tuple[str, ...],
         raise GridError(f"unsupported schema {doc.get('schema')!r}")
     if doc.get("kind") != kind:
         raise GridError(f"expected kind {kind!r}, got {doc.get('kind')!r}")
+    unknown = sorted(doc.keys() - {*_FIELDS, *keys, *optional})
+    if unknown:
+        raise GridError(f"unknown key(s) {', '.join(map(repr, unknown))} in "
+                        f"{kind} document")
     try:
         axes = tuple(Axis.from_dict(a) for a in doc["axes"])
     except (KeyError, TypeError, ValueError) as exc:

@@ -29,7 +29,6 @@ import operator
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import RectBivariateSpline
 
 from .errors import CompatibilityError, DomainError, GridError
 from .grids import (Axis, MetricGrid, TwoFormGrid, central_diff,
@@ -217,7 +216,9 @@ def _metric_splines(g: MetricGrid):
     # quintic when the grid allows it: the interpolant is differentiated
     # twice downstream, where cubic error is not always negligible. An
     # exactly conformal grid (g_xy == 0, g_yy == g_xx at every node, exact
-    # as in grids.constant_axes) gets one spline, as (s, None, s)
+    # as in grids.constant_axes) gets one spline, as (s, None, s). scipy
+    # is imported here, its one use, so no other stage pays for loading it
+    from scipy.interpolate import RectBivariateSpline
     x, y = g.axes[0].nodes, g.axes[1].nodes
     kx = 5 if x.size > 5 else 3
     ky = 5 if y.size > 5 else 3
@@ -316,8 +317,9 @@ class CProfile:
 
     @classmethod
     def from_json(cls, text: str | bytes) -> "CProfile":
-        doc, axes, arrays = load_artifact(text, "c_profile",
-                                          ("c", "x_map", "y_map"))
+        doc, axes, arrays = load_artifact(
+            text, "c_profile", ("c", "x_map", "y_map"),
+            optional=("coverage", "truncated", "truncation_reason"))
         return cls(*axes, *arrays, coverage=doc.get("coverage", 1.0),
                    truncated=doc.get("truncated", False),
                    truncation_reason=doc.get("truncation_reason", ""),

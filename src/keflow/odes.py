@@ -18,7 +18,8 @@ error norm lands within that of 1.
 returns a sequence of floats. An event with a true `terminal` stops the
 run at its first crossing of zero in its `direction` (+1 rising, -1
 falling, 0 either), at the root of event(t, y(t)) on the step's dense
-output (brentq, xtol = rtol = 4 eps); other events cannot change the
+output, found by `root` (Brent's method as in scipy's brentq, ported and
+parity-tested) at xtol = rtol = 4 eps; other events cannot change the
 result and are not evaluated.
 
 Blow-up is a flagged early stop, not an exception: the run terminates
@@ -50,7 +51,6 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import DomainError, VerificationError
 
@@ -349,6 +349,67 @@ def _stages(rhs, t, y: tuple, h, k1) -> tuple:
     return y_new, (k1, k3, k4, k5, k6, k7)
 
 
+def root(f, a: float, b: float, xtol: float, rtol: float) -> float:
+    """A zero of f between a and b by Brent's method (Brent 1973, ch. 4),
+    scipy's brentq ported line for line: the same choice between inverse
+    quadratic or secant step and bisection, the same stop once
+    |sbis| < (xtol + rtol |x|)/2, at most 100 iterations. A bracket with no
+    sign change, a NaN value of f, or no convergence raises DomainError."""
+    xpre, xcur = float(a), float(b)
+    bracket = f"the root bracket [{xpre!r}, {xcur!r}]"
+
+    def value(x: float) -> float:
+        fx = f(x)
+        if math.isnan(fx):
+            raise DomainError(f"f({x!r}) is NaN on {bracket}")
+        return fx
+
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    # brentq compares sign bits, not the sign of fpre * fcur, which can
+    # underflow to 0
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise DomainError(f"f has no sign change on {bracket}: "
+                          f"f(a) = {fpre!r}, f(b) = {fcur!r}")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(100):
+        if (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        stry = math.inf  # bisect
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:  # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:  # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = (-fcur * (fblk * dblk - fpre * dpre)
+                            / (dblk * dpre * (fblk - fpre)))
+            except ZeroDivisionError:  # C's x/0 is infinite or NaN
+                pass
+        bound = 3 * abs(sbis) - delta
+        if 2 * abs(stry) < (abs(spre) if abs(spre) < bound else bound):
+            spre, scur = scur, stry  # good short step
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = value(xcur)
+    raise DomainError(f"no convergence on {bracket} after 100 iterations "
+                      f"(last x {xcur!r})")
+
+
 def _march_rtol(rtol: float, atol: float) -> float:
     """The rtol the march uses, once both tolerances are checked."""
     if not (0.0 <= rtol < np.inf and 0.0 <= atol < np.inf):
@@ -417,10 +478,10 @@ def _march(rhs, t0: float, y0: tuple, t_end: float, rtol: float,
             for i, (ev, d, _) in enumerate(stops):
                 a, b = g[i], g_new[i]
                 if (a <= 0.0 <= b and d >= 0.0) or (a >= 0.0 >= b and d <= 0.0):
-                    root = brentq(lambda s, ev=ev: ev(s, step(s)), t_old, t,
-                                  xtol=4 * _EPS, rtol=4 * _EPS)
-                    if first is None or direction * (root - first[0]) < 0.0:
-                        first = (root, i)
+                    x = root(lambda s, ev=ev: ev(s, step(s)), t_old, t,
+                             4 * _EPS, 4 * _EPS)
+                    if first is None or direction * (x - first[0]) < 0.0:
+                        first = (x, i)
             g = g_new
             if first is not None:
                 t, reason = first[0], stops[first[1]][2]

@@ -507,6 +507,18 @@ _LOADS = {"metric": ("met/metric.json", ["pde", "verify", "--metric"]),
      "'meta' must be a JSON object"),
     ("metric", lambda doc: json.dumps(dict(doc, manifest=[1])),
      "'manifest' must be a JSON object"),
+    # a key outside the kind's own is rejected, not ignored
+    ("spec", lambda doc: json.dumps(dict(doc, foo=1)),
+     "unknown key(s) 'foo' in leaf_spec document"),
+    ("profile", lambda doc: json.dumps(dict(doc, foo=1)),
+     "unknown key(s) 'foo' in c_profile document"),
+    ("metric", lambda doc: json.dumps(dict(doc, foo=1)),
+     "unknown key(s) 'foo' in metric_grid document"),
+    ("form", lambda doc: json.dumps(dict(doc, foo=1)),
+     "unknown key(s) 'foo' in two_form_grid document"),
+    ("metric", lambda doc: json.dumps(dict(doc, axes=[
+        dict(doc["axes"][0], foo=1)] + doc["axes"][1:])),
+     "unknown axis key(s) 'foo'"),
 ])
 def test_malformed_artifacts_exit_1(pde_run, tmp_path, capsys, artifact,
                                     mutate, message):

@@ -12,6 +12,7 @@ import pytest
 from scipy.interpolate import RectBivariateSpline
 
 from keflow import leafpde as lp
+from keflow.cli import main
 from keflow.curvature import (einstein_residual,
                               exterior_derivative_closedness,
                               gauss_curvature_2d)
@@ -90,10 +91,23 @@ def test_no_module_evaluates_code():
                 assert node.id not in ("eval", "exec", "compile"), path.name
 
 
+def _import_time_nodes(tree):
+    """The nodes of a module that run when it is imported: all but the
+    bodies of its functions."""
+    stack = list(tree.body)
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            stack.extend(ast.iter_child_nodes(node))
+
+
 def test_one_ode_integrator():
-    # odes.integrate_flow is the package's only ODE integrator
+    # odes.integrate_flow is the package's only ODE integrator, and no
+    # module imports scipy when it is itself imported
     for path in Path(lp.__file__).parent.glob("*.py"):
-        for node in ast.walk(ast.parse(path.read_text())):
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
             if isinstance(node, ast.Import):
                 names = [alias.name for alias in node.names]
             elif isinstance(node, ast.ImportFrom):
@@ -103,17 +117,67 @@ def test_one_ode_integrator():
             for name in names:
                 assert not name.startswith("scipy.integrate"), path.name
                 assert "solve_ivp" not in name.split("."), path.name
+        for node in _import_time_nodes(tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            for module in modules:
+                assert module.split(".")[0] != "scipy", (path.name, module)
 
 
-def test_cli_import_leaves_scipy_integrate_out():
+# every CLI stage but `pde profile`, run in one process through cli.main;
+# the profile it constructs from is made beforehand, in the test process
+COLD_STAGES = """
+import sys
+from keflow.cli import main
+
+prof = sys.argv[1]
+runs = [
+    ["bianchi", "solve", "--case", "euclidean", "--k", "1.2", "--w3", "0.8",
+     "--alpha", "0.3", "--t-start", "1.0", "--t-end", "2.0"],
+    ["bianchi", "solve", "--case", "torus", "--alpha-eq-ab", "--a0", "0.8",
+     "--b0", "0.75", "--t-start", "0.1", "--t-end", "1.0"],
+    ["e2", "shoot", "--q", "1.0", "--eps", "1e-5", "--b-max", "100"],
+    ["e2", "diagnose", "shoot/e2_trajectory.csv"],
+    ["e2", "bolt", "shoot/e2_trajectory.csv"],
+    ["pde", "leaf-build", "--h-expr", "x", "--domain", "0,1,1,2", "--n", "129"],
+    ["pde", "construct", "--profile", prof],
+    ["pde", "verify", "--metric", "met/metric.json", "--form",
+     "met/kahler.json", "--lam", "0"],
+]
+outs = ["euc", "torus", "shoot", "diag", "bolt", "spec", "met", "ver"]
+codes = [main(["--out-dir", out] + args) for out, args in zip(outs, runs)]
+print(codes, sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+
+
+def test_cli_import_leaves_scipy_integrate_out(tmp_path):
     src = str(Path(lp.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [src, os.environ.get("PYTHONPATH", "")])}
     out = subprocess.run(
         [sys.executable, "-c",
-         "import sys, keflow.cli; print('scipy.integrate' in sys.modules)"],
+         "import sys, keflow.cli; print('scipy.integrate' in sys.modules, "
+         "[m for m in sys.modules if m.split('.')[0] == 'scipy'])"],
         env=env, capture_output=True, text=True, timeout=60, check=True)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "False []"
+
+    # the stages themselves load no scipy module either
+    assert main(["--out-dir", str(tmp_path / "pre"), "pde", "leaf-build",
+                 "--h-expr", "x", "--domain", "0,1,1,2", "--n", "129"]) == 0
+    assert main(["--out-dir", str(tmp_path / "pre"), "pde", "profile",
+                 "--spec", str(tmp_path / "pre" / "leafspec.json"),
+                 "--step", "0.02", "--nx", "25", "--ny", "27",
+                 "--y-start", "1.1"]) == 0
+    out = subprocess.run(
+        [sys.executable, "-c", COLD_STAGES,
+         str(tmp_path / "pre" / "cprofile.json")],
+        env=env, cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[-1] == f"{[0] * 8} []", out.stderr
 
 
 def test_leaf_spec_checks_curvature():

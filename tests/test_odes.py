@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from keflow.errors import DomainError
-from keflow.odes import Trajectory, integrate_flow
+from keflow.odes import Trajectory, integrate_flow, root
 
 
 def test_exponential_decay_matches_exact():
@@ -98,6 +98,33 @@ def test_empty_span_rejected():
     with pytest.raises(DomainError):
         integrate_flow(lambda t, y: (-y[0],), 1.0, [1.0], 1.0, ("y",),
                        rtol=1e-8, atol=1e-10)
+
+
+# root's failures are DomainErrors, so the CLI maps them to exit 1
+EPS = float(np.finfo(float).eps)
+
+
+def test_root_without_sign_change_names_the_bracket():
+    with pytest.raises(DomainError, match=r"no sign change on the root "
+                       r"bracket \[-1.0, 1.0\]: f\(a\) = 2.0, f\(b\) = 2.0"):
+        root(lambda x: x * x + 1.0, -1.0, 1.0, 2e-12, 4 * EPS)
+
+
+def test_root_nan_value_names_the_bracket():
+    # the first secant step lands at 0.75, inside the NaN window
+    def f(x):
+        return math.nan if 0.7 < x < 0.8 else x - 0.75
+    with pytest.raises(DomainError, match=r"f\(0.75\) is NaN on the root "
+                       r"bracket \[0.0, 1.0\]"):
+        root(f, 0.0, 1.0, 2e-12, 4 * EPS)
+
+
+def test_root_without_convergence_names_the_bracket():
+    # a jump needs about 1,050 halvings of this bracket, not 100
+    with pytest.raises(DomainError, match=r"no convergence on the root "
+                       r"bracket \[-1e\+300, 1e\+300\] after 100 iterations"):
+        root(lambda x: -1.0 if x < 0.3 else 1.0, -1e300, 1e300, 2e-12,
+             4 * EPS)
 
 
 def test_csv_round_trip_is_exact():
