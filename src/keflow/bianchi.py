@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import DomainError
 from .frame_algebra import FrameCoefficients
-from .grids import Axis, MetricGrid
+from .grids import MIN_NODES_PER_AXIS, Axis, MetricGrid, TwoFormGrid
 from .odes import Trajectory, integrate_flow
 
 SQRT2 = math.sqrt(2.0)
@@ -44,6 +44,10 @@ class BianchiParams:
     alpha0: float | None = None
 
     def __post_init__(self) -> None:
+        values = (self.p1, self.p2, self.p3, self.lam, self.alpha0)
+        if not all(math.isfinite(v) for v in values if v is not None):
+            raise DomainError(f"p1, p2, p3, lam and alpha0 must be finite; "
+                              f"got {values}")
         if self.p3 == 0.0:
             if self.lam != 0.0:
                 raise DomainError(
@@ -192,15 +196,57 @@ def closed_form_derivative(case: str, consts: ClosedFormConstants,
     return (da, db, dc)
 
 
-def metric_components(params: BianchiParams, s: ABCState) -> tuple[float, float, float, float]:
-    """Diagonal metric coefficients ((abc)^2, a^2, b^2, c^2)."""
-    abc = s.a * s.b * s.c
-    return (abc * abc, s.a * s.a, s.b * s.b, s.c * s.c)
+# Invariant coframes by (p1, p2, p3): the group coordinates' names and the
+# rows E of s_i = sum_m E[i][m] dx^m at their nodes; d s_i = p_i s_j ^ s_k
+# for (i, j, k) cyclic.
+_COFRAMES = {
+    (0.0, 0.0, 0.0): (("x", "y", "z"), lambda x, y, z: (
+        (1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))),
+    # E(2): s1 = cos th dx + sin th dy, s2 = d th, s3 = -sin th dx + cos th dy
+    (1.0, 0.0, 1.0): (("x", "y", "theta"), lambda x, y, th: (
+        (np.cos(th), np.sin(th), 0.0), (0.0, 0.0, 1.0),
+        (-np.sin(th), np.cos(th), 0.0))),
+}
 
 
-def kahler_form_components(s: ABCState) -> tuple[float, float]:
-    """Coefficients (a b c^2, a b) of the closed 2-form along the flow."""
-    return (s.a * s.b * s.c * s.c, s.a * s.b)
+def type_a_grids(params: BianchiParams, abc, axes,
+                 manifest: dict | None = None) -> tuple[MetricGrid, TwoFormGrid]:
+    """The 4-metric g = (abc)^2 dt^2 + a^2 s1^2 + b^2 s2^2 + c^2 s3^2 and
+    the Kahler form w = a b c^2 dt ^ s3 + a b s1 ^ s2 on a (t, group) grid.
+
+    abc holds a, b, c at the nodes of axes[0], the t axis. axes[1:] are the
+    three group coordinates of the coframe of params' structure constants;
+    a None among them is a Killing direction sampled at MIN_NODES_PER_AXIS
+    nodes from 0 at the t spacing. Structure constants with no coframe here
+    raise DomainError.
+    """
+    key = (params.p1, params.p2, params.p3)
+    if key not in _COFRAMES:
+        raise DomainError(f"no invariant coframe for p = {key}; the type A "
+                          f"builder knows {sorted(_COFRAMES)}")
+    names, coframe = _COFRAMES[key]
+    t_axis = axes[0]
+    axes = (t_axis,) + tuple(
+        Axis(name, 0.0, t_axis.step, MIN_NODES_PER_AXIS) if ax is None else ax
+        for name, ax in zip(names, axes[1:]))
+    a, b, c = (np.asarray(v, dtype=np.float64).reshape(-1, 1, 1, 1)
+               for v in abc)
+    e = coframe(*(ax.nodes.reshape((-1,) + (1,) * (3 - m))
+                  for m, ax in enumerate(axes[1:], 1)))
+    shape = tuple(ax.count for ax in axes) + (4, 4)
+    g, w = np.zeros(shape), np.zeros(shape)
+    g[..., 0, 0] = (a * b * c) ** 2
+    squares, abc2, ab = (a ** 2, b ** 2, c ** 2), a * b * c * c, a * b
+    for m in range(3):
+        w[..., 0, m + 1] = abc2 * e[2][m]
+        for n in range(m, 3):
+            g[..., m + 1, n + 1] = g[..., n + 1, m + 1] = sum(
+                s * (row[m] * row[n]) for s, row in zip(squares, e))
+            if n > m:
+                w[..., m + 1, n + 1] = ab * (e[0][m] * e[1][n]
+                                             - e[0][n] * e[1][m])
+    return (MetricGrid(axes, g, manifest=manifest),
+            TwoFormGrid(axes, w - np.swapaxes(w, -1, -2), manifest=manifest))
 
 
 def torus_metric_grid(consts: ClosedFormConstants, t_axis: Axis,
@@ -209,25 +255,13 @@ def torus_metric_grid(consts: ClosedFormConstants, t_axis: Axis,
                       manifest: dict | None = None) -> MetricGrid:
     """Coordinate 4-metric of the torus family on a (t, x, y, z) grid.
 
-    The torus case has abelian structure constants, so the invariant coframe
-    is dx, dy, dz and the coordinate metric is the diagonal one. With
-    alpha = a0 b0 the metric is flat; that is what curvature checks probe.
+    With alpha = a0 b0 the metric is flat; that is what curvature checks
+    probe.
     """
-    if x_axis is None:
-        x_axis = Axis("x", 0.0, t_axis.step, 5)
-    if y_axis is None:
-        y_axis = Axis("y", 0.0, t_axis.step, 5)
-    if z_axis is None:
-        z_axis = Axis("z", 0.0, t_axis.step, 5)
-    c = np.array([closed_form("torus", consts, t).c for t in t_axis.nodes])
-    c = c[:, None, None, None]
-    shape = (t_axis.count, x_axis.count, y_axis.count, z_axis.count)
-    g = np.zeros(shape + (4, 4))
-    g[..., 0, 0] = (consts.a0 * consts.b0 * c) ** 2
-    g[..., 1, 1] = consts.a0 ** 2
-    g[..., 2, 2] = consts.b0 ** 2
-    g[..., 3, 3] = c ** 2
-    return MetricGrid((t_axis, x_axis, y_axis, z_axis), g, manifest=manifest)
+    abc = np.array([[s.a, s.b, s.c] for s in
+                    (closed_form("torus", consts, t) for t in t_axis.nodes)]).T
+    return type_a_grids(closed_form_params("torus", consts), abc,
+                        (t_axis, x_axis, y_axis, z_axis), manifest)[0]
 
 
 def heisenberg_invariants(s: ABCState) -> tuple[float, float]:

@@ -454,6 +454,7 @@ def pde_profile(ctx, spec_path, nx, ny, step, y_start, substeps):
 @click.option("--init", default="1,0,0,1", show_default=True,
               help="Frame initial data a,b,r,s at the window corner.")
 @click.option("--compat-threshold", type=float, default=None,
+              callback=_positive_finite,
               help="Abort if the mixed-partial residual exceeds this.")
 @click.pass_context
 def pde_construct(ctx, profile_path, init, compat_threshold):

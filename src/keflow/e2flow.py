@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bianchi import BianchiParams, _flow
+from .bianchi import BianchiParams, _flow, type_a_grids
 from .errors import DomainError, VerificationError
 from .grids import Axis, MetricGrid, TwoFormGrid
 from .odes import (Trajectory, integrate_flow, read_table, replay, root,
@@ -135,6 +135,8 @@ def shoot_unstable(q: float, eps: float | None = None,
     start, so r measures distance from the t -> -infinity end and r = 0
     there; for a custom start the seed is 0 (meta key r_origin says which).
     """
+    if b_max is not None and not 0.0 < b_max < math.inf:
+        raise DomainError(f"b_max must be positive and finite, got {b_max}")
     y0, eps, r_origin = _shoot_start(q, eps, start)
     events = []
     if b_max is not None:
@@ -503,58 +505,18 @@ def scaling_map(traj: Trajectory, k: float) -> Trajectory:
                       interpolant=interpolant)
 
 
-def _e2_samples(traj: Trajectory, t_axis: Axis, theta_axis: Axis,
-                x_axis: Axis | None, y_axis: Axis | None):
-    """Axes, node shape, and a, b, c, sin theta, cos theta shaped to
-    broadcast over the (t, x, y, theta) nodes."""
-    if x_axis is None:
-        x_axis = Axis("x", 0.0, t_axis.step, 5)
-    if y_axis is None:
-        y_axis = Axis("y", 0.0, t_axis.step, 5)
-    a, b, c = (v[:, None, None, None] for v in traj.sample(t_axis.nodes)[:3])
-    theta = theta_axis.nodes[None, None, None, :]
-    axes = (t_axis, x_axis, y_axis, theta_axis)
-    return (axes, tuple(ax.count for ax in axes), a, b, c,
-            np.sin(theta), np.cos(theta))
-
-
 def e2_metric_grid(traj: Trajectory, t_axis: Axis, theta_axis: Axis,
                    x_axis: Axis | None = None, y_axis: Axis | None = None,
                    manifest: dict | None = None) -> MetricGrid:
-    """Sample the 4-metric (t, x, y, theta) along the trajectory.
-
-    In the coframe adapted to the Euclidean group, the components depend on
-    (t, theta) only; x and y enter as flat directions, so their axes default
-    to small spans matching the t spacing.
-    """
-    axes, shape, a, b, c, sin, cos = _e2_samples(traj, t_axis, theta_axis,
-                                                 x_axis, y_axis)
-    g = np.zeros(shape + (4, 4))
-    g[..., 0, 0] = (a * b * c) ** 2
-    g[..., 1, 1] = a ** 2 * cos ** 2 + c ** 2 * sin ** 2
-    g[..., 2, 2] = a ** 2 * sin ** 2 + c ** 2 * cos ** 2
-    gxy = (a ** 2 - c ** 2) * sin * cos
-    g[..., 1, 2] = gxy
-    g[..., 2, 1] = gxy
-    g[..., 3, 3] = b ** 2
-    return MetricGrid(axes, g, manifest=manifest)
+    """The type A 4-metric on (t, x, y, theta) along the trajectory; its
+    components depend on (t, theta) only, x and y are Killing directions."""
+    return type_a_grids(E2_PARAMS, traj.sample(t_axis.nodes)[:3],
+                        (t_axis, x_axis, y_axis, theta_axis), manifest)[0]
 
 
 def e2_kahler_form_grid(traj: Trajectory, t_axis: Axis, theta_axis: Axis,
                         x_axis: Axis | None = None,
                         y_axis: Axis | None = None) -> TwoFormGrid:
     """The parallel 2-form in the same (t, x, y, theta) coordinates."""
-    axes, shape, a, b, c, sin, cos = _e2_samples(traj, t_axis, theta_axis,
-                                                 x_axis, y_axis)
-    w = np.zeros(shape + (4, 4))
-
-    def put(i, j, val):
-        w[..., i, j] = val
-        w[..., j, i] = -val
-
-    abc2 = a * b * c * c
-    put(0, 1, -abc2 * sin)
-    put(0, 2, abc2 * cos)
-    put(1, 3, a * b * cos)
-    put(2, 3, a * b * sin)
-    return TwoFormGrid(axes, w)
+    return type_a_grids(E2_PARAMS, traj.sample(t_axis.nodes)[:3],
+                        (t_axis, x_axis, y_axis, theta_axis))[1]

@@ -2,16 +2,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from keflow.bianchi import (ABCState, BianchiParams, CLOSED_FORM_CASES,
-                            ClosedFormConstants, _flow, abc_rhs, closed_form,
-                            closed_form_derivative, closed_form_params,
-                            heisenberg_invariants, integrate,
-                            kahler_form_components, metric_components,
-                            torus_metric_grid, trajectory_states)
-from keflow.curvature import einstein_residual, riemann_max
+from keflow.bianchi import (_COFRAMES, ABCState, BianchiParams,
+                            CLOSED_FORM_CASES, ClosedFormConstants, _flow,
+                            abc_rhs, closed_form, closed_form_derivative,
+                            closed_form_params, heisenberg_invariants,
+                            integrate, torus_metric_grid, trajectory_states,
+                            type_a_grids)
+from keflow.curvature import (convergence_order, einstein_residual,
+                              exterior_derivative_closedness, riemann_max)
 from keflow.e2flow import E2_PARAMS
 from keflow.errors import DomainError
-from keflow.grids import Axis
+from keflow.grids import Axis, central_diff
 
 CONSTS = ClosedFormConstants(k=1.2, w3=0.8, alpha=0.3, a0=1.1, b0=0.9, c0=1.3)
 WINDOWS = {"poincare": (0.375, 1.5), "torus": (-2.0, 2.0),
@@ -100,17 +101,83 @@ def test_torus_metric_flat_for_any_alpha():
     assert einstein_residual(g, 0.0) < 1e-5
 
 
-def test_metric_and_kahler_components():
-    s = ABCState(0.7, 1.1, 0.8, 1.3)
-    params = BianchiParams(1.0, 0.0, 1.0, lam=-1.0)
-    comps = metric_components(params, s)
-    vol = s.a * s.b * s.c
-    assert comps[0] == pytest.approx(vol * vol)
-    assert comps[1:] == (pytest.approx(s.a ** 2), pytest.approx(s.b ** 2),
-                         pytest.approx(s.c ** 2))
-    w = kahler_form_components(s)
-    assert w[0] == pytest.approx(vol * s.c)
-    assert w[1] == pytest.approx(s.a * s.b)
+def test_type_a_grids_at_one_node():
+    # in the coframe (dt, s1, s2, s3) the metric is diag((abc)^2, a^2, b^2,
+    # c^2) and the form has w_03 = a b c^2, w_12 = a b; the coordinate
+    # components are those matrices pulled back by the coframe rows
+    axes = (Axis("t", 0.2, 0.1, 5), Axis("x", -0.3, 0.2, 5),
+            Axis("y", 0.1, 0.2, 5), Axis("theta", 0.4, 0.3, 6))
+    abc = np.array([[1.1, 1.2, 0.9, 1.0, 1.3], [0.8, 0.7, 0.6, 0.5, 0.4],
+                    [1.3, 1.4, 1.5, 1.6, 1.7]])
+    g, w = type_a_grids(E2_PARAMS, abc, axes)
+    node = (3, 1, 4, 5)
+    a, b, c = abc[:, node[0]]
+    th = axes[3].nodes[node[3]]
+    frame = np.eye(4)
+    frame[1:, 1:] = [[np.cos(th), np.sin(th), 0.0], [0.0, 0.0, 1.0],
+                     [-np.sin(th), np.cos(th), 0.0]]
+    g_frame = np.diag([(a * b * c) ** 2, a * a, b * b, c * c])
+    w_frame = np.zeros((4, 4))
+    w_frame[0, 3], w_frame[1, 2] = a * b * c * c, a * b
+    w_frame -= w_frame.T
+    g_node, w_node = g.components[node], w.components[node]
+    assert np.allclose(g_node, frame.T @ g_frame @ frame, rtol=1e-14, atol=0)
+    assert np.allclose(w_node, frame.T @ w_frame @ frame, rtol=1e-14,
+                       atol=1e-15)
+    # Kahler: J = g^-1 w squares to -1
+    jmat = np.linalg.solve(g_node, w_node)
+    assert np.allclose(jmat @ jmat, -np.eye(4), atol=1e-13)
+
+
+@pytest.mark.parametrize("p", sorted(_COFRAMES))
+def test_coframe_structure_equations(p):
+    # d s_i = p_i s_j ^ s_k, (i, j, k) cyclic, by central differences on a
+    # 5^3 group grid: O(h^2) for E(2), exactly 0 for the abelian torus
+    names, coframe = _COFRAMES[p]
+
+    def worst(h):
+        nodes = np.meshgrid(*[0.3 + h * np.arange(5)] * 3, indexing="ij")
+        e = np.array([[np.broadcast_to(v, nodes[0].shape) for v in row]
+                      for row in coframe(*nodes)])
+        resid = 0.0
+        for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+            for m, n in ((0, 1), (0, 2), (1, 2)):
+                d_sigma = (central_diff(e[i, n], h, m)
+                           - central_diff(e[i, m], h, n))
+                wedge = e[j, m] * e[k, n] - e[j, n] * e[k, m]
+                term = (d_sigma - p[i] * wedge)[1:-1, 1:-1, 1:-1]
+                resid = max(resid, float(np.abs(term).max()))
+        return resid
+
+    hs = [4e-2, 2e-2, 1e-2]
+    resids = [worst(h) for h in hs]
+    if not any(p):
+        assert resids == [0.0, 0.0, 0.0]
+    else:
+        assert resids[-1] < 1e-4
+        assert 1.8 <= convergence_order(hs, resids).order <= 2.2
+
+
+def test_torus_form_is_exactly_closed():
+    consts = ClosedFormConstants(alpha=0.6, a0=0.8, b0=0.75)
+    t_axis = Axis("t", 0.1, 1e-3, 7)
+    abc = np.array([[s.a, s.b, s.c] for s in
+                    (closed_form("torus", consts, t) for t in t_axis.nodes)]).T
+    _, w = type_a_grids(closed_form_params("torus", consts), abc,
+                        (t_axis, None, None, None))
+    assert [ax.count for ax in w.axes] == [7, 5, 5, 5]
+    assert exterior_derivative_closedness(w) == 0.0
+
+
+@pytest.mark.parametrize("params", [
+    BianchiParams(1.0, 1.0, 1.0, lam=1.0),
+    BianchiParams(0.0, 0.0, 1.0, lam=-1.0),
+    BianchiParams(1.0, 1.0, 0.0, alpha0=0.3),
+])
+def test_type_a_grids_unknown_group(params):
+    with pytest.raises(DomainError, match="no invariant coframe"):
+        type_a_grids(params, np.ones((3, 7)),
+                     (Axis("t", 0.0, 1e-3, 7), None, None, None))
 
 
 def test_trajectory_meta_round_trip():

@@ -36,7 +36,10 @@ def test_bianchi_torus_flat_check(tmp_path):
     rep = read_json(tmp_path / "bianchi_report.json")
     assert rep["torus_flatness"]["flat"]
     assert rep["torus_flatness"]["max_riemann"] < 1e-6
-    assert (tmp_path / "torus_metric.json").exists()
+    # sha256 of the README torus artifact, which does not depend on the
+    # out-dir path; numpy 2.4.6
+    assert manifest.sha256_of(tmp_path / "torus_metric.json") == (
+        "0ec582845eebe9d3d65d1eb107fff6af59afe8dc6dba639098a70192e9bfc091")
 
 
 def test_bianchi_rejects_inconsistent_parameters(tmp_path):
@@ -45,6 +48,33 @@ def test_bianchi_rejects_inconsistent_parameters(tmp_path):
                "--p1", "1", "--p2", "1", "--p3", "0", "--lam", "-1",
                "--start", "1,1,1", "--t-end", "1"])
     assert rc == 1
+
+
+_TYPE_A = ["--p1", "1", "--p2", "0", "--p3", "1", "--lam", "-1",
+           "--start", "0,1,0.5,1", "--t-end", "1"]
+
+
+# non-finite parameters used to march until the step underflowed (exit 2)
+# and left a manifest.json with a bare NaN token, which is not JSON
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("option, base", [
+    ("--p1", _TYPE_A), ("--p2", _TYPE_A), ("--p3", _TYPE_A),
+    ("--lam", _TYPE_A),
+    ("--alpha", ["--p1", "1", "--p2", "1", "--p3", "0", "--start",
+                 "0,1,0.5,1", "--t-end", "1"]),
+])
+def test_bianchi_non_finite_parameters_exit_1(tmp_path, capsys, option,
+                                              base, value):
+    args = list(base)
+    if option in args:
+        args[args.index(option) + 1] = value
+    else:
+        args += [option, value]
+    capsys.readouterr()
+    assert main(["--out-dir", str(tmp_path), "bianchi", "solve"] + args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: p1, p2, p3, lam and alpha0 must be finite")
+    assert not (tmp_path / "manifest.json").exists()
 
 
 def test_bianchi_blow_up_exit_code(tmp_path):
@@ -84,6 +114,18 @@ def test_non_finite_integration_inputs_exit_1(tmp_path, capsys, args,
     assert main(["--out-dir", str(tmp_path)] + args) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {message}")
+
+
+# a nan b_max used to run until the step underflowed, a negative one to
+# t_max, both ending in exit 2
+@pytest.mark.parametrize("args", [["--b-max", "nan"],
+                                  ["--b-max", "-3", "--t-max", "5"]])
+def test_e2_shoot_bad_b_max_exits_1(tmp_path, capsys, args):
+    capsys.readouterr()
+    assert main(["--out-dir", str(tmp_path), "e2", "shoot"] + args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: b_max must be positive and finite")
+    assert not (tmp_path / "manifest.json").exists()
 
 
 def test_e2_shoot_stopped_at_its_start_exits_1(tmp_path, capsys):
@@ -397,6 +439,19 @@ def test_pde_construct_compat_threshold(pde_run, tmp_path):
     assert rc == 3
     rep = read_json(tmp_path / "construct_report.json")
     assert "error" in rep
+
+
+# these used to exit 3 as a verification failure and write a construct
+# report holding the error
+@pytest.mark.parametrize("threshold", ["nan", "-1"])
+def test_pde_construct_bad_compat_threshold_exits_1(pde_run, tmp_path,
+                                                    capsys, threshold):
+    capsys.readouterr()
+    assert main(["--out-dir", str(tmp_path), "pde", "construct",
+                 "--profile", str(pde_run / "prof" / "cprofile.json"),
+                 "--compat-threshold", threshold]) == 1
+    assert "Invalid value for '--compat-threshold'" in capsys.readouterr().err
+    assert not (tmp_path / "construct_report.json").exists()
 
 
 def test_pde_verify_sweep_on_exact_metric(tmp_path, capsys):

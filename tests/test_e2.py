@@ -194,6 +194,43 @@ def test_e2_metric_is_einstein(shoot100):
     assert 1.8 <= fit.order <= 2.2
 
 
+def test_e2_grids_match_the_literal_formulas(shoot100):
+    # the (t, x, y, theta) components written out by hand for the coframe
+    # cos th dx + sin th dy, d th, -sin th dx + cos th dy: bit for bit but
+    # g_xy, which the coframe sum rounds as a^2 cs - c^2 sc
+    tmid = shoot100.t[int(np.searchsorted(shoot100.column("b"), 1.0))]
+    for h in [4e-3, 2e-3, 1e-3]:
+        axes = (Axis("t", tmid - 3 * h, h, 7), Axis("theta", 0.7 - 3 * h, h, 7),
+                Axis("x", -2 * h, h, 5), Axis("y", -2 * h, h, 5))
+        g = e2.e2_metric_grid(shoot100, *axes).components
+        w = e2.e2_kahler_form_grid(shoot100, *axes).components
+        a, b, c = (v[:, None, None, None]
+                   for v in shoot100.sample(axes[0].nodes)[:3])
+        theta = axes[1].nodes[None, None, None, :]
+        sin, cos = np.sin(theta), np.cos(theta)
+        assert g.shape == w.shape == (7, 5, 5, 7, 4, 4)
+        assert np.array_equal(g[..., 0, 0], np.broadcast_to(
+            (a * b * c) ** 2, g.shape[:4]))
+        assert np.array_equal(g[..., 1, 1], np.broadcast_to(
+            a ** 2 * cos ** 2 + c ** 2 * sin ** 2, g.shape[:4]))
+        assert np.array_equal(g[..., 2, 2], np.broadcast_to(
+            a ** 2 * sin ** 2 + c ** 2 * cos ** 2, g.shape[:4]))
+        assert np.array_equal(g[..., 3, 3], np.broadcast_to(
+            b ** 2, g.shape[:4]))
+        gxy = (a ** 2 - c ** 2) * sin * cos
+        assert np.abs(g[..., 1, 2] - gxy).max() <= 4 * np.spacing(
+            np.abs(g).max())
+        abc2 = a * b * c * c
+        ref = np.zeros_like(w)
+        for i, j, val in ((0, 1, -abc2 * sin), (0, 2, abc2 * cos),
+                          (1, 3, a * b * cos), (2, 3, a * b * sin)):
+            ref[..., i, j] = val
+            ref[..., j, i] = -val
+        assert np.array_equal(w, ref)
+        for i, j in ((0, 1), (0, 2), (0, 3), (1, 3), (2, 3)):
+            assert not np.any(g[..., i, j]) and not np.any(g[..., j, i])
+
+
 def test_e2_kahler_form_closed(shoot100):
     # the residual is pure stencil truncation, so it must refine at order 2
     bvals = shoot100.column("b")
