@@ -64,8 +64,12 @@ class BianchiParams:
             return float(self.alpha0)
         ab = a * b
         # a float squares through libm's pow, an ndarray exactly;
-        # float_power is that pow, so arrays round as floats do
-        square = ab ** 2 if type(ab) is float else np.float_power(ab, 2.0)
+        # float_power is that pow, so arrays round as floats do, and it
+        # overflows to inf where a float's pow raises
+        try:
+            square = ab ** 2 if type(ab) is float else np.float_power(ab, 2.0)
+        except OverflowError:
+            square = math.inf
         return -(self.lam / self.p3) * square
 
 
@@ -209,16 +213,17 @@ _COFRAMES = {
 }
 
 
-def type_a_grids(params: BianchiParams, abc, axes,
+def type_a_grids(params: BianchiParams, abc, lapse, axes,
                  manifest: dict | None = None) -> tuple[MetricGrid, TwoFormGrid]:
-    """The 4-metric g = (abc)^2 dt^2 + a^2 s1^2 + b^2 s2^2 + c^2 s3^2 and
-    the Kahler form w = a b c^2 dt ^ s3 + a b s1 ^ s2 on a (t, group) grid.
+    """The 4-metric g = n^2 du^2 + a^2 s1^2 + b^2 s2^2 + c^2 s3^2 and the
+    Kahler form w = n c du ^ s3 + a b s1 ^ s2 on a (u, group) grid.
 
-    abc holds a, b, c at the nodes of axes[0], the t axis. axes[1:] are the
-    three group coordinates of the coframe of params' structure constants;
-    a None among them is a Killing direction sampled at MIN_NODES_PER_AXIS
-    nodes from 0 at the t spacing. Structure constants with no coframe here
-    raise DomainError.
+    abc holds a, b, c and lapse the lapse n at the nodes of axes[0], the u
+    axis: n = a b c in the flow time t, 1 in the arclength r. axes[1:] are
+    the group coordinates of the coframe of params' structure constants; a
+    None among them is a Killing direction sampled at MIN_NODES_PER_AXIS
+    nodes from 0 at the u spacing. Other structure constants raise
+    DomainError.
     """
     key = (params.p1, params.p2, params.p3)
     if key not in _COFRAMES:
@@ -229,16 +234,16 @@ def type_a_grids(params: BianchiParams, abc, axes,
     axes = (t_axis,) + tuple(
         Axis(name, 0.0, t_axis.step, MIN_NODES_PER_AXIS) if ax is None else ax
         for name, ax in zip(names, axes[1:]))
-    a, b, c = (np.asarray(v, dtype=np.float64).reshape(-1, 1, 1, 1)
-               for v in abc)
+    a, b, c, n = (np.asarray(v, dtype=np.float64).reshape(-1, 1, 1, 1)
+                  for v in (*abc, lapse))
     e = coframe(*(ax.nodes.reshape((-1,) + (1,) * (3 - m))
                   for m, ax in enumerate(axes[1:], 1)))
     shape = tuple(ax.count for ax in axes) + (4, 4)
     g, w = np.zeros(shape), np.zeros(shape)
-    g[..., 0, 0] = (a * b * c) ** 2
-    squares, abc2, ab = (a ** 2, b ** 2, c ** 2), a * b * c * c, a * b
+    g[..., 0, 0] = n ** 2
+    squares, nc, ab = (a ** 2, b ** 2, c ** 2), n * c, a * b
     for m in range(3):
-        w[..., 0, m + 1] = abc2 * e[2][m]
+        w[..., 0, m + 1] = nc * e[2][m]
         for n in range(m, 3):
             g[..., m + 1, n + 1] = g[..., n + 1, m + 1] = sum(
                 s * (row[m] * row[n]) for s, row in zip(squares, e))
@@ -261,6 +266,7 @@ def torus_metric_grid(consts: ClosedFormConstants, t_axis: Axis,
     abc = np.array([[s.a, s.b, s.c] for s in
                     (closed_form("torus", consts, t) for t in t_axis.nodes)]).T
     return type_a_grids(closed_form_params("torus", consts), abc,
+                        abc[0] * abc[1] * abc[2],
                         (t_axis, x_axis, y_axis, z_axis), manifest)[0]
 
 

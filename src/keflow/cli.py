@@ -93,8 +93,8 @@ def bianchi():
 @click.option("--p1", type=float, default=None, help="Structure sign p1.")
 @click.option("--p2", type=float, default=None, help="Structure sign p2.")
 @click.option("--p3", type=float, default=None, help="Structure sign p3.")
-@click.option("--lam", type=float, default=0.0, show_default=True,
-              help="Einstein constant (must be 0 when p3 = 0).")
+@click.option("--lam", type=float, default=None,
+              help="Einstein constant (must be 0 when p3 = 0) [default: 0].")
 @click.option("--alpha", type=float, default=None,
               help="Free constant of the p3 = 0 flow.")
 @click.option("--case", "case_name", type=click.Choice(bi.CLOSED_FORM_CASES),
@@ -126,6 +126,13 @@ def bianchi_solve(ctx, p1, p2, p3, lam, alpha, case_name, alpha_eq_ab,
 
     consts = None
     if case_name is not None:
+        dropped = [name for name, v in zip(
+            ("--p1", "--p2", "--p3", "--lam", "--start"),
+            (p1, p2, p3, lam, start)) if v is not None]
+        if dropped:
+            raise click.UsageError(f"{', '.join(dropped)} cannot be combined "
+                                   f"with --case, which sets the flow and "
+                                   f"its start")
         if alpha_eq_ab:
             if case_name != "torus":
                 raise click.UsageError("--alpha-eq-ab only applies to the torus case")
@@ -143,7 +150,7 @@ def bianchi_solve(ctx, p1, p2, p3, lam, alpha, case_name, alpha_eq_ab,
         if start is None or t_end is None:
             raise click.UsageError("without --case, --start and --t-end are required")
         tv, av, bv, cv = _parse_floats(start, 4, "--start")
-        params = bi.BianchiParams(p1, p2, p3, lam=lam, alpha0=alpha)
+        params = bi.BianchiParams(p1, p2, p3, lam=lam or 0.0, alpha0=alpha)
         s0 = bi.ABCState(t=tv, a=av, b=bv, c=cv)
         t_stop = t_end
 
@@ -231,26 +238,27 @@ def e2grp():
               help="Displacement along the unstable direction [default q*1e-5].")
 @click.option("--b-max", type=float, default=100.0, show_default=True,
               help="Stop once b reaches this value.")
-@click.option("--t-max", type=float, default=500.0, show_default=True)
+@click.option("--r-max", type=float, default=100.0, show_default=True,
+              help="End of the arclength span.")
 @click.option("--start", default=None,
               help="Custom start a,b,c instead of the unstable tail.")
 @click.pass_context
-def e2_shoot(ctx, q, eps, b_max, t_max, start):
+def e2_shoot(ctx, q, eps, b_max, r_max, start):
     """Shoot from the saddle tail and record trajectory + diagnostics."""
     tol = ctx.obj["tol"] if ctx.obj["tol"] is not None else 1e-12
     start_state = _parse_floats(start, 3, "--start") if start else None
     mf = RunManifest("e2 shoot",
-                     {"q": q, "eps": eps, "b_max": b_max, "t_max": t_max,
+                     {"q": q, "eps": eps, "b_max": b_max, "r_max": r_max,
                       "start": list(start_state) if start_state else None},
                      {"integrator_tol": tol})
     out = ctx.obj["out_dir"]
 
-    traj = e2.shoot_unstable(q, eps=eps, b_max=b_max, t_max=t_max, tol=tol,
+    traj = e2.shoot_unstable(q, eps=eps, b_max=b_max, r_max=r_max, tol=tol,
                              start=start_state)
     mf.write_text(traj.to_csv(), out / "e2_trajectory.csv")
     diag = e2.diagnose(traj)
     mf.write_json({"stop_reason": traj.stop_reason, "blow_up": traj.blow_up,
-                   "n_steps": traj.n_steps, "t_final": float(traj.t[-1]),
+                   "n_steps": traj.n_steps, "r_final": float(traj.t[-1]),
                    "final_state": [float(v) for v in traj.states[-1]],
                    "diagnostics": diag.to_dict()},
                   out / "e2_diagnostics.json")

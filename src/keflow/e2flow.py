@@ -2,19 +2,21 @@
 
 The flow is the type A flow bianchi._flow at E2_PARAMS: p = (1, 0, 1),
 lam = -1. The equilibrium (q, 0, q) has a one-dimensional unstable manifold
-along (0, 1, 0); shooting from (q, eps, q) tracks it. Diagnostics check the
-trapping region 0 <= c^2 - a^2 <= 2 a^2 b^2, monotone products, the
-nullcline bound a/c >= 1/sqrt(1+b^2), and the two distance statements:
-finite arclength back toward the equilibrium and logarithmic-in-b growth
-forward. Arclength from the t -> -infinity end uses the asymptotics a ~ q,
-b ~ k e^{q^2 t}, c ~ q, whose tail integral of a b c is a b c / q^2 at the
-cutoff.
+along (0, 1, 0); shooting from (q, eps, q) tracks it, in the arclength r
+(dr = a b c dt, so the 4-metric's dt term is dr^2), in which the flow does
+not blow up: d(a, b, c, t)/dr = (f(a, b, c), 1) / (a b c). r is measured
+from the bolt, the t -> -infinity end; the asymptotics a ~ q,
+b ~ k e^{q^2 t}, c ~ q put the tail integral of a b c dt at a b c / q^2,
+so the shoot starts at r = eps. Diagnostics check the trapping region
+0 <= c^2 - a^2 <= 2 a^2 b^2, monotone products, the nullcline bound
+a/c >= 1/sqrt(1+b^2), and the two distance statements: finite arclength
+back toward the equilibrium and logarithmic-in-b growth forward.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -35,10 +37,12 @@ NULLCLINE_SLACK = 1e-8
 TRANSIENT_DROP = 1e-6
 
 
-def _shoot_rhs(t, y):
-    """The E(2) flow with the arclength column, r' = a b c."""
+def _shoot_rhs(r, y):
+    """The E(2) flow in arclength r, with t as a column."""
     a, b, c, _ = y
-    return (*_flow(E2_PARAMS, a, b, c), a * b * c)
+    da, db, dc = _flow(E2_PARAMS, a, b, c)
+    abc = a * b * c
+    return (da / abc, db / abc, dc / abc, 1.0 / abc)
 
 
 def e2_jacobian(a: float, b: float, c: float) -> np.ndarray:
@@ -103,8 +107,8 @@ def classify_start(a: float, b: float, c: float) -> str:
 
 def _shoot_start(q: float, eps: float | None,
                  start: tuple[float, float, float] | None):
-    """shoot_unstable's first state (a, b, c, r) at t = 0, its eps and its
-    r_origin ("tail" on the unstable curve, "start" for a custom start)."""
+    """shoot_unstable's first r and state (a, b, c, t = 0), its eps and its
+    r_origin: "tail" (r = eps on the unstable curve) or "start" (r = 0)."""
     if q <= 0.0:
         raise DomainError("q must be positive")
     if eps is None:
@@ -112,43 +116,45 @@ def _shoot_start(q: float, eps: float | None,
     if eps <= 0.0:
         raise DomainError("eps must be positive")
     if start is None:
-        return (q, eps, q, q * eps * q / (q * q)), eps, "tail"
+        return eps, (q, eps, q, 0.0), eps, "tail"
     abc0 = tuple(float(v) for v in start)
     if min(abc0) <= 0.0:
         raise DomainError("custom start must have positive components")
-    return abc0 + (0.0,), eps, "start"
+    return 0.0, abc0 + (0.0,), eps, "start"
 
 
 def shoot_unstable(q: float, eps: float | None = None,
-                   b_max: float | None = 100.0, t_max: float = 500.0,
+                   b_max: float | None = 100.0, r_max: float = 100.0,
                    tol: float = 1e-12,
                    start: tuple[float, float, float] | None = None) -> Trajectory:
-    """Integrate from (q, eps, q) (or a custom start) until b reaches b_max.
+    """Integrate in arclength r from (q, eps, q) at r = eps (or a custom
+    start at r = 0) until b reaches b_max, which must lie above the
+    start's b.
 
-    The time origin is t = 0 at the start, which pins the asymptotic
-    constant k = eps in b ~ k e^{q^2 t}. Blow-up against t_max without
-    reaching b_max is flagged on the trajectory.
-
-    A fourth column r carries arclength along the transverse direction,
-    r' = a b c, integrated with the same step control as the flow. On the
-    unstable curve it is seeded with the tail value a b c / q^2 at the
-    start, so r measures distance from the t -> -infinity end and r = 0
-    there; for a custom start the seed is 0 (meta key r_origin says which).
+    The trajectory's variable is r and its columns are a, b, c and t. The
+    time origin is t = 0 at the start, which pins the asymptotic constant
+    k = eps in b ~ k e^{q^2 t}. Overflow against r_max without reaching
+    b_max is flagged on the trajectory; meta key r_origin says whether r is
+    the distance from the bolt ("tail") or from a custom start ("start").
     """
     if b_max is not None and not 0.0 < b_max < math.inf:
         raise DomainError(f"b_max must be positive and finite, got {b_max}")
-    y0, eps, r_origin = _shoot_start(q, eps, start)
+    r0, y0, eps, r_origin = _shoot_start(q, eps, start)
     events = []
     if b_max is not None:
-        def hit_b(t, y, _b=b_max):
+        if b_max <= y0[1] < math.inf:
+            raise DomainError(f"b_max {b_max!r} must lie above the start's "
+                              f"b = {y0[1]!r}")
+
+        def hit_b(r, y, _b=b_max):
             return y[1] - _b
         hit_b.terminal = True
         hit_b.direction = 1.0
         hit_b.name = "b_max"
         events.append(hit_b)
 
-    return integrate_flow(_shoot_rhs, 0.0, y0, t_max,
-                          columns=("a", "b", "c", "r"),
+    return integrate_flow(_shoot_rhs, r0, y0, r_max,
+                          columns=("a", "b", "c", "t"), variable="r",
                           rtol=tol, atol=tol * 1e-2, events=events,
                           positive_components=(0, 1, 2),
                           meta={"q": q, "eps": eps, "k": eps,
@@ -166,9 +172,10 @@ def replay_shoot(traj: Trajectory) -> Trajectory:
     since, raises VerificationError ("artifact stale?"). Missing or
     malformed metadata raises DomainError.
     """
-    if traj.columns != ("a", "b", "c", "r"):
-        raise DomainError(f"trajectory columns t,{','.join(traj.columns)} "
-                          f"are not those of 'e2 shoot' (t,a,b,c,r)")
+    names = ",".join((traj.variable,) + traj.columns)
+    if names != "r,a,b,c,t":
+        raise DomainError(f"trajectory columns {names} are not those of "
+                          f"'e2 shoot' (r,a,b,c,t)")
     meta = traj.meta
     if "q" not in meta or "b_max" not in meta:
         raise DomainError("trajectory lacks shoot metadata; "
@@ -178,11 +185,11 @@ def replay_shoot(traj: Trajectory) -> Trajectory:
                           "again with 'e2 shoot', which records it")
     try:
         start = None if meta.get("r_origin") == "tail" else meta["start"]
-        y0 = _shoot_start(meta["q"], meta["eps"], start)[0]
+        r0, y0 = _shoot_start(meta["q"], meta["eps"], start)[:2]
     except (KeyError, TypeError, ValueError) as exc:
         raise DomainError(f"malformed shoot metadata: {exc!r}") from None
     try:
-        if traj.t[0] != 0.0 or tuple(traj.states[0].tolist()) != y0:
+        if traj.t[0] != r0 or tuple(traj.states[0].tolist()) != y0:
             raise VerificationError("the start row is not the shoot's start "
                                     "for the stored q, eps and start")
         if traj.atol != traj.rtol * 1e-2:
@@ -192,61 +199,41 @@ def replay_shoot(traj: Trajectory) -> Trajectory:
         raise VerificationError(f"{exc}; artifact stale?") from None
 
 
-# ---------------------------------------------------------------------------
-# Arclength bookkeeping. The r column of shoot_unstable integrates
-# r' = a b c alongside the flow, measured from the t -> -infinity end, so
-# r = 0 at the bolt end and r(0) = eps exactly on the unstable curve (a c
-# = q^2 at the start and the tail integral collapses to a b c / q^2).
-
-def _arclength(traj: Trajectory):
-    """Dense r(t) of a shoot_unstable trajectory; returns (r_of_t, r0)."""
-    if "r" not in traj.columns:
-        raise DomainError("trajectory has no arclength column; reshoot")
-    if traj.interpolant is None:
-        raise DomainError("arclength needs dense output (CSV round trip?)")
-    idx = traj.columns.index("r")
-
-    def r_of_t(t):
-        return float(traj.sample(t)[idx])
-
-    return r_of_t, float(traj.states[0, idx])
-
-
-def _t_at(traj: Trajectory, column: str, value: float) -> float:
-    """Time at which the increasing `column` of traj equals value. A shoot
-    stopped by its b_max event crosses b_max at t[-1], whichever side of
-    b_max the stored b[-1] landed on (near blow-up it may land on either)."""
-    if (column == "b" and traj.stop_reason == "event:b_max"
-            and value == traj.meta.get("b_max")):
+def _r_at_b(traj: Trajectory, value: float) -> float:
+    """r at which b, increasing along traj, equals value. A shoot stopped
+    by its b_max event crosses b_max at r[-1], whichever side of b_max the
+    stored b[-1] landed on (it may land an ulp or two either side)."""
+    if traj.stop_reason == "event:b_max" and value == traj.meta.get("b_max"):
         return float(traj.t[-1])
-    v = traj.column(column)
-    if not (v[0] <= value <= v[-1]):
-        raise DomainError(f"{column} = {value} outside the trajectory range")
-    idx = traj.columns.index(column)
+    b = traj.column("b")
+    if not (b[0] <= value <= b[-1]):
+        raise DomainError(f"b = {value} outside the trajectory range")
     # at brentq's default tolerances
-    return root(lambda t: float(traj.sample(t)[idx]) - value,
+    return root(lambda r: float(traj.sample(r)[1]) - value,
                 traj.t[0], traj.t[-1], 2e-12, 4 * np.finfo(float).eps)
 
 
 def _tail_gap(traj: Trajectory) -> float:
-    """Cauchy gap between two arclength tail estimates (cutoff b0 vs b0/10)."""
+    """Cauchy gap between two arclength tail estimates (cutoff b0 vs b0/10):
+    |r - r_bolt - a b c / q^2| at b0/10, r_bolt = r0 - a0 b0 c0 / q^2 being
+    the start's estimate of the bolt's r (0 to rounding on a tail shoot)."""
     q = traj.meta["q"]
-    a0, b0, c0 = traj.states[0, :3]
-    est1 = a0 * b0 * c0 / (q * q)
+    r0, (a0, b0, c0, t0) = float(traj.t[0]), traj.states[0]
+    r_bolt = r0 - a0 * b0 * c0 / (q * q)
 
-    def cut(t, y, _b=b0 / 10.0):
+    def cut(r, y, _b=b0 / 10.0):
         return y[1] - _b
     cut.terminal = True
     cut.direction = -1.0
     cut.name = "cut"
 
-    back = integrate_flow(_shoot_rhs, traj.t[0], (a0, b0, c0, 0.0),
-                          traj.t[0] - 200.0, columns=("a", "b", "c", "r"),
+    back = integrate_flow(_shoot_rhs, r0, (a0, b0, c0, t0), r_bolt,
+                          columns=traj.columns, variable=traj.variable,
                           rtol=1e-12, atol=1e-20, events=[cut])
     if back.stop_reason != "event:cut":
         raise DomainError("backward leg did not reach the b0/10 cutoff")
-    ac, bc_, cc, rneg = back.states[0]
-    return abs(est1 - (ac * bc_ * cc / (q * q) - rneg))
+    ac, bc_, cc, _ = back.states[0]
+    return abs(back.t[0] - r_bolt - ac * bc_ * cc / (q * q))
 
 
 @dataclass
@@ -323,17 +310,15 @@ def diagnose(traj: Trajectory) -> E2Diagnostics:
         else:
             dist = a[0] * b[0] * c[0] / (q * q)
             tail_gap = _tail_gap(traj)
-        r_of_t, r0 = _arclength(traj)
         b_end = b[-1]
         if b_end < 100.0 * b[0]:
             inconclusive = True
             notes.append("trajectory spans fewer than two b-decades")
         else:
-            r_end = r_of_t(traj.t[-1])
-            r_mid = r_of_t(_t_at(traj, "b", b_end / 10.0))
-            slope = (r_end - r_mid) / math.log(10.0)
+            r_mid = _r_at_b(traj, b_end / 10.0)
+            slope = (traj.t[-1] - r_mid) / math.log(10.0)
             if b_end >= 1000.0 * b[0]:
-                r_low = r_of_t(_t_at(traj, "b", b_end / 100.0))
+                r_low = _r_at_b(traj, b_end / 100.0)
                 decades = ((r_mid - r_low) / math.log(10.0), slope)
 
     return E2Diagnostics(
@@ -347,8 +332,7 @@ def diagnose(traj: Trajectory) -> E2Diagnostics:
 
 def distance_between_b_slices(traj: Trajectory, b_lo: float, b_hi: float) -> float:
     """Arclength between the first crossings of b = b_lo and b = b_hi."""
-    r_of_t, _ = _arclength(traj)
-    return r_of_t(_t_at(traj, "b", b_hi)) - r_of_t(_t_at(traj, "b", b_lo))
+    return _r_at_b(traj, b_hi) - _r_at_b(traj, b_lo)
 
 
 @dataclass
@@ -384,7 +368,7 @@ class BoltProfile:
 
 
 def bolt_profile(traj: Trajectory, r_max: float = 0.4, n: int = 200) -> BoltProfile:
-    """Reparametrize a shoot by arclength r measured from the bolt.
+    """A tail shoot sampled in its arclength r, measured from the bolt.
 
     Samples are log-spaced in r between the start value (= eps on the
     unstable curve) and r_max; n >= 2 and r_max must lie strictly between
@@ -392,25 +376,17 @@ def bolt_profile(traj: Trajectory, r_max: float = 0.4, n: int = 200) -> BoltProf
     """
     if n < 2:
         raise DomainError(f"bolt profile needs n >= 2 samples, got {n}")
-    r_of_t, r0 = _arclength(traj)
-    r_span_end = r_of_t(traj.t[-1])
-    if not (r0 < r_max < r_span_end):
-        raise DomainError(f"r_max {r_max} outside ({r0}, {r_span_end}), the "
+    r0, r_end = traj.t[0], traj.t[-1]
+    if not (r0 < r_max < r_end):
+        raise DomainError(f"r_max {r_max} outside ({r0}, {r_end}), the "
                           f"start radius and the trajectory arclength")
 
-    def interpolant(rq):
-        rq = np.asarray(rq, dtype=np.float64)
-        flat = np.atleast_1d(rq)
-        out = np.array([traj.sample(_t_at(traj, "r", float(rv)))[:3]
-                        for rv in flat]).T
-        return out.reshape((3,) + rq.shape)
-
-    targets = np.geomspace(r0, r_max, n)
-    a, b, c = interpolant(targets)
+    r = np.geomspace(r0, r_max, n)
+    a, b, c = traj.sample(r)[:3]
     meta = dict(traj.meta)
     meta["r_origin"] = "arclength from the t -> -infinity end"
-    return BoltProfile(r=targets, a=a, b=b, c=c, meta=meta,
-                       interpolant=interpolant)
+    return BoltProfile(r=r, a=a, b=b, c=c, meta=meta,
+                       interpolant=lambda r: traj.sample(r)[:3])
 
 
 @dataclass(frozen=True)
@@ -477,46 +453,44 @@ def bolt_smoothness(profile: BoltProfile, r0: float | None = None) -> BoltSmooth
 
 
 def scaling_map(traj: Trajectory, k: float) -> Trajectory:
-    """The symmetry (a, b, c)(t) -> (k a(k^2 t), b(k^2 t), k c(k^2 t))."""
+    """The symmetry (a, b, c)(t) -> (k a(k^2 t), b(k^2 t), k c(k^2 t)) on a
+    shoot in r: r is invariant, so at each r the a and c columns scale by
+    k and the t column by 1/k^2."""
     if k <= 0.0:
         raise DomainError("scaling factor must be positive")
-    k2 = k * k
-    states = traj.states.copy()
-    states[:, 0] *= k
-    states[:, 2] *= k
+
+    def scale(y):
+        y = np.array(y)
+        y[0] *= k
+        y[2] *= k
+        y[3] /= k * k
+        return y
+
     meta = dict(traj.meta)
     if "q" in meta:
         meta["q"] = meta["q"] * k
     base = traj.interpolant
-
-    interpolant = None
-    if base is not None:
-        def interpolant(tq, _b=base, _k=k, _k2=k2):
-            y = np.asarray(_b(np.asarray(tq) * _k2))
-            y = y.copy()
-            y[0] *= _k
-            y[2] *= _k
-            return y
-
-    return Trajectory(t=traj.t / k2, states=states, columns=traj.columns,
-                      rtol=traj.rtol, atol=traj.atol, blow_up=traj.blow_up,
-                      stop_reason=traj.stop_reason, n_steps=traj.n_steps,
-                      n_rhs_evals=traj.n_rhs_evals, meta=meta,
-                      interpolant=interpolant)
+    return replace(traj, states=scale(traj.states.T).T, meta=meta,
+                   interpolant=None if base is None else
+                   (lambda r: scale(base(r))))
 
 
-def e2_metric_grid(traj: Trajectory, t_axis: Axis, theta_axis: Axis,
+def e2_metric_grid(traj: Trajectory, r_axis: Axis, theta_axis: Axis,
                    x_axis: Axis | None = None, y_axis: Axis | None = None,
                    manifest: dict | None = None) -> MetricGrid:
-    """The type A 4-metric on (t, x, y, theta) along the trajectory; its
-    components depend on (t, theta) only, x and y are Killing directions."""
-    return type_a_grids(E2_PARAMS, traj.sample(t_axis.nodes)[:3],
-                        (t_axis, x_axis, y_axis, theta_axis), manifest)[0]
+    """The type A 4-metric dr^2 + a^2 s1^2 + b^2 s2^2 + c^2 s3^2 on
+    (r, x, y, theta) along the shoot; its components depend on (r, theta)
+    only, x and y are Killing directions."""
+    return type_a_grids(E2_PARAMS, traj.sample(r_axis.nodes)[:3],
+                        np.ones(r_axis.count),
+                        (r_axis, x_axis, y_axis, theta_axis), manifest)[0]
 
 
-def e2_kahler_form_grid(traj: Trajectory, t_axis: Axis, theta_axis: Axis,
+def e2_kahler_form_grid(traj: Trajectory, r_axis: Axis, theta_axis: Axis,
                         x_axis: Axis | None = None,
                         y_axis: Axis | None = None) -> TwoFormGrid:
-    """The parallel 2-form in the same (t, x, y, theta) coordinates."""
-    return type_a_grids(E2_PARAMS, traj.sample(t_axis.nodes)[:3],
-                        (t_axis, x_axis, y_axis, theta_axis))[1]
+    """The parallel 2-form c dr ^ s3 + a b s1 ^ s2 in the same
+    (r, x, y, theta) coordinates."""
+    return type_a_grids(E2_PARAMS, traj.sample(r_axis.nodes)[:3],
+                        np.ones(r_axis.count),
+                        (r_axis, x_axis, y_axis, theta_axis))[1]

@@ -94,8 +94,9 @@ _CSV_FIELDS = {"rtol": float, "atol": float, "blow_up": lambda v: bool(int(v)),
 
 @dataclass
 class Trajectory:
-    """Samples of an ODE solution at the accepted integration steps;
-    last_step is the full length of the march's final step (NaN when
+    """Samples of an ODE solution at the accepted integration steps; t
+    holds the values of the independent variable, named `variable` in the
+    CSV, and last_step the full length of the march's final step (NaN when
     unknown)."""
 
     t: np.ndarray
@@ -103,6 +104,7 @@ class Trajectory:
     columns: tuple[str, ...]
     rtol: float
     atol: float
+    variable: str = "t"
     blow_up: bool = False
     stop_reason: str = "t_end"
     n_steps: int = 0
@@ -116,36 +118,35 @@ class Trajectory:
         self.states = np.asarray(self.states, dtype=np.float64)
         if self.t.ndim != 1 or self.states.shape != (self.t.size, len(self.columns)):
             raise DomainError("inconsistent trajectory shapes")
+        if self.variable in self.columns:  # the CSV would be ambiguous
+            raise DomainError(f"the independent variable {self.variable!r} "
+                              f"is also a column of {self.columns}")
         if not np.all(np.diff(self.t) > 0.0):
-            raise DomainError("sample times must be strictly increasing")
+            raise DomainError(f"{self.variable} must be strictly increasing")
 
     def column(self, name: str) -> np.ndarray:
         return self.states[:, self.columns.index(name)]
 
     def sample(self, t) -> np.ndarray:
-        """Dense-output states at times t, shape (len(columns),) + t.shape."""
+        """Dense-output states at t, shape (len(columns),) + t.shape."""
         if self.interpolant is None:
             raise DomainError("trajectory has no dense output (loaded from CSV?)")
-        if isinstance(t, float):
-            if not float(self.t[0]) <= t <= float(self.t[-1]):
-                raise DomainError(
-                    f"sample time outside [{self.t[0]}, {self.t[-1]}]")
-            return self.interpolant(t)
-        t = np.asarray(t, dtype=np.float64)
+        if not isinstance(t, float):  # a float keeps the scalar path
+            t = np.asarray(t, dtype=np.float64)
         if not np.all((self.t[0] <= t) & (t <= self.t[-1])):
-            raise DomainError(
-                f"sample time outside [{self.t[0]}, {self.t[-1]}]")
+            raise DomainError(f"sample {self.variable} outside "
+                              f"[{self.t[0]}, {self.t[-1]}]")
         return self.interpolant(t)
 
     def to_csv(self) -> str:
-        header = {"columns": ",".join(("t",) + self.columns),
+        header = {"columns": ",".join((self.variable,) + self.columns),
                   "rtol": repr(self.rtol), "atol": repr(self.atol),
                   "blow_up": int(self.blow_up),
                   "stop_reason": self.stop_reason, "n_steps": self.n_steps,
                   "n_rhs_evals": self.n_rhs_evals}
         if math.isfinite(self.last_step):
             header["last_step"] = repr(self.last_step)
-        return write_table(header, self.meta, ("t",) + self.columns,
+        return write_table(header, self.meta, (self.variable,) + self.columns,
                            (self.t, *self.states.T))
 
     @classmethod
@@ -155,7 +156,8 @@ class Trajectory:
             raise DomainError(f"n_steps {info['n_steps']} but {len(data)} "
                               f"sample rows; n steps store n + 1 rows")
         return cls(t=data[:, 0], states=data[:, 1:], columns=columns[1:],
-                   meta=meta, **{"rtol": np.nan, "atol": np.nan, **info})
+                   variable=columns[0], meta=meta,
+                   **{"rtol": np.nan, "atol": np.nan, **info})
 
 
 def write_table(header: dict, meta: dict, columns: Sequence[str],
@@ -311,7 +313,8 @@ def _initial_step(rhs, t0, y0, f0, t_end, direction, rtol, atol) -> float:
     h0 = min(h0, span)
     f1 = rhs(t0 + h0 * direction,
              tuple([y + h0 * direction * f for y, f in zip(y0, f0)]))
-    d2 = _rms([b - a for a, b in zip(f0, f1)], scale) / h0
+    # an overflowing d1 leaves h0 = 0, where numpy's division gives inf
+    d2 = _rms([b - a for a, b in zip(f0, f1)], scale) / h0 if h0 else math.inf
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
@@ -429,6 +432,9 @@ def _march(rhs, t0: float, y0: tuple, t_end: float, rtol: float,
     direction = 1.0 if t_end > t0 else -1.0
     rms = len(y0) ** 0.5
     f = rhs(t0, y0)
+    if not all(map(math.isfinite, f)):
+        raise DomainError(f"the right-hand side is not finite at the start: "
+                          f"{tuple(f)!r}")
     h_abs = _initial_step(rhs, t0, y0, f, t_end, direction, rtol, atol)
     nfev = 2
     events = [ev for ev, _, _ in stops]
@@ -499,12 +505,15 @@ def integrate_flow(rhs, t0: float, y0: Sequence[float], t_end: float,
                    columns: tuple[str, ...], rtol: float, atol: float,
                    events: Sequence | None = None,
                    positive_components: Sequence[int] = (),
-                   meta: dict | None = None) -> Trajectory:
+                   meta: dict | None = None,
+                   variable: str = "t") -> Trajectory:
     """Integrate y' = rhs(t, y) adaptively; returns samples at accepted steps.
 
     `events` are event functions as in the module docstring; an entry may
     carry a `name` attribute used in stop_reason. `positive_components`
     lists state indices whose collapse to <= 0 terminates the run.
+    `variable` names t on the trajectory. A start at which rhs is not
+    finite raises DomainError.
     """
     t0, t_end = float(t0), float(t_end)
     y0 = tuple(float(v) for v in y0)
@@ -512,8 +521,8 @@ def integrate_flow(rhs, t0: float, y0: Sequence[float], t_end: float,
         raise DomainError(f"{len(y0)} initial values for columns {columns}")
     # a NaN or infinite span never reaches t_end, and non-finite states
     # never pass the error test
-    for name, value in (("t0", t0), ("t_end", t_end), *zip(
-            (f"initial {c}" for c in columns), y0)):
+    for name, value in (*zip((f"initial {c}" for c in columns), y0),
+                        (f"{variable}0", t0), (f"{variable}_end", t_end)):
         if not math.isfinite(value):
             raise DomainError(f"{name} must be finite, got {value!r}")
     if t_end == t0:
@@ -543,10 +552,10 @@ def integrate_flow(rhs, t0: float, y0: Sequence[float], t_end: float,
         steps.reverse()
     dense = DenseOutput(ts, steps) if steps else None
     return Trajectory(t=ts, states=ys, columns=columns, rtol=rtol, atol=atol,
-                      blow_up=reason in _BLOW_UPS, stop_reason=reason,
-                      n_steps=len(ts) - 1, n_rhs_evals=nfev,
-                      last_step=last_step, meta=meta or {},
-                      interpolant=dense)
+                      variable=variable, blow_up=reason in _BLOW_UPS,
+                      stop_reason=reason, n_steps=len(ts) - 1,
+                      n_rhs_evals=nfev, last_step=last_step,
+                      meta=meta or {}, interpolant=dense)
 
 
 def _first(bad: np.ndarray) -> int | None:

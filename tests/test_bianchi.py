@@ -102,23 +102,25 @@ def test_torus_metric_flat_for_any_alpha():
 
 
 def test_type_a_grids_at_one_node():
-    # in the coframe (dt, s1, s2, s3) the metric is diag((abc)^2, a^2, b^2,
-    # c^2) and the form has w_03 = a b c^2, w_12 = a b; the coordinate
+    # in the coframe (du, s1, s2, s3) the metric is diag(n^2, a^2, b^2,
+    # c^2) and the form has w_03 = n c, w_12 = a b; the coordinate
     # components are those matrices pulled back by the coframe rows
-    axes = (Axis("t", 0.2, 0.1, 5), Axis("x", -0.3, 0.2, 5),
+    axes = (Axis("u", 0.2, 0.1, 5), Axis("x", -0.3, 0.2, 5),
             Axis("y", 0.1, 0.2, 5), Axis("theta", 0.4, 0.3, 6))
     abc = np.array([[1.1, 1.2, 0.9, 1.0, 1.3], [0.8, 0.7, 0.6, 0.5, 0.4],
                     [1.3, 1.4, 1.5, 1.6, 1.7]])
-    g, w = type_a_grids(E2_PARAMS, abc, axes)
+    lapse = np.array([0.7, 1.9, 1.3, 2.1, 0.6])
+    g, w = type_a_grids(E2_PARAMS, abc, lapse, axes)
     node = (3, 1, 4, 5)
     a, b, c = abc[:, node[0]]
+    n = lapse[node[0]]
     th = axes[3].nodes[node[3]]
     frame = np.eye(4)
     frame[1:, 1:] = [[np.cos(th), np.sin(th), 0.0], [0.0, 0.0, 1.0],
                      [-np.sin(th), np.cos(th), 0.0]]
-    g_frame = np.diag([(a * b * c) ** 2, a * a, b * b, c * c])
+    g_frame = np.diag([n * n, a * a, b * b, c * c])
     w_frame = np.zeros((4, 4))
-    w_frame[0, 3], w_frame[1, 2] = a * b * c * c, a * b
+    w_frame[0, 3], w_frame[1, 2] = n * c, a * b
     w_frame -= w_frame.T
     g_node, w_node = g.components[node], w.components[node]
     assert np.allclose(g_node, frame.T @ g_frame @ frame, rtol=1e-14, atol=0)
@@ -164,7 +166,7 @@ def test_torus_form_is_exactly_closed():
     abc = np.array([[s.a, s.b, s.c] for s in
                     (closed_form("torus", consts, t) for t in t_axis.nodes)]).T
     _, w = type_a_grids(closed_form_params("torus", consts), abc,
-                        (t_axis, None, None, None))
+                        abc[0] * abc[1] * abc[2], (t_axis, None, None, None))
     assert [ax.count for ax in w.axes] == [7, 5, 5, 5]
     assert exterior_derivative_closedness(w) == 0.0
 
@@ -176,7 +178,7 @@ def test_torus_form_is_exactly_closed():
 ])
 def test_type_a_grids_unknown_group(params):
     with pytest.raises(DomainError, match="no invariant coframe"):
-        type_a_grids(params, np.ones((3, 7)),
+        type_a_grids(params, np.ones((3, 7)), np.ones(7),
                      (Axis("t", 0.0, 1e-3, 7), None, None, None))
 
 
@@ -207,3 +209,12 @@ def test_flow_on_arrays_rounds_as_on_floats(states, seed, params):
     for i, state in enumerate(abc.tolist()):
         for column, value in zip(columns, _flow(params, *state)):
             assert column[i].tobytes() == np.float64(value).tobytes()
+
+
+@pytest.mark.parametrize("ab", [1e154, 1e155, -1e160, 1e300])
+def test_alpha_overflows_to_inf_on_floats_as_on_arrays(ab):
+    # a float's pow raises OverflowError where float_power returns inf
+    params = BianchiParams(1.0, 0.0, 1.0, lam=-1.0)
+    with np.errstate(over="ignore"):
+        array = params.alpha(np.array([ab]), np.array([1.0]))
+    assert np.float64(params.alpha(ab, 1.0)).tobytes() == array[0].tobytes()

@@ -50,6 +50,25 @@ def test_bianchi_rejects_inconsistent_parameters(tmp_path):
     assert rc == 1
 
 
+# --case sets the flow and its start, and these options used to be
+# dropped without a word: the manifest of `--case torus --lam nan` said
+# lam 0.0
+@pytest.mark.parametrize("args, named", [
+    (["--lam", "nan", "--p1", "nan"], "--p1, --lam"),
+    (["--lam", "0"], "--lam"),
+    (["--p2", "1"], "--p2"),
+    (["--p3", "0"], "--p3"),
+    (["--start", "0,1,1,1"], "--start"),
+])
+def test_bianchi_case_refuses_flow_options(tmp_path, capsys, args, named):
+    capsys.readouterr()
+    assert main(["--out-dir", str(tmp_path), "bianchi", "solve", "--case",
+                 "torus", "--t-end", "1.0"] + args) == 1
+    err = capsys.readouterr().err
+    assert f"Error: {named} cannot be combined with --case" in err
+    assert not any(tmp_path.iterdir())
+
+
 _TYPE_A = ["--p1", "1", "--p2", "0", "--p3", "1", "--lam", "-1",
            "--start", "0,1,0.5,1", "--t-end", "1"]
 
@@ -87,6 +106,16 @@ def test_bianchi_blow_up_exit_code(tmp_path):
     assert rep["blow_up"]
 
 
+def test_bianchi_overflowing_first_step_exits_2(tmp_path, capsys):
+    # b's derivative over atol overflows the first-step rule's norm; this
+    # used to end in a ZeroDivisionError traceback
+    capsys.readouterr()
+    assert main(["--out-dir", str(tmp_path), "bianchi", "solve"]
+                + _TYPE_A[:-4] + ["--start", "0,1e150,1e-150,1e150",
+                                  "--t-end", "1"]) == 2
+    assert "terminated: step_underflow" in capsys.readouterr().out
+
+
 def test_usage_error_exit_code(tmp_path):
     assert main(["--out-dir", str(tmp_path), "bianchi", "solve",
                  "--p1", "1", "--p2", "1"]) == 1
@@ -97,16 +126,27 @@ _EUCLIDEAN = ["bianchi", "solve", "--case", "euclidean", "--k", "1.2",
 
 
 # The nan spans used to march forever and the nan or inf starts ended in
-# a traceback from the integrator's own input check.
+# a traceback from the integrator's own input check. Starts whose (a b)^2
+# overflows ended in an OverflowError traceback from the float square.
 @pytest.mark.parametrize("args, message", [
-    (["e2", "shoot", "--t-max", "nan"], "t_end must be finite, got nan"),
+    (["e2", "shoot", "--r-max", "nan"], "r_end must be finite, got nan"),
     (_EUCLIDEAN + ["--t-end", "nan"], "t_end must be finite, got nan"),
     (["e2", "shoot", "--q", "nan"], "initial a must be finite, got nan"),
     (["e2", "shoot", "--q", "inf"], "initial a must be finite, got inf"),
-    (["e2", "shoot", "--q", "1e200"], "initial r must be finite, got nan"),
+    (["e2", "shoot", "--q", "1e200", "--b-max", "1e300"],
+     "the right-hand side is not finite at the start: (nan, nan, nan, 0.0)"),
     (["e2", "shoot", "--eps", "nan"], "initial b must be finite, got nan"),
     (["e2", "shoot", "--start", "1,2,nan"],
      "initial c must be finite, got nan"),
+    (["e2", "shoot", "--q", "1e200"],
+     "b_max 100.0 must lie above the start's b = 1.0000000000000001e+195"),
+    (["e2", "shoot", "--q", "1e100"],
+     "b_max 100.0 must lie above the start's b = 1.0000000000000002e+95"),
+    (["e2", "shoot", "--q", "1e100", "--b-max", "1e300"],
+     "the right-hand side is not finite at the start: (0.0, "),
+    (["bianchi", "solve", "--p1", "1", "--p2", "0", "--p3", "1", "--lam",
+      "-1", "--start", "0,1e100,1e95,1e100", "--t-end", "1"],
+     "the right-hand side is not finite at the start: (0.0, 1e+295, inf)"),
 ])
 def test_non_finite_integration_inputs_exit_1(tmp_path, capsys, args,
                                               message):
@@ -114,12 +154,13 @@ def test_non_finite_integration_inputs_exit_1(tmp_path, capsys, args,
     assert main(["--out-dir", str(tmp_path)] + args) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {message}")
+    assert not any(tmp_path.iterdir())
 
 
 # a nan b_max used to run until the step underflowed, a negative one to
-# t_max, both ending in exit 2
+# the end of the span, both ending in exit 2
 @pytest.mark.parametrize("args", [["--b-max", "nan"],
-                                  ["--b-max", "-3", "--t-max", "5"]])
+                                  ["--b-max", "-3", "--r-max", "5"]])
 def test_e2_shoot_bad_b_max_exits_1(tmp_path, capsys, args):
     capsys.readouterr()
     assert main(["--out-dir", str(tmp_path), "e2", "shoot"] + args) == 1
@@ -128,8 +169,27 @@ def test_e2_shoot_bad_b_max_exits_1(tmp_path, capsys, args):
     assert not (tmp_path / "manifest.json").exists()
 
 
+# a b_max at or below the start's b is never crossed upward, so the shoot
+# used to run to the end of its span and exit 2
+@pytest.mark.parametrize("args, b_start", [
+    (["--b-max", "1e-6", "--r-max", "5"], "1e-05"),
+    (["--b-max", "1e-5"], "1e-05"),
+    (["--q", "2", "--b-max", "1.5e-5"], "2e-05"),
+    (["--start", "1,2,3", "--b-max", "2"], "2.0"),
+])
+def test_e2_shoot_b_max_at_or_below_the_start_exits_1(tmp_path, capsys, args,
+                                                       b_start):
+    capsys.readouterr()
+    assert main(["--out-dir", str(tmp_path), "e2", "shoot"] + args) == 1
+    err = capsys.readouterr().err
+    b_max = repr(float(args[args.index("--b-max") + 1]))
+    assert err == (f"error: b_max {b_max} must lie above the start's "
+                   f"b = {b_start}\n")
+    assert not any(tmp_path.iterdir())
+
+
 def test_e2_shoot_stopped_at_its_start_exits_1(tmp_path, capsys):
-    # atol = 0 with r starting at exactly 0 leaves no step that passes the
+    # atol = 0 with t starting at exactly 0 leaves no step that passes the
     # error test (scipy's RK45 hangs there, retrying a NaN step); --tol 0
     # is refused before anything runs
     capsys.readouterr()
@@ -247,7 +307,7 @@ def _samples(edit):
     (lambda text: "\n".join(
         ln if ln.startswith("#") and not ln.startswith("# columns:")
         else ln.rsplit(",", 1)[0] for ln in text.splitlines()),
-     "are not those of 'e2 shoot' (t,a,b,c,r)"),
+     "are not those of 'e2 shoot' (r,a,b,c,t)"),
     (lambda text: text.replace("# rtol: 1e-12", "# rtol: abc"),
      "CSV line 2: could not convert"),
     (lambda text: text.replace("# meta q: 1.0", "# meta q: 'abc'"),
@@ -258,11 +318,14 @@ def _samples(edit):
      "no last_step header; write it again with 'e2 shoot'"),
     (lambda text: text.replace("# rtol:", "# colour: red\n# rtol:"),
      "CSV line 2: unknown header key 'colour'"),
-    (lambda text: text.replace("# columns: t,a,b,c,r", "# columns: t,a,c,b,r"),
-     "columns header 't,a,c,b,r' does not name the column row 't,a,b,c,r'"),
+    (lambda text: text.replace("# columns: r,a,b,c,t", "# columns: r,a,c,b,t"),
+     "columns header 'r,a,c,b,t' does not name the column row 'r,a,b,c,t'"),
+    # a shoot stored in t, as 'e2 shoot' wrote it before it shot in r
+    (lambda text: text.replace("r,a,b,c,t", "t,a,b,c,r"),
+     "trajectory columns t,a,b,c,r are not those of 'e2 shoot' (r,a,b,c,t)"),
     (lambda text: re.sub(r"# n_steps: (\d+)",
                          lambda m: f"# n_steps: {int(m[1]) + 1}", text),
-     "n_steps 1516 but 1516 sample rows; n steps store n + 1 rows"),
+     "n_steps 1065 but 1065 sample rows; n steps store n + 1 rows"),
 ])
 def test_e2_bad_csv_exit_1(e2_run, tmp_path, capsys, command, mutate,
                            message):

@@ -1,4 +1,5 @@
 import math
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -31,36 +32,53 @@ def test_rhs_and_jacobian_consistent():
         assert np.max(np.abs(fd - J[:, j])) < 1e-6
 
 
-def test_shoot_rhs_is_the_type_a_flow_plus_arclength():
+def test_shoot_rhs_is_the_type_a_flow_per_arclength():
     rng = np.random.default_rng(8)
-    for y in rng.uniform(-3.0, 3.0, size=(200, 4)):
-        a, b, c, _ = y.tolist()
-        assert e2._shoot_rhs(0.0, y) == (*_flow(e2.E2_PARAMS, a, b, c),
-                                         a * b * c)
+    for y in rng.uniform(-3.0, 3.0, size=(200, 4)).tolist():
+        a, b, c, _ = y
+        abc = a * b * c
+        assert e2._shoot_rhs(0.0, y) == (
+            *(v / abc for v in _flow(e2.E2_PARAMS, a, b, c)), 1.0 / abc)
+
+
+def test_shoot_rhs_on_arrays_rounds_as_on_floats():
+    # odes.replay evaluates the shoot's right-hand side on arrays and must
+    # reproduce the march, which evaluates it on floats
+    y = np.exp(np.random.default_rng(3).uniform(-3.0, 3.0, (4, 2000)))
+    columns = e2._shoot_rhs(y[3], tuple(y))
+    for i, state in enumerate(y.T.tolist()):
+        for column, value in zip(columns, e2._shoot_rhs(state[3], state)):
+            assert column[i].tobytes() == np.float64(value).tobytes()
 
 
 def _direct_tail_gap(traj):
-    """The backward tail leg as one direct integrate_flow call (the oracle)."""
+    """The leg back to the bolt as one direct integrate_flow call (the
+    oracle): on a tail shoot the start's tail estimate a b c / q^2 is its
+    r, so the leg ends at r = 0 to rounding."""
     q = traj.meta["q"]
-    a0, b0, c0 = traj.states[0, :3]
+    a0, b0, c0, t0 = traj.states[0]
+    r_bolt = traj.t[0] - a0 * b0 * c0 / (q * q)
+    assert abs(r_bolt) <= 1e-20
 
-    def cut(t, y, _b=b0 / 10.0):
+    def cut(r, y, _b=b0 / 10.0):
         return y[1] - _b
     cut.terminal = True
     cut.direction = -1.0
 
-    back = integrate_flow(e2._shoot_rhs, traj.t[0], (a0, b0, c0, 0.0),
-                          traj.t[0] - 200.0, ("a", "b", "c", "r"),
-                          rtol=1e-12, atol=1e-20, events=[cut])
+    back = integrate_flow(e2._shoot_rhs, traj.t[0], (a0, b0, c0, t0),
+                          r_bolt, ("a", "b", "c", "t"), rtol=1e-12,
+                          atol=1e-20, events=[cut], variable="r")
     assert back.stop_reason == "event:0"
-    ac, bc_, cc, rneg = back.states[0]
-    return abs(a0 * b0 * c0 / (q * q) - (ac * bc_ * cc / (q * q) + (-rneg)))
+    ac, bc_, cc, _ = back.states[0]
+    return abs(back.t[0] - r_bolt - ac * bc_ * cc / (q * q))
 
 
 @pytest.mark.parametrize("q", [0.8, 1.0, 1.7])
 def test_tail_gap_matches_direct_solve(q):
     traj = e2.shoot_unstable(q, b_max=10.0)
-    assert e2._tail_gap(traj) == _direct_tail_gap(traj)
+    gap = e2._tail_gap(traj)
+    assert gap == _direct_tail_gap(traj)
+    assert gap < 1e-8 * traj.t[0]
 
 
 def test_saddle_spectrum():
@@ -104,14 +122,18 @@ def test_shoot_off_curve_flagged():
 
 
 def test_scaling_map_symmetry(shoot100):
+    # r is invariant: at each r, a and c scale by k and t by 1/k^2, and the
+    # map takes the shoot at q to the shoot at k q from (k q, eps, k q)
     k = 2.0
     sc = e2.scaling_map(shoot100, k)
-    t = shoot100.t[5]
-    orig = np.asarray(shoot100.sample([t])).ravel()
-    mapped = np.asarray(sc.sample([t / (k * k)])).ravel()
-    assert abs(mapped[0] - k * orig[0]) < 1e-10
-    assert abs(mapped[1] - orig[1]) < 1e-10
-    assert abs(mapped[2] - k * orig[2]) < 1e-10
+    assert sc.meta["q"] == k * shoot100.meta["q"]
+    for r in [shoot100.t[5], 0.3, float(shoot100.t[-1])]:
+        orig = np.asarray(shoot100.sample([r])).ravel()
+        mapped = np.asarray(sc.sample([r])).ravel()
+        assert np.array_equal(mapped, orig * [k, 1.0, k, 1.0 / (k * k)])
+    other = e2.shoot_unstable(k, 1e-5, b_max=50.0, tol=1e-12)
+    r = np.linspace(other.t[0], other.t[-1], 41)
+    assert np.allclose(other.sample(r), sc.sample(r), rtol=1e-9, atol=0.0)
     with pytest.raises(DomainError):
         e2.scaling_map(shoot100, -1.0)
 
@@ -163,31 +185,52 @@ def test_distance_between_slices_matches_growth(shoot100):
     assert d <= 1.1 * k2 * math.log(10.0)
 
 
+QS = (0.8, 0.85, 0.9, 0.95, 1.0, 1.05, 1.1, 1.15, 1.2, 1.25)
+
+
+@lru_cache(maxsize=None)
+def _shoot(q, b_max):
+    return e2.shoot_unstable(q, b_max=b_max)
+
+
 @pytest.mark.parametrize("b_max", [100.0, 1000.0])
-@pytest.mark.parametrize("q", [0.8, 0.85, 0.9, 0.95, 1.0, 1.05, 1.1, 1.15,
-                               1.2, 1.25])
+@pytest.mark.parametrize("q", QS)
 def test_distance_up_to_the_b_max_slice(q, b_max):
-    # the b_max event fixes t[-1] only to the ulp of t, so near blow-up the
-    # stored b[-1] lands either side of b_max; the slice is still at t[-1].
-    # The scaling symmetry keeps b-slice distances independent of q.
-    traj = e2.shoot_unstable(q, b_max=b_max)
+    # the stored b[-1] may land an ulp or two either side of b_max; the
+    # slice is still at r[-1]. The scaling symmetry keeps b-slice distances
+    # independent of q.
+    traj = _shoot(q, b_max)
     assert traj.stop_reason == "event:b_max"
     d = e2.distance_between_b_slices(traj, b_max / 10.0, b_max)
     k2 = 2.0 * math.sqrt(1.5)
     assert 0.9 * k2 * math.log(10.0) <= d <= 1.1 * k2 * math.log(10.0)
 
 
+@pytest.mark.parametrize("b_max", [100.0, 1000.0])
+def test_r_at_b_max_is_the_same_for_every_q(b_max):
+    # the scaling map leaves r and b alone, so every q shoots the same
+    # b(r) from the bolt, and b has no blow-up in r for the b_max root to
+    # resolve
+    r_end = []
+    for q in QS:
+        traj = _shoot(q, b_max)
+        assert traj.stop_reason == "event:b_max"
+        assert abs(traj.column("b")[-1] - b_max) <= 1e-15 * b_max
+        r_end.append(traj.t[-1])
+    assert max(r_end) - min(r_end) <= 1e-9 * min(r_end)
+
+
 def test_e2_metric_is_einstein(shoot100):
     bvals = shoot100.column("b")
-    tmid = shoot100.t[int(np.searchsorted(bvals, 1.0))]
+    rmid = shoot100.t[int(np.searchsorted(bvals, 1.0))]
     resids = []
     hs = [4e-3, 2e-3, 1e-3]
     for h in hs:
-        t_axis = Axis("t", tmid - 3 * h, h, 7)
+        r_axis = Axis("r", rmid - 3 * h, h, 7)
         th_axis = Axis("theta", 0.7 - 3 * h, h, 7)
         x_axis = Axis("x", -2 * h, h, 5)
         y_axis = Axis("y", -2 * h, h, 5)
-        g = e2.e2_metric_grid(shoot100, t_axis, th_axis, x_axis, y_axis)
+        g = e2.e2_metric_grid(shoot100, r_axis, th_axis, x_axis, y_axis)
         resids.append(einstein_residual(g, -1.0))
     assert resids[-1] < 5e-3
     fit = convergence_order(hs, resids)
@@ -195,12 +238,13 @@ def test_e2_metric_is_einstein(shoot100):
 
 
 def test_e2_grids_match_the_literal_formulas(shoot100):
-    # the (t, x, y, theta) components written out by hand for the coframe
-    # cos th dx + sin th dy, d th, -sin th dx + cos th dy: bit for bit but
-    # g_xy, which the coframe sum rounds as a^2 cs - c^2 sc
-    tmid = shoot100.t[int(np.searchsorted(shoot100.column("b"), 1.0))]
+    # the (r, x, y, theta) components written out by hand for the coframe
+    # cos th dx + sin th dy, d th, -sin th dx + cos th dy, with lapse 1 in
+    # arclength: bit for bit but g_xy, which the coframe sum rounds as
+    # a^2 cs - c^2 sc
+    rmid = shoot100.t[int(np.searchsorted(shoot100.column("b"), 1.0))]
     for h in [4e-3, 2e-3, 1e-3]:
-        axes = (Axis("t", tmid - 3 * h, h, 7), Axis("theta", 0.7 - 3 * h, h, 7),
+        axes = (Axis("r", rmid - 3 * h, h, 7), Axis("theta", 0.7 - 3 * h, h, 7),
                 Axis("x", -2 * h, h, 5), Axis("y", -2 * h, h, 5))
         g = e2.e2_metric_grid(shoot100, *axes).components
         w = e2.e2_kahler_form_grid(shoot100, *axes).components
@@ -209,8 +253,7 @@ def test_e2_grids_match_the_literal_formulas(shoot100):
         theta = axes[1].nodes[None, None, None, :]
         sin, cos = np.sin(theta), np.cos(theta)
         assert g.shape == w.shape == (7, 5, 5, 7, 4, 4)
-        assert np.array_equal(g[..., 0, 0], np.broadcast_to(
-            (a * b * c) ** 2, g.shape[:4]))
+        assert np.array_equal(g[..., 0, 0], np.ones(g.shape[:4]))
         assert np.array_equal(g[..., 1, 1], np.broadcast_to(
             a ** 2 * cos ** 2 + c ** 2 * sin ** 2, g.shape[:4]))
         assert np.array_equal(g[..., 2, 2], np.broadcast_to(
@@ -220,9 +263,8 @@ def test_e2_grids_match_the_literal_formulas(shoot100):
         gxy = (a ** 2 - c ** 2) * sin * cos
         assert np.abs(g[..., 1, 2] - gxy).max() <= 4 * np.spacing(
             np.abs(g).max())
-        abc2 = a * b * c * c
         ref = np.zeros_like(w)
-        for i, j, val in ((0, 1, -abc2 * sin), (0, 2, abc2 * cos),
+        for i, j, val in ((0, 1, -c * sin), (0, 2, c * cos),
                           (1, 3, a * b * cos), (2, 3, a * b * sin)):
             ref[..., i, j] = val
             ref[..., j, i] = -val
@@ -234,11 +276,11 @@ def test_e2_grids_match_the_literal_formulas(shoot100):
 def test_e2_kahler_form_closed(shoot100):
     # the residual is pure stencil truncation, so it must refine at order 2
     bvals = shoot100.column("b")
-    tmid = shoot100.t[int(np.searchsorted(bvals, 1.0))]
+    rmid = shoot100.t[int(np.searchsorted(bvals, 1.0))]
     hs = [4e-3, 2e-3, 1e-3]
     res = []
     for h in hs:
-        w = e2.e2_kahler_form_grid(shoot100, Axis("t", tmid - 3 * h, h, 7),
+        w = e2.e2_kahler_form_grid(shoot100, Axis("r", rmid - 3 * h, h, 7),
                                    Axis("theta", 0.7 - 3 * h, h, 7))
         res.append(exterior_derivative_closedness(w))
     assert res[-1] < 1e-4

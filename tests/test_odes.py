@@ -65,6 +65,14 @@ def test_zero_error_scale_ends_as_step_underflow():
     assert traj.blow_up and traj.stop_reason == "step_underflow"
 
 
+def test_overflowing_first_step_norm_is_no_division_by_zero():
+    # f / (atol + rtol |y|) overflows in the first-step rule, leaving h0 = 0;
+    # the run used to end in a ZeroDivisionError
+    traj = integrate_flow(lambda t, y: (1e300,), 0.0, [0.0], 1.0, ("y",),
+                          rtol=1e-10, atol=1e-13)
+    assert traj.blow_up and traj.stop_reason == "component_overflow"
+
+
 def test_finite_time_blow_up_is_flagged():
     # y' = y^2 from y(0) = 1 leaves every bound before t = 1
     traj = integrate_flow(lambda t, y: (y[0] * y[0],), 0.0, [1.0], 2.0, ("y",),
@@ -179,7 +187,7 @@ def test_csv_golden_bytes():
 
 
 _finite = st.floats(allow_nan=False, allow_infinity=False)
-_names = st.sampled_from(["a", "b", "c", "r", "u", "v"])
+_names = st.sampled_from(["a", "b", "c", "r", "t", "u", "v"])
 _meta_values = st.one_of(st.none(), st.booleans(), st.integers(), _finite,
                          st.text(max_size=8), st.lists(_finite, max_size=3))
 
@@ -187,15 +195,16 @@ _meta_values = st.one_of(st.none(), st.booleans(), st.integers(), _finite,
 @st.composite
 def trajectories(draw):
     t = sorted(draw(st.sets(_finite, min_size=1, max_size=6)))
-    columns = tuple(draw(st.lists(_names, min_size=1, max_size=4,
-                                  unique=True)))
+    variable = draw(_names)
+    columns = tuple(draw(st.lists(_names.filter(lambda n: n != variable),
+                                  min_size=1, max_size=4, unique=True)))
     states = draw(st.lists(st.lists(_finite, min_size=len(columns),
                                     max_size=len(columns)),
                            min_size=len(t), max_size=len(t)))
     tol = st.one_of(_finite, st.just(math.nan))
     return Trajectory(
         t=t, states=states, columns=columns, rtol=draw(tol), atol=draw(tol),
-        blow_up=draw(st.booleans()),
+        variable=variable, blow_up=draw(st.booleans()),
         stop_reason=draw(st.sampled_from(["t_end", "event:b_max",
                                           "step_underflow"])),
         n_steps=len(t) - 1, n_rhs_evals=draw(st.integers(0, 10 ** 9)),
@@ -214,10 +223,24 @@ def test_csv_round_trip_is_bit_exact(traj):
     back = Trajectory.from_csv(traj.to_csv())
     assert _bits(back.t) == _bits(traj.t)
     assert _bits(back.states) == _bits(traj.states)
-    assert back.columns == traj.columns
+    assert (back.variable, back.columns) == (traj.variable, traj.columns)
     for name in ("rtol", "atol", "last_step"):
         assert _bits(getattr(back, name)) == _bits(getattr(traj, name))
     for name in ("blow_up", "stop_reason", "n_steps", "n_rhs_evals"):
         assert getattr(back, name) == getattr(traj, name)
     # repr tells -0.0 from 0.0 and True from 1
     assert repr(sorted(back.meta.items())) == repr(sorted(traj.meta.items()))
+
+
+@settings(max_examples=40, deadline=None)
+@given(traj=trajectories(), data=st.data())
+def test_variable_that_is_a_column_is_refused(traj, data):
+    # its CSV would head two columns with the same name
+    column = data.draw(st.sampled_from(traj.columns))
+    with pytest.raises(DomainError, match="is also a column"):
+        Trajectory(t=traj.t, states=traj.states, columns=traj.columns,
+                   rtol=traj.rtol, atol=traj.atol, variable=column)
+    text = traj.to_csv().replace(",".join((traj.variable,) + traj.columns),
+                                 ",".join((column,) + traj.columns))
+    with pytest.raises(DomainError, match="is also a column"):
+        Trajectory.from_csv(text)

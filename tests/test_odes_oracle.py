@@ -40,9 +40,7 @@ def _euclidean():
                 positive_components=(0, 1, 2))
 
 
-# (integrate_flow arguments, largest |y| counted as away from blow-up; on
-# the E(2) shoot c passes 10 in the last fifth of the nodes, on its way to
-# blowing up in finite time)
+# (integrate_flow arguments, largest |y| counted as away from blow-up)
 CASES = {
     "exponential_decay": (dict(rhs=lambda t, y: (-y[0],), t0=0.0, y0=(1.0,),
                                t_end=3.0, rtol=1e-10, atol=1e-12), np.inf),
@@ -51,13 +49,14 @@ CASES = {
     "positivity_loss": (dict(rhs=lambda t, y: (-1.0,), t0=0.0, y0=(0.5,),
                              t_end=2.0, rtol=1e-10, atol=1e-12,
                              positive_components=(0,)), np.inf),
-    "e2_shoot_to_b_10": (dict(rhs=e2._shoot_rhs, t0=0.0,
-                              y0=(1.0, 1e-5, 1.0, 1e-5), t_end=500.0,
+    # the E(2) shoot in arclength r, which does not blow up
+    "e2_shoot_to_b_10": (dict(rhs=e2._shoot_rhs, t0=1e-5,
+                              y0=(1.0, 1e-5, 1.0, 0.0), t_end=100.0,
                               rtol=1e-12, atol=1e-14,
                               events=[_stop_at(10.0, 1, 1.0, "b_max")],
-                              positive_components=(0, 1, 2)), 10.0),
-    "e2_tail_gap_backward_leg": (dict(rhs=e2._shoot_rhs, t0=0.0,
-                                      y0=(1.0, 1e-5, 1.0, 0.0), t_end=-200.0,
+                              positive_components=(0, 1, 2)), np.inf),
+    "e2_tail_gap_backward_leg": (dict(rhs=e2._shoot_rhs, t0=1e-5,
+                                      y0=(1.0, 1e-5, 1.0, 0.0), t_end=0.0,
                                       rtol=1e-12, atol=1e-20,
                                       events=[_stop_at(1e-6, 1, -1.0, "cut")]),
                                  np.inf),

@@ -16,7 +16,7 @@ from keflow import e2flow, odes
 from keflow.errors import DomainError
 
 EPS = float(np.finfo(float).eps)
-# the event roots of the march, and _t_at's (brentq's defaults)
+# the event roots of the march, and _r_at_b's (brentq's defaults)
 TOLERANCES = ((4 * EPS, 4 * EPS), (2e-12, 4 * EPS))
 
 
