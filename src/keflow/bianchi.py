@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import DomainError
 from .frame_algebra import FrameCoefficients
-from .grids import MIN_NODES_PER_AXIS, Axis, MetricGrid, TwoFormGrid
+from .grids import Axis, MetricGrid, TwoFormGrid
 from .odes import Trajectory, integrate_flow
 
 SQRT2 = math.sqrt(2.0)
@@ -221,9 +221,8 @@ def type_a_grids(params: BianchiParams, abc, lapse, axes,
     abc holds a, b, c and lapse the lapse n at the nodes of axes[0], the u
     axis: n = a b c in the flow time t, 1 in the arclength r. axes[1:] are
     the group coordinates of the coframe of params' structure constants; a
-    None among them is a Killing direction sampled at MIN_NODES_PER_AXIS
-    nodes from 0 at the u spacing. Other structure constants raise
-    DomainError.
+    None among them is a Killing direction, a one-node axis at 0 with the
+    u spacing. Other structure constants raise DomainError.
     """
     key = (params.p1, params.p2, params.p3)
     if key not in _COFRAMES:
@@ -232,7 +231,7 @@ def type_a_grids(params: BianchiParams, abc, lapse, axes,
     names, coframe = _COFRAMES[key]
     t_axis = axes[0]
     axes = (t_axis,) + tuple(
-        Axis(name, 0.0, t_axis.step, MIN_NODES_PER_AXIS) if ax is None else ax
+        Axis(name, 0.0, t_axis.step, 1) if ax is None else ax
         for name, ax in zip(names, axes[1:]))
     a, b, c, n = (np.asarray(v, dtype=np.float64).reshape(-1, 1, 1, 1)
                   for v in (*abc, lapse))

@@ -255,8 +255,9 @@ def e2_shoot(ctx, q, eps, b_max, r_max, start):
 
     traj = e2.shoot_unstable(q, eps=eps, b_max=b_max, r_max=r_max, tol=tol,
                              start=start_state)
-    mf.write_text(traj.to_csv(), out / "e2_trajectory.csv")
+    # a run that cannot be diagnosed leaves no artifact behind
     diag = e2.diagnose(traj)
+    mf.write_text(traj.to_csv(), out / "e2_trajectory.csv")
     mf.write_json({"stop_reason": traj.stop_reason, "blow_up": traj.blow_up,
                    "n_steps": traj.n_steps, "r_final": float(traj.t[-1]),
                    "final_state": [float(v) for v in traj.states[-1]],
@@ -373,12 +374,7 @@ def pde_leaf_build(ctx, h_expr, domain, n, nx, ny, ell_axis):
         raise click.UsageError("domain must be nondegenerate with >= 5 nodes per axis")
     x_axis = Axis("x", x0, (x1 - x0) / (nx - 1), nx)
     y_axis = Axis("y", y0, (y1 - y0) / (ny - 1), ny)
-    if ell_axis == "y":
-        ell = None
-    else:
-        with np.errstate(divide="ignore"):
-            ell = np.broadcast_to(1.0 / (2.0 * x_axis.nodes[:, None] ** 2),
-                                  (nx, ny)).copy()
+    ell = lp.hyperbolic_factor(x_axis, y_axis, ell_axis)
 
     mf = RunManifest("pde leaf-build",
                      {"h_expr": h_expr, "domain": [x0, x1, y0, y1],

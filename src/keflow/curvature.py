@@ -23,15 +23,16 @@ metric is the adjugate over it, exactly symmetric because the components
 are: LAPACK's batched det and inv together cost about 0.17 us per 2x2
 matrix, many times the arithmetic, on grids of 257^2 nodes.
 
-The scalar checks `einstein_residual` and `riemann_max` are reduced by
-symmetry. Along an axis on which every component equals the first slice
-exactly (`MetricGrid.symmetry_axes`), every difference is exactly zero and
-every node has the same curvature, so these checks evaluate that one slice
-and take the margin-1 interior along the remaining axes only. The test is
-exact equality, never a tolerance: an axis along which the metric varies by
-a single ulp is differenced in full, so the reduction skips only work whose
-result is known exactly, and the checker reads it from the numbers instead
-of trusting the code that built the grid. The array functions (`ricci`,
+A Killing direction is an axis of one node (see `grids`): every
+difference along it is exactly zero and it has no margin. The scalar
+checks `einstein_residual` and `riemann_max` cut every axis on which every
+component equals the first slice exactly (`MetricGrid.symmetry_axes`) to
+that one slice with `grids.collapse_constant`, the same representation,
+since every node along it has the same curvature. The test is exact
+equality, never a tolerance: an axis along which the metric varies by a
+single ulp is differenced in full, so the cut skips only work whose result
+is known exactly, and the checker reads it from the numbers instead of
+trusting the code that built the grid. The array functions (`ricci`,
 `riemann`, ...) evaluate every node and keep the NaN margin.
 """
 
@@ -44,7 +45,7 @@ import numpy as np
 
 from .errors import GridError
 from .grids import (MetricGrid, TwoFormGrid, _det, _shift, central_diff,
-                    interior, mixed_diff, second_diff)
+                    collapse_constant, interior, mixed_diff, second_diff)
 
 # Derivative quantities are valid this many layers in from the boundary.
 CURVATURE_MARGIN = 1
@@ -74,19 +75,17 @@ def _contract(m: np.ndarray, t: np.ndarray) -> np.ndarray:
                for l in range(m.shape[-1]))
 
 
-def _connection(g: np.ndarray, steps, flat=()) -> tuple[np.ndarray, np.ndarray]:
+def _connection(g: np.ndarray, steps) -> tuple[np.ndarray, np.ndarray]:
     """Inverse metric and Christoffel symbols Gamma[..., k, i, j] of g.
 
-    g holds components with the node axes leading. Derivatives along the
-    axes in `flat` are exactly zero and are not differenced, so a flat axis
-    may hold a single node; every other axis gets a NaN boundary layer.
-    Gamma is exactly symmetric in (i, j).
+    g holds components with the node axes leading; every axis of more
+    than one node gets a NaN boundary layer. Gamma is exactly symmetric in
+    (i, j).
     """
     d = len(steps)
-    dg = np.zeros(g.shape + (d,))     # dg[..., i, j, m] = d g_ij / d x_m
+    dg = np.empty(g.shape + (d,))     # dg[..., i, j, m] = d g_ij / d x_m
     for m in range(d):
-        if m not in flat:
-            dg[..., m] = central_diff(g, steps[m], m)
+        dg[..., m] = central_diff(g, steps[m], m)
     _, ginv = _inverse_metric(g)
     t1 = np.swapaxes(dg, -1, -2)          # [l, i, j] = d_i g_lj
     t2 = dg                               # [l, i, j] = d_j g_li
@@ -94,22 +93,21 @@ def _connection(g: np.ndarray, steps, flat=()) -> tuple[np.ndarray, np.ndarray]:
     return ginv, 0.5 * _contract(ginv, t1 + t2 - t3)
 
 
-def _curvature(g: np.ndarray, steps, flat=()) -> tuple[np.ndarray, np.ndarray]:
+def _curvature(g: np.ndarray, steps) -> tuple[np.ndarray, np.ndarray]:
     """Inverse metric and lowered curvature R[..., a, b, c, d] = R_abcd of g.
 
     The one curvature core: the array functions call it on the full grid,
-    the scalar checks on one slice per symmetry axis with those axes flat.
+    the scalar checks on one slice per symmetry axis.
     """
     d = len(steps)
-    live = [m for m in range(d) if m not in flat]
-    ddg = np.zeros(g.shape + (d, d))  # ddg[..., i, j, m, n] = d^2 g_ij / dx_m dx_n
-    for k, m in enumerate(live):
+    ddg = np.empty(g.shape + (d, d))  # ddg[..., i, j, m, n] = d^2 g_ij / dx_m dx_n
+    for m in range(d):
         ddg[..., m, m] = second_diff(g, steps[m], m)
-        for n in live[k + 1:]:
+        for n in range(m + 1, d):
             cross = mixed_diff(g, steps[m], m, steps[n], n)
             ddg[..., m, n] = cross
             ddg[..., n, m] = cross
-    ginv, gamma = _connection(g, steps, flat)
+    ginv, gamma = _connection(g, steps)
     glow = _contract(g, gamma)            # [f, i, l] = g_fe Gamma^e_il
     # R_ijkl on the pair blocks: row p is (i, j) = pairs[p], column q is
     # (k, l) = pairs[q]
@@ -166,26 +164,13 @@ def ricci(grid: MetricGrid) -> np.ndarray:
     return _ricci(*_curvature(grid.components, grid.steps))
 
 
-def _symmetry_slice(grid: MetricGrid) -> tuple[np.ndarray, tuple[int, ...]]:
-    """Components on the first node of every symmetry axis, and those axes."""
-    flat = grid.symmetry_axes()
-    idx = tuple(slice(0, 1) if m in flat else slice(None)
-                for m in range(grid.dim))
-    return grid.components[idx], flat
-
-
-def _interior_max(arr: np.ndarray, grid: MetricGrid, flat=()) -> float:
-    """Max |arr| over the margin-1 interior of every axis not in `flat`.
-
-    `arr` is either full-shape or reduced to one node along the flat axes.
-    """
-    for ax in grid.counts:
-        if ax <= 2 * CURVATURE_MARGIN:
-            raise GridError(f"axis with {ax} nodes leaves no "
-                            f"margin-{CURVATURE_MARGIN} interior")
-    inner = slice(CURVATURE_MARGIN, -CURVATURE_MARGIN)
-    idx = tuple(slice(None) if m in flat else inner for m in range(grid.dim))
-    vals = np.abs(arr[idx])
+def _interior_max(arr: np.ndarray, dim: int) -> float:
+    """Max |arr| over the margin-1 interior of its first `dim` axes; a
+    one-node axis is kept whole."""
+    vals = np.abs(interior(arr, CURVATURE_MARGIN, dim))
+    if vals.size == 0:
+        raise GridError(f"an axis of {arr.shape[:dim]} leaves no "
+                        f"margin-{CURVATURE_MARGIN} interior")
     if not np.all(np.isfinite(vals)):
         raise GridError("non-finite values inside the valid interior")
     return float(vals.max())
@@ -193,15 +178,15 @@ def _interior_max(arr: np.ndarray, grid: MetricGrid, flat=()) -> float:
 
 def riemann_max(grid: MetricGrid) -> float:
     """Componentwise max |R^a_{bcd}| over the valid interior."""
-    g, flat = _symmetry_slice(grid)
-    return _interior_max(_raised(*_curvature(g, grid.steps, flat)), grid, flat)
+    _, g = collapse_constant(grid.components, grid.dim)
+    return _interior_max(_raised(*_curvature(g, grid.steps)), grid.dim)
 
 
 def einstein_residual(grid: MetricGrid, lam: float) -> float:
     """Componentwise max |Ric - lam g| over the valid interior."""
-    g, flat = _symmetry_slice(grid)
-    resid = _ricci(*_curvature(g, grid.steps, flat)) - lam * g
-    return _interior_max(resid, grid, flat)
+    _, g = collapse_constant(grid.components, grid.dim)
+    return _interior_max(_ricci(*_curvature(g, grid.steps)) - lam * g,
+                         grid.dim)
 
 
 def gauss_curvature_2d(grid: MetricGrid) -> np.ndarray:

@@ -6,13 +6,15 @@ second-order central stencils and mark the boundary layer with NaN instead
 of falling back to one-sided differences, so every consumer works on a
 shrunken interior and no silent first-order contamination occurs.
 
+A Killing direction is an axis of one node: along it every stencil
+returns exact zeros and `interior` strips no margin. Any other axis of a
+grid needs MIN_NODES_PER_AXIS nodes.
+
 Grid artifacts (metric and 2-form grids here, leaf specs and profiles in
 `leafpde`) store every node array through one codec: an axis along which
-the array is exactly constant, tested with `==` against its first slice
-as in `MetricGrid.symmetry_axes`, is written once and broadcast back on
-load, so a padded Killing direction costs one slice on disk and a round
-trip is lossless. Loading rebuilds the full in-memory shape and validates
-it there.
+the array equals its first slice bit for bit is written once and
+broadcast back on load, so a round trip is bit-exact. Loading rebuilds
+the full shape and validates it there.
 """
 
 from __future__ import annotations
@@ -44,8 +46,8 @@ class Axis:
             raise GridError(f"axis {self.name!r}: non-finite start or step")
         if self.step <= 0.0:
             raise GridError(f"axis {self.name!r}: step must be positive")
-        if self.count < 2:
-            raise GridError(f"axis {self.name!r}: need at least 2 nodes")
+        if self.count < 1:
+            raise GridError(f"axis {self.name!r}: need at least 1 node")
 
     @property
     def nodes(self) -> np.ndarray:
@@ -98,9 +100,12 @@ def collapse_constant(arr: np.ndarray, naxes: int):
 
 def encode_array(arr: np.ndarray, naxes: int) -> dict:
     """Artifact form of a node array: each of its first `naxes` axes on
-    which it is exactly constant is collapsed to its first slice."""
-    const, core = collapse_constant(arr, naxes)
-    return {"constant_axes": list(const), "values": core.ravel().tolist()}
+    which it is constant bit for bit (0.0 and -0.0 differ here) is
+    collapsed to its first slice."""
+    bits = np.asarray(arr, dtype=np.float64).view(np.int64)
+    const, core = collapse_constant(bits, naxes)
+    return {"constant_axes": list(const),
+            "values": core.view(np.float64).ravel().tolist()}
 
 
 def decode_array(doc: dict, key: str, shape: tuple[int, ...],
@@ -217,9 +222,9 @@ class MetricGrid:
         if d not in (2, 4):
             raise GridError(f"grid dimension {d} not in (2, 4)")
         for ax in self.axes:
-            if ax.count < MIN_NODES_PER_AXIS:
-                raise GridError(
-                    f"axis {ax.name!r}: {ax.count} nodes < {MIN_NODES_PER_AXIS}")
+            if 1 < ax.count < MIN_NODES_PER_AXIS:
+                raise GridError(f"axis {ax.name!r}: {ax.count} nodes, need 1 "
+                                f"or at least {MIN_NODES_PER_AXIS}")
         g = self.components
         metric = self.transpose_sign > 0
         noun = "metric" if metric else "form"
@@ -280,7 +285,7 @@ class TwoFormGrid(MetricGrid):
 # ---------------------------------------------------------------------------
 # Central-difference stencils. `axis` indexes the grid (node) dimensions; the
 # input may carry extra trailing component dimensions. Boundary nodes where a
-# stencil does not fit are set to NaN.
+# stencil does not fit are set to NaN, and a one-node axis gets exact zeros.
 
 def _shift(f: np.ndarray, axis: int, offset: int) -> np.ndarray:
     idx = [slice(None)] * f.ndim
@@ -296,6 +301,8 @@ def _interior_index(f: np.ndarray, axis: int) -> tuple:
 
 def central_diff(f: np.ndarray, step: float, axis: int) -> np.ndarray:
     """d f / d x_axis, second order; one NaN layer on that axis."""
+    if f.shape[axis] == 1:
+        return np.zeros_like(f)
     out = np.full_like(f, np.nan)
     out[_interior_index(f, axis)] = (_shift(f, axis, +1) - _shift(f, axis, -1)) / (2.0 * step)
     return out
@@ -303,6 +310,8 @@ def central_diff(f: np.ndarray, step: float, axis: int) -> np.ndarray:
 
 def second_diff(f: np.ndarray, step: float, axis: int) -> np.ndarray:
     """d^2 f / d x_axis^2, second order; one NaN layer on that axis."""
+    if f.shape[axis] == 1:
+        return np.zeros_like(f)
     out = np.full_like(f, np.nan)
     out[_interior_index(f, axis)] = (
         _shift(f, axis, +1) - 2.0 * _shift(f, axis, 0) + _shift(f, axis, -1)
@@ -321,8 +330,9 @@ def mixed_diff(f: np.ndarray, step_i: float, axis_i: int,
 
 
 def interior(arr: np.ndarray, margin: int, grid_ndim: int) -> np.ndarray:
-    """View of arr with `margin` layers stripped from each grid axis."""
+    """View of arr with `margin` layers stripped from each grid axis of
+    more than one node; a one-node axis has no margin."""
     if margin == 0:
         return arr
-    idx = [slice(margin, -margin)] * grid_ndim + [slice(None)] * (arr.ndim - grid_ndim)
-    return arr[tuple(idx)]
+    return arr[tuple(slice(None) if n == 1 else slice(margin, -margin)
+                     for n in arr.shape[:grid_ndim])]

@@ -45,13 +45,17 @@ _H_NAMESPACE = {
 }
 
 
-def hyperbolic_factor(x_axis: Axis, y_axis: Axis) -> np.ndarray:
-    """Conformal factor 1/(2 y^2) of the curvature -2 half-plane metric."""
-    if y_axis.start <= 0.0 or y_axis.stop <= 0.0:
-        raise DomainError("hyperbolic factor needs the domain inside y > 0")
-    y = y_axis.nodes[None, :]
-    ell = 1.0 / (2.0 * y * y)
-    return np.broadcast_to(ell, (x_axis.count, y_axis.count)).copy()
+def hyperbolic_factor(x_axis: Axis, y_axis: Axis,
+                      along: str = "y") -> np.ndarray:
+    """Conformal factor 1/(2 s^2) of the curvature -2 half-plane metric,
+    s the coordinate `along`, "x" or "y"."""
+    s = x_axis if along == "x" else y_axis
+    if s.start <= 0.0 or s.stop <= 0.0:
+        raise DomainError(f"hyperbolic factor needs the domain inside "
+                          f"{along} > 0")
+    ell = 1.0 / (2.0 * s.nodes * s.nodes)
+    return np.broadcast_to(ell[:, None] if along == "x" else ell,
+                           (x_axis.count, y_axis.count)).copy()
 
 
 _H_OPS = {ast.Add: operator.add, ast.Sub: operator.sub,
@@ -112,6 +116,8 @@ class LeafSpec:
 
     def __post_init__(self) -> None:
         shape = (self.x_axis.count, self.y_axis.count)
+        if min(shape) < 2:  # one node would read as a Killing direction
+            raise GridError(f"need at least 2 nodes per axis, got {shape}")
         self.ell = np.asarray(self.ell, dtype=np.float64)
         self.h = np.asarray(self.h, dtype=np.float64)
         if self.ell.shape != shape or self.h.shape != shape:
@@ -294,6 +300,8 @@ class CProfile:
 
     def __post_init__(self) -> None:
         shape = (self.x_axis.count, self.y_axis.count)
+        if min(shape) < 2:  # one node would read as a Killing direction
+            raise GridError(f"need at least 2 nodes per axis, got {shape}")
         self.c = np.asarray(self.c, dtype=np.float64)
         if self.c.shape != shape:
             raise GridError(f"c shape must be {shape}")
@@ -688,29 +696,25 @@ def integrate_vecsys(coeffs: VecSysCoefficients, cp: CProfile,
 
 
 def assemble_four_metric(v: VecSysSolution, cp: CProfile,
-                         u_axis: Axis | None = None,
-                         v_axis: Axis | None = None,
                          manifest: dict | None = None
                          ) -> tuple[MetricGrid, TwoFormGrid]:
     """The Ricci-flat 4-metric and its parallel form on (x, y, u, v).
 
-    Components depend on (x, y) only; u, v are the two Killing directions.
-    The form's du^dv coefficient is stored as the constant 1/det0, using
-    the conserved first integral, so closedness holds to rounding.
+    Components depend on (x, y) only; u, v are the two Killing directions,
+    one-node axes at 0 with the x spacing. The form's du^dv coefficient is
+    stored as the constant 1/det0, using the conserved first integral, so
+    closedness holds to rounding.
     """
-    if u_axis is None:
-        u_axis = Axis("u", 0.0, v.x_axis.step, 5)
-    if v_axis is None:
-        v_axis = Axis("v", 0.0, v.x_axis.step, 5)
+    axes = (v.x_axis, v.y_axis, Axis("u", 0.0, v.x_axis.step, 1),
+            Axis("v", 0.0, v.x_axis.step, 1))
     i0, j0 = v.meta.get("window_offset", (0, 0))
     c = cp.c[i0:i0 + v.x_axis.count, j0:j0 + v.y_axis.count]
     if c.shape != v.a.shape:
         raise GridError("profile window does not match the solution grid")
 
     det = v.det
-    shape = (v.x_axis.count, v.y_axis.count, u_axis.count, v_axis.count)
     xy = (slice(None), slice(None), None, None)
-    g = np.zeros(shape + (4, 4))
+    g = np.zeros(c.shape + (1, 1, 4, 4))
     g[..., 0, 0] = 2.0
     g[..., 1, 1] = (2.0 * c * c)[xy]
     g[..., 2, 2] = ((v.s ** 2 + v.b ** 2) / det ** 2)[xy]
@@ -718,14 +722,13 @@ def assemble_four_metric(v: VecSysSolution, cp: CProfile,
     guv = (-(v.s * v.r + v.a * v.b) / det ** 2)[xy]
     g[..., 2, 3] = guv
     g[..., 3, 2] = guv
-    metric = MetricGrid((v.x_axis, v.y_axis, u_axis, v_axis), g,
-                        manifest=manifest)
+    metric = MetricGrid(axes, g, manifest=manifest)
 
-    w = np.zeros(shape + (4, 4))
+    w = np.zeros(g.shape)
     wxy = (2.0 * c)[xy]
     w[..., 0, 1] = wxy
     w[..., 1, 0] = -wxy
     w[..., 2, 3] = 1.0 / v.det0
     w[..., 3, 2] = -1.0 / v.det0
-    form = TwoFormGrid((v.x_axis, v.y_axis, u_axis, v_axis), w)
+    form = TwoFormGrid(axes, w)
     return metric, form

@@ -37,9 +37,11 @@ def test_bianchi_torus_flat_check(tmp_path):
     assert rep["torus_flatness"]["flat"]
     assert rep["torus_flatness"]["max_riemann"] < 1e-6
     # sha256 of the README torus artifact, which does not depend on the
-    # out-dir path; numpy 2.4.6
+    # out-dir path; numpy 2.4.6. x, y and z are one-node axes
     assert manifest.sha256_of(tmp_path / "torus_metric.json") == (
-        "0ec582845eebe9d3d65d1eb107fff6af59afe8dc6dba639098a70192e9bfc091")
+        "f848afb5ca883f91143e07c7cc63bc1c24c42030f1ef9ded9029680d86da4f78")
+    axes = read_json(tmp_path / "torus_metric.json")["axes"]
+    assert [ax["count"] for ax in axes] == [7, 1, 1, 1]
 
 
 def test_bianchi_rejects_inconsistent_parameters(tmp_path):
@@ -127,7 +129,9 @@ _EUCLIDEAN = ["bianchi", "solve", "--case", "euclidean", "--k", "1.2",
 
 # The nan spans used to march forever and the nan or inf starts ended in
 # a traceback from the integrator's own input check. Starts whose (a b)^2
-# overflows ended in an OverflowError traceback from the float square.
+# overflows ended in an OverflowError traceback from the float square. A
+# shoot that stops at its start used to leave e2_trajectory.csv behind,
+# without a manifest.
 @pytest.mark.parametrize("args, message", [
     (["e2", "shoot", "--r-max", "nan"], "r_end must be finite, got nan"),
     (_EUCLIDEAN + ["--t-end", "nan"], "t_end must be finite, got nan"),
@@ -147,6 +151,9 @@ _EUCLIDEAN = ["bianchi", "solve", "--case", "euclidean", "--k", "1.2",
     (["bianchi", "solve", "--p1", "1", "--p2", "0", "--p3", "1", "--lam",
       "-1", "--start", "0,1e100,1e95,1e100", "--t-end", "1"],
      "the right-hand side is not finite at the start: (0.0, 1e+295, inf)"),
+    (["e2", "shoot", "--q", "1e50", "--b-max", "1e300"],
+     "diagnostics need two samples or more; the run stopped at its start "
+     "(step_underflow)"),
 ])
 def test_non_finite_integration_inputs_exit_1(tmp_path, capsys, args,
                                               message):
@@ -495,6 +502,27 @@ def test_pde_verify_pipeline_metric(pde_run, tmp_path):
     assert rep["closedness"] < 1e-10
 
 
+def test_pde_verify_reads_padded_killing_axes(pde_run, tmp_path):
+    # earlier versions wrote u and v as 5 identical nodes: the same
+    # document with count 5 in place of 1, since the codec stores one slice
+    reports = []
+    for count in (1, 5):
+        paths = []
+        for name in ("metric.json", "kahler.json"):
+            doc = read_json(pde_run / "met" / name)
+            assert [ax["count"] for ax in doc["axes"][2:]] == [1, 1]
+            for ax in doc["axes"][2:]:
+                ax["count"] = count
+            paths.append(tmp_path / f"{count}-{name}")
+            paths[-1].write_text(json.dumps(doc))
+        out = tmp_path / f"ver{count}"
+        assert main(["--out-dir", str(out), "pde", "verify",
+                     "--metric", str(paths[0]), "--form", str(paths[1]),
+                     "--lam", "0"]) == 0
+        reports.append((out / "verify_report.json").read_bytes())
+    assert reports[0] == reports[1]
+
+
 def test_pde_construct_compat_threshold(pde_run, tmp_path):
     rc = main(["--out-dir", str(tmp_path), "pde", "construct",
                "--profile", str(pde_run / "prof" / "cprofile.json"),
@@ -665,6 +693,28 @@ def test_h_expr_is_parsed_not_executed(tmp_path, capsys):
     assert not (tmp_path / "leafspec.json").exists()
 
 
+def test_leaf_build_ell_axis_x(tmp_path):
+    # 1/(2 x^2) comes from leafpde.hyperbolic_factor, as 1/(2 y^2) does;
+    # sha256 of the spec cli wrote when it built the factor inline, the
+    # same bytes; numpy 2.4.6
+    assert main(["--out-dir", str(tmp_path), "pde", "leaf-build",
+                 "--domain", "1,2,0,1", "--n", "33", "--ell-axis", "x"]) == 0
+    assert manifest.sha256_of(tmp_path / "leafspec.json") == (
+        "eabbeb4d3e19b189e38b2cc89e420d3e2131a17844a5ddfe21c5e26525d4c237")
+
+
+def test_leaf_build_ell_axis_x_needs_the_domain_in_x_positive(tmp_path,
+                                                             capsys):
+    # the default domain starts at x = 0, where 1/(2 x^2) used to reach
+    # the metric as inf and be refused as a "non-finite metric component"
+    capsys.readouterr()
+    assert main(["--out-dir", str(tmp_path), "pde", "leaf-build",
+                 "--n", "9", "--ell-axis", "x"]) == 1
+    assert capsys.readouterr().err == (
+        "error: hyperbolic factor needs the domain inside x > 0\n")
+    assert not any(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("substeps", ["0", "-1"])
 def test_pde_profile_rejects_substeps_below_one(pde_run, tmp_path, capsys,
                                                 substeps):
@@ -689,6 +739,20 @@ def test_pde_profile_rejects_counts_below_two(pde_run, tmp_path, capsys,
     assert f"Invalid value for '{option}'" in err
     assert "Traceback" not in err
     assert not (tmp_path / "cprofile.json").exists()
+
+
+def test_pde_profile_refuses_a_one_node_base_curve(pde_run, tmp_path,
+                                                   capsys):
+    # two and a half source steps below the top edge, the default base
+    # curve has one node; a profile would be y-invariant along it
+    capsys.readouterr()
+    assert main(["--out-dir", str(tmp_path), "pde", "profile",
+                 "--spec", str(pde_run / "spec" / "leafspec.json"),
+                 "--y-start", "1.98046875"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: need at least 2 nodes per axis, got (")
+    assert err.endswith(", 1)\n")
+    assert not any(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("args", [[], ["--nx", "2"]])

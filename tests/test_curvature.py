@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from keflow import bianchi as bi
 from keflow import curvature
 from keflow import e2flow as e2
 from keflow.curvature import (_interior_max, christoffel, convergence_order,
@@ -16,7 +17,8 @@ from keflow.curvature import (_interior_max, christoffel, convergence_order,
                               riemann, riemann_lowered, riemann_max)
 from keflow.errors import GridError
 from keflow.grids import (Axis, MetricGrid, TwoFormGrid, central_diff,
-                          interior, mixed_diff, second_diff)
+                          collapse_constant, interior, mixed_diff,
+                          second_diff)
 
 # criterion 02's and 10's grid builders, loaded by path so that this file
 # imports under any pytest import mode
@@ -157,11 +159,11 @@ def test_generic_metric_curvature_converges():
 # functions evaluate every node and serve as the oracle.
 
 def full_einstein(grid, lam):
-    return _interior_max(ricci(grid) - lam * grid.components, grid)
+    return _interior_max(ricci(grid) - lam * grid.components, grid.dim)
 
 
 def full_riemann(grid):
-    return _interior_max(riemann(grid), grid)
+    return _interior_max(riemann(grid), grid.dim)
 
 
 def assert_parity(grid, lam):
@@ -202,6 +204,53 @@ def test_reduced_checks_match_full_grid_on_pipeline():
     _, g4, _ = acceptance.leaf_pipeline(1e-3)
     assert g4.symmetry_axes() == (2, 3)
     assert_parity(g4, 0.0)
+
+
+def pad_killing_axes(grid, count=5):
+    """grid with every one-node axis broadcast to `count` nodes."""
+    axes = tuple(Axis(ax.name, ax.start, ax.step, count) if ax.count == 1
+                 else ax for ax in grid.axes)
+    shape = tuple(ax.count for ax in axes) + (grid.dim, grid.dim)
+    return type(grid)(axes, np.broadcast_to(grid.components, shape))
+
+
+def killing_builds(traj):
+    """(metric, form, lam) from each builder, its Killing directions
+    one-node axes: criterion 10's pipeline, the torus, E(2)."""
+    _, g4, w4 = acceptance.leaf_pipeline(1e-3)
+    h = 1e-3
+    consts = bi.ClosedFormConstants(alpha=0.6, a0=0.8, b0=0.75)
+    t_axis = Axis("t", 0.1, h, 7)
+    abc = np.array([[s.a, s.b, s.c] for s in
+                    (bi.closed_form("torus", consts, t)
+                     for t in t_axis.nodes)]).T
+    torus = bi.type_a_grids(bi.closed_form_params("torus", consts), abc,
+                            abc[0] * abc[1] * abc[2],
+                            (t_axis, None, None, None))
+    tmid = traj.t[int(np.searchsorted(traj.column("b"), 1.0))]
+    r_axis = Axis("r", tmid - 3 * h, h, 7)
+    theta_axis = Axis("theta", 0.7 - 3 * h, h, 7)
+    e2_grids = (e2.e2_metric_grid(traj, r_axis, theta_axis),
+                e2.e2_kahler_form_grid(traj, r_axis, theta_axis))
+    return [(g4, w4, 0.0), (*torus, 0.0), (*e2_grids, -1.0)]
+
+
+def test_one_node_axes_match_the_padded_grids(e2_traj):
+    for g, w, lam in killing_builds(e2_traj):
+        one = tuple(m for m, n in enumerate(g.counts) if n == 1)
+        assert one and set(one) <= set(g.symmetry_axes())
+        g5, w5 = pad_killing_axes(g), pad_killing_axes(w)
+        assert g5.symmetry_axes() == g.symmetry_axes()
+        assert einstein_residual(g, lam) == einstein_residual(g5, lam)
+        assert riemann_max(g) == riemann_max(g5)
+        assert (exterior_derivative_closedness(w)
+                == exterior_derivative_closedness(w5))
+        # the full-grid oracle on the padded grid
+        assert_parity(g5, lam)
+        first = tuple(slice(0, 1) if m in one else slice(None)
+                      for m in range(4))
+        assert np.array_equal(interior(riemann(g), 1, 4),
+                              interior(riemann(g5), 1, 4)[first])
 
 
 def test_one_ulp_breaks_symmetry_and_parity_holds():
@@ -261,20 +310,19 @@ def oracle_inverse(g):
     return 0.5 * (ginv + np.swapaxes(ginv, -1, -2))
 
 
-def oracle_curvature(g, steps, flat=()):
+def oracle_curvature(g, steps):
     d = len(steps)
-    live = [m for m in range(d) if m not in flat]
     dg = np.zeros(g.shape + (d,))
-    for m in live:
+    for m in range(d):
         dg[..., m] = central_diff(g, steps[m], m)
     ginv = oracle_inverse(g)
     t1 = np.swapaxes(dg, -1, -2)
     t3 = np.moveaxis(dg, -1, -3)
     gamma = 0.5 * np.einsum("...kl,...lij->...kij", ginv, t1 + dg - t3)
     ddg = np.zeros(g.shape + (d, d))
-    for k, m in enumerate(live):
+    for m in range(d):
         ddg[..., m, m] = second_diff(g, steps[m], m)
-        for n in live[k + 1:]:
+        for n in range(m + 1, d):
             cross = mixed_diff(g, steps[m], m, steps[n], n)
             ddg[..., m, n] = cross
             ddg[..., n, m] = cross
@@ -289,10 +337,10 @@ def oracle_curvature(g, steps, flat=()):
 
 def oracle_checks(grid, lam):
     """(einstein_residual, riemann_max) of the oracle on the same slice."""
-    g, flat = curvature._symmetry_slice(grid)
-    ginv, low = oracle_curvature(g, grid.steps, flat)
-    return (_interior_max(curvature._ricci(ginv, low) - lam * g, grid, flat),
-            _interior_max(curvature._raised(ginv, low), grid, flat))
+    _, g = collapse_constant(grid.components, grid.dim)
+    ginv, low = oracle_curvature(g, grid.steps)
+    return (_interior_max(curvature._ricci(ginv, low) - lam * g, grid.dim),
+            _interior_max(curvature._raised(ginv, low), grid.dim))
 
 
 def assert_close_arrays(new, old):

@@ -4,11 +4,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from keflow import e2flow as e2
 from keflow.errors import GridError
-from keflow.grids import (Axis, MetricGrid, TwoFormGrid, central_diff,
-                          interior, mixed_diff, second_diff)
+from keflow.grids import (MIN_NODES_PER_AXIS, Axis, MetricGrid, TwoFormGrid,
+                          central_diff, interior, mixed_diff, second_diff)
 
 # criterion 02's and 10's grid builders, loaded by path so that this file
 # imports under any pytest import mode
@@ -33,7 +34,9 @@ def test_axis_rejects_bad_input():
     with pytest.raises(GridError):
         Axis("x", 0.0, -1.0, 5)
     with pytest.raises(GridError):
-        Axis("x", 0.0, 1.0, 1)
+        Axis("x", 0.0, 1.0, 0)
+    # one node is a Killing direction
+    assert Axis("x", 0.0, 1.0, 1).nodes.tolist() == [0.0]
     with pytest.raises(GridError):
         Axis("x", np.nan, 1.0, 5)
 
@@ -144,6 +147,88 @@ def test_codec_one_ulp_keeps_axis():
     # one y slab: x and z still collapse
     g[:, :, 1, :, 2, 2] = np.nextafter(g[:, :, 1, :, 2, 2], -np.inf)
     assert_round_trip(MetricGrid(grid.axes, g), (1, 3))
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+# a Killing direction has one node, any other axis MIN_NODES_PER_AXIS or more
+_counts = st.one_of(st.just(1), st.integers(MIN_NODES_PER_AXIS, 7))
+
+
+@st.composite
+def axes(draw):
+    return Axis(draw(st.sampled_from(["t", "x", "y", "z", "u", "v"])),
+                draw(_finite), draw(st.floats(min_value=5e-324,
+                                              allow_infinity=False)),
+                draw(_counts))
+
+
+def _bits(arr):
+    return np.asarray(arr, dtype=np.float64).tobytes()
+
+
+@settings(max_examples=80, deadline=None)
+@given(ax=axes())
+def test_axis_round_trip_is_bit_exact(ax):
+    back = Axis.from_dict(json.loads(json.dumps(ax.to_dict())))
+    assert back == ax
+    assert _bits([back.start, back.step]) == _bits([ax.start, ax.step])
+
+
+@st.composite
+def grids(draw, cls):
+    """A grid of cls whose components are exactly constant along a drawn
+    set of axes (one-node axes are so in any case) and elsewhere drawn
+    from a pool of finite floats, signed zeros among them."""
+    d = draw(st.sampled_from([2, 4]))
+    grid_axes = tuple(draw(axes()) for _ in range(d))
+    const = draw(st.sets(st.integers(0, d - 1)))
+    counts = tuple(ax.count for ax in grid_axes)
+    core = tuple(1 if m in const else n for m, n in enumerate(counts))
+    pool = np.array(draw(st.lists(_finite, min_size=1, max_size=12)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    vals = rng.choice(pool, size=core + (d, d))
+    if cls is MetricGrid:
+        # symmetric, and positive-definite by a dominant diagonal
+        vals = np.clip(vals, -1.0, 1.0)
+        vals = vals + np.swapaxes(vals, -1, -2) + 4.0 * d * np.eye(d)
+    else:
+        vals = vals - np.swapaxes(vals, -1, -2)
+    return cls(grid_axes, np.broadcast_to(vals, counts + (d, d)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), cls=st.sampled_from([MetricGrid, TwoFormGrid]))
+def test_grid_round_trip_is_bit_exact(data, cls):
+    grid = data.draw(grids(cls))
+    back = cls.from_json(grid.to_json())
+    assert back.axes == grid.axes
+    assert _bits(back.components) == _bits(grid.components)
+    assert back.symmetry_axes() == grid.symmetry_axes()
+    assert all(m in grid.symmetry_axes()
+               for m, n in enumerate(grid.counts) if n == 1)
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data(), cls=st.sampled_from([MetricGrid, TwoFormGrid]),
+       short=st.integers(2, MIN_NODES_PER_AXIS - 1))
+def test_grids_refuse_two_to_four_nodes(data, cls, short):
+    # axis m of the drawn grid, cut to one node, then given `short` nodes:
+    # the components stay exactly constant along it, in memory and on disk
+    grid = data.draw(grids(cls))
+    m = data.draw(st.integers(0, grid.dim - 1))
+    one = tuple(slice(0, 1) if k == m else slice(None)
+                for k in range(grid.dim))
+    grid_axes = list(grid.axes)
+    grid_axes[m] = Axis(grid.axes[m].name, 0.0, 1.0, 1)
+    doc = json.loads(cls(grid_axes, grid.components[one]).to_json())
+    doc["axes"][m]["count"] = short
+    grid_axes[m] = Axis(grid.axes[m].name, 0.0, 1.0, short)
+    comp = np.repeat(grid.components[one], short, axis=m)
+    message = f"{short} nodes, need 1 or at least {MIN_NODES_PER_AXIS}"
+    with pytest.raises(GridError, match=message):
+        cls(grid_axes, comp)
+    with pytest.raises(GridError, match=message):
+        cls.from_json(json.dumps(doc))
 
 
 def test_two_form_kind_mismatch():

@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -16,7 +17,7 @@ from keflow.cli import main
 from keflow.curvature import (einstein_residual,
                               exterior_derivative_closedness,
                               gauss_curvature_2d)
-from keflow.errors import CompatibilityError, DomainError
+from keflow.errors import CompatibilityError, DomainError, GridError
 from keflow.grids import Axis, MetricGrid, central_diff, interior
 
 
@@ -459,13 +460,37 @@ def test_assembled_metric_structure():
     g4, form = lp.assemble_four_metric(sol, cp)
     assert [ax.name for ax in g4.axes] == ["x", "y", "u", "v"]
     comp = g4.components
-    # Killing directions: every u, v slice identical
-    assert np.all(comp == comp[:, :, :1, :1])
+    # Killing directions: one-node u, v axes
+    assert g4.counts[2:] == (1, 1) and form.counts[2:] == (1, 1)
     assert einstein_residual(g4, 0.0) < 5e-3
     assert exterior_derivative_closedness(form) < 1e-10
     np.testing.assert_allclose(form.components[..., 0, 1],
                                2.0 * cp.c[2:-2, 1:-1, None, None]
                                * np.ones_like(comp[..., 0, 0]), rtol=1e-12)
+
+
+@pytest.mark.parametrize("counts", [(1, 9), (9, 1), (1, 1)])
+def test_leaf_spec_and_profile_refuse_a_one_node_axis(counts):
+    # to a grid, a one-node axis is a Killing direction; a leaf or a
+    # profile would silently become invariant along it
+    x_axis, y_axis = (Axis(name, 1.0, 0.1, n) for name, n in zip("xy", counts))
+    ones = np.ones(counts)
+    message = re.escape(f"need at least 2 nodes per axis, got {counts}")
+    with pytest.raises(GridError, match=message):
+        lp.LeafSpec(x_axis, y_axis, ones, ones)
+    with pytest.raises(GridError, match=message):
+        lp.CProfile(x_axis, y_axis, ones, ones, ones)
+
+
+def test_hyperbolic_factor_along_either_axis():
+    a, b = Axis("x", 1.0, 0.25, 5), Axis("y", 2.0, 0.5, 3)
+    along_x = lp.hyperbolic_factor(a, b, "x")
+    assert np.array_equal(along_x[:, 0], 1.0 / (2.0 * a.nodes ** 2))
+    assert np.array_equal(along_x, lp.hyperbolic_factor(b, a, "y").T)
+    flipped = Axis("y", -1.0, 0.5, 3)
+    with pytest.raises(DomainError, match="inside y > 0"):
+        lp.hyperbolic_factor(a, flipped)
+    assert lp.hyperbolic_factor(a, flipped, "x").shape == (5, 3)
 
 
 def test_cprofile_json_round_trip():
