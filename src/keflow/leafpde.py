@@ -104,6 +104,14 @@ def harmonic_grid(expr: str, x_axis: Axis, y_axis: Axis) -> np.ndarray:
     return out.copy()
 
 
+def _refuse_short_axes(x_axis: Axis, y_axis: Axis) -> None:
+    """GridError unless both axes have 2 nodes or more: one node would read
+    as a Killing direction."""
+    shape = (x_axis.count, y_axis.count)
+    if min(shape) < 2:
+        raise GridError(f"need at least 2 nodes per axis, got {shape}")
+
+
 @dataclass
 class LeafSpec:
     """Flat-patch conformal data (l, h) for a leaf-like metric."""
@@ -115,9 +123,8 @@ class LeafSpec:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        _refuse_short_axes(self.x_axis, self.y_axis)
         shape = (self.x_axis.count, self.y_axis.count)
-        if min(shape) < 2:  # one node would read as a Killing direction
-            raise GridError(f"need at least 2 nodes per axis, got {shape}")
         self.ell = np.asarray(self.ell, dtype=np.float64)
         self.h = np.asarray(self.h, dtype=np.float64)
         if self.ell.shape != shape or self.h.shape != shape:
@@ -152,10 +159,11 @@ def leaf_spec(x_axis: Axis, y_axis: Axis, h: str | np.ndarray = "x",
         ell = hyperbolic_factor(x_axis, y_axis)
     spec = LeafSpec(x_axis, y_axis, ell, h, meta=meta)
 
-    lap = (second_diff(spec.h, x_axis.step, 0)
-           + second_diff(spec.h, y_axis.step, 1))
-    scale = max(1.0, float(np.nanmax(np.abs(second_diff(spec.h, x_axis.step, 0)))),
-                float(np.nanmax(np.abs(second_diff(spec.h, y_axis.step, 1)))))
+    hxx = second_diff(spec.h, x_axis.step, 0)
+    hyy = second_diff(spec.h, y_axis.step, 1)
+    lap = hxx + hyy
+    scale = max(1.0, float(np.nanmax(np.abs(hxx))),
+                float(np.nanmax(np.abs(hyy))))
     worst = float(np.nanmax(np.abs(lap))) / scale
     if worst > harmonic_tol:
         raise DomainError(
@@ -219,33 +227,45 @@ def leaf_pde_residual(g: MetricGrid, K: np.ndarray) -> LeafPdeReport:
 # Geodesic parallel coordinates.
 
 def _metric_splines(g: MetricGrid):
-    # quintic when the grid allows it: the interpolant is differentiated
-    # twice downstream, where cubic error is not always negligible. An
-    # exactly conformal grid (g_xy == 0, g_yy == g_xx at every node, exact
-    # as in grids.constant_axes) gets one spline, as (s, None, s). scipy
-    # is imported here, its one use, so no other stage pays for loading it
+    """Splines of (g_xx, g_xy, g_yy), each as a triple (s, d_x s, d_y s).
+
+    Each spline is differentiated once, here: the derivative splines give
+    s.ev(..., dx=1) and s.ev(..., dy=1) bit for bit, where .ev would
+    differentiate every coefficient again on each call. Quintic when the
+    grid allows it: the interpolant is differentiated twice downstream,
+    where cubic error is not always negligible. An exactly conformal grid
+    (g_xy == 0, g_yy == g_xx at every node, exact as in
+    grids.constant_axes) gets one triple, as (t, None, t). scipy is
+    imported here, its one use, so no other stage pays for loading it.
+    """
     from scipy.interpolate import RectBivariateSpline
     x, y = g.axes[0].nodes, g.axes[1].nodes
     kx = 5 if x.size > 5 else 3
     ky = 5 if y.size > 5 else 3
     comp = g.components
     gxx, gxy, gyy = comp[..., 0, 0], comp[..., 0, 1], comp[..., 1, 1]
+
+    def fit(gij):
+        s = RectBivariateSpline(x, y, gij, kx=kx, ky=ky, s=0)
+        return s, s.partial_derivative(1, 0), s.partial_derivative(0, 1)
+
     if np.all(gxy == 0.0) and np.all(gyy == gxx):
-        sxx = RectBivariateSpline(x, y, gxx, kx=kx, ky=ky, s=0)
-        return sxx, None, sxx
-    return tuple(RectBivariateSpline(x, y, gij, kx=kx, ky=ky, s=0)
-                 for gij in (gxx, gxy, gyy))
+        txx = fit(gxx)
+        return txx, None, txx
+    return tuple(fit(gij) for gij in (gxx, gxy, gyy))
 
 
 def _metric_at(splines, px, py, dx=0, dy=0):
-    """(g_xx, g_xy, g_yy) or their (dx, dy) derivative at the points. With
-    one conformal spline, g_xy is 0.0 and g_yy is g_xx's array, the values
-    three splines would give, for 1 .ev call instead of 3."""
-    sxx, sxy, syy = splines
-    vxx = sxx.ev(px, py, dx=dx, dy=dy)
-    if sxy is None:
+    """(g_xx, g_xy, g_yy) or their first derivative, d_x (dx=1) or d_y
+    (dy=1), at the points. With one conformal spline, g_xy is 0.0 and g_yy
+    is g_xx's array, the values three splines would give, for 1
+    evaluation instead of 3."""
+    txx, txy, tyy = splines
+    which = dx + 2 * dy
+    vxx = txx[which](px, py, grid=False)
+    if txy is None:
         return vxx, 0.0, vxx
-    return vxx, sxy.ev(px, py, dx=dx, dy=dy), syy.ev(px, py, dx=dx, dy=dy)
+    return vxx, txy[which](px, py, grid=False), tyy[which](px, py, grid=False)
 
 
 def _rk4(f_lo, f_mid, f_hi, u, h):
@@ -299,9 +319,8 @@ class CProfile:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        _refuse_short_axes(self.x_axis, self.y_axis)
         shape = (self.x_axis.count, self.y_axis.count)
-        if min(shape) < 2:  # one node would read as a Killing direction
-            raise GridError(f"need at least 2 nodes per axis, got {shape}")
         self.c = np.asarray(self.c, dtype=np.float64)
         if self.c.shape != shape:
             raise GridError(f"c shape must be {shape}")
@@ -364,9 +383,12 @@ def geodesic_parallel_profile(g: MetricGrid, x_axis: Axis | None = None,
     quintic splines (cubic along an axis of at most 5 nodes), one for g_xx,
     g_xy and g_yy each, or a single one when the grid is exactly conformal
     (g_xy == 0 and g_yy == g_xx at every node), as every leaf metric is.
-    Geodesics exiting the source rectangle or focusing (c below c_floor)
-    truncate the profile, recorded in coverage/truncation_reason; if one
-    leaves before the second profile node, DomainError names it.
+    Each spline is differentiated once, before the shoot (see
+    _metric_splines). Geodesics exiting the source rectangle or focusing
+    (c below c_floor) truncate the profile, recorded in
+    coverage/truncation_reason; if one leaves before the second profile
+    node, DomainError names it. An axis of fewer than 2 nodes raises
+    GridError before the shoot.
     """
     if g.dim != 2:
         raise GridError("profile extraction is for 2D metrics")
@@ -379,6 +401,8 @@ def geodesic_parallel_profile(g: MetricGrid, x_axis: Axis | None = None,
         y_axis = _base_curve_axis(sy, sy.step)
     if x_axis.start != 0.0:
         raise DomainError("profile x axis must start at 0 (the base curve)")
+    # the profile's own refusal, before any spline fit or RK4 step
+    _refuse_short_axes(x_axis, y_axis)
 
     # one padding seed each side so central y-derivatives cover all nodes
     seeds = np.concatenate(([y_axis.start - y_axis.step], y_axis.nodes,

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from keflow.bianchi import ClosedFormConstants, torus_metric_grid
-from keflow import e2flow, manifest, odes
+from keflow import e2flow, leafpde, manifest, odes
 from keflow.cli import main
 from keflow.grids import Axis
 
@@ -462,17 +462,25 @@ def pde_run(tmp_path_factory):
     rc = main(["--out-dir", str(d / "met"), "pde", "construct",
                "--profile", str(d / "prof" / "cprofile.json")])
     assert rc == 0
+    rc = main(["--out-dir", str(d / "ver"), "pde", "verify",
+               "--metric", str(d / "met" / "metric.json"),
+               "--form", str(d / "met" / "kahler.json"), "--lam", "0"])
+    assert rc == 0
     return d
 
 
 def test_pde_artifacts_golden_bytes(pde_run):
     # sha256 of the README-size artifacts (n = 129); the profile's from
     # before the geodesic shoot used one spline on conformal grids, the
-    # report's from the pair-block curvature; numpy 2.4.6, scipy 1.17.1
+    # leaf report's from the pair-block curvature, the verify report's,
+    # which pins the 4D Einstein residual, from before the curvature core
+    # went component-major; numpy 2.4.6, scipy 1.17.1
     assert manifest.sha256_of(pde_run / "prof" / "cprofile.json") == (
         "77e44b974d8556a53f01bab8097db9e063e8ec468289b940b86d5c04170e9a09")
     assert manifest.sha256_of(pde_run / "spec" / "leaf_report.json") == (
         "944f8b322deb1244f9e44768ed5b5beae9a9ee755f535283f4a169773c157b4d")
+    assert manifest.sha256_of(pde_run / "ver" / "verify_report.json") == (
+        "9ff2deb6337949a9814a2e286979ce7ba8e9196bcd26bdba26da68dda6d44ae1")
 
 
 def test_pde_leaf_report(pde_run):
@@ -491,13 +499,8 @@ def test_pde_construct_report(pde_run):
     assert (pde_run / "met" / "kahler.json").stat().st_size < 200_000
 
 
-def test_pde_verify_pipeline_metric(pde_run, tmp_path):
-    rc = main(["--out-dir", str(tmp_path), "pde", "verify",
-               "--metric", str(pde_run / "met" / "metric.json"),
-               "--form", str(pde_run / "met" / "kahler.json"),
-               "--lam", "0"])
-    assert rc == 0
-    rep = read_json(tmp_path / "verify_report.json")
+def test_pde_verify_pipeline_metric(pde_run):
+    rep = read_json(pde_run / "ver" / "verify_report.json")
     assert rep["einstein_residual"] < 5e-3
     assert rep["closedness"] < 1e-10
 
@@ -742,9 +745,15 @@ def test_pde_profile_rejects_counts_below_two(pde_run, tmp_path, capsys,
 
 
 def test_pde_profile_refuses_a_one_node_base_curve(pde_run, tmp_path,
-                                                   capsys):
+                                                   capsys, monkeypatch):
     # two and a half source steps below the top edge, the default base
-    # curve has one node; a profile would be y-invariant along it
+    # curve has one node; a profile would be y-invariant along it. It is
+    # refused before the shoot: no spline is fitted, no RK4 step taken
+    def shoot(*args):
+        raise AssertionError("the shoot ran")
+
+    monkeypatch.setattr(leafpde, "_metric_splines", shoot)
+    monkeypatch.setattr(leafpde, "_rk4", shoot)
     capsys.readouterr()
     assert main(["--out-dir", str(tmp_path), "pde", "profile",
                  "--spec", str(pde_run / "spec" / "leafspec.json"),

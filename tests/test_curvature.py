@@ -1,6 +1,7 @@
 import ast
 import importlib.util
 import sys
+from itertools import combinations
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +17,7 @@ from keflow.curvature import (_interior_max, christoffel, convergence_order,
                               gauss_curvature_2d, laplace_beltrami, ricci,
                               riemann, riemann_lowered, riemann_max)
 from keflow.errors import GridError
-from keflow.grids import (Axis, MetricGrid, TwoFormGrid, central_diff,
+from keflow.grids import (Axis, MetricGrid, TwoFormGrid, _det, central_diff,
                           collapse_constant, interior, mixed_diff,
                           second_diff)
 
@@ -343,6 +344,95 @@ def oracle_checks(grid, lam):
             _interior_max(curvature._raised(ginv, low), grid.dim))
 
 
+# Frozen reference: the curvature core as it was before it went
+# component-major and differenced only the second derivatives the pair
+# blocks read, copied verbatim but for the names. Same operations, same
+# summation order, so every result must match it bit for bit.
+
+def frozen_contract(m: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """sum_l m[..., k, l] t[..., l, i, j], summed in the order of l."""
+    return sum(m[..., :, l, None, None] * t[..., None, l, :, :]
+               for l in range(m.shape[-1]))
+
+
+def frozen_connection(g: np.ndarray, steps) -> tuple[np.ndarray, np.ndarray]:
+    """Inverse metric and Christoffel symbols Gamma[..., k, i, j] of g.
+
+    g holds components with the node axes leading; every axis of more
+    than one node gets a NaN boundary layer. Gamma is exactly symmetric in
+    (i, j).
+    """
+    d = len(steps)
+    dg = np.empty(g.shape + (d,))     # dg[..., i, j, m] = d g_ij / d x_m
+    for m in range(d):
+        dg[..., m] = central_diff(g, steps[m], m)
+    _, ginv = curvature._inverse_metric(g)
+    t1 = np.swapaxes(dg, -1, -2)          # [l, i, j] = d_i g_lj
+    t2 = dg                               # [l, i, j] = d_j g_li
+    t3 = np.moveaxis(dg, -1, -3)          # [l, i, j] = d_l g_ij
+    return ginv, 0.5 * frozen_contract(ginv, t1 + t2 - t3)
+
+
+def frozen_curvature(g: np.ndarray, steps) -> tuple[np.ndarray, np.ndarray]:
+    """Inverse metric and lowered curvature R[..., a, b, c, d] = R_abcd of g.
+
+    The one curvature core: the array functions call it on the full grid,
+    the scalar checks on one slice per symmetry axis.
+    """
+    d = len(steps)
+    ddg = np.empty(g.shape + (d, d))  # ddg[..., i, j, m, n] = d^2 g_ij / dx_m dx_n
+    for m in range(d):
+        ddg[..., m, m] = second_diff(g, steps[m], m)
+        for n in range(m + 1, d):
+            cross = mixed_diff(g, steps[m], m, steps[n], n)
+            ddg[..., m, n] = cross
+            ddg[..., n, m] = cross
+    ginv, gamma = frozen_connection(g, steps)
+    glow = frozen_contract(g, gamma)            # [f, i, l] = g_fe Gamma^e_il
+    # R_ijkl on the pair blocks: row p is (i, j) = pairs[p], column q is
+    # (k, l) = pairs[q]
+    lo, hi = np.array(list(combinations(range(d), 2))).T
+    i, j, k, l = lo[:, None], hi[:, None], lo, hi
+    blocks = (0.5 * (ddg[..., i, l, j, k] + ddg[..., j, k, i, l]
+                     - ddg[..., j, l, i, k] - ddg[..., i, k, j, l])
+              + sum(gamma[..., f, j, k] * glow[..., f, i, l] for f in range(d))
+              - sum(gamma[..., f, j, l] * glow[..., f, i, k] for f in range(d)))
+    R = np.zeros(g.shape[:-2] + (d,) * 4)
+    R[..., i, j, k, l] = blocks
+    R[..., j, i, l, k] = blocks
+    R[..., j, i, k, l] = -blocks
+    R[..., i, j, l, k] = -blocks
+    # the zero entries keep the NaN margin of the computed ones
+    R[np.isnan(blocks[..., 0, 0])] = np.nan
+    return ginv, R
+
+
+def assert_bits(new, old):
+    """Equal bit for bit (int64 view), NaN margin included."""
+    new, old = np.asarray(new, np.float64), np.asarray(old, np.float64)
+    assert new.shape == old.shape
+    assert np.array_equal(new.view(np.int64), old.view(np.int64))
+
+
+def assert_matches_frozen(grid, lam):
+    g = grid.components
+    ginv, low = frozen_curvature(g, grid.steps)
+    assert_bits(riemann_lowered(grid), low)
+    assert_bits(riemann(grid), curvature._raised(ginv, low))
+    assert_bits(ricci(grid), curvature._ricci(ginv, low))
+    assert_bits(christoffel(grid), frozen_connection(g, grid.steps)[1])
+    if grid.dim == 2:
+        assert_bits(gauss_curvature_2d(grid),
+                    low[..., 0, 1, 0, 1] / _det(g))
+    _, g = collapse_constant(g, grid.dim)
+    ginv, low = frozen_curvature(g, grid.steps)
+    assert_bits(einstein_residual(grid, lam),
+                _interior_max(curvature._ricci(ginv, low) - lam * g,
+                              grid.dim))
+    assert_bits(riemann_max(grid),
+                _interior_max(curvature._raised(ginv, low), grid.dim))
+
+
 def assert_close_arrays(new, old):
     assert np.array_equal(np.isnan(new), np.isnan(old))
     scale = np.nanmax(np.abs(old))
@@ -350,6 +440,7 @@ def assert_close_arrays(new, old):
 
 
 def assert_matches_oracle(grid, lam):
+    assert_matches_frozen(grid, lam)
     ginv, low = oracle_curvature(grid.components, grid.steps)
     R = riemann_lowered(grid)
     assert_close_arrays(R, low)

@@ -178,7 +178,7 @@ def test_axis_round_trip_is_bit_exact(ax):
 def grids(draw, cls):
     """A grid of cls whose components are exactly constant along a drawn
     set of axes (one-node axes are so in any case) and elsewhere drawn
-    from a pool of finite floats, signed zeros among them."""
+    from a pool of finite floats of any size, signed zeros among them."""
     d = draw(st.sampled_from([2, 4]))
     grid_axes = tuple(draw(axes()) for _ in range(d))
     const = draw(st.sets(st.integers(0, d - 1)))
@@ -192,7 +192,11 @@ def grids(draw, cls):
         vals = np.clip(vals, -1.0, 1.0)
         vals = vals + np.swapaxes(vals, -1, -2) + 4.0 * d * np.eye(d)
     else:
-        vals = vals - np.swapaxes(vals, -1, -2)
+        # antisymmetric by exact negation of the upper triangle: x - y of
+        # two finite draws can overflow to inf, -x cannot
+        upper = np.triu(vals, 1)
+        vals = np.where(np.tri(d, k=-1, dtype=bool),
+                        -np.swapaxes(upper, -1, -2), upper)
     return cls(grid_axes, np.broadcast_to(vals, counts + (d, d)))
 
 
