@@ -23,8 +23,7 @@ import numpy as np
 from .bianchi import BianchiParams, _flow, type_a_grids
 from .errors import DomainError, VerificationError
 from .grids import Axis, MetricGrid, TwoFormGrid
-from .odes import (Trajectory, integrate_flow, read_table, replay, root,
-                   write_table)
+from .odes import Trajectory, integrate_flow, replay, root, write_table
 
 EQUILIBRIUM_SADDLE = "q0q"
 EQUILIBRIUM_DEGENERATE = "0q0"
@@ -350,21 +349,13 @@ class BoltProfile:
         return write_table({}, self.meta, ("r", "a", "b", "c"),
                            (self.r, self.a, self.b, self.c))
 
-    @classmethod
-    def from_csv(cls, text: str | bytes) -> "BoltProfile":
-        _, meta, _, data = read_table(text, {})
-        return cls(r=data[:, 0], a=data[:, 1], b=data[:, 2], c=data[:, 3],
-                   meta=meta)
-
     def sample(self, r):
+        """(a, b, c) at radii r inside the profile, from the interpolant
+        bolt_profile sets (the shoot's dense output)."""
         r = np.asarray(r, dtype=np.float64)
         if np.any(r < self.r[0]) or np.any(r > self.r[-1]):
             raise DomainError("sample radius outside the profile range")
-        if self.interpolant is not None:
-            return self.interpolant(r)
-        from scipy.interpolate import CubicSpline
-        values = np.column_stack([self.a, self.b, self.c])
-        return CubicSpline(self.r, values)(r).T
+        return self.interpolant(r)
 
 
 def bolt_profile(traj: Trajectory, r_max: float = 0.4, n: int = 200) -> BoltProfile:

@@ -186,6 +186,15 @@ def load_artifact(text: str | bytes, kind: str, keys: tuple[str, ...],
     return doc, axes, [decode_array(doc, key, shape, d) for key in keys]
 
 
+def check_axis_counts(axes) -> None:
+    """GridError unless every axis has 1 or at least MIN_NODES_PER_AXIS
+    nodes, the counts a grid accepts."""
+    for ax in axes:
+        if 1 < ax.count < MIN_NODES_PER_AXIS:
+            raise GridError(f"axis {ax.name!r}: {ax.count} nodes, need 1 "
+                            f"or at least {MIN_NODES_PER_AXIS}")
+
+
 class MetricGrid:
     """A Riemannian metric sampled on a uniform grid.
 
@@ -221,10 +230,7 @@ class MetricGrid:
         d = self.dim
         if d not in (2, 4):
             raise GridError(f"grid dimension {d} not in (2, 4)")
-        for ax in self.axes:
-            if 1 < ax.count < MIN_NODES_PER_AXIS:
-                raise GridError(f"axis {ax.name!r}: {ax.count} nodes, need 1 "
-                                f"or at least {MIN_NODES_PER_AXIS}")
+        check_axis_counts(self.axes)
         g = self.components
         metric = self.transpose_sign > 0
         noun = "metric" if metric else "form"

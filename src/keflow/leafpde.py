@@ -32,7 +32,8 @@ import numpy as np
 
 from .errors import CompatibilityError, DomainError, GridError
 from .grids import (Axis, MetricGrid, TwoFormGrid, central_diff,
-                    dump_artifact, interior, load_artifact, second_diff)
+                    check_axis_counts, collapse_constant, dump_artifact,
+                    interior, load_artifact, second_diff)
 from .curvature import gauss_curvature_2d, laplace_beltrami
 from .frame_algebra import _sys_flow
 
@@ -149,7 +150,12 @@ def leaf_spec(x_axis: Axis, y_axis: Axis, h: str | np.ndarray = "x",
     """Validated leaf data: l positive with l*g0 of curvature -2, h harmonic.
 
     Both properties are checked by finite differences at the grid's own
-    resolution; tolerances are absolute on the residuals.
+    resolution; tolerances are absolute on the residuals. The curvature
+    of l*g0 is differenced on one slice per axis along which l is exactly
+    constant (grids.collapse_constant), cut to one node as in
+    einstein_residual: along it every difference is an exact zero, so the
+    slice's interior holds the full grid's values and the deviation is
+    the same number. Axis counts a grid refuses are refused, cut or not.
     """
     meta = {}
     if isinstance(h, str):
@@ -169,8 +175,11 @@ def leaf_spec(x_axis: Axis, y_axis: Axis, h: str | np.ndarray = "x",
         raise DomainError(
             f"h is not harmonic at grid resolution: residual {worst:.3e}")
 
-    hyp = _conformal_metric(x_axis, y_axis, spec.ell)
-    curv = gauss_curvature_2d(hyp)
+    check_axis_counts((x_axis, y_axis))
+    const, ell_cut = collapse_constant(spec.ell, 2)
+    cut = [Axis(ax.name, ax.start, ax.step, 1) if m in const else ax
+           for m, ax in enumerate((x_axis, y_axis))]
+    curv = gauss_curvature_2d(_conformal_metric(*cut, ell_cut))
     dev = float(np.nanmax(np.abs(interior(curv, 1, 2) + 2.0)))
     if dev > curvature_tol:
         raise DomainError(
@@ -279,8 +288,31 @@ def _rk4(f_lo, f_mid, f_hi, u, h):
 
 
 def _geodesic_rhs(splines, u):
-    """d/dt of u = (px, py, vx, vy): (vx, vy, -Gamma^k_ij v^i v^j)."""
+    """d/dt of u = (px, py, vx, vy): (vx, vy, -Gamma^k_ij v^i v^j).
+
+    A conformal grid, g = phi (dx^2 + dy^2) with one spline triple, takes
+    the contraction in closed form: with q = phi/(phi phi) = g^xx = g^yy,
+    a = q (0.5 phi_x), b = q (0.5 phi_y) and vij = vi vj, the i, j, k
+    loop's nonzero terms in the loop's order, so bit for bit its sum.
+    Every other loop term multiplies an exact zero (g_xy, its derivatives,
+    g^xy = -0.0/det), and no zero sign shows: the loop's accumulator
+    starts at +0.0 and so never ends at -0.0, nor do the sums below, since
+    vxx and vyy are never -0.0. The (0, 1) and (1, 0) terms are equal, as
+    IEEE + and * commute, and 0.5 ((phi_x + phi_x) - phi_x) is 0.5 phi_x.
+    """
     px, py, v = u[0], u[1], u[2:]
+    txx, txy, _ = splines
+    if txy is None:
+        phi, phi_x, phi_y = (s(px, py, grid=False) for s in txx)
+        q = phi / (phi * phi)
+        a = q * (0.5 * phi_x)
+        b = q * (0.5 * phi_y)
+        vxx, vxy, vyy = v[0] * v[0], v[0] * v[1], v[1] * v[1]
+        out = np.empty((4,) + px.shape)
+        out[:2] = v
+        out[2] = ((-(a * vxx) - b * vxy) - b * vxy) + a * vyy
+        out[3] = ((b * vxx - a * vxy) - a * vxy) - b * vyy
+        return out
     gxx, gxy, gyy = _metric_at(splines, px, py)
     d = (gxx * gyy - gxy * gxy)
     inv = ((gyy / d, -gxy / d), (-gxy / d, gxx / d))
@@ -384,8 +416,10 @@ def geodesic_parallel_profile(g: MetricGrid, x_axis: Axis | None = None,
     g_xy and g_yy each, or a single one when the grid is exactly conformal
     (g_xy == 0 and g_yy == g_xx at every node), as every leaf metric is.
     Each spline is differentiated once, before the shoot (see
-    _metric_splines). Geodesics exiting the source rectangle or focusing
-    (c below c_floor) truncate the profile, recorded in
+    _metric_splines). On a conformal grid the Christoffel contraction is
+    taken in closed form, bit for bit the general loop's sum (see
+    _geodesic_rhs). Geodesics exiting the source rectangle or focusing (c
+    below c_floor) truncate the profile, recorded in
     coverage/truncation_reason; if one leaves before the second profile
     node, DomainError names it. An axis of fewer than 2 nodes raises
     GridError before the shoot.

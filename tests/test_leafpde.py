@@ -6,10 +6,12 @@ import os
 import re
 import subprocess
 import sys
+from functools import cache
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from keflow import leafpde as lp
 from keflow.cli import main
@@ -187,6 +189,37 @@ def test_leaf_spec_checks_curvature():
     ell = np.ones((n, n))  # flat, not curvature -2
     with pytest.raises(DomainError):
         lp.leaf_spec(ax, ay, h="x", ell=ell)
+
+
+@pytest.mark.parametrize("along", ["y", "x"])
+def test_leaf_spec_checks_curvature_on_one_slice(monkeypatch, along):
+    # ell = 1/(2 s^2) is exactly constant along the other axis: the check
+    # differences one slice, whose interior holds the full grid's values
+    n = 33
+    ax, ay = Axis("x", 1.0, 1.0 / 32, n), Axis("y", 1.0, 1.0 / 32, n)
+    ell = lp.hyperbolic_factor(ax, ay, along)
+    seen = []
+
+    def recorded(grid):
+        seen.append(grid)
+        return gauss_curvature_2d(grid)
+
+    monkeypatch.setattr(lp, "gauss_curvature_2d", recorded)
+    lp.leaf_spec(ax, ay, h="x" if along == "y" else "y", ell=ell)
+    (grid,) = seen
+    cut = 0 if along == "y" else 1
+    assert grid.counts[cut] == 1 and grid.counts[1 - cut] == n
+    full = gauss_curvature_2d(lp._conformal_metric(ax, ay, ell))
+    inner = interior(full, 1, 2)
+    assert np.array_equal(inner, np.broadcast_to(
+        interior(recorded(grid), 1, 2), inner.shape))
+    # curvature -1/(2 y) of ell = 1/y is caught on the slice too, and an
+    # axis of 2 to 4 nodes is refused as a grid refuses it, cut or not
+    with pytest.raises(DomainError, match="curvature -2"):
+        lp.leaf_spec(ax, ay, h="x", ell=np.broadcast_to(1.0 / ay.nodes,
+                                                        (n, n)))
+    with pytest.raises(GridError, match="3 nodes, need 1 or at least 5"):
+        lp.leaf_spec(Axis("x", 0.0, 0.25, 3), ay, h="x")
 
 
 def test_leaf_metric_prediction():
@@ -429,6 +462,69 @@ def test_geodesic_rhs_spline_evaluations(monkeypatch, grid, calls):
     assert len(count) == calls
 
 
+def frozen_geodesic_rhs(splines, u):
+    # _geodesic_rhs before its conformal closed form, kept verbatim as the
+    # reference the closed form must match bit for bit
+    px, py, v = u[0], u[1], u[2:]
+    gxx, gxy, gyy = lp._metric_at(splines, px, py)
+    d = (gxx * gyy - gxy * gxy)
+    inv = ((gyy / d, -gxy / d), (-gxy / d, gxx / d))
+    # dg[a + b][k] = d_k g_ab with 0 = x, 1 = y
+    dg = list(zip(lp._metric_at(splines, px, py, dx=1),
+                  lp._metric_at(splines, px, py, dy=1)))
+    acc = np.zeros((2,) + px.shape)
+    for i in range(2):
+        for j in range(2):
+            # Gamma_ijl = (1/2)(d_i g_jl + d_j g_il - d_l g_ij)
+            low0, low1 = (0.5 * (dg[j + l][i] + dg[i + l][j] - dg[i + j][l])
+                          for l in range(2))
+            vij = v[i] * v[j]
+            for k in range(2):
+                acc[k] -= (inv[k][0] * low0 + inv[k][1] * low1) * vij
+    return np.concatenate((v, acc))
+
+
+def y_invariant_leaf():
+    # ell = 1/(2 x^2) and h = -x: the leaf metric is exactly constant in y,
+    # so its spline's d_y g_xx is rounding noise, far below d_x g_xx
+    sx, sy = Axis("x", 1.0, 0.05, 13), Axis("y", 0.0, 0.05, 17)
+    ell = lp.hyperbolic_factor(sx, sy, "x")
+    return lp.leaf_metric(lp.leaf_spec(sx, sy, h="-x", ell=ell,
+                                       curvature_tol=0.1))[0]
+
+
+_RHS_GRIDS = {"hyperbolic": lambda: lp.leaf_metric(hyperbolic_spec(n=33))[0],
+              "y-invariant": y_invariant_leaf, "sheared": sheared_grid}
+
+
+@cache
+def _grid_and_splines(name):
+    g = _RHS_GRIDS[name]()
+    return g, lp._metric_splines(g)
+
+
+# velocities of every sign and size, with exact zeros of both signs often
+_velocity = st.one_of(st.sampled_from([0.0, -0.0]),
+                      st.floats(-1e3, 1e3),
+                      st.floats(-1e-150, 1e-150))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), name=st.sampled_from(sorted(_RHS_GRIDS)))
+def test_geodesic_rhs_matches_the_frozen_loop_bit_for_bit(data, name):
+    g, splines = _grid_and_splines(name)
+    assert (splines[1] is None) == (name != "sheared")
+    m = data.draw(st.integers(1, 6))
+    u = np.array([data.draw(st.lists(strategy, min_size=m, max_size=m))
+                  for strategy in (st.floats(g.axes[0].start, g.axes[0].stop),
+                                   st.floats(g.axes[1].start, g.axes[1].stop),
+                                   _velocity, _velocity)])
+    got = lp._geodesic_rhs(splines, u)
+    want = frozen_geodesic_rhs(splines, u)
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
 @pytest.mark.parametrize("perturb", ["g_yy ulp", "g_xy node"])
 def test_nearly_conformal_grid_uses_three_splines(perturb):
     g, _ = lp.leaf_metric(hyperbolic_spec(n=33))
@@ -501,3 +597,71 @@ def test_cprofile_json_round_trip():
         assert np.array_equal(getattr(back, name), getattr(cp, name))
     assert back.coverage == cp.coverage
     assert back.x_axis == cp.x_axis
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+_positive = st.floats(min_value=5e-324, allow_infinity=False)
+_meta = st.dictionaries(st.text(max_size=8),
+                        st.one_of(st.integers(-10 ** 6, 10 ** 6),
+                                  st.text(max_size=8), _finite), max_size=3)
+
+
+@st.composite
+def node_arrays(draw, shape, values):
+    """An array of `shape` exactly constant along a drawn set of its axes
+    and elsewhere drawn from a pool of `values`."""
+    const = draw(st.sets(st.integers(0, len(shape) - 1)))
+    core = tuple(1 if m in const else n for m, n in enumerate(shape))
+    pool = np.array(draw(st.lists(values, min_size=1, max_size=8)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    return np.broadcast_to(rng.choice(pool, size=core), shape).copy()
+
+
+@st.composite
+def leaf_axes(draw):
+    return tuple(Axis(name, draw(_finite), draw(_positive),
+                      draw(st.integers(2, 7))) for name in "xy")
+
+
+def _bits_equal(a, b):
+    return np.array_equal(np.asarray(a).view(np.int64),
+                          np.asarray(b).view(np.int64))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_leaf_spec_round_trip_is_bit_exact(data):
+    ax, ay = data.draw(leaf_axes())
+    shape = (ax.count, ay.count)
+    spec = lp.LeafSpec(ax, ay, data.draw(node_arrays(shape, _positive)),
+                       data.draw(node_arrays(shape, _finite)),
+                       meta=data.draw(_meta))
+    text = spec.to_json()
+    back = lp.LeafSpec.from_json(text)
+    assert (back.x_axis, back.y_axis) == (ax, ay)
+    assert _bits_equal(back.ell, spec.ell) and _bits_equal(back.h, spec.h)
+    assert back.meta == spec.meta
+    assert back.to_json() == text
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_cprofile_round_trip_is_bit_exact(data):
+    ax, ay = data.draw(leaf_axes())
+    shape = (ax.count, ay.count)
+    cp = lp.CProfile(ax, ay, data.draw(node_arrays(shape, _positive)),
+                     data.draw(node_arrays(shape, _finite)),
+                     data.draw(node_arrays(shape, _finite)),
+                     coverage=data.draw(st.floats(0.0, 1.0, exclude_min=True)),
+                     truncated=data.draw(st.booleans()),
+                     truncation_reason=data.draw(st.text(max_size=12)),
+                     meta=data.draw(_meta))
+    text = cp.to_json()
+    back = lp.CProfile.from_json(text)
+    assert (back.x_axis, back.y_axis) == (ax, ay)
+    for name in ("c", "x_map", "y_map"):
+        assert _bits_equal(getattr(back, name), getattr(cp, name))
+    assert (back.coverage, back.truncated, back.truncation_reason,
+            back.meta) == (cp.coverage, cp.truncated, cp.truncation_reason,
+                           cp.meta)
+    assert back.to_json() == text
