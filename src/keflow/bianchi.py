@@ -314,7 +314,3 @@ def integrate(params: BianchiParams, s0: ABCState, t_end: float,
                                 "p3": params.p3, "lam": params.lam,
                                 "alpha0": params.alpha0})
 
-
-def trajectory_states(traj: Trajectory) -> list[ABCState]:
-    return [ABCState(t=float(ti), a=float(a), b=float(b), c=float(c))
-            for ti, (a, b, c) in zip(traj.t, traj.states)]

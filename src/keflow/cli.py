@@ -357,10 +357,11 @@ def pde():
               help="Harmonic function as an expression in x, y.")
 @click.option("--domain", default="0,1,1,2", show_default=True,
               help="Rectangle x0,x1,y0,y1.")
-@click.option("--n", type=int, default=257, show_default=True,
+@click.option("--n", type=click.IntRange(min=5), default=257,
+              show_default=True,
               help="Nodes per axis (square grid unless --nx/--ny).")
-@click.option("--nx", type=int, default=None)
-@click.option("--ny", type=int, default=None)
+@click.option("--nx", type=click.IntRange(min=5), default=None)
+@click.option("--ny", type=click.IntRange(min=5), default=None)
 @click.option("--ell-axis", type=click.Choice(["y", "x"]), default="y",
               show_default=True,
               help="Conformal factor 1/(2 s^2) built from this coordinate.")
@@ -368,10 +369,10 @@ def pde():
 def pde_leaf_build(ctx, h_expr, domain, n, nx, ny, ell_axis):
     """Validate leaf data and report the curvature checks on its metric."""
     x0, x1, y0, y1 = _parse_floats(domain, 4, "--domain")
-    nx = nx or n
-    ny = ny or n
-    if nx < 5 or ny < 5 or x1 <= x0 or y1 <= y0:
-        raise click.UsageError("domain must be nondegenerate with >= 5 nodes per axis")
+    nx = n if nx is None else nx
+    ny = n if ny is None else ny
+    if x1 <= x0 or y1 <= y0:
+        raise click.UsageError("domain must be nondegenerate")
     x_axis = Axis("x", x0, (x1 - x0) / (nx - 1), nx)
     y_axis = Axis("y", y0, (y1 - y0) / (ny - 1), ny)
     ell = lp.hyperbolic_factor(x_axis, y_axis, ell_axis)

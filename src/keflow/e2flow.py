@@ -90,20 +90,6 @@ def linearization(q: float, which: str = EQUILIBRIUM_SADDLE) -> Linearization:
                          eigenvectors=vecs)
 
 
-def classify_start(a: float, b: float, c: float) -> str:
-    """Which trapping-region alternative a start point falls in.
-
-    'trapped' points stay in 0 <= c^2-a^2 <= 2a^2b^2; below it a blows up in
-    finite time, above it c does.
-    """
-    gap = c * c - a * a
-    if gap < 0.0:
-        return "a-blowup"
-    if gap > 2.0 * a * a * b * b:
-        return "c-blowup"
-    return "trapped"
-
-
 def _shoot_start(q: float, eps: float | None,
                  start: tuple[float, float, float] | None):
     """shoot_unstable's first r and state (a, b, c, t = 0), its eps and its

@@ -14,8 +14,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import DomainError
 
 
@@ -33,18 +31,6 @@ class FrameCoefficients:
     H: float
     L: float
     N: float
-
-
-@dataclass(frozen=True)
-class ShearPair:
-    """Components (sigma1, sigma2) of the frame shear in a 2-plane."""
-
-    sigma1: float
-    sigma2: float
-
-    @property
-    def magnitude(self) -> float:
-        return math.hypot(self.sigma1, self.sigma2)
 
 
 @dataclass(frozen=True)
@@ -80,22 +66,9 @@ def kahler_relation_residuals(fc: FrameCoefficients) -> tuple[float, float, floa
             fc.N + (fc.E + fc.H))
 
 
-def is_kahler(fc: FrameCoefficients, tol: float = 1e-12) -> bool:
-    return max(abs(r) for r in kahler_relation_residuals(fc)) <= tol
-
-
 def integrability_residuals(fc: FrameCoefficients) -> tuple[float, float]:
     """The two relations forced by integrability of the complex structure."""
     return kahler_relation_residuals(fc)[:2]
-
-
-def shear_coefficients(block) -> ShearPair:
-    """Shear components from the 2x2 projected-derivative block b_ij."""
-    b = np.asarray(block, dtype=np.float64)
-    if b.shape != (2, 2):
-        raise DomainError("expected a 2x2 block")
-    return ShearPair(sigma1=0.5 * (b[0, 0] - b[1, 1]),
-                     sigma2=-0.5 * (b[0, 1] + b[1, 0]))
 
 
 def to_pqrs(fc: FrameCoefficients) -> PQRSState:

@@ -265,10 +265,6 @@ class MetricGrid:
         """
         return constant_axes(self.components, self.dim)
 
-    def node_mesh(self) -> list[np.ndarray]:
-        """Coordinate arrays of shape counts, one per axis."""
-        return list(np.meshgrid(*[ax.nodes for ax in self.axes], indexing="ij"))
-
     def to_json(self) -> str:
         return dump_artifact(self.kind, self.axes,
                              {"components": self.components}, dims=self.dim,

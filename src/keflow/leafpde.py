@@ -235,46 +235,20 @@ def leaf_pde_residual(g: MetricGrid, K: np.ndarray) -> LeafPdeReport:
 # ---------------------------------------------------------------------------
 # Geodesic parallel coordinates.
 
-def _metric_splines(g: MetricGrid):
-    """Splines of (g_xx, g_xy, g_yy), each as a triple (s, d_x s, d_y s).
-
-    Each spline is differentiated once, here: the derivative splines give
-    s.ev(..., dx=1) and s.ev(..., dy=1) bit for bit, where .ev would
-    differentiate every coefficient again on each call. Quintic when the
-    grid allows it: the interpolant is differentiated twice downstream,
-    where cubic error is not always negligible. An exactly conformal grid
-    (g_xy == 0, g_yy == g_xx at every node, exact as in
-    grids.constant_axes) gets one triple, as (t, None, t). scipy is
-    imported here, its one use, so no other stage pays for loading it.
-    """
+def _factor_spline(g: MetricGrid):
+    """Spline of phi = g_xx as a triple (s, d_x s, d_y s), differentiated
+    once, here: the derivative splines give s.ev(..., dx=1) and
+    s.ev(..., dy=1) bit for bit, where .ev differentiates again on each
+    call. Quintic when the grid allows it, as the interpolant is
+    differentiated twice downstream; cubic along an axis of at most 5
+    nodes. scipy is imported here, its one use, so no other stage pays for
+    loading it."""
     from scipy.interpolate import RectBivariateSpline
     x, y = g.axes[0].nodes, g.axes[1].nodes
     kx = 5 if x.size > 5 else 3
     ky = 5 if y.size > 5 else 3
-    comp = g.components
-    gxx, gxy, gyy = comp[..., 0, 0], comp[..., 0, 1], comp[..., 1, 1]
-
-    def fit(gij):
-        s = RectBivariateSpline(x, y, gij, kx=kx, ky=ky, s=0)
-        return s, s.partial_derivative(1, 0), s.partial_derivative(0, 1)
-
-    if np.all(gxy == 0.0) and np.all(gyy == gxx):
-        txx = fit(gxx)
-        return txx, None, txx
-    return tuple(fit(gij) for gij in (gxx, gxy, gyy))
-
-
-def _metric_at(splines, px, py, dx=0, dy=0):
-    """(g_xx, g_xy, g_yy) or their first derivative, d_x (dx=1) or d_y
-    (dy=1), at the points. With one conformal spline, g_xy is 0.0 and g_yy
-    is g_xx's array, the values three splines would give, for 1
-    evaluation instead of 3."""
-    txx, txy, tyy = splines
-    which = dx + 2 * dy
-    vxx = txx[which](px, py, grid=False)
-    if txy is None:
-        return vxx, 0.0, vxx
-    return vxx, txy[which](px, py, grid=False), tyy[which](px, py, grid=False)
+    s = RectBivariateSpline(x, y, g.components[..., 0, 0], kx=kx, ky=ky, s=0)
+    return s, s.partial_derivative(1, 0), s.partial_derivative(0, 1)
 
 
 def _rk4(f_lo, f_mid, f_hi, u, h):
@@ -287,48 +261,23 @@ def _rk4(f_lo, f_mid, f_hi, u, h):
     return u + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _geodesic_rhs(splines, u):
-    """d/dt of u = (px, py, vx, vy): (vx, vy, -Gamma^k_ij v^i v^j).
-
-    A conformal grid, g = phi (dx^2 + dy^2) with one spline triple, takes
-    the contraction in closed form: with q = phi/(phi phi) = g^xx = g^yy,
-    a = q (0.5 phi_x), b = q (0.5 phi_y) and vij = vi vj, the i, j, k
-    loop's nonzero terms in the loop's order, so bit for bit its sum.
-    Every other loop term multiplies an exact zero (g_xy, its derivatives,
-    g^xy = -0.0/det), and no zero sign shows: the loop's accumulator
-    starts at +0.0 and so never ends at -0.0, nor do the sums below, since
-    vxx and vyy are never -0.0. The (0, 1) and (1, 0) terms are equal, as
-    IEEE + and * commute, and 0.5 ((phi_x + phi_x) - phi_x) is 0.5 phi_x.
-    """
+def _geodesic_rhs(spline, u):
+    """d/dt of u = (px, py, vx, vy): (vx, vy, -Gamma^k_ij v^i v^j) on
+    g = phi (dx^2 + dy^2), given phi's spline triple. With q = phi/(phi phi)
+    = g^xx = g^yy, a = q (0.5 phi_x) = Gamma^x_xx and b = q (0.5 phi_y) =
+    Gamma^y_yy, the sums are the nonzero terms of an i, j, k Christoffel
+    loop in the loop's order, so bit for bit its result."""
     px, py, v = u[0], u[1], u[2:]
-    txx, txy, _ = splines
-    if txy is None:
-        phi, phi_x, phi_y = (s(px, py, grid=False) for s in txx)
-        q = phi / (phi * phi)
-        a = q * (0.5 * phi_x)
-        b = q * (0.5 * phi_y)
-        vxx, vxy, vyy = v[0] * v[0], v[0] * v[1], v[1] * v[1]
-        out = np.empty((4,) + px.shape)
-        out[:2] = v
-        out[2] = ((-(a * vxx) - b * vxy) - b * vxy) + a * vyy
-        out[3] = ((b * vxx - a * vxy) - a * vxy) - b * vyy
-        return out
-    gxx, gxy, gyy = _metric_at(splines, px, py)
-    d = (gxx * gyy - gxy * gxy)
-    inv = ((gyy / d, -gxy / d), (-gxy / d, gxx / d))
-    # dg[a + b][k] = d_k g_ab with 0 = x, 1 = y
-    dg = list(zip(_metric_at(splines, px, py, dx=1),
-                  _metric_at(splines, px, py, dy=1)))
-    acc = np.zeros((2,) + px.shape)
-    for i in range(2):
-        for j in range(2):
-            # Gamma_ijl = (1/2)(d_i g_jl + d_j g_il - d_l g_ij)
-            low0, low1 = (0.5 * (dg[j + l][i] + dg[i + l][j] - dg[i + j][l])
-                          for l in range(2))
-            vij = v[i] * v[j]
-            for k in range(2):
-                acc[k] -= (inv[k][0] * low0 + inv[k][1] * low1) * vij
-    return np.concatenate((v, acc))
+    phi, phi_x, phi_y = (s(px, py, grid=False) for s in spline)
+    q = phi / (phi * phi)
+    a = q * (0.5 * phi_x)
+    b = q * (0.5 * phi_y)
+    vxx, vxy, vyy = v[0] * v[0], v[0] * v[1], v[1] * v[1]
+    out = np.empty((4,) + px.shape)
+    out[:2] = v
+    out[2] = ((-(a * vxx) - b * vxy) - b * vxy) + a * vyy
+    out[3] = ((b * vxx - a * vxy) - a * vxy) - b * vyy
+    return out
 
 
 @dataclass
@@ -411,21 +360,23 @@ def geodesic_parallel_profile(g: MetricGrid, x_axis: Axis | None = None,
     The base curve is the left edge of the source domain, parametrized by
     the source y coordinate. Geodesics leave it orthogonally with squared
     speed 2, integrated with a classical fixed-step fourth-order scheme
-    (substeps >= 1 per profile step); the metric between nodes comes from
-    quintic splines (cubic along an axis of at most 5 nodes), one for g_xx,
-    g_xy and g_yy each, or a single one when the grid is exactly conformal
-    (g_xy == 0 and g_yy == g_xx at every node), as every leaf metric is.
-    Each spline is differentiated once, before the shoot (see
-    _metric_splines). On a conformal grid the Christoffel contraction is
-    taken in closed form, bit for bit the general loop's sum (see
-    _geodesic_rhs). Geodesics exiting the source rectangle or focusing (c
-    below c_floor) truncate the profile, recorded in
-    coverage/truncation_reason; if one leaves before the second profile
+    (substeps >= 1 per profile step). g must be conformal, phi (dx^2 +
+    dy^2), as every leaf metric is; any other metric raises GridError
+    before a spline is fitted. phi between nodes comes from one quintic
+    spline (cubic along an axis of at most 5 nodes), differentiated once
+    before the shoot (see _factor_spline). Geodesics exiting the source
+    rectangle or focusing (c below c_floor) truncate the profile, recorded
+    in coverage/truncation_reason; if one leaves before the second profile
     node, DomainError names it. An axis of fewer than 2 nodes raises
     GridError before the shoot.
     """
     if g.dim != 2:
         raise GridError("profile extraction is for 2D metrics")
+    comp = g.components
+    gxx, gxy, gyy = comp[..., 0, 0], comp[..., 0, 1], comp[..., 1, 1]
+    if np.any(gxy != 0.0) or np.any(gyy != gxx):
+        raise GridError("the profile needs a conformal metric "
+                        "phi (dx^2 + dy^2), as every leaf metric is")
     if substeps < 1:
         raise DomainError(f"substeps must be at least 1, got {substeps}")
     sx, sy = g.axes
@@ -444,13 +395,11 @@ def geodesic_parallel_profile(g: MetricGrid, x_axis: Axis | None = None,
     if seeds[0] < sy.start or seeds[-1] > sy.stop:
         raise DomainError("base-curve seeds (with one-node pad) leave the domain")
 
-    splines = _metric_splines(g)
+    spline = _factor_spline(g)
     px = np.full(seeds.shape, sx.start)
     py = seeds.copy()
-    gxx, gxy, gyy = _metric_at(splines, px, py)
-    vx = np.sqrt(2.0 / (gxx - gxy * gxy / gyy))
-    vy = -vx * gxy / gyy
-    u = np.stack((px, py, vx, vy))
+    vx = np.sqrt(2.0 / spline[0](px, py, grid=False))
+    u = np.stack((px, py, vx, np.zeros_like(vx)))
 
     n_park = x_axis.count
     X = np.empty((n_park, seeds.size))
@@ -470,7 +419,7 @@ def geodesic_parallel_profile(g: MetricGrid, x_axis: Axis | None = None,
                 & (ay_ >= sy.start - tol_y) & (ay_ <= sy.stop + tol_y))
 
     def rhs(w):
-        return _geodesic_rhs(splines, w)
+        return _geodesic_rhs(spline, w)
 
     for i in range(1, n_park):
         for _ in range(substeps):
@@ -496,8 +445,10 @@ def geodesic_parallel_profile(g: MetricGrid, x_axis: Axis | None = None,
     Xy = (X[:, 2:] - X[:, :-2]) / (2.0 * dy)
     Yy = (Y[:, 2:] - Y[:, :-2]) / (2.0 * dy)
     Xc, Yc = X[:, 1:-1], Y[:, 1:-1]
-    gxx, gxy, gyy = _metric_at(splines, Xc, Yc)
-    c2 = 0.5 * (gxx * Xy ** 2 + 2.0 * gxy * Xy * Yy + gyy * Yy ** 2)
+    phi = spline[0](Xc, Yc, grid=False)
+    # two products, not phi (Xy^2 + Yy^2): factoring phi out rounds
+    # differently and moves the last bits of every profile
+    c2 = 0.5 * (phi * Xy ** 2 + phi * Yy ** 2)
 
     caustic = np.nonzero(np.any(c2 <= c_floor ** 2, axis=1))[0]
     if caustic.size:

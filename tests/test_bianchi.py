@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,8 +8,7 @@ from keflow.bianchi import (_COFRAMES, ABCState, BianchiParams,
                             CLOSED_FORM_CASES, ClosedFormConstants, _flow,
                             abc_rhs, closed_form, closed_form_derivative,
                             closed_form_params, heisenberg_invariants,
-                            integrate, torus_metric_grid, trajectory_states,
-                            type_a_grids)
+                            integrate, torus_metric_grid, type_a_grids)
 from keflow.curvature import (convergence_order, einstein_residual,
                               exterior_derivative_closedness, riemann_max)
 from keflow.e2flow import E2_PARAMS
@@ -60,6 +61,33 @@ def test_closed_form_solves_flow():
         assert worst < 1e-10, f"{case}: {worst}"
 
 
+def _closed_form_time(case, consts, frac):
+    """A time inside the family's domain: a fraction of (0, pi/2) in
+    w3 (t - t0) for poincare, t - t0 in (0, 5) for heisenberg and
+    euclidean, t - t0 in (-5, 5) for the entire torus family."""
+    if case == "poincare":
+        return consts.t0 + frac * 0.5 * math.pi / consts.w3
+    return consts.t0 + 5.0 * (frac if case != "torus" else 2.0 * frac - 1.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=st.sampled_from(CLOSED_FORM_CASES),
+       consts=st.builds(ClosedFormConstants,
+                        k=st.floats(0.1, 5.0), w3=st.floats(0.1, 5.0),
+                        alpha=st.floats(-2.0, 2.0), t0=st.floats(-2.0, 2.0),
+                        a0=st.floats(0.1, 5.0), b0=st.floats(0.1, 5.0),
+                        c0=st.floats(0.1, 5.0)),
+       frac=st.floats(0.01, 0.99))
+def test_closed_form_derivative_is_the_flow(case, consts, frac):
+    # over random constants and times inside each family's domain
+    t = _closed_form_time(case, consts, frac)
+    s = closed_form(case, consts, t)
+    d_an = np.array(closed_form_derivative(case, consts, t))
+    d_fl = np.array(abc_rhs(closed_form_params(case, consts), s))
+    scale = max(np.max(np.abs(d_an)), s.a, s.b, s.c)
+    assert np.max(np.abs(d_an - d_fl)) <= 1e-12 * scale
+
+
 def test_integrate_tracks_closed_form():
     params = closed_form_params("euclidean", CONSTS)
     s0 = closed_form("euclidean", CONSTS, 1.0)
@@ -85,7 +113,8 @@ def test_heisenberg_invariants_conserved():
     params = BianchiParams(0.0, 0.0, 1.0, lam=-1.0)
     traj = integrate(params, ABCState(0.0, 0.5, 0.5, 0.4), 5.0, tol=1e-10)
     assert not traj.blow_up
-    states = trajectory_states(traj)
+    states = [ABCState(float(ti), *map(float, abc))
+              for ti, abc in zip(traj.t, traj.states)]
     inv0 = heisenberg_invariants(states[0])
     for s in states:
         iv = heisenberg_invariants(s)

@@ -718,6 +718,20 @@ def test_leaf_build_ell_axis_x_needs_the_domain_in_x_positive(tmp_path,
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("option", ["--n", "--nx", "--ny"])
+@pytest.mark.parametrize("count", ["0", "4"])
+def test_leaf_build_rejects_counts_below_five(tmp_path, capsys, option,
+                                             count):
+    # a count below 5 is refused by click, and 0 is not read as "not given"
+    capsys.readouterr()
+    assert main(["--out-dir", str(tmp_path), "pde", "leaf-build",
+                 "--n", "33", option, count]) == 1
+    err = capsys.readouterr().err
+    assert f"Invalid value for '{option}'" in err
+    assert "Traceback" not in err
+    assert not any(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("substeps", ["0", "-1"])
 def test_pde_profile_rejects_substeps_below_one(pde_run, tmp_path, capsys,
                                                 substeps):
@@ -752,7 +766,7 @@ def test_pde_profile_refuses_a_one_node_base_curve(pde_run, tmp_path,
     def shoot(*args):
         raise AssertionError("the shoot ran")
 
-    monkeypatch.setattr(leafpde, "_metric_splines", shoot)
+    monkeypatch.setattr(leafpde, "_factor_spline", shoot)
     monkeypatch.setattr(leafpde, "_rk4", shoot)
     capsys.readouterr()
     assert main(["--out-dir", str(tmp_path), "pde", "profile",

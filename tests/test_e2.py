@@ -97,12 +97,6 @@ def test_degenerate_equilibrium_has_zero_jacobian():
         lin.unstable_direction
 
 
-def test_classify_start():
-    assert e2.classify_start(1.0, 0.1, 1.0) == "trapped"
-    assert e2.classify_start(1.0, 0.1, 0.9) == "a-blowup"
-    assert e2.classify_start(1.0, 0.1, 1.4) == "c-blowup"
-
-
 def test_shoot_reaches_target_and_stays_trapped(shoot100):
     traj = shoot100
     assert traj.stop_reason == "event:b_max"

@@ -7,9 +7,9 @@ from scipy.integrate import solve_ivp
 from keflow.bianchi import ABCState, BianchiParams, bianchi_frame_coefficients
 from keflow.errors import DomainError
 from keflow.frame_algebra import (FrameCoefficients, PQRSState, _sys_flow,
-                                  from_pqrs, integrability_residuals, is_kahler,
+                                  from_pqrs, integrability_residuals,
                                   kahler_relation_residuals, lambda_constraint,
-                                  shear_coefficients, sys_rhs, to_pqrs)
+                                  sys_rhs, to_pqrs)
 
 
 def random_states(n, seed=0):
@@ -26,7 +26,7 @@ def random_states(n, seed=0):
 def test_pqrs_round_trip():
     for st in random_states(500, seed=3):
         fc = from_pqrs(st)
-        assert is_kahler(fc)
+        assert max(abs(r) for r in kahler_relation_residuals(fc)) <= 1e-12
         back = to_pqrs(fc)
         assert abs(back.P - st.P) < 1e-12
         assert abs(back.Q - st.Q) < 1e-12
@@ -46,20 +46,11 @@ def test_state_validation():
     assert st.shear_free
 
 
-def test_shear_coefficients():
-    sp = shear_coefficients([[1.0, 0.2], [0.4, 0.2]])
-    assert sp.sigma1 == pytest.approx(0.4)
-    assert sp.sigma2 == pytest.approx(-0.3)
-    assert sp.magnitude == pytest.approx(0.5)
-    with pytest.raises(DomainError):
-        shear_coefficients([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
-
-
 def test_diagonal_flow_coefficients_are_kahler():
     params = BianchiParams(1.0, 0.0, 1.0, lam=-1.0)
     s = ABCState(0.0, 0.9, 0.7, 1.1)
     fc = bianchi_frame_coefficients(params, s)
-    assert is_kahler(fc)
+    assert max(abs(r) for r in kahler_relation_residuals(fc)) <= 1e-12
     assert max(abs(r) for r in integrability_residuals(fc)) < 1e-15
     st = to_pqrs(fc)
     assert st.Q == pytest.approx(0.0, abs=1e-15)
@@ -121,4 +112,3 @@ def test_kahler_relations_detect_violations():
                            H=-0.6, L=0.0, N=1.5)
     res = kahler_relation_residuals(fc)
     assert any(abs(r) > 1e-3 for r in res)
-    assert not is_kahler(fc)

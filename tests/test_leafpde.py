@@ -28,20 +28,18 @@ def hyperbolic_spec(n=65, h_expr="x"):
 
 
 def round_profile(n=81):
-    # source metric 2(dx^2 + cos^2 x dy^2): geodesic coordinates already,
-    # c = cos(x), curvature +1/2
-    ra = Axis("x", 0.0, 0.8 / (n - 1), n)
+    # source metric 2 sech^2(sigma) (d sigma^2 + dy^2), conformal, which
+    # x = gd(sigma) turns into 2(dx^2 + cos^2 x dy^2): c = cos(x),
+    # curvature +1/2
+    sa = Axis("x", 0.0, 1.0 / 160, 161)
     rb = Axis("y", 0.0, 1.0 / (n - 1), n)
-    g = np.zeros((n, n, 2, 2))
-    g[..., 0, 0] = 2.0
-    g[..., 1, 1] = np.broadcast_to(2.0 * np.cos(ra.nodes[:, None]) ** 2,
-                                   (n, n))
-    return lp.geodesic_parallel_profile(MetricGrid((ra, rb), g))
+    phi = np.broadcast_to(2.0 / np.cosh(sa.nodes[:, None]) ** 2, (161, n))
+    return lp.geodesic_parallel_profile(lp._conformal_metric(sa, rb, phi),
+                                        Axis("x", 0.0, 0.8 / (n - 1), n))
 
 
 def sheared_grid():
-    # a leaf metric is conformal, so g_xy = 0 and most Christoffel sums are
-    # exact; this metric is not
+    # a leaf metric is conformal; this metric is not
     h = 1.0 / 64
     axes = (Axis("x", 0.0, h, 65), Axis("y", 0.0, h, 65))
     x, y = np.meshgrid(axes[0].nodes, axes[1].nodes, indexing="ij")
@@ -225,7 +223,7 @@ def test_leaf_spec_checks_curvature_on_one_slice(monkeypatch, along):
 def test_leaf_metric_prediction():
     spec = hyperbolic_spec(n=33)
     g, K = lp.leaf_metric(spec)
-    X, Y = g.node_mesh()
+    X, Y = np.meshgrid(*(ax.nodes for ax in g.axes), indexing="ij")
     np.testing.assert_allclose(K, np.exp(X) * (1.0 / (2.0 * Y * Y)) ** 1.5,
                                rtol=1e-13)
     np.testing.assert_allclose(g.components[..., 0, 0],
@@ -428,29 +426,16 @@ def test_leaf_pipeline_golden_bytes():
     assert sol.compat_residual == 0.010763016718637886
 
 
-def test_sheared_profile_golden_bytes():
-    h = 1.0 / 64
-    cp = lp.geodesic_parallel_profile(sheared_grid(),
-                                      Axis("x", 0.0, h, 25),
-                                      Axis("y", 6 * h, h, 41))
-    assert cp.coverage == 1.0
-    assert digests(c=cp.c, x_map=cp.x_map, y_map=cp.y_map) == {
-        "c": "543ba42a5651438f", "x_map": "59ee39701158e066",
-        "y_map": "9a896ee1b22199d7"}
-
-
 @pytest.mark.parametrize("grid, calls", [
     (lambda: lp.leaf_metric(hyperbolic_spec(n=33))[0], 3),
-    (sheared_grid, 9),
 ])
 def test_geodesic_rhs_spline_evaluations(monkeypatch, grid, calls):
-    # a conformal grid has one spline: g_xx, d_x g_xx and d_y g_xx per RHS.
-    # The derivatives come from splines differentiated once, so no
-    # evaluation asks scipy to differentiate again
-    g = grid()
-    splines = lp._metric_splines(g)
+    # one spline: phi, d_x phi and d_y phi per RHS. The derivatives come
+    # from splines differentiated once, so no evaluation asks scipy to
+    # differentiate again
+    spline = lp._factor_spline(grid())
     count = []
-    for cls in {type(s) for fit in splines if fit is not None for s in fit}:
+    for cls in {type(s) for s in spline}:
         def counted(self, *args, _call=cls.__call__, **kwargs):
             assert kwargs.get("dx", 0) == kwargs.get("dy", 0) == 0
             count.append(1)
@@ -458,20 +443,27 @@ def test_geodesic_rhs_spline_evaluations(monkeypatch, grid, calls):
 
         monkeypatch.setattr(cls, "__call__", counted)
     u = np.array([[0.2, 0.3], [1.2, 1.4], [1.0, 0.9], [0.1, -0.2]])
-    assert np.all(np.isfinite(lp._geodesic_rhs(splines, u)))
+    assert np.all(np.isfinite(lp._geodesic_rhs(spline, u)))
     assert len(count) == calls
+
+
+def _frozen_metric_at(spline, px, py, dx=0, dy=0):
+    # what the shoot's metric lookup gave on one conformal spline before it
+    # was folded into the closed form: g_xy is 0.0, g_yy is g_xx's array
+    vxx = spline[dx + 2 * dy](px, py, grid=False)
+    return vxx, 0.0, vxx
 
 
 def frozen_geodesic_rhs(splines, u):
     # _geodesic_rhs before its conformal closed form, kept verbatim as the
     # reference the closed form must match bit for bit
     px, py, v = u[0], u[1], u[2:]
-    gxx, gxy, gyy = lp._metric_at(splines, px, py)
+    gxx, gxy, gyy = _frozen_metric_at(splines, px, py)
     d = (gxx * gyy - gxy * gxy)
     inv = ((gyy / d, -gxy / d), (-gxy / d, gxx / d))
     # dg[a + b][k] = d_k g_ab with 0 = x, 1 = y
-    dg = list(zip(lp._metric_at(splines, px, py, dx=1),
-                  lp._metric_at(splines, px, py, dy=1)))
+    dg = list(zip(_frozen_metric_at(splines, px, py, dx=1),
+                  _frozen_metric_at(splines, px, py, dy=1)))
     acc = np.zeros((2,) + px.shape)
     for i in range(2):
         for j in range(2):
@@ -494,13 +486,13 @@ def y_invariant_leaf():
 
 
 _RHS_GRIDS = {"hyperbolic": lambda: lp.leaf_metric(hyperbolic_spec(n=33))[0],
-              "y-invariant": y_invariant_leaf, "sheared": sheared_grid}
+              "y-invariant": y_invariant_leaf}
 
 
 @cache
 def _grid_and_splines(name):
     g = _RHS_GRIDS[name]()
-    return g, lp._metric_splines(g)
+    return g, lp._factor_spline(g)
 
 
 # velocities of every sign and size, with exact zeros of both signs often
@@ -513,7 +505,6 @@ _velocity = st.one_of(st.sampled_from([0.0, -0.0]),
 @given(data=st.data(), name=st.sampled_from(sorted(_RHS_GRIDS)))
 def test_geodesic_rhs_matches_the_frozen_loop_bit_for_bit(data, name):
     g, splines = _grid_and_splines(name)
-    assert (splines[1] is None) == (name != "sheared")
     m = data.draw(st.integers(1, 6))
     u = np.array([data.draw(st.lists(strategy, min_size=m, max_size=m))
                   for strategy in (st.floats(g.axes[0].start, g.axes[0].stop),
@@ -525,24 +516,35 @@ def test_geodesic_rhs_matches_the_frozen_loop_bit_for_bit(data, name):
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
-@pytest.mark.parametrize("perturb", ["g_yy ulp", "g_xy node"])
-def test_nearly_conformal_grid_uses_three_splines(perturb):
+def _nearly_conformal(perturb):
     g, _ = lp.leaf_metric(hyperbolic_spec(n=33))
-    h = 1.0 / 32
-    axes = (Axis("x", 0.0, h, 13), Axis("y", 1.0 + 3 * h, h, 21))
-    ref = lp.geodesic_parallel_profile(g, *axes)
-    assert lp._metric_splines(g)[1] is None
     comp = g.components.copy()
     if perturb == "g_yy ulp":
         comp[7, 9, 1, 1] = np.nextafter(comp[7, 9, 1, 1], np.inf)
     else:
         comp[7, 9, 0, 1] = comp[7, 9, 1, 0] = np.nextafter(0.0, 1.0)
-    near = MetricGrid(g.axes, comp)
-    assert lp._metric_splines(near)[1] is not None
-    cp = lp.geodesic_parallel_profile(near, *axes)
-    for name in ("c", "x_map", "y_map"):
-        np.testing.assert_allclose(getattr(cp, name), getattr(ref, name),
-                                   rtol=1e-12, atol=0.0)
+    return MetricGrid(g.axes, comp)
+
+
+@pytest.mark.parametrize("grid", [
+    sheared_grid,
+    lambda: _nearly_conformal("g_yy ulp"),
+    lambda: _nearly_conformal("g_xy node"),
+], ids=["sheared", "g_yy ulp", "g_xy subnormal"])
+def test_profile_refuses_a_non_conformal_metric(monkeypatch, grid):
+    # the shoot splines one conformal factor; any other metric, even one
+    # ulp or one subnormal away from conformal, is refused before a spline
+    # is fitted or an RK4 step taken
+    g = grid()
+
+    def shoot(*args, **kwargs):
+        raise AssertionError("the shoot ran")
+
+    monkeypatch.setattr("scipy.interpolate.RectBivariateSpline", shoot)
+    monkeypatch.setattr(lp, "_rk4", shoot)
+    with pytest.raises(GridError, match=re.escape(
+            "needs a conformal metric phi (dx^2 + dy^2)")):
+        lp.geodesic_parallel_profile(g)
 
 
 def test_leaf_pipeline_satisfies_reduced_system():
