@@ -27,12 +27,12 @@ import numpy as np
 from . import bianchi as bi
 from . import e2flow as e2
 from . import leafpde as lp
-from .curvature import (convergence_order, einstein_residual,
+from .curvature import (_interior_max, einstein_residual,
                         exterior_derivative_closedness, gauss_curvature_2d,
                         riemann_max)
 from .errors import (CompatibilityError, DomainError, GridError,
                      VerificationError)
-from .grids import MIN_NODES_PER_AXIS, Axis, MetricGrid, TwoFormGrid
+from .grids import Axis, MetricGrid, TwoFormGrid
 from .manifest import RunManifest
 
 EXIT_OK = 0
@@ -52,13 +52,6 @@ def _parse_floats(text: str, n: int, label: str) -> tuple[float, ...]:
     if len(vals) != n:
         raise click.UsageError(f"{label} must have {n} entries, got {len(vals)}")
     return vals
-
-
-def _nanmax_abs(arr: np.ndarray) -> float:
-    vals = np.abs(np.asarray(arr, dtype=np.float64))
-    if not np.any(np.isfinite(vals)):
-        raise GridError("no finite values to reduce")
-    return float(np.nanmax(vals))
 
 
 def _positive_finite(ctx, param, value):
@@ -386,10 +379,10 @@ def pde_leaf_build(ctx, h_expr, domain, n, nx, ny, ell_axis):
     mf.write_text(spec.to_json(), out / "leafspec.json")
 
     g, K = lp.leaf_metric(spec)
-    gauss_dev = _nanmax_abs(gauss_curvature_2d(g) - K)
+    gauss_dev = _interior_max(gauss_curvature_2d(g) - K, 2)
     pde_rep = lp.leaf_pde_residual(g, K)
     rescaled = MetricGrid(g.axes, g.components * K[..., None, None])
-    conformal_dev = _nanmax_abs(gauss_curvature_2d(rescaled) + 2.0)
+    conformal_dev = _interior_max(gauss_curvature_2d(rescaled) + 2.0, 2)
     mf.write_json({"gauss_curvature_deviation": gauss_dev,
                    "leaf_pde_residual": pde_rep.max_residual,
                    "leaf_pde_excluded_nodes": pde_rep.n_excluded,
@@ -502,82 +495,48 @@ def pde_construct(ctx, profile_path, init, compat_threshold):
     return EXIT_OK
 
 
-def _coarsen(grid: MetricGrid, factor: int) -> MetricGrid:
-    """Subsample every axis but the symmetry axes by an integer factor."""
-    if factor == 1:
-        return grid
-    sym = grid.symmetry_axes()
-    axes, slices = [], []
-    for m, ax in enumerate(grid.axes):
-        if m not in sym:
-            coarse = (ax.count - 1) // factor + 1
-            if (ax.count - 1) % factor or coarse < MIN_NODES_PER_AXIS:
-                raise DomainError(f"axis {ax.name} ({ax.count} nodes) cannot "
-                                  f"be coarsened {factor}x")
-            axes.append(Axis(ax.name, ax.start, ax.step * factor, coarse))
-            slices.append(slice(None, None, factor))
-        else:
-            axes.append(ax)
-            slices.append(slice(None))
-    return MetricGrid(axes, grid.components[tuple(slices)],
-                      manifest=grid.manifest)
-
-
 @pde.command("verify")
 @click.option("--metric", "metric_path", required=True,
               type=click.Path(exists=True, dir_okay=False))
 @click.option("--form", "form_path", default=None,
               type=click.Path(exists=True, dir_okay=False),
-              help="Parallel 2-form to test for closedness.")
+              help="2-form on the metric's axes to test for closedness.")
 @click.option("--lam", type=float, default=0.0, show_default=True,
               help="Einstein constant to verify against.")
-@click.option("--sweep", type=int, default=0, show_default=True,
-              help="Richardson levels (>= 3 fits a convergence order).")
 @click.pass_context
-def pde_verify(ctx, metric_path, form_path, lam, sweep):
+def pde_verify(ctx, metric_path, form_path, lam):
     """Independent curvature check of a stored metric artifact."""
     tol = ctx.obj["tol"] if ctx.obj["tol"] is not None else 5e-3
     closed_bound = 1e-10
     grid = MetricGrid.from_json(Path(metric_path).read_bytes())
+    form = (TwoFormGrid.from_json(Path(form_path).read_bytes())
+            if form_path else None)
+    if form is not None and form.axes != grid.axes:
+        shapes = [tuple(ax.count for ax in g.axes) for g in (form, grid)]
+        raise GridError(f"the form's axes do not match the metric's: "
+                        f"shape {shapes[0]} against {shapes[1]}")
     mf = RunManifest("pde verify",
                      {"metric": str(metric_path), "form": form_path,
-                      "lam": lam, "sweep": sweep},
-                     {"einstein": tol, "closedness": closed_bound,
-                      "order_range": [1.8, 2.2]})
+                      "lam": lam},
+                     {"einstein": tol, "closedness": closed_bound})
     out = ctx.obj["out_dir"]
 
     doc = {"einstein_residual": einstein_residual(grid, lam),
            "einstein_bound": tol}
     doc["einstein_ok"] = doc["einstein_residual"] <= tol
 
-    if form_path:
-        form = TwoFormGrid.from_json(Path(form_path).read_bytes())
+    if form is not None:
         doc["closedness"] = exterior_derivative_closedness(form)
         doc["closedness_bound"] = closed_bound
         doc["closedness_ok"] = doc["closedness"] <= closed_bound
 
-    if sweep >= 3:
-        factors = [2 ** k for k in range(sweep - 1, -1, -1)]
-        spacings = [grid.axes[0].step * f for f in factors]
-        residuals = [einstein_residual(_coarsen(grid, f), lam) for f in factors]
-        fit = convergence_order(spacings, residuals)
-        doc["sweep"] = {"factors": factors, "spacings": spacings,
-                        "residuals": residuals, "order": fit.order,
-                        "below_floor": fit.below_floor}
-        doc["order_ok"] = bool(fit.below_floor or 1.8 <= fit.order <= 2.2)
-    elif sweep:
-        raise click.UsageError("--sweep needs at least 3 levels for an order fit")
-
-    checks = [k for k in ("einstein_ok", "closedness_ok", "order_ok") if k in doc]
+    checks = [k for k in ("einstein_ok", "closedness_ok") if k in doc]
     doc["passed"] = all(doc[k] for k in checks)
     mf.write_json(doc, out / "verify_report.json")
     mf.save(out)
 
-    line = f"einstein residual {doc['einstein_residual']:.3e} (bound {tol:.1e})"
-    if sweep >= 3:
-        order = doc["sweep"]["order"]
-        line += ", order below floor" if order is None else f", order {order:.3f}"
-    click.echo(line)
+    click.echo(f"einstein residual {doc['einstein_residual']:.3e} "
+               f"(bound {tol:.1e})")
     if not doc["passed"]:
         failed = ", ".join(k[:-3] for k in checks if not doc[k])
         raise VerificationError(f"checks failed: {failed}")

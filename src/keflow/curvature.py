@@ -317,7 +317,6 @@ class OrderFit:
 
     order: float | None
     below_floor: bool
-    intercept: float | None = None
 
 
 def convergence_order(spacings, residuals, floor: float = 1e-14) -> OrderFit:
@@ -340,6 +339,5 @@ def convergence_order(spacings, residuals, floor: float = 1e-14) -> OrderFit:
         raise ValueError("residuals must be nonnegative")
     if np.any(r <= floor):
         return OrderFit(order=None, below_floor=True)
-    slope, intercept = np.polyfit(np.log(h), np.log(r), 1)
-    return OrderFit(order=float(slope), below_floor=False,
-                    intercept=float(intercept))
+    slope = np.polyfit(np.log(h), np.log(r), 1)[0]
+    return OrderFit(order=float(slope), below_floor=False)

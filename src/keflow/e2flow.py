@@ -101,11 +101,14 @@ def _shoot_start(q: float, eps: float | None,
     if eps <= 0.0:
         raise DomainError("eps must be positive")
     if start is None:
-        return eps, (q, eps, q, 0.0), eps, "tail"
-    abc0 = tuple(float(v) for v in start)
-    if min(abc0) <= 0.0:
-        raise DomainError("custom start must have positive components")
-    return 0.0, abc0 + (0.0,), eps, "start"
+        r0, abc0, r_origin = eps, (q, eps, q), "tail"
+    else:
+        r0, abc0, r_origin = 0.0, tuple(float(v) for v in start), "start"
+        if min(abc0) <= 0.0:
+            raise DomainError("custom start must have positive components")
+    if math.prod(abc0) < np.finfo(float).tiny:  # _shoot_rhs divides by it
+        raise DomainError(f"the start's a*b*c = {math.prod(abc0)!r} underflows")
+    return r0, abc0 + (0.0,), eps, r_origin
 
 
 def shoot_unstable(q: float, eps: float | None = None,

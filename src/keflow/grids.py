@@ -46,6 +46,10 @@ class Axis:
             raise GridError(f"axis {self.name!r}: non-finite start or step")
         if self.step <= 0.0:
             raise GridError(f"axis {self.name!r}: step must be positive")
+        # second differences divide by step^2
+        if not np.finfo(float).tiny <= self.step * self.step < np.inf:
+            raise GridError(f"axis {self.name!r}: step {self.step:.6g} "
+                            f"squared is not a normal float")
         if self.count < 1:
             raise GridError(f"axis {self.name!r}: need at least 1 node")
 

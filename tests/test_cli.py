@@ -1,14 +1,14 @@
 import json
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from keflow.bianchi import ClosedFormConstants, torus_metric_grid
 from keflow import e2flow, leafpde, manifest, odes
 from keflow.cli import main
-from keflow.grids import Axis
+from keflow.grids import Axis, TwoFormGrid
 
 
 def read_json(path):
@@ -131,7 +131,8 @@ _EUCLIDEAN = ["bianchi", "solve", "--case", "euclidean", "--k", "1.2",
 # a traceback from the integrator's own input check. Starts whose (a b)^2
 # overflows ended in an OverflowError traceback from the float square. A
 # shoot that stops at its start used to leave e2_trajectory.csv behind,
-# without a manifest.
+# without a manifest. A start whose a*b*c underflows to 0 ended in a
+# ZeroDivisionError traceback from the right-hand side.
 @pytest.mark.parametrize("args, message", [
     (["e2", "shoot", "--r-max", "nan"], "r_end must be finite, got nan"),
     (_EUCLIDEAN + ["--t-end", "nan"], "t_end must be finite, got nan"),
@@ -154,6 +155,10 @@ _EUCLIDEAN = ["bianchi", "solve", "--case", "euclidean", "--k", "1.2",
     (["e2", "shoot", "--q", "1e50", "--b-max", "1e300"],
      "diagnostics need two samples or more; the run stopped at its start "
      "(step_underflow)"),
+
+    (["e2", "shoot", "--q", "1e-110"], "the start's a*b*c = 0.0 underflows"),
+    (["e2", "shoot", "--start", "1e-120,1e-120,1e-120"],
+     "the start's a*b*c = 0.0 underflows"),
 ])
 def test_non_finite_integration_inputs_exit_1(tmp_path, capsys, args,
                                               message):
@@ -193,6 +198,17 @@ def test_e2_shoot_b_max_at_or_below_the_start_exits_1(tmp_path, capsys, args,
     assert err == (f"error: b_max {b_max} must lie above the start's "
                    f"b = {b_start}\n")
     assert not any(tmp_path.iterdir())
+
+
+# backward in r the shoot runs into the bolt, where a*b*c -> 0, and a
+# stage landing on b = 0 exactly ended in a ZeroDivisionError traceback;
+# the march now rejects such a step as it does a non-finite error
+def test_e2_shoot_backward_into_the_bolt_exits_2(tmp_path, capsys):
+    capsys.readouterr()
+    assert main(["--out-dir", str(tmp_path), "--tol", "2", "e2", "shoot",
+                 "--b-max", "2", "--r-max", "1e-320"]) == 2
+    assert "stop: positivity_loss" in capsys.readouterr().out
+    assert (tmp_path / "manifest.json").exists()
 
 
 def test_e2_shoot_stopped_at_its_start_exits_1(tmp_path, capsys):
@@ -548,53 +564,6 @@ def test_pde_construct_bad_compat_threshold_exits_1(pde_run, tmp_path,
     assert not (tmp_path / "construct_report.json").exists()
 
 
-def test_pde_verify_sweep_on_exact_metric(tmp_path, capsys):
-    # a metric sampled exactly from a closed form isolates the verifier's
-    # own truncation, so the Richardson sweep should sit at order two; z is
-    # exactly constant, so the sweep leaves it alone whatever its node count
-    consts = ClosedFormConstants(k=1.0, w3=1.0, alpha=0.37, a0=1.1, b0=0.9,
-                                 c0=1.0)
-    for z_count in (5, 7):
-        grid = torus_metric_grid(consts, Axis("t", -0.016, 1e-3, 33),
-                                 z_axis=Axis("z", 0.0, 1e-3, z_count))
-        path = tmp_path / f"exact{z_count}.json"
-        path.write_text(grid.to_json())
-        out = tmp_path / f"out{z_count}"
-        rc = main(["--out-dir", str(out), "--tol", "1e-4",
-                   "pde", "verify", "--metric", str(path), "--lam", "0",
-                   "--sweep", "3"])
-        assert rc == 0
-        rep = read_json(out / "verify_report.json")
-        assert 1.8 <= rep["sweep"]["order"] <= 2.2
-    # 13 varying t nodes coarsen 4x to 4, below the 5 a grid needs
-    grid = torus_metric_grid(ClosedFormConstants(alpha=0.6, a0=0.8, b0=0.75),
-                             Axis("t", 0.5, 1e-3, 13))
-    path = tmp_path / "short.json"
-    path.write_text(grid.to_json())
-    capsys.readouterr()
-    rc = main(["--out-dir", str(tmp_path / "short"), "--tol", "1e-4",
-               "pde", "verify", "--metric", str(path), "--lam", "0",
-               "--sweep", "3"])
-    assert rc == 1
-    assert "axis t (13 nodes) cannot be coarsened 4x" in capsys.readouterr().err
-
-
-def test_pde_verify_sweep_below_floor(tmp_path, capsys):
-    # alpha = 0: every axis is exactly constant, every residual exactly 0
-    grid = torus_metric_grid(ClosedFormConstants(a0=0.8, b0=0.75),
-                             Axis("t", 0.5, 1e-3, 13))
-    assert grid.symmetry_axes() == (0, 1, 2, 3)
-    path = tmp_path / "flat.json"
-    path.write_text(grid.to_json())
-    rc = main(["--out-dir", str(tmp_path), "--tol", "1e-4", "pde", "verify",
-               "--metric", str(path), "--lam", "0", "--sweep", "3"])
-    assert rc == 0
-    assert "order below floor" in capsys.readouterr().out
-    rep = read_json(tmp_path / "verify_report.json")
-    assert rep["sweep"]["below_floor"] and rep["sweep"]["order"] is None
-    assert rep["passed"]
-
-
 def _edit(key, field, value):
     def mutate(doc):
         if field is None:
@@ -732,6 +701,25 @@ def test_leaf_build_rejects_counts_below_five(tmp_path, capsys, option,
     assert not any(tmp_path.iterdir())
 
 
+# a step whose square underflows made the harmonicity and curvature
+# stencils divide by zero (two numpy RuntimeWarnings), and the run then
+# blamed ell; one whose square overflows warned from hyperbolic_factor
+@pytest.mark.parametrize("domain, message", [
+    ("0,1e-300,1,2", "axis 'x': step 1.25e-301 squared is not a normal float"),
+    ("0,1,1,1e200", "axis 'y': step 1.25e+199 squared is not a normal float"),
+])
+def test_leaf_build_refuses_steps_whose_square_is_not_normal(
+        tmp_path, capsys, domain, message):
+    capsys.readouterr()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["--out-dir", str(tmp_path), "pde", "leaf-build",
+                     "--domain", domain, "--n", "9"]) == 1
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not any(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("substeps", ["0", "-1"])
 def test_pde_profile_rejects_substeps_below_one(pde_run, tmp_path, capsys,
                                                 substeps):
@@ -844,11 +832,43 @@ def test_pde_profile_axes_keep_their_own_steps(oblong_spec, tmp_path, args,
     assert (y["min"], y["step"], y["count"]) == y_axis
 
 
-def test_pde_verify_sweep_needs_three_levels(tmp_path, pde_run):
+# verify checks the one grid it is given; the Richardson sweep over
+# subsampled copies of it is gone (on this metric it exited 3)
+def test_pde_verify_has_no_sweep_option(tmp_path, pde_run, capsys):
+    capsys.readouterr()
     rc = main(["--out-dir", str(tmp_path), "pde", "verify",
                "--metric", str(pde_run / "met" / "metric.json"),
-               "--sweep", "2"])
+               "--sweep", "3"])
     assert rc == 1
+    assert "No such option '--sweep'" in capsys.readouterr().err
+    assert not (tmp_path / "verify_report.json").exists()
+
+
+# a form on another grid used to be checked against the metric anyway
+# (exit 0, passed: true)
+def test_pde_verify_refuses_a_form_on_other_axes(tmp_path, pde_run, capsys):
+    form = TwoFormGrid.from_json((pde_run / "met" / "kahler.json").read_bytes())
+    x, *rest = form.axes
+    others = {
+        "(17, 25, 1, 1)": TwoFormGrid(
+            (Axis(x.name, x.start, x.step, x.count - 4), *rest),
+            form.components[:-4]),
+        "(21, 25, 1, 1)": TwoFormGrid(
+            (Axis(x.name, x.start + x.step, x.step, x.count), *rest),
+            form.components),
+    }
+    for shape, other in others.items():
+        path = tmp_path / "kahler.json"
+        path.write_text(other.to_json())
+        out = tmp_path / "ver"
+        capsys.readouterr()
+        assert main(["--out-dir", str(out), "pde", "verify",
+                     "--metric", str(pde_run / "met" / "metric.json"),
+                     "--form", str(path), "--lam", "0"]) == 1
+        assert capsys.readouterr().err == (
+            f"error: the form's axes do not match the metric's: shape "
+            f"{shape} against (21, 25, 1, 1)\n")
+        assert not any(out.iterdir())
 
 
 def test_manifests_are_reproducible(tmp_path):

@@ -41,6 +41,19 @@ def test_axis_rejects_bad_input():
         Axis("x", np.nan, 1.0, 5)
 
 
+# second differences divide by step^2, which must be a normal float
+@pytest.mark.parametrize("step", [1.4e-154, 1e-300, 5e-324, 1.4e154, 1e200])
+def test_axis_rejects_steps_whose_square_is_not_normal(step):
+    with pytest.raises(GridError, match=r"axis 'y': step .* squared is "
+                                        r"not a normal float"):
+        Axis("y", 0.0, step, 5)
+
+
+@pytest.mark.parametrize("step", [1.5e-154, 1.3e154])
+def test_axis_takes_steps_whose_square_is_normal(step):
+    assert Axis("y", 0.0, step, 5).step == step
+
+
 def _diag_grid(n=9, h=1e-2):
     axes = (Axis("x", 0.0, h, n), Axis("y", 1.0, h, n))
     g = np.zeros((n, n, 2, 2))
@@ -152,14 +165,14 @@ def test_codec_one_ulp_keeps_axis():
 _finite = st.floats(allow_nan=False, allow_infinity=False)
 # a Killing direction has one node, any other axis MIN_NODES_PER_AXIS or more
 _counts = st.one_of(st.just(1), st.integers(MIN_NODES_PER_AXIS, 7))
+# steps whose square is a normal float, the ones an Axis takes
+_steps = st.floats(min_value=1.5e-154, max_value=1.3e154)
 
 
 @st.composite
 def axes(draw):
     return Axis(draw(st.sampled_from(["t", "x", "y", "z", "u", "v"])),
-                draw(_finite), draw(st.floats(min_value=5e-324,
-                                              allow_infinity=False)),
-                draw(_counts))
+                draw(_finite), draw(_steps), draw(_counts))
 
 
 def _bits(arr):

@@ -603,6 +603,8 @@ def test_cprofile_json_round_trip():
 
 _finite = st.floats(allow_nan=False, allow_infinity=False)
 _positive = st.floats(min_value=5e-324, allow_infinity=False)
+# steps whose square is a normal float, the ones an Axis takes
+_steps = st.floats(min_value=1.5e-154, max_value=1.3e154)
 _meta = st.dictionaries(st.text(max_size=8),
                         st.one_of(st.integers(-10 ** 6, 10 ** 6),
                                   st.text(max_size=8), _finite), max_size=3)
@@ -621,7 +623,7 @@ def node_arrays(draw, shape, values):
 
 @st.composite
 def leaf_axes(draw):
-    return tuple(Axis(name, draw(_finite), draw(_positive),
+    return tuple(Axis(name, draw(_finite), draw(_steps),
                       draw(st.integers(2, 7))) for name in "xy")
 
 

@@ -73,6 +73,18 @@ def test_overflowing_first_step_norm_is_no_division_by_zero():
     assert traj.blow_up and traj.stop_reason == "component_overflow"
 
 
+def test_stage_on_a_pole_fails_the_error_test():
+    # rhs divides by zero from t = 0.7 on; a stage there used to end the
+    # run in a ZeroDivisionError, and now fails the step as a NaN error
+    # would, until the step underflows
+    def rhs(t, y):
+        return (-y[0] / (1.0 if t < 0.7 else 0.0),)
+    traj = integrate_flow(rhs, 0.0, [1.0], 2.0, ("y",), rtol=1e-8,
+                          atol=1e-10)
+    assert traj.blow_up and traj.stop_reason == "step_underflow"
+    assert 0.69 < traj.t[-1] < 0.7
+
+
 def test_finite_time_blow_up_is_flagged():
     # y' = y^2 from y(0) = 1 leaves every bound before t = 1
     traj = integrate_flow(lambda t, y: (y[0] * y[0],), 0.0, [1.0], 2.0, ("y",),
