@@ -60,6 +60,12 @@ def _positive_finite(ctx, param, value):
     return value
 
 
+def _finite(ctx, param, value):
+    if not math.isfinite(value):
+        raise click.BadParameter(f"{value!r} is not a finite number")
+    return value
+
+
 @click.group()
 @click.option("--tol", type=float, default=None, callback=_positive_finite,
               help="Override the command's main tolerance.")
@@ -502,7 +508,7 @@ def pde_construct(ctx, profile_path, init, compat_threshold):
               type=click.Path(exists=True, dir_okay=False),
               help="2-form on the metric's axes to test for closedness.")
 @click.option("--lam", type=float, default=0.0, show_default=True,
-              help="Einstein constant to verify against.")
+              callback=_finite, help="Einstein constant to verify against.")
 @click.pass_context
 def pde_verify(ctx, metric_path, form_path, lam):
     """Independent curvature check of a stored metric artifact."""

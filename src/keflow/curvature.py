@@ -236,10 +236,14 @@ def riemann_max(grid: MetricGrid) -> float:
 
 
 def einstein_residual(grid: MetricGrid, lam: float) -> float:
-    """Componentwise max |Ric - lam g| over the valid interior."""
+    """Componentwise max |Ric - lam g| over the valid interior. A lam
+    whose product with g is not finite raises GridError."""
     _, g = collapse_constant(grid.components, grid.dim)
-    return _interior_max(_ricci(*_lowered(g, grid.steps)) - lam * g,
-                         grid.dim)
+    with np.errstate(over="ignore", invalid="ignore"):
+        lam_g = lam * g
+    if not np.all(np.isfinite(lam_g)):
+        raise GridError(f"lam * g is not finite for lam = {lam!r}")
+    return _interior_max(_ricci(*_lowered(g, grid.steps)) - lam_g, grid.dim)
 
 
 def gauss_curvature_2d(grid: MetricGrid) -> np.ndarray:
@@ -299,16 +303,10 @@ def exterior_derivative_closedness(form: TwoFormGrid) -> float:
     if d < 3:
         return 0.0
     w = form.components
-    worst = 0.0
-    for i, j, k in combinations(range(d), 3):
-        term = (central_diff(w[..., j, k], form.steps[i], i)
-                - central_diff(w[..., i, k], form.steps[j], j)
-                + central_diff(w[..., i, j], form.steps[k], k))
-        inner = interior(np.abs(term), 1, d)
-        if not np.all(np.isfinite(inner)):
-            raise GridError("non-finite exterior derivative inside interior")
-        worst = max(worst, float(inner.max()))
-    return worst
+    return max(_interior_max(central_diff(w[..., j, k], form.steps[i], i)
+                             - central_diff(w[..., i, k], form.steps[j], j)
+                             + central_diff(w[..., i, j], form.steps[k], k), d)
+               for i, j, k in combinations(range(d), 3))
 
 
 @dataclass(frozen=True)

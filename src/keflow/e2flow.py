@@ -112,12 +112,12 @@ def _shoot_start(q: float, eps: float | None,
 
 
 def shoot_unstable(q: float, eps: float | None = None,
-                   b_max: float | None = 100.0, r_max: float = 100.0,
+                   b_max: float = 100.0, r_max: float = 100.0,
                    tol: float = 1e-12,
                    start: tuple[float, float, float] | None = None) -> Trajectory:
     """Integrate in arclength r from (q, eps, q) at r = eps (or a custom
     start at r = 0) until b reaches b_max, which must lie above the
-    start's b.
+    start's b, or r reaches r_max, which must lie above the start's r.
 
     The trajectory's variable is r and its columns are a, b, c and t. The
     time origin is t = 0 at the start, which pins the asymptotic constant
@@ -125,25 +125,27 @@ def shoot_unstable(q: float, eps: float | None = None,
     b_max is flagged on the trajectory; meta key r_origin says whether r is
     the distance from the bolt ("tail") or from a custom start ("start").
     """
-    if b_max is not None and not 0.0 < b_max < math.inf:
+    if not 0.0 < b_max < math.inf:
         raise DomainError(f"b_max must be positive and finite, got {b_max}")
     r0, y0, eps, r_origin = _shoot_start(q, eps, start)
-    events = []
-    if b_max is not None:
-        if b_max <= y0[1] < math.inf:
-            raise DomainError(f"b_max {b_max!r} must lie above the start's "
-                              f"b = {y0[1]!r}")
+    if b_max <= y0[1] < math.inf:
+        raise DomainError(f"b_max {b_max!r} must lie above the start's "
+                          f"b = {y0[1]!r}")
+    # a backward shoot heads into the bolt, never toward b_max; a NaN
+    # r_max or a non-finite start is left to integrate_flow's check
+    if r_max <= r0 < math.inf:
+        raise DomainError(f"r_max {r_max!r} must lie above the start's "
+                          f"r = {r0!r}")
 
-        def hit_b(r, y, _b=b_max):
-            return y[1] - _b
-        hit_b.terminal = True
-        hit_b.direction = 1.0
-        hit_b.name = "b_max"
-        events.append(hit_b)
+    def hit_b(r, y):
+        return y[1] - b_max
+    hit_b.terminal = True
+    hit_b.direction = 1.0
+    hit_b.name = "b_max"
 
     return integrate_flow(_shoot_rhs, r0, y0, r_max,
                           columns=("a", "b", "c", "t"), variable="r",
-                          rtol=tol, atol=tol * 1e-2, events=events,
+                          rtol=tol, atol=tol * 1e-2, events=[hit_b],
                           positive_components=(0, 1, 2),
                           meta={"q": q, "eps": eps, "k": eps,
                                "start": list(y0[:3]), "b_max": b_max,

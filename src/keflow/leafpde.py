@@ -211,7 +211,6 @@ class LeafPdeReport:
 
     max_residual: float
     n_excluded: int
-    vacuous: bool
 
 
 def leaf_pde_residual(g: MetricGrid, K: np.ndarray) -> LeafPdeReport:
@@ -223,13 +222,13 @@ def leaf_pde_residual(g: MetricGrid, K: np.ndarray) -> LeafPdeReport:
         raise GridError(f"K shape must be {g.counts}")
     bad = K <= 0.0
     if np.all(bad):
-        return LeafPdeReport(math.nan, int(bad.sum()), True)
+        return LeafPdeReport(math.nan, int(bad.sum()))
     logK = np.where(bad, np.nan, np.log(np.where(bad, 1.0, K)))
     resid = np.abs(laplace_beltrami(g, logK) - 6.0 * K)
     inner = interior(resid, 1, 2)
     if not np.any(np.isfinite(inner)):
-        return LeafPdeReport(math.nan, int(bad.sum()), True)
-    return LeafPdeReport(float(np.nanmax(inner)), int(bad.sum()), False)
+        return LeafPdeReport(math.nan, int(bad.sum()))
+    return LeafPdeReport(float(np.nanmax(inner)), int(bad.sum()))
 
 
 # ---------------------------------------------------------------------------

@@ -33,20 +33,22 @@ which an event root cuts short. replay(rhs, traj) rebuilds the dense
 output of a forward run from those alone: each stored row is the y_new
 of a step of length t[i+1] - t[i] (the march takes h = t_new - t), so
 all seven stages of all steps are evaluated at once on arrays by the
-march's own stage arithmetic (_stages), and each step's quartic, built
-on first use, is the march's bit for bit. The replay verifies what it
-rebuilds: every step passes the error test, every row equals the step
-replayed from the row before, bit for bit (the last one may be the
-dense output at an event root), and no step is longer than the
-controller's proposal after the step before (up to 2 ulp of t). A
-failure raises VerificationError.
+march's own stage arithmetic (_stages). The march and the replay build
+the same DenseOutput: one array table of every step's start, length,
+state and stages. Its quartic coefficients (_coefficients) and their
+evaluation (_quartic) are the arithmetic the march's event roots run on
+floats, applied to every sample time at once, so a replayed sample is
+the live one bit for bit. The replay verifies what it rebuilds: every
+step passes the error test, every row equals the step replayed from the
+row before, bit for bit (the last one may be the dense output at an
+event root), and no step is longer than the controller's proposal after
+the step before (up to 2 ulp of t). A failure raises VerificationError.
 """
 
 from __future__ import annotations
 
 import ast
 import math
-from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
@@ -131,8 +133,7 @@ class Trajectory:
         """Dense-output states at t, shape (len(columns),) + t.shape."""
         if self.interpolant is None:
             raise DomainError("trajectory has no dense output (loaded from CSV?)")
-        if not isinstance(t, float):  # a float keeps the scalar path
-            t = np.asarray(t, dtype=np.float64)
+        t = np.asarray(t, dtype=np.float64)
         if not np.all((self.t[0] <= t) & (t <= self.t[-1])):
             raise DomainError(f"sample {self.variable} outside "
                               f"[{self.t[0]}, {self.t[-1]}]")
@@ -221,78 +222,57 @@ def read_table(text: str | bytes, fields: dict):
     return info, meta, columns, np.asarray(rows)
 
 
-class _Step:
-    """One accepted step and Shampine's quartic over it:
-    y(t_old + x h) = y_old + h (Q1 x + Q2 x^2 + Q3 x^3 + Q4 x^4), where
-    Q = K^T P over the stages K, formed on the first evaluation."""
-
-    __slots__ = ("t_old", "h", "y_old", "stages", "_q")
-
-    def __init__(self, t_old: float, h: float, y_old: tuple, stages: tuple):
-        self.t_old, self.h, self.y_old, self.stages = t_old, h, y_old, stages
-        self._q = None
-
-    def __call__(self, t: float) -> tuple:
-        q = self._q
-        if q is None:
-            q = self._q = [
-                (k[0],) + tuple(sum([kj * p[c] for kj, p in zip(k, _P)])
-                                for c in (1, 2, 3))
-                for k in zip(*self.stages)]
-        h = self.h
-        x = (t - self.t_old) / h
-        x2 = x * x
-        x3 = x2 * x
-        x4 = x3 * x
-        return tuple([y + h * (q1 * x + q2 * x2 + q3 * x3 + q4 * x4)
-                      for y, (q1, q2, q3, q4) in zip(self.y_old, q)])
+def _coefficients(stages) -> tuple:
+    """Shampine's Q = K^T P over the stages K = (k1, k3, ..., k7) of
+    _stages, as (q1, q2, q3, q4), each one value per component, q1 = k1.
+    Like _stages it runs on floats for one step and on arrays for many;
+    each sum starts from 0.0 and adds the rows of P in order."""
+    q = [stages[0]]
+    for c in (1, 2, 3):
+        col = (0.0,) * len(stages[0])
+        for k, p in zip(stages, _P):
+            col = tuple([acc + v * p[c] for acc, v in zip(col, k)])
+        q.append(col)
+    return tuple(q)
 
 
-class _ReplayedSteps:
-    """The steps of a replay as a sequence of _Step, each built from the
-    replay's arrays on first use: an analysis reads only some of them."""
-
-    def __init__(self, t0: np.ndarray, h: np.ndarray, y: np.ndarray,
-                 stages: np.ndarray):
-        # y[:, k] and stages[:, :, k] belong to step k
-        self._t0, self._h, self._y, self._stages = t0, h, y, stages
-        self._made: dict[int, _Step] = {}
-
-    def __len__(self) -> int:
-        return self._h.size
-
-    def __getitem__(self, k: int) -> _Step:
-        k = range(self._h.size)[k]
-        step = self._made.get(k)
-        if step is None:
-            step = self._made[k] = _Step(
-                float(self._t0[k]), float(self._h[k]), self._y[:, k].tolist(),
-                tuple(self._stages[:, :, k].tolist()))
-        return step
+def _quartic(t_old, h, y_old, q, t) -> tuple:
+    """Shampine's quartic over the step of length h from (t_old, y_old):
+    y(t_old + x h) = y_old + h (q1 x + q2 x^2 + q3 x^3 + q4 x^4)."""
+    x = (t - t_old) / h
+    x2 = x * x
+    x3 = x2 * x
+    x4 = x3 * x
+    return tuple([y + h * (q1 * x + q2 * x2 + q3 * x3 + q4 * x4)
+                  for y, q1, q2, q3, q4 in zip(y_old, *q)])
 
 
 class DenseOutput:
     """The piecewise quartic dense output of integrate_flow or of its
-    replay: at a time t in [nodes[0], nodes[-1]] the step that covers t is
-    evaluated, at an inner node the one on its left."""
+    replay, over nodes in increasing time and the steps between them:
+    step k starts at (t_old[k], y_old[:, k]), has length h[k] and stages
+    stages[:, :, k]. At a time t in [nodes[0], nodes[-1]] the step that
+    covers t is evaluated, at an inner node the one on its left."""
 
-    def __init__(self, nodes: list, steps: list):
-        # both in increasing time
-        self._nodes, self._steps = nodes, steps
-
-    def at(self, t: float) -> tuple:
-        k = bisect_left(self._nodes, t) - 1
-        return self._steps[min(max(k, 0), len(self._steps) - 1)](t)
+    def __init__(self, nodes: np.ndarray, t_old: np.ndarray, h: np.ndarray,
+                 y_old: np.ndarray, stages: np.ndarray):
+        self._inner, self._t_old, self._h = nodes[1:-1], t_old, h
+        # the components as one block, so _quartic runs once per call;
+        # like floats, arrays overflow to inf and NaN without a warning
+        self._y_old = y_old[None]
+        with np.errstate(all="ignore"):
+            self._q = np.array(_coefficients(stages))[:, None]
 
     def __call__(self, t) -> np.ndarray:
         """States at t, shape (n,) + np.shape(t)."""
-        if isinstance(t, float):
-            return np.array(self.at(t))
         t = np.asarray(t, dtype=np.float64)
-        n = len(self._steps[0].y_old)
-        vals = np.array([self.at(v) for v in t.ravel().tolist()],
-                        dtype=np.float64).reshape(t.size, n)
-        return vals.T.reshape((n,) + t.shape)
+        flat = t.ravel()
+        # the count of inner nodes below t: an inner node takes its left step
+        k = np.searchsorted(self._inner, flat)
+        with np.errstate(all="ignore"):
+            y, = _quartic(self._t_old[k], self._h[k], self._y_old[..., k],
+                          self._q[..., k], flat)
+        return y.reshape(y.shape[:1] + t.shape)
 
 
 def _rms(values, scale) -> float:
@@ -426,8 +406,9 @@ def _march(rhs, t0: float, y0: tuple, t_end: float, rtol: float,
            atol: float, stops: list):
     """scipy RK45's march from (t0, y0) toward t_end. `stops` holds
     (terminal event, direction, reason). Returns the node times and
-    states, the accepted steps, the RHS count and the stop reason: "t_end",
-    "step_underflow" or the reason of the event."""
+    states, the accepted steps as (t_old, h, y_old, stages), the RHS count
+    and the stop reason: "t_end", "step_underflow" or the reason of the
+    event."""
     e1, e3, e4, e5, e6, e7 = _E
     direction = 1.0 if t_end > t0 else -1.0
     rms = len(y0) ** 0.5
@@ -475,24 +456,25 @@ def _march(rhs, t0: float, y0: tuple, t_end: float, rtol: float,
             h_abs *= max(MIN_FACTOR, SAFETY * err ** _ERROR_EXPONENT)
             rejected = True
 
-        step = _Step(t, h, y, stages)
-        steps.append(step)
-        t_old, t, y, f = t, t_new, y_new, stages[-1]
+        steps.append((t, h, y, stages))
+        t_old, y_old, t, y, f = t, y, t_new, y_new, stages[-1]
         reason = "t_end" if direction * (t - t_end) >= 0.0 else None
         if events:
             g_new = [ev(t, y) for ev in events]
             first = None  # (root, stop index) of the earliest stopping root
+            q = None
             for i, (ev, d, _) in enumerate(stops):
                 a, b = g[i], g_new[i]
                 if (a <= 0.0 <= b and d >= 0.0) or (a >= 0.0 >= b and d <= 0.0):
-                    x = root(lambda s, ev=ev: ev(s, step(s)), t_old, t,
-                             4 * _EPS, 4 * _EPS)
+                    q = q or _coefficients(stages)
+                    x = root(lambda s, ev=ev: ev(s, _quartic(
+                        t_old, h, y_old, q, s)), t_old, t, 4 * _EPS, 4 * _EPS)
                     if first is None or direction * (x - first[0]) < 0.0:
                         first = (x, i)
             g = g_new
             if first is not None:
                 t, reason = first[0], stops[first[1]][2]
-                y = step(t)
+                y = _quartic(t_old, h, y_old, q, t)
         if t != ts[-1]:
             ts.append(t)
             ys.append(y)
@@ -546,12 +528,17 @@ def integrate_flow(rhs, t0: float, y0: Sequence[float], t_end: float,
 
     ts, ys, steps, nfev, reason = _march(rhs, t0, y0, t_end,
                                          _march_rtol(rtol, atol), atol, stops)
-    last_step = steps[-1].h if steps else math.nan
+    last_step = steps[-1][1] if steps else math.nan
     if t_end < t0:
         ts.reverse()
         ys.reverse()
         steps.reverse()
-    dense = DenseOutput(ts, steps) if steps else None
+    dense = None
+    if steps:
+        t_old, h, y_old, stages = zip(*steps)
+        dense = DenseOutput(np.array(ts), np.array(t_old), np.array(h),
+                            np.array(y_old).T,
+                            np.array(stages).transpose(1, 2, 0))
     return Trajectory(t=ts, states=ys, columns=columns, rtol=rtol, atol=atol,
                       variable=variable, blow_up=reason in _BLOW_UPS,
                       stop_reason=reason, n_steps=len(ts) - 1,
@@ -606,13 +593,13 @@ def replay(rhs, traj: Trajectory) -> Trajectory:
     if bad is not None:
         raise VerificationError(f"the step from row {bad} fails the error "
                                 f"test (norm {err[bad]:.3g})")
-    steps = _ReplayedSteps(t0, h, rows[:, :-1], np.array(
+    dense = DenseOutput(t, t0, h, rows[:, :-1], np.array(
         [[np.broadcast_to(v, h.shape) for v in k] for k in stages]))
     replayed, stored = np.array(y_new), rows[:, 1:]
     if cut or np.any(replayed[:, -1] != stored[:, -1]):
         # an event root stores the dense output at the root, which may be
         # the end of its step
-        replayed[:, -1] = steps[-1](float(t[-1]))
+        replayed[:, -1] = dense(t[-1])
     bad = _first(np.any(replayed != stored, axis=0))
     if bad is not None:
         dev = np.max(np.abs(replayed[:, bad] - stored[:, bad])
@@ -631,4 +618,4 @@ def replay(rhs, traj: Trajectory) -> Trajectory:
             f"the step from row {bad + 1} is longer than the controller's "
             f"proposal after the step before ({abs(h[bad + 1]):.17g} > "
             f"{allowed[bad]:.17g})")
-    return replace(traj, interpolant=DenseOutput(t.tolist(), steps))
+    return replace(traj, interpolant=dense)

@@ -110,11 +110,15 @@ def test_bianchi_blow_up_exit_code(tmp_path):
 
 def test_bianchi_overflowing_first_step_exits_2(tmp_path, capsys):
     # b's derivative over atol overflows the first-step rule's norm; this
-    # used to end in a ZeroDivisionError traceback
+    # used to end in a ZeroDivisionError traceback. The dense output's
+    # coefficients overflow as on floats, without a RuntimeWarning
     capsys.readouterr()
-    assert main(["--out-dir", str(tmp_path), "bianchi", "solve"]
-                + _TYPE_A[:-4] + ["--start", "0,1e150,1e-150,1e150",
-                                  "--t-end", "1"]) == 2
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["--out-dir", str(tmp_path), "bianchi", "solve"]
+                    + _TYPE_A[:-4] + ["--start", "0,1e150,1e-150,1e150",
+                                      "--t-end", "1"]) == 2
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     assert "terminated: step_underflow" in capsys.readouterr().out
 
 
@@ -138,7 +142,7 @@ _EUCLIDEAN = ["bianchi", "solve", "--case", "euclidean", "--k", "1.2",
     (_EUCLIDEAN + ["--t-end", "nan"], "t_end must be finite, got nan"),
     (["e2", "shoot", "--q", "nan"], "initial a must be finite, got nan"),
     (["e2", "shoot", "--q", "inf"], "initial a must be finite, got inf"),
-    (["e2", "shoot", "--q", "1e200", "--b-max", "1e300"],
+    (["e2", "shoot", "--q", "1e200", "--b-max", "1e300", "--r-max", "1e300"],
      "the right-hand side is not finite at the start: (nan, nan, nan, 0.0)"),
     (["e2", "shoot", "--eps", "nan"], "initial b must be finite, got nan"),
     (["e2", "shoot", "--start", "1,2,nan"],
@@ -147,12 +151,12 @@ _EUCLIDEAN = ["bianchi", "solve", "--case", "euclidean", "--k", "1.2",
      "b_max 100.0 must lie above the start's b = 1.0000000000000001e+195"),
     (["e2", "shoot", "--q", "1e100"],
      "b_max 100.0 must lie above the start's b = 1.0000000000000002e+95"),
-    (["e2", "shoot", "--q", "1e100", "--b-max", "1e300"],
+    (["e2", "shoot", "--q", "1e100", "--b-max", "1e300", "--r-max", "1e300"],
      "the right-hand side is not finite at the start: (0.0, "),
     (["bianchi", "solve", "--p1", "1", "--p2", "0", "--p3", "1", "--lam",
       "-1", "--start", "0,1e100,1e95,1e100", "--t-end", "1"],
      "the right-hand side is not finite at the start: (0.0, 1e+295, inf)"),
-    (["e2", "shoot", "--q", "1e50", "--b-max", "1e300"],
+    (["e2", "shoot", "--q", "1e50", "--b-max", "1e300", "--r-max", "1e300"],
      "diagnostics need two samples or more; the run stopped at its start "
      "(step_underflow)"),
 
@@ -203,12 +207,24 @@ def test_e2_shoot_b_max_at_or_below_the_start_exits_1(tmp_path, capsys, args,
 # backward in r the shoot runs into the bolt, where a*b*c -> 0, and a
 # stage landing on b = 0 exactly ended in a ZeroDivisionError traceback;
 # the march now rejects such a step as it does a non-finite error
-def test_e2_shoot_backward_into_the_bolt_exits_2(tmp_path, capsys):
+# an r_max at or below the start's r used to march backward, into the
+# bolt, and exit 2 with the artifacts of a shoot that never heads for b_max
+@pytest.mark.parametrize("args, r_start", [
+    (["e2", "shoot", "--b-max", "2", "--r-max", "1e-6"], "1e-05"),
+    (["--tol", "2", "e2", "shoot", "--b-max", "2", "--r-max", "1e-320"],
+     "1e-05"),
+    (["e2", "shoot", "--eps", "1e-3", "--r-max", "1e-3"], "0.001"),
+    (["e2", "shoot", "--start", "1,2,3", "--r-max", "0"], "0.0"),
+    (["e2", "shoot", "--start", "1,2,3", "--r-max", "-inf"], "0.0"),
+])
+def test_e2_shoot_r_max_at_or_below_the_start_exits_1(tmp_path, capsys, args,
+                                                       r_start):
     capsys.readouterr()
-    assert main(["--out-dir", str(tmp_path), "--tol", "2", "e2", "shoot",
-                 "--b-max", "2", "--r-max", "1e-320"]) == 2
-    assert "stop: positivity_loss" in capsys.readouterr().out
-    assert (tmp_path / "manifest.json").exists()
+    assert main(["--out-dir", str(tmp_path)] + args) == 1
+    r_max = repr(float(args[args.index("--r-max") + 1]))
+    assert capsys.readouterr().err == (
+        f"error: r_max {r_max} must lie above the start's r = {r_start}\n")
+    assert not any(tmp_path.iterdir())
 
 
 def test_e2_shoot_stopped_at_its_start_exits_1(tmp_path, capsys):
@@ -869,6 +885,35 @@ def test_pde_verify_refuses_a_form_on_other_axes(tmp_path, pde_run, capsys):
             f"error: the form's axes do not match the metric's: shape "
             f"{shape} against (21, 25, 1, 1)\n")
         assert not any(out.iterdir())
+
+
+@pytest.fixture(scope="module")
+def torus_metric(tmp_path_factory):
+    d = tmp_path_factory.mktemp("torus")
+    assert main(["--out-dir", str(d), "bianchi", "solve", "--case", "torus",
+                 "--alpha-eq-ab", "--a0", "0.8", "--b0", "0.75",
+                 "--t-start", "0.1", "--t-end", "1.0"]) == 0
+    return d / "torus_metric.json"
+
+
+# lam * g overflowed with a numpy RuntimeWarning, and the run then blamed
+# the grid ("non-finite values inside the valid interior")
+@pytest.mark.parametrize("lam, message", [
+    ("1e308", "error: lam * g is not finite for lam = 1e+308"),
+    ("-1e308", "error: lam * g is not finite for lam = -1e+308"),
+    ("nan", "Invalid value for '--lam': nan is not a finite number"),
+    ("inf", "Invalid value for '--lam': inf is not a finite number"),
+])
+def test_pde_verify_refuses_a_lam_whose_product_is_not_finite(
+        torus_metric, tmp_path, capsys, lam, message):
+    capsys.readouterr()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["--out-dir", str(tmp_path), "pde", "verify",
+                     "--metric", str(torus_metric), "--lam", lam]) == 1
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert message in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
 
 
 def test_manifests_are_reproducible(tmp_path):
