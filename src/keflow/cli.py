@@ -385,13 +385,17 @@ def pde_leaf_build(ctx, h_expr, domain, n, nx, ny, ell_axis):
     mf.write_text(spec.to_json(), out / "leafspec.json")
 
     g, K = lp.leaf_metric(spec)
-    gauss_dev = _interior_max(gauss_curvature_2d(g) - K, 2)
-    pde_rep = lp.leaf_pde_residual(g, K)
-    rescaled = MetricGrid(g.axes, g.components * K[..., None, None])
+    # checked on one slice per exactly constant axis, as leaf_spec does;
+    # the excluded nodes are counted on the full grid
+    axes, phi, K_cut = lp._constant_cut(g.axes, g.components[..., 0, 0], K)
+    g_cut = g if axes == g.axes else lp._conformal_metric(*axes, phi)
+    gauss_dev = _interior_max(gauss_curvature_2d(g_cut) - K_cut, 2)
+    pde_rep = lp.leaf_pde_residual(g_cut, K_cut)
+    rescaled = MetricGrid(axes, g_cut.components * K_cut[..., None, None])
     conformal_dev = _interior_max(gauss_curvature_2d(rescaled) + 2.0, 2)
     mf.write_json({"gauss_curvature_deviation": gauss_dev,
                    "leaf_pde_residual": pde_rep.max_residual,
-                   "leaf_pde_excluded_nodes": pde_rep.n_excluded,
+                   "leaf_pde_excluded_nodes": int(np.sum(K <= 0.0)),
                    "rescaled_curvature_deviation": conformal_dev,
                    "step": [x_axis.step, y_axis.step]},
                   out / "leaf_report.json")

@@ -283,7 +283,10 @@ def laplace_beltrami(grid: MetricGrid, u: np.ndarray) -> np.ndarray:
 
 
 def _staggered_div(a: np.ndarray, u: np.ndarray, step: float, axis: int) -> np.ndarray:
-    """(a u')' via half-node fluxes with arithmetic-mean coefficients."""
+    """(a u')' via half-node fluxes with arithmetic-mean coefficients;
+    exact zeros along a one-node axis, as central_diff gives."""
+    if u.shape[axis] == 1:
+        return np.zeros_like(u)
     out = np.full_like(u, np.nan)
     up, u0, um = _shift(u, axis, +1), _shift(u, axis, 0), _shift(u, axis, -1)
     ap = 0.5 * (_shift(a, axis, +1) + _shift(a, axis, 0))

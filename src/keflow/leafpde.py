@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import CompatibilityError, DomainError, GridError
 from .grids import (Axis, MetricGrid, TwoFormGrid, central_diff,
-                    check_axis_counts, collapse_constant, dump_artifact,
+                    check_axis_counts, constant_axes, dump_artifact,
                     interior, load_artifact, second_diff)
 from .curvature import _interior_max, gauss_curvature_2d, laplace_beltrami
 from .frame_algebra import _sys_flow
@@ -152,7 +152,7 @@ def leaf_spec(x_axis: Axis, y_axis: Axis, h: str | np.ndarray = "x",
     Both properties are checked by finite differences at the grid's own
     resolution; tolerances are absolute on the residuals. The curvature
     of l*g0 is differenced on one slice per axis along which l is exactly
-    constant (grids.collapse_constant), cut to one node as in
+    constant (grids.constant_axes), cut to one node as in
     einstein_residual: along it every difference is an exact zero, so the
     slice's interior holds the full grid's values and the deviation is
     the same number. Axis counts a grid refuses are refused, cut or not.
@@ -176,15 +176,25 @@ def leaf_spec(x_axis: Axis, y_axis: Axis, h: str | np.ndarray = "x",
             f"h is not harmonic at grid resolution: residual {worst:.3e}")
 
     check_axis_counts((x_axis, y_axis))
-    const, ell_cut = collapse_constant(spec.ell, 2)
-    cut = [Axis(ax.name, ax.start, ax.step, 1) if m in const else ax
-           for m, ax in enumerate((x_axis, y_axis))]
+    cut, ell_cut = _constant_cut((x_axis, y_axis), spec.ell)
     curv = gauss_curvature_2d(_conformal_metric(*cut, ell_cut))
     dev = _interior_max(curv + 2.0, 2)
     if dev > curvature_tol:
         raise DomainError(
             f"ell does not define a curvature -2 metric: deviation {dev:.3e}")
     return spec
+
+
+def _constant_cut(axes, *fields):
+    """(axes, *fields) with every axis along which all the fields are
+    exactly constant (grids.constant_axes) cut to its first node; the
+    fields are cut as views, so the axes are `axes` if nothing is cut."""
+    const = set.intersection(*(set(constant_axes(f, len(axes)))
+                               for f in fields))
+    keep = tuple(slice(0, 1) if m in const else slice(None)
+                 for m in range(len(axes)))
+    return (tuple(Axis(ax.name, ax.start, ax.step, 1) if m in const else ax
+                  for m, ax in enumerate(axes)), *(f[keep] for f in fields))
 
 
 def _conformal_metric(x_axis: Axis, y_axis: Axis,
@@ -234,18 +244,25 @@ def leaf_pde_residual(g: MetricGrid, K: np.ndarray) -> LeafPdeReport:
 # ---------------------------------------------------------------------------
 # Geodesic parallel coordinates.
 
-def _factor_spline(g: MetricGrid):
+def _factor_spline(g: MetricGrid, invariant: bool = False):
     """Spline of phi = g_xx as a triple (s, d_x s, d_y s), differentiated
     once, here: the derivative splines give s.ev(..., dx=1) and
     s.ev(..., dy=1) bit for bit, where .ev differentiates again on each
     call. Quintic when the grid allows it, as the interpolant is
     differentiated twice downstream; cubic along an axis of at most 5
-    nodes. scipy is imported here, its one use, so no other stage pays for
-    loading it."""
-    from scipy.interpolate import RectBivariateSpline
+    nodes. With `invariant`, phi is exactly constant along y and the
+    triple is one not-a-knot interpolant of its first column in x, called
+    as s(x, y, grid=...), its derivative, and exact zeros for d_y s. scipy
+    is imported here, its one use, so no other stage pays for loading it."""
+    from scipy.interpolate import RectBivariateSpline, make_interp_spline
     x, y = g.axes[0].nodes, g.axes[1].nodes
     kx = 5 if x.size > 5 else 3
     ky = 5 if y.size > 5 else 3
+    if invariant:
+        s = make_interp_spline(x, g.components[:, 0, 0, 0], k=kx)
+        ds = s.derivative()
+        return (lambda px, py, grid: s(px), lambda px, py, grid: ds(px),
+                lambda px, py, grid: np.zeros_like(px))
     s = RectBivariateSpline(x, y, g.components[..., 0, 0], kx=kx, ky=ky, s=0)
     return s, s.partial_derivative(1, 0), s.partial_derivative(0, 1)
 
@@ -363,11 +380,14 @@ def geodesic_parallel_profile(g: MetricGrid, x_axis: Axis | None = None,
     dy^2), as every leaf metric is; any other metric raises GridError
     before a spline is fitted. phi between nodes comes from one quintic
     spline (cubic along an axis of at most 5 nodes), differentiated once
-    before the shoot (see _factor_spline). Geodesics exiting the source
-    rectangle or focusing (c below c_floor) truncate the profile, recorded
-    in coverage/truncation_reason; if one leaves before the second profile
-    node, DomainError names it. An axis of fewer than 2 nodes raises
-    GridError before the shoot.
+    before the shoot (see _factor_spline). When phi is exactly constant
+    along y, y is a Killing direction: one geodesic is shot, from the
+    lowest seed through a spline of phi in x alone, and translated along
+    y, so c and x_map are constant along y bit for bit. Geodesics exiting
+    the source rectangle or focusing (c below c_floor) truncate the
+    profile, recorded in coverage/truncation_reason; if one leaves before
+    the second profile node, DomainError names it. An axis of fewer than 2
+    nodes raises GridError before the shoot.
     """
     if g.dim != 2:
         raise GridError("profile extraction is for 2D metrics")
@@ -394,15 +414,20 @@ def geodesic_parallel_profile(g: MetricGrid, x_axis: Axis | None = None,
     if seeds[0] < sy.start or seeds[-1] > sy.stop:
         raise DomainError("base-curve seeds (with one-node pad) leave the domain")
 
-    spline = _factor_spline(g)
-    px = np.full(seeds.shape, sx.start)
-    py = seeds.copy()
+    # y is a Killing direction when phi is exactly constant along it (the
+    # grids.constant_axes rule): every geodesic is the first one moved
+    # along y, so only that one is shot
+    invariant = bool(np.all(gxx == gxx[:, :1]))
+    spline = _factor_spline(g, invariant)
+    lanes = seeds[:1] if invariant else seeds
+    px = np.full(lanes.shape, sx.start)
+    py = lanes.copy()
     vx = np.sqrt(2.0 / spline[0](px, py, grid=False))
     u = np.stack((px, py, vx, np.zeros_like(vx)))
 
     n_park = x_axis.count
-    X = np.empty((n_park, seeds.size))
-    Y = np.empty((n_park, seeds.size))
+    X = np.empty((n_park, lanes.size))
+    Y = np.empty((n_park, lanes.size))
     X[0], Y[0] = px, py
     hs = x_axis.step / substeps
     delivered = n_park
@@ -429,7 +454,7 @@ def geodesic_parallel_profile(g: MetricGrid, x_axis: Axis | None = None,
             X[i], Y[i] = u[0], u[1]
             continue
         if i == 1:
-            y0 = seeds[np.argmin(inside(u[0], u[1]))]
+            y0 = lanes[np.argmin(inside(u[0], u[1]))]
             raise DomainError(
                 f"the geodesic from base-curve y = {y0:g} leaves the source "
                 f"rectangle [{sx.start:g}, {sx.stop:g}] x [{sy.start:g}, "
@@ -440,10 +465,16 @@ def geodesic_parallel_profile(g: MetricGrid, x_axis: Axis | None = None,
         break
 
     X, Y = X[:delivered], Y[:delivered]
-    dy = y_axis.step
-    Xy = (X[:, 2:] - X[:, :-2]) / (2.0 * dy)
-    Yy = (Y[:, 2:] - Y[:, :-2]) / (2.0 * dy)
-    Xc, Yc = X[:, 1:-1], Y[:, 1:-1]
+    if invariant:
+        # Xy = 0 and Yy = 1 exactly: c and x_map are constant along y
+        Xy, Yy = 0.0, 1.0
+        Xc = np.repeat(X, y_axis.count, axis=1)
+        Yc = np.broadcast_to(y_axis.nodes, Xc.shape).copy()
+    else:
+        dy = y_axis.step
+        Xy = (X[:, 2:] - X[:, :-2]) / (2.0 * dy)
+        Yy = (Y[:, 2:] - Y[:, :-2]) / (2.0 * dy)
+        Xc, Yc = X[:, 1:-1], Y[:, 1:-1]
     phi = spline[0](Xc, Yc, grid=False)
     # two products, not phi (Xy^2 + Yy^2): factoring phi out rounds
     # differently and moves the last bits of every profile

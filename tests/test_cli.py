@@ -681,14 +681,32 @@ def test_h_expr_is_parsed_not_executed(tmp_path, capsys):
     assert not (tmp_path / "leafspec.json").exists()
 
 
-def test_leaf_build_ell_axis_x(tmp_path):
+def test_leaf_build_ell_axis_x(tmp_path, monkeypatch):
     # 1/(2 x^2) comes from leafpde.hyperbolic_factor, as 1/(2 y^2) does;
     # sha256 of the spec cli wrote when it built the factor inline, the
-    # same bytes; numpy 2.4.6
+    # same bytes; numpy 2.4.6. The leaf is exactly constant along y, so
+    # its two curvature checks and its leaf residual run on one y slice,
+    # and the report is the bytes the full 33x33 grid gave
+    from keflow import cli
+    counts = []
+
+    def recorded(f):
+        def call(g, *args):
+            counts.append(g.counts)
+            return f(g, *args)
+        return call
+
+    monkeypatch.setattr(cli, "gauss_curvature_2d",
+                        recorded(cli.gauss_curvature_2d))
+    monkeypatch.setattr(leafpde, "leaf_pde_residual",
+                        recorded(leafpde.leaf_pde_residual))
     assert main(["--out-dir", str(tmp_path), "pde", "leaf-build",
                  "--domain", "1,2,0,1", "--n", "33", "--ell-axis", "x"]) == 0
     assert manifest.sha256_of(tmp_path / "leafspec.json") == (
         "eabbeb4d3e19b189e38b2cc89e420d3e2131a17844a5ddfe21c5e26525d4c237")
+    assert counts == [(33, 1)] * 3
+    assert manifest.sha256_of(tmp_path / "leaf_report.json") == (
+        "cc95f8c2b5ff533bb452da06b0e132d74696524f623bcd8da6ecd4a06ac84445")
 
 
 def test_leaf_build_ell_axis_x_needs_the_domain_in_x_positive(tmp_path,

@@ -78,6 +78,23 @@ def test_laplace_beltrami_on_hyperbolic_log():
     assert np.max(np.abs(lap + 2.0)) < 1e-5
 
 
+def test_laplace_beltrami_one_node_axis_is_the_padded_middle_column():
+    # a conformal factor and a scalar that vary in x only: along the
+    # one-node y axis every difference is an exact zero, so the 9x1 cut
+    # holds the padded grid's middle column bit for bit, NaN margin included
+    x = Axis("x", 1.0, 1e-2, 9)
+    factor = 1.0 / (2.0 * x.nodes ** 2)
+    out = []
+    for ny in (1, 5):
+        g = np.zeros((9, ny, 2, 2))
+        g[..., 0, 0] = g[..., 1, 1] = factor[:, None]
+        grid = MetricGrid((x, Axis("y", 0.0, 1e-2, ny)), g)
+        out.append(laplace_beltrami(grid, np.broadcast_to(
+            np.log(x.nodes)[:, None], (9, ny))))
+    assert np.all(np.isfinite(out[0][1:-1]))
+    assert out[0].tobytes() == out[1][:, 2:3].tobytes()
+
+
 def test_polar_coordinates_flat():
     g = grid2(lambda R, T: (np.ones_like(R), np.zeros_like(R), R ** 2),
               1.0, 0.0, 1e-3, 9)

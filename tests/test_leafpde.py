@@ -428,23 +428,34 @@ def test_leaf_pipeline_golden_bytes():
 
 @pytest.mark.parametrize("grid, calls", [
     (lambda: lp.leaf_metric(hyperbolic_spec(n=33))[0], 3),
+    (lambda: y_invariant_leaf(), 2),
 ])
 def test_geodesic_rhs_spline_evaluations(monkeypatch, grid, calls):
-    # one spline: phi, d_x phi and d_y phi per RHS. The derivatives come
+    # one spline: phi, d_x phi and d_y phi per RHS; on a leaf whose phi is
+    # exactly constant along y, phi and d_x phi of one spline in x, and
+    # d_y phi exact zeros that no spline evaluates. The derivatives come
     # from splines differentiated once, so no evaluation asks scipy to
     # differentiate again
-    spline = lp._factor_spline(grid())
+    from scipy.interpolate import BSpline
+    g = grid()
+    phi = g.components[..., 0, 0]
+    invariant = bool(np.all(phi == phi[:, :1]))
+    spline = lp._factor_spline(g, invariant)
     count = []
-    for cls in {type(s) for s in spline}:
+    for cls in {BSpline} if invariant else {type(s) for s in spline}:
         def counted(self, *args, _call=cls.__call__, **kwargs):
-            assert kwargs.get("dx", 0) == kwargs.get("dy", 0) == 0
+            assert not any(kwargs.get(k, 0) for k in ("dx", "dy", "nu"))
             count.append(1)
             return _call(self, *args, **kwargs)
 
         monkeypatch.setattr(cls, "__call__", counted)
-    u = np.array([[0.2, 0.3], [1.2, 1.4], [1.0, 0.9], [0.1, -0.2]])
+    x0, y0 = (ax.start for ax in g.axes)
+    u = np.array([[x0 + 0.2, x0 + 0.3], [y0 + 0.2, y0 + 0.4], [1.0, 0.9],
+                  [0.1, -0.2]])
     assert np.all(np.isfinite(lp._geodesic_rhs(spline, u)))
     assert len(count) == calls
+    if invariant:
+        assert np.all(spline[2](u[0], u[1], grid=False) == 0.0)
 
 
 def _frozen_metric_at(spline, px, py, dx=0, dy=0):
@@ -485,14 +496,19 @@ def y_invariant_leaf():
                                        curvature_tol=0.1))[0]
 
 
-_RHS_GRIDS = {"hyperbolic": lambda: lp.leaf_metric(hyperbolic_spec(n=33))[0],
-              "y-invariant": y_invariant_leaf}
+# name: (grid, whether phi is splined in x alone, as the shoot does on a
+# y-invariant leaf)
+_RHS_GRIDS = {
+    "hyperbolic": (lambda: lp.leaf_metric(hyperbolic_spec(n=33))[0], False),
+    "y-invariant": (y_invariant_leaf, False),
+    "y-invariant, spline in x": (y_invariant_leaf, True)}
 
 
 @cache
 def _grid_and_splines(name):
-    g = _RHS_GRIDS[name]()
-    return g, lp._factor_spline(g)
+    build, invariant = _RHS_GRIDS[name]
+    g = build()
+    return g, lp._factor_spline(g, invariant)
 
 
 # velocities of every sign and size, with exact zeros of both signs often
@@ -545,6 +561,58 @@ def test_profile_refuses_a_non_conformal_metric(monkeypatch, grid):
     with pytest.raises(GridError, match=re.escape(
             "needs a conformal metric phi (dx^2 + dy^2)")):
         lp.geodesic_parallel_profile(g)
+
+
+def test_y_invariant_leaf_is_shot_as_one_geodesic():
+    # criterion 10's leaf, phi = sqrt(2) x e^x, does not vary in y: every
+    # geodesic is the first one moved along y. Its arclength from the left
+    # edge x = 1 and c = sqrt(phi/2) are known in closed form, and Q and
+    # the transverse residual vanish exactly
+    from scipy.integrate import quad
+
+    def half_phi(xi):
+        return np.sqrt(2.0) * xi * np.exp(xi) / 2.0
+
+    cp, s2, _ = leaf_pipeline(1e-2, 0.48)
+    X = cp.x_map[:, 0]
+    assert np.all(cp.x_map == X[:, None]) and np.all(cp.c == cp.c[:, :1])
+    assert np.array_equal(cp.y_map,
+                          np.broadcast_to(cp.y_axis.nodes, cp.c.shape))
+    arclength = [quad(lambda xi: math.sqrt(half_phi(xi)), 1.0, x_end,
+                      epsabs=1e-14, epsrel=1e-14)[0] for x_end in X]
+    np.testing.assert_allclose(arclength, cp.x_axis.nodes, rtol=0, atol=1e-9)
+    np.testing.assert_allclose(cp.c[:, 0], np.sqrt(half_phi(X)), rtol=1e-12)
+    Q = lp.reduced_fields(cp).Q
+    assert np.any(np.isfinite(Q)) and np.all(Q[np.isfinite(Q)] == 0.0)
+    assert s2.transverse_R == 0.0
+
+
+def test_one_ulp_off_y_invariance_takes_the_full_shoot(monkeypatch):
+    # criterion 10's source leaf with one phi node moved by one ulp: y is
+    # no longer exactly a Killing direction, so every seed's geodesic is
+    # shot, and c agrees with the translated one's to rounding
+    h = 1e-2
+    sx, sy = Axis("x", 1.0, h, 57), Axis("y", 0.0, h, 73)
+    g = lp.leaf_metric(lp.leaf_spec(sx, sy, h="-x",
+                                    ell=lp.hyperbolic_factor(sx, sy, "x")))[0]
+    comp = g.components.copy()
+    comp[20, 30, 0, 0] = comp[20, 30, 1, 1] = np.nextafter(comp[20, 30, 0, 0],
+                                                           np.inf)
+    lanes = []
+
+    def rhs(spline, u, _rhs=lp._geodesic_rhs):
+        lanes.append(u.shape[1])
+        return _rhs(spline, u)
+
+    monkeypatch.setattr(lp, "_geodesic_rhs", rhs)
+    axes = Axis("x", 0.0, h, 49), Axis("y", 0.12, h, 49)
+    one = lp.geodesic_parallel_profile(g, *axes)
+    assert set(lanes) == {1}
+    lanes.clear()
+    full = lp.geodesic_parallel_profile(MetricGrid(g.axes, comp), *axes)
+    assert set(lanes) == {49 + 2}
+    assert not np.all(full.c == full.c[:, :1])
+    np.testing.assert_allclose(full.c, one.c, rtol=0, atol=1e-12)
 
 
 def test_leaf_pipeline_satisfies_reduced_system():
