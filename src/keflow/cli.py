@@ -27,8 +27,7 @@ import numpy as np
 from . import bianchi as bi
 from . import e2flow as e2
 from . import leafpde as lp
-from .curvature import (_interior_max, einstein_residual,
-                        exterior_derivative_closedness, gauss_curvature_2d,
+from .curvature import (einstein_residual, exterior_derivative_closedness,
                         riemann_max)
 from .errors import (CompatibilityError, DomainError, GridError,
                      VerificationError)
@@ -328,7 +327,7 @@ def e2_bolt(ctx, traj_csv, r_max, n, r0):
     mf.write_text(profile.to_csv(), out / "bolt_profile.csv")
     sm = e2.bolt_smoothness(profile, r0=r0)
     doc = sm.to_dict()
-    doc["db_dr_deviation"] = abs(sm.db_dr_limit - 1.0)
+    doc["db_dr_deviation"] = sm.db_dr_error
     doc["db_dr_bound"] = tol
     doc["smooth"] = doc["db_dr_deviation"] <= tol
     mf.write_json(doc, out / "bolt_report.json")
@@ -384,26 +383,14 @@ def pde_leaf_build(ctx, h_expr, domain, n, nx, ny, ell_axis):
     spec = lp.leaf_spec(x_axis, y_axis, h=h_expr, ell=ell)
     mf.write_text(spec.to_json(), out / "leafspec.json")
 
-    g, K = lp.leaf_metric(spec)
-    # checked on one slice per exactly constant axis, as leaf_spec does;
-    # the excluded nodes are counted on the full grid
-    axes, phi, K_cut = lp._constant_cut(g.axes, g.components[..., 0, 0], K)
-    g_cut = g if axes == g.axes else lp._conformal_metric(*axes, phi)
-    gauss_dev = _interior_max(gauss_curvature_2d(g_cut) - K_cut, 2)
-    pde_rep = lp.leaf_pde_residual(g_cut, K_cut)
-    rescaled = MetricGrid(axes, g_cut.components * K_cut[..., None, None])
-    conformal_dev = _interior_max(gauss_curvature_2d(rescaled) + 2.0, 2)
-    mf.write_json({"gauss_curvature_deviation": gauss_dev,
-                   "leaf_pde_residual": pde_rep.max_residual,
-                   "leaf_pde_excluded_nodes": int(np.sum(K <= 0.0)),
-                   "rescaled_curvature_deviation": conformal_dev,
-                   "step": [x_axis.step, y_axis.step]},
+    rep = lp.leaf_report(spec)
+    mf.write_json({**rep, "step": [x_axis.step, y_axis.step]},
                   out / "leaf_report.json")
     mf.save(out)
 
-    click.echo(f"gauss dev {gauss_dev:.3e}, leaf residual "
-               f"{pde_rep.max_residual:.3e}, rescaled curvature dev "
-               f"{conformal_dev:.3e}")
+    click.echo(f"gauss dev {rep['gauss_curvature_deviation']:.3e}, leaf "
+               f"residual {rep['leaf_pde_residual']:.3e}, rescaled curvature "
+               f"dev {rep['rescaled_curvature_deviation']:.3e}")
     return EXIT_OK
 
 
@@ -431,8 +418,8 @@ def pde_profile(ctx, spec_path, nx, ny, step, y_start, substeps):
     sx, sy = g.axes
     x_axis = Axis("x", 0.0, sx.step if step is None else step,
                   sx.count if nx is None else nx)
-    y_axis = lp._base_curve_axis(sy, sy.step if step is None else step,
-                                 y_start, ny)
+    y_axis = lp.base_curve_axis(sy, sy.step if step is None else step,
+                                y_start, ny)
 
     mf = RunManifest("pde profile",
                      {"spec": str(spec_path), "nx": nx, "ny": ny,

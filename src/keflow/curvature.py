@@ -34,7 +34,7 @@ matrix, many times the arithmetic, on grids of 257^2 nodes.
 A Killing direction is an axis of one node (see `grids`): every
 difference along it is exactly zero and it has no margin. The scalar
 checks `einstein_residual` and `riemann_max` cut every axis on which every
-component equals the first slice exactly (`MetricGrid.symmetry_axes`) to
+component equals the first slice exactly (`grids.constant_axes`) to
 that one slice with `grids.collapse_constant`, the same representation,
 since every node along it has the same curvature. The test is exact
 equality, never a tolerance: an axis along which the metric varies by a

@@ -259,16 +259,6 @@ class MetricGrid:
                 raise GridError(
                     f"metric not positive-definite: minor {k} fails at node {node}")
 
-    def symmetry_axes(self) -> tuple[int, ...]:
-        """Node axes along which every component is exactly constant.
-
-        The test is exact equality with the first slice, never a tolerance:
-        on such an axis every central difference is exactly zero, so a
-        curvature check may evaluate one slice instead of all of them and
-        still agree with the full grid to rounding.
-        """
-        return constant_axes(self.components, self.dim)
-
     def to_json(self) -> str:
         return dump_artifact(self.kind, self.axes,
                              {"components": self.components}, dims=self.dim,

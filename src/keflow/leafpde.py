@@ -151,11 +151,7 @@ def leaf_spec(x_axis: Axis, y_axis: Axis, h: str | np.ndarray = "x",
 
     Both properties are checked by finite differences at the grid's own
     resolution; tolerances are absolute on the residuals. The curvature
-    of l*g0 is differenced on one slice per axis along which l is exactly
-    constant (grids.constant_axes), cut to one node as in
-    einstein_residual: along it every difference is an exact zero, so the
-    slice's interior holds the full grid's values and the deviation is
-    the same number. Axis counts a grid refuses are refused, cut or not.
+    check is _rescaled_deviation's.
     """
     meta = {}
     if isinstance(h, str):
@@ -175,14 +171,23 @@ def leaf_spec(x_axis: Axis, y_axis: Axis, h: str | np.ndarray = "x",
         raise DomainError(
             f"h is not harmonic at grid resolution: residual {worst:.3e}")
 
-    check_axis_counts((x_axis, y_axis))
-    cut, ell_cut = _constant_cut((x_axis, y_axis), spec.ell)
-    curv = gauss_curvature_2d(_conformal_metric(*cut, ell_cut))
-    dev = _interior_max(curv + 2.0, 2)
+    dev = _rescaled_deviation(spec)
     if dev > curvature_tol:
         raise DomainError(
             f"ell does not define a curvature -2 metric: deviation {dev:.3e}")
     return spec
+
+
+def _rescaled_deviation(spec: LeafSpec) -> float:
+    """Max interior |K + 2| of l*g0 (the leaf's K g up to rounding) on one
+    slice per axis along which l is exactly constant (grids.constant_axes),
+    cut to one node as in einstein_residual: every difference along it is
+    an exact zero, so the slice's interior holds the full grid's values.
+    Axis counts a grid refuses are refused, cut or not."""
+    check_axis_counts((spec.x_axis, spec.y_axis))
+    cut, ell_cut = _constant_cut((spec.x_axis, spec.y_axis), spec.ell)
+    curv = gauss_curvature_2d(_conformal_metric(*cut, ell_cut))
+    return _interior_max(curv + 2.0, 2)
 
 
 def _constant_cut(axes, *fields):
@@ -200,8 +205,7 @@ def _constant_cut(axes, *fields):
 def _conformal_metric(x_axis: Axis, y_axis: Axis,
                       factor: np.ndarray) -> MetricGrid:
     g = np.zeros((x_axis.count, y_axis.count, 2, 2))
-    g[..., 0, 0] = factor
-    g[..., 1, 1] = factor
+    g[..., 0, 0] = g[..., 1, 1] = factor
     return MetricGrid((x_axis, y_axis), g)
 
 
@@ -239,6 +243,21 @@ def leaf_pde_residual(g: MetricGrid, K: np.ndarray) -> LeafPdeReport:
     if not np.any(np.isfinite(inner)):
         return LeafPdeReport(math.nan, int(bad.sum()))
     return LeafPdeReport(float(np.nanmax(inner)), int(bad.sum()))
+
+
+def leaf_report(spec: LeafSpec) -> dict:
+    """leaf_report.json's checks: |K_g - K| and the leaf equation on one
+    slice per axis along which phi and K are both exactly constant, the
+    K <= 0 nodes on the full grid, and leaf_spec's curvature -2 check of
+    l*g0, the rescaled metric K g up to rounding (_rescaled_deviation)."""
+    g, K = leaf_metric(spec)
+    axes, phi, K_cut = _constant_cut(g.axes, g.components[..., 0, 0], K)
+    g_cut = g if axes == g.axes else _conformal_metric(*axes, phi)
+    return {"gauss_curvature_deviation":
+            _interior_max(gauss_curvature_2d(g_cut) - K_cut, 2),
+            "leaf_pde_residual": leaf_pde_residual(g_cut, K_cut).max_residual,
+            "leaf_pde_excluded_nodes": int(np.sum(K <= 0.0)),
+            "rescaled_curvature_deviation": _rescaled_deviation(spec)}
 
 
 # ---------------------------------------------------------------------------
@@ -350,8 +369,8 @@ class CProfile:
                    meta=doc.get("meta", {}))
 
 
-def _base_curve_axis(sy: Axis, step: float, start: float | None = None,
-                     count: int | None = None) -> Axis:
+def base_curve_axis(sy: Axis, step: float, start: float | None = None,
+                    count: int | None = None) -> Axis:
     """Base-curve y axis of the given step. By default it starts two steps
     above the source's lower y edge and has the source's count less four
     nodes, fewer if they would end within two steps of its upper edge, so
@@ -386,11 +405,12 @@ def geodesic_parallel_profile(g: MetricGrid, x_axis: Axis | None = None,
     y, so c and x_map are constant along y bit for bit. Geodesics exiting
     the source rectangle or focusing (c below c_floor) truncate the
     profile, recorded in coverage/truncation_reason; if one leaves before
-    the second profile node, DomainError names it. An axis of fewer than 2
-    nodes raises GridError before the shoot.
+    the second profile node, DomainError names it. A source or profile
+    axis of fewer than 2 nodes raises GridError before a spline is fitted.
     """
     if g.dim != 2:
         raise GridError("profile extraction is for 2D metrics")
+    _refuse_short_axes(*g.axes)
     comp = g.components
     gxx, gxy, gyy = comp[..., 0, 0], comp[..., 0, 1], comp[..., 1, 1]
     if np.any(gxy != 0.0) or np.any(gyy != gxx):
@@ -402,7 +422,7 @@ def geodesic_parallel_profile(g: MetricGrid, x_axis: Axis | None = None,
     if x_axis is None:
         x_axis = Axis("x", 0.0, sx.step, sx.count)
     if y_axis is None:
-        y_axis = _base_curve_axis(sy, sy.step)
+        y_axis = base_curve_axis(sy, sy.step)
     if x_axis.start != 0.0:
         raise DomainError("profile x axis must start at 0 (the base curve)")
     # the profile's own refusal, before any spline fit or RK4 step

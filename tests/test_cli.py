@@ -504,13 +504,14 @@ def pde_run(tmp_path_factory):
 def test_pde_artifacts_golden_bytes(pde_run):
     # sha256 of the README-size artifacts (n = 129); the profile's from
     # before the geodesic shoot used one spline on conformal grids, the
-    # leaf report's from the pair-block curvature, the verify report's,
+    # leaf report's from when its rescaled deviation became leaf_spec's
+    # curvature -2 check of l g0, the verify report's,
     # which pins the 4D Einstein residual, from before the curvature core
     # went component-major; numpy 2.4.6, scipy 1.17.1
     assert manifest.sha256_of(pde_run / "prof" / "cprofile.json") == (
         "77e44b974d8556a53f01bab8097db9e063e8ec468289b940b86d5c04170e9a09")
     assert manifest.sha256_of(pde_run / "spec" / "leaf_report.json") == (
-        "944f8b322deb1244f9e44768ed5b5beae9a9ee755f535283f4a169773c157b4d")
+        "58f54f61fb3350b8d65f462ecb7a917a414503d28781d4cb8bb23be1e162997a")
     assert manifest.sha256_of(pde_run / "ver" / "verify_report.json") == (
         "9ff2deb6337949a9814a2e286979ce7ba8e9196bcd26bdba26da68dda6d44ae1")
 
@@ -520,6 +521,11 @@ def test_pde_leaf_report(pde_run):
     assert rep["gauss_curvature_deviation"] < 1e-3
     assert rep["leaf_pde_residual"] < 1e-2
     assert rep["rescaled_curvature_deviation"] < 1e-2
+    # the command writes leafpde.leaf_report of its spec, and the step
+    spec = leafpde.LeafSpec.from_json(
+        (pde_run / "spec" / "leafspec.json").read_bytes())
+    assert rep.pop("step") == [spec.x_axis.step, spec.y_axis.step]
+    assert rep == leafpde.leaf_report(spec)
 
 
 def test_pde_construct_report(pde_run):
@@ -685,9 +691,10 @@ def test_leaf_build_ell_axis_x(tmp_path, monkeypatch):
     # 1/(2 x^2) comes from leafpde.hyperbolic_factor, as 1/(2 y^2) does;
     # sha256 of the spec cli wrote when it built the factor inline, the
     # same bytes; numpy 2.4.6. The leaf is exactly constant along y, so
-    # its two curvature checks and its leaf residual run on one y slice,
-    # and the report is the bytes the full 33x33 grid gave
-    from keflow import cli
+    # leaf_spec's curvature -2 check, the report's Gauss curvature check,
+    # its leaf residual and its rescaled check, leaf_spec's again, all
+    # run on one y slice; the report's from when the rescaled check became
+    # leaf_spec's
     counts = []
 
     def recorded(f):
@@ -696,17 +703,15 @@ def test_leaf_build_ell_axis_x(tmp_path, monkeypatch):
             return f(g, *args)
         return call
 
-    monkeypatch.setattr(cli, "gauss_curvature_2d",
-                        recorded(cli.gauss_curvature_2d))
-    monkeypatch.setattr(leafpde, "leaf_pde_residual",
-                        recorded(leafpde.leaf_pde_residual))
+    for name in ("gauss_curvature_2d", "leaf_pde_residual"):
+        monkeypatch.setattr(leafpde, name, recorded(getattr(leafpde, name)))
     assert main(["--out-dir", str(tmp_path), "pde", "leaf-build",
                  "--domain", "1,2,0,1", "--n", "33", "--ell-axis", "x"]) == 0
     assert manifest.sha256_of(tmp_path / "leafspec.json") == (
         "eabbeb4d3e19b189e38b2cc89e420d3e2131a17844a5ddfe21c5e26525d4c237")
-    assert counts == [(33, 1)] * 3
+    assert counts == [(33, 1)] * 4
     assert manifest.sha256_of(tmp_path / "leaf_report.json") == (
-        "cc95f8c2b5ff533bb452da06b0e132d74696524f623bcd8da6ecd4a06ac84445")
+        "f24fa5275a451f58a6c05b43acf0fe9d36531cc82faa503687ebbe641e06fe8c")
 
 
 def test_leaf_build_ell_axis_x_needs_the_domain_in_x_positive(tmp_path,

@@ -220,6 +220,24 @@ def test_leaf_spec_checks_curvature_on_one_slice(monkeypatch, along):
         lp.leaf_spec(Axis("x", 0.0, 0.25, 3), ay, h="x")
 
 
+@pytest.mark.parametrize("h_expr, along, domain, n", [
+    ("x", "y", (0.0, 1.0, 1.0, 2.0), 257),
+    ("-0.5*x", "x", (1.0, 2.0, 0.0, 1.0), 65),
+], ids=["readme", "ell-axis-x"])
+def test_phi_times_k_is_ell(h_expr, along, domain, n):
+    # the rescaled metric K g of a leaf is l g0: phi K = l^{-1/2} e^{-h}
+    # e^h l^{3/2} = l, so the leaf report checks curvature -2 on l itself
+    # and differs from K g's check by rounding alone
+    x0, x1, y0, y1 = domain
+    ax = Axis("x", x0, (x1 - x0) / (n - 1), n)
+    ay = Axis("y", y0, (y1 - y0) / (n - 1), n)
+    spec = lp.leaf_spec(ax, ay, h=h_expr,
+                        ell=lp.hyperbolic_factor(ax, ay, along))
+    g, K = lp.leaf_metric(spec)
+    rel = np.abs(g.components[..., 0, 0] * K - spec.ell) / spec.ell
+    assert np.max(rel) <= 4 * np.finfo(np.float64).eps
+
+
 def test_leaf_metric_prediction():
     spec = hyperbolic_spec(n=33)
     g, K = lp.leaf_metric(spec)
@@ -637,9 +655,11 @@ def test_assembled_metric_structure():
 
 
 @pytest.mark.parametrize("counts", [(1, 9), (9, 1), (1, 1)])
-def test_leaf_spec_and_profile_refuse_a_one_node_axis(counts):
+def test_leaf_spec_and_profile_refuse_a_one_node_axis(monkeypatch, counts):
     # to a grid, a one-node axis is a Killing direction; a leaf or a
-    # profile would silently become invariant along it
+    # profile would silently become invariant along it, and the shoot's
+    # spline has no nodes to fit along it: the source grid is refused
+    # before scipy is imported for the fit
     x_axis, y_axis = (Axis(name, 1.0, 0.1, n) for name, n in zip("xy", counts))
     ones = np.ones(counts)
     message = re.escape(f"need at least 2 nodes per axis, got {counts}")
@@ -647,6 +667,14 @@ def test_leaf_spec_and_profile_refuse_a_one_node_axis(counts):
         lp.LeafSpec(x_axis, y_axis, ones, ones)
     with pytest.raises(GridError, match=message):
         lp.CProfile(x_axis, y_axis, ones, ones, ones)
+
+    def fit(*args):
+        raise AssertionError("a spline was fitted")
+
+    monkeypatch.setattr(lp, "_factor_spline", fit)
+    with pytest.raises(GridError, match=message):
+        lp.geodesic_parallel_profile(lp._conformal_metric(x_axis, y_axis,
+                                                          ones))
 
 
 def test_hyperbolic_factor_along_either_axis():
