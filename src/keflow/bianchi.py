@@ -104,7 +104,7 @@ class ClosedFormConstants:
     c0: float = 1.0
 
 
-def _flow(params: BianchiParams, a, b, c) -> tuple[float, float, float]:
+def type_a_flow(params: BianchiParams, a, b, c) -> tuple[float, float, float]:
     """(a', b', c') at raw (a, b, c): integrate builds no ABCState, so a
     state losing positivity ends the run as positivity_loss."""
     a2, b2, c2 = a * a, b * b, c * c
@@ -117,7 +117,7 @@ def _flow(params: BianchiParams, a, b, c) -> tuple[float, float, float]:
 
 def abc_rhs(params: BianchiParams, s: ABCState) -> tuple[float, float, float]:
     """Flow derivatives (a', b', c')."""
-    return _flow(params, s.a, s.b, s.c)
+    return type_a_flow(params, s.a, s.b, s.c)
 
 
 def closed_form_params(case: str, consts: ClosedFormConstants) -> BianchiParams:
@@ -306,7 +306,7 @@ def bianchi_frame_coefficients(params: BianchiParams, s: ABCState) -> FrameCoeff
 def integrate(params: BianchiParams, s0: ABCState, t_end: float,
               tol: float = 1e-10) -> Trajectory:
     """Adaptively integrate the flow from s0 to t_end (blow-up flagged)."""
-    return integrate_flow(lambda t, y: _flow(params, *y), s0.t,
+    return integrate_flow(lambda t, y: type_a_flow(params, *y), s0.t,
                           (s0.a, s0.b, s0.c), t_end, columns=("a", "b", "c"),
                           rtol=tol, atol=tol * 1e-3,
                           positive_components=(0, 1, 2),

@@ -26,7 +26,7 @@ only the second derivatives g_ab,mn that the blocks read, each once with
 a <= b and m <= n, as g and the stencils are exactly symmetric (the mixed
 stencil takes axis m, then n): 3 in 2D and 72 in 4D, not 16 and 256.
 
-The 2x2 determinant is the closed form of `grids._det`, and the 2D inverse
+The 2x2 determinant is the closed form of `grids.det`, and the 2D inverse
 metric is the adjugate over it, exactly symmetric because the components
 are: LAPACK's batched det and inv together cost about 0.17 us per 2x2
 matrix, many times the arithmetic, on grids of 257^2 nodes.
@@ -53,8 +53,8 @@ from itertools import combinations
 import numpy as np
 
 from .errors import GridError
-from .grids import (MetricGrid, TwoFormGrid, _det, _shift, central_diff,
-                    collapse_constant, interior, mixed_diff, second_diff)
+from .grids import (MetricGrid, TwoFormGrid, central_diff, collapse_constant,
+                    det, interior, mixed_diff, second_diff, shift)
 
 # Derivative quantities are valid this many layers in from the boundary.
 CURVATURE_MARGIN = 1
@@ -62,7 +62,7 @@ CURVATURE_MARGIN = 1
 
 def _inverse_metric(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(determinants, exactly symmetric inverses) of the matrices g[...]."""
-    dets = _det(g)
+    dets = det(g)
     if not np.all(np.isfinite(dets)) or np.any(dets <= 0.0):
         bad = np.where(~(np.isfinite(dets) & (dets > 0.0)))
         node = tuple(int(b[0]) for b in bad)
@@ -217,7 +217,7 @@ def ricci(grid: MetricGrid) -> np.ndarray:
     return _ricci(*_lowered(grid.components, grid.steps))
 
 
-def _interior_max(arr: np.ndarray, dim: int) -> float:
+def interior_max(arr: np.ndarray, dim: int) -> float:
     """Max |arr| over the margin-1 interior of its first `dim` axes; a
     one-node axis is kept whole."""
     vals = np.abs(interior(arr, CURVATURE_MARGIN, dim))
@@ -232,7 +232,7 @@ def _interior_max(arr: np.ndarray, dim: int) -> float:
 def riemann_max(grid: MetricGrid) -> float:
     """Componentwise max |R^a_{bcd}| over the valid interior."""
     _, g = collapse_constant(grid.components, grid.dim)
-    return _interior_max(_raised(*_lowered(g, grid.steps)), grid.dim)
+    return interior_max(_raised(*_lowered(g, grid.steps)), grid.dim)
 
 
 def einstein_residual(grid: MetricGrid, lam: float) -> float:
@@ -243,7 +243,7 @@ def einstein_residual(grid: MetricGrid, lam: float) -> float:
         lam_g = lam * g
     if not np.all(np.isfinite(lam_g)):
         raise GridError(f"lam * g is not finite for lam = {lam!r}")
-    return _interior_max(_ricci(*_lowered(g, grid.steps)) - lam_g, grid.dim)
+    return interior_max(_ricci(*_lowered(g, grid.steps)) - lam_g, grid.dim)
 
 
 def gauss_curvature_2d(grid: MetricGrid) -> np.ndarray:
@@ -251,7 +251,7 @@ def gauss_curvature_2d(grid: MetricGrid) -> np.ndarray:
     if grid.dim != 2:
         raise GridError("gauss_curvature_2d needs a 2D grid")
     return (_curvature(grid.components, grid.steps)[1][0, 0]
-            / _det(grid.components))
+            / det(grid.components))
 
 
 def laplace_beltrami(grid: MetricGrid, u: np.ndarray) -> np.ndarray:
@@ -288,9 +288,9 @@ def _staggered_div(a: np.ndarray, u: np.ndarray, step: float, axis: int) -> np.n
     if u.shape[axis] == 1:
         return np.zeros_like(u)
     out = np.full_like(u, np.nan)
-    up, u0, um = _shift(u, axis, +1), _shift(u, axis, 0), _shift(u, axis, -1)
-    ap = 0.5 * (_shift(a, axis, +1) + _shift(a, axis, 0))
-    am = 0.5 * (_shift(a, axis, 0) + _shift(a, axis, -1))
+    up, u0, um = shift(u, axis, +1), shift(u, axis, 0), shift(u, axis, -1)
+    ap = 0.5 * (shift(a, axis, +1) + shift(a, axis, 0))
+    am = 0.5 * (shift(a, axis, 0) + shift(a, axis, -1))
     idx = [slice(None)] * u.ndim
     idx[axis] = slice(1, -1)
     out[tuple(idx)] = (ap * (up - u0) - am * (u0 - um)) / (step * step)
@@ -306,7 +306,7 @@ def exterior_derivative_closedness(form: TwoFormGrid) -> float:
     if d < 3:
         return 0.0
     w = form.components
-    return max(_interior_max(central_diff(w[..., j, k], form.steps[i], i)
+    return max(interior_max(central_diff(w[..., j, k], form.steps[i], i)
                              - central_diff(w[..., i, k], form.steps[j], j)
                              + central_diff(w[..., i, j], form.steps[k], k), d)
                for i, j, k in combinations(range(d), 3))

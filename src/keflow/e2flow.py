@@ -1,6 +1,6 @@
 """The Euclidean-group flow: unstable curve, completeness evidence, bolt.
 
-The flow is the type A flow bianchi._flow at E2_PARAMS: p = (1, 0, 1),
+The flow is the type A flow bianchi.type_a_flow at E2_PARAMS: p = (1, 0, 1),
 lam = -1. The equilibrium (q, 0, q) has a one-dimensional unstable manifold
 along (0, 1, 0); shooting from (q, eps, q) tracks it, in the arclength r
 (dr = a b c dt, so the 4-metric's dt term is dr^2), in which the flow does
@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .bianchi import BianchiParams, _flow, type_a_grids
+from .bianchi import BianchiParams, type_a_flow, type_a_grids
 from .errors import DomainError, VerificationError
 from .grids import Axis, MetricGrid, TwoFormGrid
 from .odes import Trajectory, integrate_flow, replay, root, write_table
@@ -39,7 +39,7 @@ TRANSIENT_DROP = 1e-6
 def _shoot_rhs(r, y):
     """The E(2) flow in arclength r, with t as a column."""
     a, b, c, _ = y
-    da, db, dc = _flow(E2_PARAMS, a, b, c)
+    da, db, dc = type_a_flow(E2_PARAMS, a, b, c)
     abc = a * b * c
     return (da / abc, db / abc, dc / abc, 1.0 / abc)
 

@@ -107,7 +107,7 @@ def from_pqrs(st: PQRSState) -> FrameCoefficients:
                              L=st.L, N=st.N)
 
 
-def _sys_flow(N, L, R, P, Q):
+def sys_flow(N, L, R, P, Q):
     """(N', L', R', P', S') at raw values, scalars or arrays alike: the
     structure equations of the reduced system, stated once."""
     dn = N * N - L * N
@@ -126,7 +126,7 @@ def sys_rhs(st: PQRSState) -> tuple[float, float, float, float, float]:
     """
     if st.S is None and st.Q != 0.0:
         raise DomainError("shear-free state with Q != 0 has no defined S flow")
-    return _sys_flow(st.N, st.L, st.R, st.P, st.Q)
+    return sys_flow(st.N, st.L, st.R, st.P, st.Q)
 
 
 def lambda_constraint(st: PQRSState) -> float:

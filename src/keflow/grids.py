@@ -76,7 +76,7 @@ class Axis:
         return axis
 
 
-def _det(m: np.ndarray) -> np.ndarray:
+def det(m: np.ndarray) -> np.ndarray:
     """Determinants of the trailing square matrices of m; 2x2 in closed
     form, since batched LAPACK costs more per matrix than the arithmetic."""
     if m.shape[-1] == 2:
@@ -204,7 +204,7 @@ class MetricGrid:
 
     components has shape counts + (d, d), is exactly symmetric in the two
     trailing indices, and is positive-definite at every node: every leading
-    principal minor is positive, the 2x2 one in closed form (`_det`), taken
+    principal minor is positive, the 2x2 one in closed form (`det`), taken
     on one slice per exactly constant axis.
     """
 
@@ -252,7 +252,7 @@ class MetricGrid:
         # same verdict, and argmin the same first failing node
         _, g = collapse_constant(g, d)
         for k in range(1, d + 1):
-            minors = _det(g[..., :k, :k]) if k > 1 else g[..., 0, 0]
+            minors = det(g[..., :k, :k]) if k > 1 else g[..., 0, 0]
             if not np.all(minors > 0.0):
                 node = tuple(int(i) for i in
                              np.unravel_index(np.argmin(minors), minors.shape))
@@ -283,7 +283,7 @@ class TwoFormGrid(MetricGrid):
 # input may carry extra trailing component dimensions. Boundary nodes where a
 # stencil does not fit are set to NaN, and a one-node axis gets exact zeros.
 
-def _shift(f: np.ndarray, axis: int, offset: int) -> np.ndarray:
+def shift(f: np.ndarray, axis: int, offset: int) -> np.ndarray:
     idx = [slice(None)] * f.ndim
     idx[axis] = slice(1 + offset, f.shape[axis] - 1 + offset)
     return f[tuple(idx)]
@@ -300,7 +300,7 @@ def central_diff(f: np.ndarray, step: float, axis: int) -> np.ndarray:
     if f.shape[axis] == 1:
         return np.zeros_like(f)
     out = np.full_like(f, np.nan)
-    out[_interior_index(f, axis)] = (_shift(f, axis, +1) - _shift(f, axis, -1)) / (2.0 * step)
+    out[_interior_index(f, axis)] = (shift(f, axis, +1) - shift(f, axis, -1)) / (2.0 * step)
     return out
 
 
@@ -310,7 +310,7 @@ def second_diff(f: np.ndarray, step: float, axis: int) -> np.ndarray:
         return np.zeros_like(f)
     out = np.full_like(f, np.nan)
     out[_interior_index(f, axis)] = (
-        _shift(f, axis, +1) - 2.0 * _shift(f, axis, 0) + _shift(f, axis, -1)
+        shift(f, axis, +1) - 2.0 * shift(f, axis, 0) + shift(f, axis, -1)
     ) / (step * step)
     return out
 

@@ -34,8 +34,8 @@ from .errors import CompatibilityError, DomainError, GridError
 from .grids import (Axis, MetricGrid, TwoFormGrid, central_diff,
                     check_axis_counts, constant_axes, dump_artifact,
                     interior, load_artifact, second_diff)
-from .curvature import _interior_max, gauss_curvature_2d, laplace_beltrami
-from .frame_algebra import _sys_flow
+from .curvature import gauss_curvature_2d, interior_max, laplace_beltrami
+from .frame_algebra import sys_flow
 
 SQRT2 = math.sqrt(2.0)
 
@@ -187,7 +187,7 @@ def _rescaled_deviation(spec: LeafSpec) -> float:
     check_axis_counts((spec.x_axis, spec.y_axis))
     cut, ell_cut = _constant_cut((spec.x_axis, spec.y_axis), spec.ell)
     curv = gauss_curvature_2d(_conformal_metric(*cut, ell_cut))
-    return _interior_max(curv + 2.0, 2)
+    return interior_max(curv + 2.0, 2)
 
 
 def _constant_cut(axes, *fields):
@@ -254,7 +254,7 @@ def leaf_report(spec: LeafSpec) -> dict:
     axes, phi, K_cut = _constant_cut(g.axes, g.components[..., 0, 0], K)
     g_cut = g if axes == g.axes else _conformal_metric(*axes, phi)
     return {"gauss_curvature_deviation":
-            _interior_max(gauss_curvature_2d(g_cut) - K_cut, 2),
+            interior_max(gauss_curvature_2d(g_cut) - K_cut, 2),
             "leaf_pde_residual": leaf_pde_residual(g_cut, K_cut).max_residual,
             "leaf_pde_excluded_nodes": int(np.sum(K <= 0.0)),
             "rescaled_curvature_deviation": _rescaled_deviation(spec)}
@@ -263,27 +263,144 @@ def leaf_report(spec: LeafSpec) -> dict:
 # ---------------------------------------------------------------------------
 # Geodesic parallel coordinates.
 
-def _factor_spline(g: MetricGrid, invariant: bool = False):
-    """Spline of phi = g_xx as a triple (s, d_x s, d_y s), differentiated
-    once, here: the derivative splines give s.ev(..., dx=1) and
-    s.ev(..., dy=1) bit for bit, where .ev differentiates again on each
-    call. Quintic when the grid allows it, as the interpolant is
-    differentiated twice downstream; cubic along an axis of at most 5
-    nodes. With `invariant`, phi is exactly constant along y and the
-    triple is one not-a-knot interpolant of its first column in x, called
-    as s(x, y, grid=...), its derivative, and exact zeros for d_y s. scipy
-    is imported here, its one use, so no other stage pays for loading it."""
-    from scipy.interpolate import RectBivariateSpline, make_interp_spline
-    x, y = g.axes[0].nodes, g.axes[1].nodes
-    kx = 5 if x.size > 5 else 3
-    ky = 5 if y.size > 5 else 3
-    if invariant:
-        s = make_interp_spline(x, g.components[:, 0, 0, 0], k=kx)
-        ds = s.derivative()
-        return (lambda px, py, grid: s(px), lambda px, py, grid: ds(px),
-                lambda px, py, grid: np.zeros_like(px))
-    s = RectBivariateSpline(x, y, g.components[..., 0, 0], kx=kx, ky=ky, s=0)
-    return s, s.partial_derivative(1, 0), s.partial_derivative(0, 1)
+class _SplineAxis:
+    """The B-splines of the not-a-knot interpolant on the nodes 0, 1, ...,
+    n - 1 of an axis measured in node steps (de Boor, A Practical Guide to
+    Splines, ch. XIII): degree 5, 3 along an axis of 5 nodes (a grid axis
+    has 1 or at least 5), and 0 along a one-node axis, where the spline is
+    the constant. The interior knots are the nodes m, ..., n - 1 - m,
+    m = (k + 1)/2, as in scipy's make_interp_spline and fitpack's
+    interpolating regrid. On each knot interval the k + 1 B-splines
+    nonzero there are kept as polynomials in the offset s from its
+    midpoint, where every knot is an integer: the Cox-de Boor recursion
+    run on power coefficients. Centered, |s| is at most 1.5 on the axis,
+    so the powers stay small and the sums cancel little. The collocation
+    matrix is factored here, once per axis, for fit."""
+
+    def __init__(self, n: int):
+        k = 5 if n > 5 else min(3, n - 1)
+        m = (k + 1) // 2
+        knots = np.concatenate((np.zeros(k + 1), m + np.arange(n - k - 1.0),
+                                np.full(k + 1, n - 1.0)))
+        ell = np.arange(k, n)  # the knot starting each interval
+        mid = 0.5 * (knots[ell] + knots[ell + 1])
+        basis = np.zeros((n - k, k + 1, k + 1))  # interval, B-spline, power
+        basis[:, 0, 0] = 1.0
+        for j in range(1, k + 1):
+            saved = np.zeros((n - k, k + 1))
+            for r in range(j):
+                lo, hi = knots[ell + r + 1 - j], knots[ell + r + 1]
+                temp = basis[:, r] / (hi - lo)[:, None]
+                # s temp: its top power is zero, so the roll wraps a zero
+                s_temp = np.roll(temp, 1, axis=1)
+                basis[:, r] = saved + ((hi - mid)[:, None] * temp - s_temp)
+                saved = (mid - lo)[:, None] * temp + s_temp
+            basis[:, j] = saved
+        slope = np.zeros_like(basis)
+        slope[..., :-1] = basis[..., 1:] * np.arange(1.0, k + 1)
+        self.count, self.degree, self.mid = n, k, mid
+        # u is clamped to this range before its interval is looked up, so
+        # a NaN lands on the first one and is never cast
+        self.bounds = (m - 1.0, n - k + m - 2.0)
+        self.first = np.arange(k + 1) == 0
+        # table[i, j] = the s^j coefficients of each B-spline's value and
+        # derivative, interleaved, on interval i
+        self.table = (np.stack((basis, slope), -1).transpose(0, 2, 1, 3)
+                      .reshape(n - k, k + 1, 2 * (k + 1)))
+        # The collocation matrix has k diagonals each side of its own and
+        # is totally positive, so Gaussian elimination without pivoting is
+        # stable (de Boor, ch. XIII). It runs on the band alone, row by
+        # row, in Python floats, with no LAPACK call to start BLAS threads:
+        # row j of band holds columns j - k .. j + k, with k zero rows past
+        # the end, and ends as L left of the diagonal and U from it on.
+        i, b = self.basis(np.arange(n, dtype=np.float64))
+        band = np.zeros((n + k, 2 * k + 1))
+        node = np.arange(n)[:, None]
+        band[node, k + i[:, None] - node + np.arange(k + 1)] = b[..., 0]
+        rows = band.tolist()
+        for j in range(n - 1):
+            top = rows[j]
+            for d in range(1, k + 1):
+                row = rows[j + d]
+                f = row[k - d] = row[k - d] / top[k]
+                for c in range(1, k + 1):
+                    row[k - d + c] -= f * top[k + c]
+        band = np.array(rows)
+        d = np.arange(1, k + 1)
+        # row j's multipliers, its U part right of the diagonal, its pivot
+        self.lower = list(band[node + d, k - d, None])
+        self.upper = list(band[:n, k + 1:])
+        self.pivot = band[:n, k].tolist()
+
+    def basis(self, u):
+        """(i, b) at u, a numpy scalar or array in node steps: B-splines i
+        to i + k are the ones nonzero at u, and b[..., r, 0] and
+        b[..., r, 1] are the value and the u-derivative of the (i + r)-th.
+        Past either end the end interval's polynomials continue; u is
+        never clamped. On a one-node axis b is [[1, 0]] for every u."""
+        if self.count == 1:
+            return np.zeros(np.shape(u), np.intp), self.table[0]
+        lo, hi = self.bounds
+        i = (np.floor(np.fmin(np.fmax(u, lo), hi)) - lo).astype(np.intp)
+        s = u - self.mid[i]
+        # 1, s, s^2, ... by products: numpy's float power costs far more
+        powers = np.multiply.accumulate(
+            np.where(self.first, 1.0, s[..., None]), -1)
+        b = powers[..., None, :] @ self.table[i]
+        return i, b.reshape(np.shape(s) + (self.degree + 1, 2))
+
+    def fit(self, values: np.ndarray) -> np.ndarray:
+        """The B-spline coefficients of the interpolant of the columns of
+        values at the nodes: forward and back substitution through L U."""
+        n, k = self.count, self.degree
+        x = np.zeros((n + k,) + values.shape[1:])
+        x[:n] = values
+        rows = list(x)
+        for j in range(n):
+            x[j + 1:j + k + 1] -= self.lower[j] * rows[j]
+        for j in reversed(range(n)):
+            rows[j] -= self.upper[j] @ x[j + 1:j + k + 1]
+            rows[j] /= self.pivot[j]
+        return x[:n]
+
+
+class _FactorSpline:
+    """The tensor-product not-a-knot interpolant of phi on uniform axes,
+    fitted with one banded collocation solve per axis; axes of one count
+    share their B-splines and factors. Called at (px, py), numpy scalars
+    or arrays of one shape, it returns (phi, d_x phi, d_y phi) from one
+    gather of each point's window of coefficients; along a one-node axis
+    phi is constant and its derivative exactly zero."""
+
+    def __init__(self, axes, phi: np.ndarray):
+        nx, ny = self.shape = phi.shape
+        self.x = _SplineAxis(nx)
+        self.y = self.x if ny == nx else _SplineAxis(ny)
+        self.start = tuple(ax.start for ax in axes)
+        self.step = tuple(ax.step for ax in axes)
+        # coef_t[j * nx + i] multiplies the i-th B-spline in x and the j-th
+        # in y: the y fit's rows, so no copy is made to flatten it
+        self.coef_t = self.y.fit(self.x.fit(phi).T).ravel()
+        self.window = (np.arange(self.y.degree + 1)[:, None] * nx
+                       + np.arange(self.x.degree + 1))
+
+    def __call__(self, px, py):
+        (x0, y0), (hx, hy) = self.start, self.step
+        ix, bx = self.x.basis((px - x0) / hx)
+        iy, by = self.y.basis((py - y0) / hy)
+        w = self.coef_t[(iy * self.shape[0] + ix)[..., None, None]
+                        + self.window]
+        v = np.swapaxes(by, -1, -2) @ (w @ bx)
+        return v[..., 0, 0], v[..., 0, 1] / hx, v[..., 1, 0] / hy
+
+
+def _factor_spline(g: MetricGrid) -> _FactorSpline:
+    """Spline of phi = g_xx: quintic, cubic along a 5-node axis, as the
+    interpolant is differentiated twice downstream. An axis along which
+    phi is exactly constant (grids.constant_axes) is first cut to one
+    node, so there phi is splined along the other axis alone and its
+    derivative is an exact zero."""
+    return _FactorSpline(*_constant_cut(g.axes, g.components[..., 0, 0]))
 
 
 def _rk4(f_lo, f_mid, f_hi, u, h):
@@ -298,12 +415,12 @@ def _rk4(f_lo, f_mid, f_hi, u, h):
 
 def _geodesic_rhs(spline, u):
     """d/dt of u = (px, py, vx, vy): (vx, vy, -Gamma^k_ij v^i v^j) on
-    g = phi (dx^2 + dy^2), given phi's spline triple. With q = phi/(phi phi)
+    g = phi (dx^2 + dy^2), given phi's spline. With q = phi/(phi phi)
     = g^xx = g^yy, a = q (0.5 phi_x) = Gamma^x_xx and b = q (0.5 phi_y) =
     Gamma^y_yy, the sums are the nonzero terms of an i, j, k Christoffel
     loop in the loop's order, so bit for bit its result."""
     px, py, v = u[0], u[1], u[2:]
-    phi, phi_x, phi_y = (s(px, py, grid=False) for s in spline)
+    phi, phi_x, phi_y = spline(px, py)
     q = phi / (phi * phi)
     a = q * (0.5 * phi_x)
     b = q * (0.5 * phi_y)
@@ -397,16 +514,20 @@ def geodesic_parallel_profile(g: MetricGrid, x_axis: Axis | None = None,
     speed 2, integrated with a classical fixed-step fourth-order scheme
     (substeps >= 1 per profile step). g must be conformal, phi (dx^2 +
     dy^2), as every leaf metric is; any other metric raises GridError
-    before a spline is fitted. phi between nodes comes from one quintic
-    spline (cubic along an axis of at most 5 nodes), differentiated once
-    before the shoot (see _factor_spline). When phi is exactly constant
-    along y, y is a Killing direction: one geodesic is shot, from the
-    lowest seed through a spline of phi in x alone, and translated along
-    y, so c and x_map are constant along y bit for bit. Geodesics exiting
-    the source rectangle or focusing (c below c_floor) truncate the
-    profile, recorded in coverage/truncation_reason; if one leaves before
-    the second profile node, DomainError names it. A source or profile
-    axis of fewer than 2 nodes raises GridError before a spline is fitted.
+    before a spline is fitted. phi between nodes comes from one
+    not-a-knot spline, quintic (cubic along a 5-node axis),
+    fitted and evaluated here in numpy (see _FactorSpline): one evaluation
+    per right-hand side gives phi and both first derivatives. Within the
+    rounding slack past the source rectangle, where stage points may
+    land, its end polynomials continue. When phi is exactly constant
+    along y, the spline cuts y to one node and y is a Killing direction:
+    one geodesic is shot, as a 0-d lane from the lowest seed, and
+    translated along y, so c and x_map are constant along y bit for bit.
+    Geodesics exiting the source rectangle or focusing (c below c_floor)
+    truncate the profile, recorded in coverage/truncation_reason; if one
+    leaves before the second profile node, DomainError names it. A source
+    or profile axis of fewer than 2 nodes raises GridError before a
+    spline is fitted.
     """
     if g.dim != 2:
         raise GridError("profile extraction is for 2D metrics")
@@ -435,19 +556,20 @@ def geodesic_parallel_profile(g: MetricGrid, x_axis: Axis | None = None,
         raise DomainError("base-curve seeds (with one-node pad) leave the domain")
 
     # y is a Killing direction when phi is exactly constant along it (the
-    # grids.constant_axes rule): every geodesic is the first one moved
-    # along y, so only that one is shot
-    invariant = bool(np.all(gxx == gxx[:, :1]))
-    spline = _factor_spline(g, invariant)
-    lanes = seeds[:1] if invariant else seeds
-    px = np.full(lanes.shape, sx.start)
-    py = lanes.copy()
-    vx = np.sqrt(2.0 / spline[0](px, py, grid=False))
+    # grids.constant_axes rule): the spline cuts y to one node, and every
+    # geodesic is the first one moved along y, so only that one is shot,
+    # as a 0-d lane
+    spline = _factor_spline(g)
+    invariant = spline.shape[1] == 1
+    lanes = seeds[0] if invariant else seeds
+    px = np.full_like(lanes, sx.start)
+    py = np.copy(lanes)
+    vx = np.sqrt(2.0 / spline(px, py)[0])
     u = np.stack((px, py, vx, np.zeros_like(vx)))
 
     n_park = x_axis.count
-    X = np.empty((n_park, lanes.size))
-    Y = np.empty((n_park, lanes.size))
+    X = np.empty((n_park,) + np.shape(lanes))
+    Y = np.empty((n_park,) + np.shape(lanes))
     X[0], Y[0] = px, py
     hs = x_axis.step / substeps
     delivered = n_park
@@ -474,7 +596,7 @@ def geodesic_parallel_profile(g: MetricGrid, x_axis: Axis | None = None,
             X[i], Y[i] = u[0], u[1]
             continue
         if i == 1:
-            y0 = lanes[np.argmin(inside(u[0], u[1]))]
+            y0 = np.atleast_1d(lanes)[np.argmin(inside(u[0], u[1]))]
             raise DomainError(
                 f"the geodesic from base-curve y = {y0:g} leaves the source "
                 f"rectangle [{sx.start:g}, {sx.stop:g}] x [{sy.start:g}, "
@@ -488,14 +610,15 @@ def geodesic_parallel_profile(g: MetricGrid, x_axis: Axis | None = None,
     if invariant:
         # Xy = 0 and Yy = 1 exactly: c and x_map are constant along y
         Xy, Yy = 0.0, 1.0
-        Xc = np.repeat(X, y_axis.count, axis=1)
+        phi = np.repeat(spline(X, Y)[0][:, None], y_axis.count, axis=1)
+        Xc = np.repeat(X[:, None], y_axis.count, axis=1)
         Yc = np.broadcast_to(y_axis.nodes, Xc.shape).copy()
     else:
         dy = y_axis.step
         Xy = (X[:, 2:] - X[:, :-2]) / (2.0 * dy)
         Yy = (Y[:, 2:] - Y[:, :-2]) / (2.0 * dy)
         Xc, Yc = X[:, 1:-1], Y[:, 1:-1]
-    phi = spline[0](Xc, Yc, grid=False)
+        phi = spline(Xc, Yc)[0]
     # two products, not phi (Xy^2 + Yy^2): factoring phi out rounds
     # differently and moves the last bits of every profile
     c2 = 0.5 * (phi * Xy ** 2 + phi * Yy ** 2)
@@ -570,7 +693,7 @@ class Sys2Residuals:
     mixed_PQ:     d1 P - d2 Q - 2 P'   = d1 P - d2 Q - 2 L P - 2 R^2
     second_order: d1^2 log R + d2^2 log R - 2 L d1 log R - 3 R^2
     with d1 = partial_x, d2 = (1/c) partial_y, and R', L', P' the reduced
-    flow frame_algebra._sys_flow at N = 0.
+    flow frame_algebra.sys_flow at N = 0.
     """
 
     radial_R: float
@@ -590,10 +713,10 @@ def sys2_residuals(fields: ReducedFields, cp: CProfile) -> Sys2Residuals:
     hx, hy = cp.x_axis.step, cp.y_axis.step
     L, R, P, Q = fields.L, fields.R, fields.P, fields.Q
     logR = np.log(R)
-    _, _, dr, dp, _ = _sys_flow(0.0, L, R, P, Q)
+    _, _, dr, dp, _ = sys_flow(0.0, L, R, P, Q)
     # L' meets P only through N P, 0 here; P's NaN reaches one x-node past
     # R's, so it is filled for L' to keep radial_L defined where L, R are
-    dl = _sys_flow(0.0, L, R, np.where(np.isnan(P), 0.0, P), Q)[1]
+    dl = sys_flow(0.0, L, R, np.where(np.isnan(P), 0.0, P), Q)[1]
 
     r1 = central_diff(R, hx, 0) - 2.0 * dr
     r2 = central_diff(R, hy, 1) / c + R * Q

@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from keflow.bianchi import (_COFRAMES, ABCState, BianchiParams,
-                            CLOSED_FORM_CASES, ClosedFormConstants, _flow,
-                            abc_rhs, closed_form, closed_form_derivative,
+                            CLOSED_FORM_CASES, ClosedFormConstants, abc_rhs,
+                            closed_form, closed_form_derivative,
                             closed_form_params, heisenberg_invariants,
-                            integrate, torus_metric_grid, type_a_grids)
+                            integrate, torus_metric_grid, type_a_flow,
+                            type_a_grids)
 from keflow.curvature import (convergence_order, einstein_residual,
                               exterior_derivative_closedness, riemann_max)
 from keflow.e2flow import E2_PARAMS
@@ -229,14 +230,14 @@ _positive = st.floats(1e-3, 1e3)
        params=st.sampled_from([E2_PARAMS,
                                closed_form_params("euclidean", CONSTS)]))
 def test_flow_on_arrays_rounds_as_on_floats(states, seed, params):
-    # odes.replay evaluates _flow on arrays and must reproduce the march,
+    # odes.replay evaluates type_a_flow on arrays and must reproduce the march,
     # which evaluates it on floats; (ab)^2 rounds differently in about 1
     # of 1,000 states when an array squares where a float calls pow
     bulk = np.exp(np.random.default_rng(seed).uniform(-3.0, 3.0, (1000, 3)))
     abc = np.concatenate([np.reshape(states, (-1, 3)), bulk])
-    columns = _flow(params, *abc.T)
+    columns = type_a_flow(params, *abc.T)
     for i, state in enumerate(abc.tolist()):
-        for column, value in zip(columns, _flow(params, *state)):
+        for column, value in zip(columns, type_a_flow(params, *state)):
             assert column[i].tobytes() == np.float64(value).tobytes()
 
 

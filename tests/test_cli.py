@@ -502,18 +502,17 @@ def pde_run(tmp_path_factory):
 
 
 def test_pde_artifacts_golden_bytes(pde_run):
-    # sha256 of the README-size artifacts (n = 129); the profile's from
-    # before the geodesic shoot used one spline on conformal grids, the
-    # leaf report's from when its rescaled deviation became leaf_spec's
-    # curvature -2 check of l g0, the verify report's,
-    # which pins the 4D Einstein residual, from before the curvature core
-    # went component-major; numpy 2.4.6, scipy 1.17.1
+    # sha256 of the README-size artifacts (n = 129); the profile's and the
+    # verify report's, which pins the 4D Einstein residual, from when the
+    # geodesic shoot's spline of phi moved from scipy to numpy, the leaf
+    # report's from when its rescaled deviation became leaf_spec's
+    # curvature -2 check of l g0; numpy 2.4.6
     assert manifest.sha256_of(pde_run / "prof" / "cprofile.json") == (
-        "77e44b974d8556a53f01bab8097db9e063e8ec468289b940b86d5c04170e9a09")
+        "f3748520771607d95e259ba3cef6577cd2ccd9c662fde4b8ce17c679558edf1f")
     assert manifest.sha256_of(pde_run / "spec" / "leaf_report.json") == (
         "58f54f61fb3350b8d65f462ecb7a917a414503d28781d4cb8bb23be1e162997a")
     assert manifest.sha256_of(pde_run / "ver" / "verify_report.json") == (
-        "9ff2deb6337949a9814a2e286979ce7ba8e9196bcd26bdba26da68dda6d44ae1")
+        "b8a90cb5a2fa3a295ff7bb059bc861918d266ebdf4e93e685a760d2a4b1bb68f")
 
 
 def test_pde_leaf_report(pde_run):

@@ -11,14 +11,15 @@ from hypothesis import given, settings, strategies as st
 from keflow import bianchi as bi
 from keflow import curvature
 from keflow import e2flow as e2
-from keflow.curvature import (_interior_max, christoffel, convergence_order,
+from keflow.curvature import (christoffel, convergence_order,
                               einstein_residual,
                               exterior_derivative_closedness,
-                              gauss_curvature_2d, laplace_beltrami, ricci,
-                              riemann, riemann_lowered, riemann_max)
+                              gauss_curvature_2d, interior_max,
+                              laplace_beltrami, ricci, riemann,
+                              riemann_lowered, riemann_max)
 from keflow.errors import GridError
-from keflow.grids import (Axis, MetricGrid, TwoFormGrid, _det, central_diff,
-                          collapse_constant, constant_axes, interior,
+from keflow.grids import (Axis, MetricGrid, TwoFormGrid, central_diff,
+                          collapse_constant, constant_axes, det, interior,
                           mixed_diff, second_diff)
 
 # criterion 02's and 10's grid builders, loaded by path so that this file
@@ -177,11 +178,11 @@ def test_generic_metric_curvature_converges():
 # functions evaluate every node and serve as the oracle.
 
 def full_einstein(grid, lam):
-    return _interior_max(ricci(grid) - lam * grid.components, grid.dim)
+    return interior_max(ricci(grid) - lam * grid.components, grid.dim)
 
 
 def full_riemann(grid):
-    return _interior_max(riemann(grid), grid.dim)
+    return interior_max(riemann(grid), grid.dim)
 
 
 def assert_parity(grid, lam):
@@ -358,8 +359,8 @@ def oracle_checks(grid, lam):
     """(einstein_residual, riemann_max) of the oracle on the same slice."""
     _, g = collapse_constant(grid.components, grid.dim)
     ginv, low = oracle_curvature(g, grid.steps)
-    return (_interior_max(curvature._ricci(ginv, low) - lam * g, grid.dim),
-            _interior_max(curvature._raised(ginv, low), grid.dim))
+    return (interior_max(curvature._ricci(ginv, low) - lam * g, grid.dim),
+            interior_max(curvature._raised(ginv, low), grid.dim))
 
 
 # Frozen reference: the curvature core as it was before it went
@@ -441,14 +442,14 @@ def assert_matches_frozen(grid, lam):
     assert_bits(christoffel(grid), frozen_connection(g, grid.steps)[1])
     if grid.dim == 2:
         assert_bits(gauss_curvature_2d(grid),
-                    low[..., 0, 1, 0, 1] / _det(g))
+                    low[..., 0, 1, 0, 1] / det(g))
     _, g = collapse_constant(g, grid.dim)
     ginv, low = frozen_curvature(g, grid.steps)
     assert_bits(einstein_residual(grid, lam),
-                _interior_max(curvature._ricci(ginv, low) - lam * g,
+                interior_max(curvature._ricci(ginv, low) - lam * g,
                               grid.dim))
     assert_bits(riemann_max(grid),
-                _interior_max(curvature._raised(ginv, low), grid.dim))
+                interior_max(curvature._raised(ginv, low), grid.dim))
 
 
 def assert_close_arrays(new, old):

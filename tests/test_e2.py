@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from keflow import e2flow as e2
-from keflow.bianchi import _flow
+from keflow.bianchi import type_a_flow
 from keflow.curvature import (convergence_order, einstein_residual,
                               exterior_derivative_closedness)
 from keflow.errors import DomainError
@@ -19,7 +19,7 @@ def shoot100():
 
 
 def _e2_flow(a, b, c):
-    return np.array(_flow(e2.E2_PARAMS, a, b, c))
+    return np.array(type_a_flow(e2.E2_PARAMS, a, b, c))
 
 
 def test_rhs_and_jacobian_consistent():
@@ -38,7 +38,7 @@ def test_shoot_rhs_is_the_type_a_flow_per_arclength():
         a, b, c, _ = y
         abc = a * b * c
         assert e2._shoot_rhs(0.0, y) == (
-            *(v / abc for v in _flow(e2.E2_PARAMS, a, b, c)), 1.0 / abc)
+            *(v / abc for v in type_a_flow(e2.E2_PARAMS, a, b, c)), 1.0 / abc)
 
 
 def test_shoot_rhs_on_arrays_rounds_as_on_floats():

@@ -6,7 +6,7 @@ from scipy.integrate import solve_ivp
 
 from keflow.bianchi import ABCState, BianchiParams, bianchi_frame_coefficients
 from keflow.errors import DomainError
-from keflow.frame_algebra import (FrameCoefficients, PQRSState, _sys_flow,
+from keflow.frame_algebra import (FrameCoefficients, PQRSState, sys_flow,
                                   from_pqrs, integrability_residuals,
                                   kahler_relation_residuals, lambda_constraint,
                                   sys_rhs, to_pqrs)
@@ -93,7 +93,7 @@ def test_sys_flow_on_arrays_matches_sys_rhs_bitwise():
     states = random_states(300, seed=4)
     cols = {k: np.array([getattr(st, k) for st in states])
             for k in ("N", "L", "R", "P", "Q")}
-    flows = _sys_flow(cols["N"], cols["L"], cols["R"], cols["P"], cols["Q"])
+    flows = sys_flow(cols["N"], cols["L"], cols["R"], cols["P"], cols["Q"])
     for n, st in enumerate(states):
         assert tuple(f[n] for f in flows) == sys_rhs(st)
 

@@ -91,50 +91,28 @@ def test_no_module_evaluates_code():
                 assert node.id not in ("eval", "exec", "compile"), path.name
 
 
-def _import_time_nodes(tree):
-    """The nodes of a module that run when it is imported: all but the
-    bodies of its functions."""
-    stack = list(tree.body)
-    while stack:
-        node = stack.pop()
-        yield node
-        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            stack.extend(ast.iter_child_nodes(node))
-
-
 def test_one_ode_integrator():
     # odes.integrate_flow is the package's only ODE integrator, and no
-    # module imports scipy when it is itself imported
+    # module imports scipy, at import time or inside a function
     for path in Path(lp.__file__).parent.glob("*.py"):
-        tree = ast.parse(path.read_text())
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Import):
-                names = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom):
-                names = [f"{node.module}.{alias.name}" for alias in node.names]
-            else:
-                names = [getattr(node, "id", getattr(node, "attr", ""))]
-            for name in names:
-                assert not name.startswith("scipy.integrate"), path.name
-                assert "solve_ivp" not in name.split("."), path.name
-        for node in _import_time_nodes(tree):
+        for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Import):
                 modules = [alias.name for alias in node.names]
             elif isinstance(node, ast.ImportFrom):
                 modules = [node.module or ""]
             else:
+                name = getattr(node, "id", getattr(node, "attr", ""))
+                assert name != "solve_ivp", path.name
                 continue
             for module in modules:
                 assert module.split(".")[0] != "scipy", (path.name, module)
 
 
-# every CLI stage but `pde profile`, run in one process through cli.main;
-# the profile it constructs from is made beforehand, in the test process
+# all nine README stages, run in one process through cli.main
 COLD_STAGES = """
 import sys
 from keflow.cli import main
 
-prof = sys.argv[1]
 runs = [
     ["bianchi", "solve", "--case", "euclidean", "--k", "1.2", "--w3", "0.8",
      "--alpha", "0.3", "--t-start", "1.0", "--t-end", "2.0"],
@@ -144,11 +122,13 @@ runs = [
     ["e2", "diagnose", "shoot/e2_trajectory.csv"],
     ["e2", "bolt", "shoot/e2_trajectory.csv"],
     ["pde", "leaf-build", "--h-expr", "x", "--domain", "0,1,1,2", "--n", "129"],
-    ["pde", "construct", "--profile", prof],
+    ["pde", "profile", "--spec", "spec/leafspec.json", "--step", "0.02",
+     "--nx", "25", "--ny", "27", "--y-start", "1.1"],
+    ["pde", "construct", "--profile", "prof/cprofile.json"],
     ["pde", "verify", "--metric", "met/metric.json", "--form",
      "met/kahler.json", "--lam", "0"],
 ]
-outs = ["euc", "torus", "shoot", "diag", "bolt", "spec", "met", "ver"]
+outs = ["euc", "torus", "shoot", "diag", "bolt", "spec", "prof", "met", "ver"]
 codes = [main(["--out-dir", out] + args) for out, args in zip(outs, runs)]
 print(codes, sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 """
@@ -165,19 +145,13 @@ def test_cli_import_leaves_scipy_integrate_out(tmp_path):
         env=env, capture_output=True, text=True, timeout=60, check=True)
     assert out.stdout.strip() == "False []"
 
-    # the stages themselves load no scipy module either
-    assert main(["--out-dir", str(tmp_path / "pre"), "pde", "leaf-build",
-                 "--h-expr", "x", "--domain", "0,1,1,2", "--n", "129"]) == 0
-    assert main(["--out-dir", str(tmp_path / "pre"), "pde", "profile",
-                 "--spec", str(tmp_path / "pre" / "leafspec.json"),
-                 "--step", "0.02", "--nx", "25", "--ny", "27",
-                 "--y-start", "1.1"]) == 0
-    out = subprocess.run(
-        [sys.executable, "-c", COLD_STAGES,
-         str(tmp_path / "pre" / "cprofile.json")],
-        env=env, cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    # the stages themselves, the geodesic shoot's spline included, load
+    # no scipy module either
+    out = subprocess.run([sys.executable, "-c", COLD_STAGES], env=env,
+                         cwd=tmp_path, capture_output=True, text=True,
+                         timeout=120)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.splitlines()[-1] == f"{[0] * 8} []", out.stderr
+    assert out.stdout.splitlines()[-1] == f"{[0] * 9} []", out.stderr
 
 
 def test_leaf_spec_checks_curvature():
@@ -423,10 +397,10 @@ def digests(**arrays):
             for k, v in arrays.items()}
 
 
-# Golden digests of the arrays the pipeline gave before the geodesic shoot
-# and the frame march shared one RK4 step (numpy 2.4.6, scipy 1.17.1,
-# x86-64). Taking the 2x2 products with matmul instead of einsum, or
-# reassociating a Christoffel sum, changes the last bits and fails them.
+# Golden digests of the arrays the pipeline gives since the geodesic shoot
+# splines phi in numpy (numpy 2.4.6, x86-64). Taking the 2x2 products with
+# matmul instead of einsum, reassociating a Christoffel sum, or changing
+# the spline's arithmetic changes the last bits and fails them.
 
 def test_leaf_pipeline_golden_bytes():
     h = 1.0 / 32
@@ -437,49 +411,47 @@ def test_leaf_pipeline_golden_bytes():
                               cp)
     assert digests(c=cp.c, x_map=cp.x_map, y_map=cp.y_map, a=sol.a,
                    b=sol.b, r=sol.r, s=sol.s) == {
-        "c": "0612a2e22d432e74", "x_map": "7804aa47b505c8ef",
-        "y_map": "ba20563f8fb21a88", "a": "9a04a88deb5a365c",
-        "b": "f828c5c7833ade8f", "r": "9f13380be5827709",
-        "s": "3a73b6f36429cc6a"}
-    assert sol.compat_residual == 0.010763016718637886
+        "c": "66d608e3e23a99ff", "x_map": "391512df7598711f",
+        "y_map": "2fb856ba8f77d393", "a": "62c108240ea6517e",
+        "b": "bcd16d1339a7aa32", "r": "e89a00f58f2537d4",
+        "s": "3a3567be58db7778"}
+    assert sol.compat_residual == 0.010763017128237351
 
 
-@pytest.mark.parametrize("grid, calls", [
-    (lambda: lp.leaf_metric(hyperbolic_spec(n=33))[0], 3),
-    (lambda: y_invariant_leaf(), 2),
-])
-def test_geodesic_rhs_spline_evaluations(monkeypatch, grid, calls):
-    # one spline: phi, d_x phi and d_y phi per RHS; on a leaf whose phi is
-    # exactly constant along y, phi and d_x phi of one spline in x, and
-    # d_y phi exact zeros that no spline evaluates. The derivatives come
-    # from splines differentiated once, so no evaluation asks scipy to
-    # differentiate again
-    from scipy.interpolate import BSpline
+@pytest.mark.parametrize("grid", [
+    lambda: lp.leaf_metric(hyperbolic_spec(n=33))[0],
+    lambda: y_invariant_leaf(),
+], ids=["hyperbolic", "y-invariant"])
+def test_geodesic_rhs_spline_evaluations(monkeypatch, grid):
+    # one fused spline evaluation per RHS returns phi, d_x phi and d_y phi;
+    # on a leaf whose phi is exactly constant along y, the spline is cut to
+    # one y node and d_y phi is an exact zero
     g = grid()
-    phi = g.components[..., 0, 0]
-    invariant = bool(np.all(phi == phi[:, :1]))
-    spline = lp._factor_spline(g, invariant)
+    spline = lp._factor_spline(g)
     count = []
-    for cls in {BSpline} if invariant else {type(s) for s in spline}:
-        def counted(self, *args, _call=cls.__call__, **kwargs):
-            assert not any(kwargs.get(k, 0) for k in ("dx", "dy", "nu"))
-            count.append(1)
-            return _call(self, *args, **kwargs)
 
-        monkeypatch.setattr(cls, "__call__", counted)
+    def counted(self, px, py, _call=lp._FactorSpline.__call__):
+        count.append(1)
+        return _call(self, px, py)
+
+    monkeypatch.setattr(lp._FactorSpline, "__call__", counted)
     x0, y0 = (ax.start for ax in g.axes)
     u = np.array([[x0 + 0.2, x0 + 0.3], [y0 + 0.2, y0 + 0.4], [1.0, 0.9],
                   [0.1, -0.2]])
     assert np.all(np.isfinite(lp._geodesic_rhs(spline, u)))
-    assert len(count) == calls
+    assert len(count) == 1
+    phi = g.components[..., 0, 0]
+    invariant = bool(np.all(phi == phi[:, :1]))
+    assert (spline.shape[1] == 1) == invariant
     if invariant:
-        assert np.all(spline[2](u[0], u[1], grid=False) == 0.0)
+        assert np.all(spline(u[0], u[1])[2] == 0.0)
 
 
 def _frozen_metric_at(spline, px, py, dx=0, dy=0):
     # what the shoot's metric lookup gave on one conformal spline before it
-    # was folded into the closed form: g_xy is 0.0, g_yy is g_xx's array
-    vxx = spline[dx + 2 * dy](px, py, grid=False)
+    # was folded into the closed form: g_xy is 0.0, g_yy is g_xx's array;
+    # the fused evaluation returns (phi, d_x phi, d_y phi)
+    vxx = spline(px, py)[dx + 2 * dy]
     return vxx, 0.0, vxx
 
 
@@ -514,19 +486,20 @@ def y_invariant_leaf():
                                        curvature_tol=0.1))[0]
 
 
-# name: (grid, whether phi is splined in x alone, as the shoot does on a
-# y-invariant leaf)
+# name: (grid, whether the spline is cut along phi's constant axes, as the
+# shoot's is: on a y-invariant leaf, then, phi is splined in x alone)
 _RHS_GRIDS = {
-    "hyperbolic": (lambda: lp.leaf_metric(hyperbolic_spec(n=33))[0], False),
-    "y-invariant": (y_invariant_leaf, False),
+    "hyperbolic": (lambda: lp.leaf_metric(hyperbolic_spec(n=33))[0], True),
+    "y-invariant, spline in x and y": (y_invariant_leaf, False),
     "y-invariant, spline in x": (y_invariant_leaf, True)}
 
 
 @cache
 def _grid_and_splines(name):
-    build, invariant = _RHS_GRIDS[name]
+    build, cut = _RHS_GRIDS[name]
     g = build()
-    return g, lp._factor_spline(g, invariant)
+    return g, (lp._factor_spline(g) if cut else
+               lp._FactorSpline(g.axes, g.components[..., 0, 0]))
 
 
 # velocities of every sign and size, with exact zeros of both signs often
@@ -538,12 +511,16 @@ _velocity = st.one_of(st.sampled_from([0.0, -0.0]),
 @settings(max_examples=150, deadline=None)
 @given(data=st.data(), name=st.sampled_from(sorted(_RHS_GRIDS)))
 def test_geodesic_rhs_matches_the_frozen_loop_bit_for_bit(data, name):
+    # m = 0 draws one 0-d lane, a (4,) state, as the invariant shoot has
     g, splines = _grid_and_splines(name)
-    m = data.draw(st.integers(1, 6))
-    u = np.array([data.draw(st.lists(strategy, min_size=m, max_size=m))
+    m = data.draw(st.integers(0, 6))
+    u = np.array([data.draw(st.lists(strategy, min_size=max(m, 1),
+                                     max_size=max(m, 1)))
                   for strategy in (st.floats(g.axes[0].start, g.axes[0].stop),
                                    st.floats(g.axes[1].start, g.axes[1].stop),
                                    _velocity, _velocity)])
+    if m == 0:
+        u = u[:, 0]
     got = lp._geodesic_rhs(splines, u)
     want = frozen_geodesic_rhs(splines, u)
     assert got.shape == want.shape
@@ -574,7 +551,7 @@ def test_profile_refuses_a_non_conformal_metric(monkeypatch, grid):
     def shoot(*args, **kwargs):
         raise AssertionError("the shoot ran")
 
-    monkeypatch.setattr("scipy.interpolate.RectBivariateSpline", shoot)
+    monkeypatch.setattr(lp, "_FactorSpline", shoot)
     monkeypatch.setattr(lp, "_rk4", shoot)
     with pytest.raises(GridError, match=re.escape(
             "needs a conformal metric phi (dx^2 + dy^2)")):
@@ -608,7 +585,8 @@ def test_y_invariant_leaf_is_shot_as_one_geodesic():
 def test_one_ulp_off_y_invariance_takes_the_full_shoot(monkeypatch):
     # criterion 10's source leaf with one phi node moved by one ulp: y is
     # no longer exactly a Killing direction, so every seed's geodesic is
-    # shot, and c agrees with the translated one's to rounding
+    # shot, and c agrees with the translated one's to rounding. The
+    # translated one is a 0-d lane, a (4,) state
     h = 1e-2
     sx, sy = Axis("x", 1.0, h, 57), Axis("y", 0.0, h, 73)
     g = lp.leaf_metric(lp.leaf_spec(sx, sy, h="-x",
@@ -619,16 +597,16 @@ def test_one_ulp_off_y_invariance_takes_the_full_shoot(monkeypatch):
     lanes = []
 
     def rhs(spline, u, _rhs=lp._geodesic_rhs):
-        lanes.append(u.shape[1])
+        lanes.append(u.shape[1:])
         return _rhs(spline, u)
 
     monkeypatch.setattr(lp, "_geodesic_rhs", rhs)
     axes = Axis("x", 0.0, h, 49), Axis("y", 0.12, h, 49)
     one = lp.geodesic_parallel_profile(g, *axes)
-    assert set(lanes) == {1}
+    assert set(lanes) == {()}
     lanes.clear()
     full = lp.geodesic_parallel_profile(MetricGrid(g.axes, comp), *axes)
-    assert set(lanes) == {49 + 2}
+    assert set(lanes) == {(49 + 2,)}
     assert not np.all(full.c == full.c[:, :1])
     np.testing.assert_allclose(full.c, one.c, rtol=0, atol=1e-12)
 
@@ -659,7 +637,7 @@ def test_leaf_spec_and_profile_refuse_a_one_node_axis(monkeypatch, counts):
     # to a grid, a one-node axis is a Killing direction; a leaf or a
     # profile would silently become invariant along it, and the shoot's
     # spline has no nodes to fit along it: the source grid is refused
-    # before scipy is imported for the fit
+    # before the spline is fitted
     x_axis, y_axis = (Axis(name, 1.0, 0.1, n) for name, n in zip("xy", counts))
     ones = np.ones(counts)
     message = re.escape(f"need at least 2 nodes per axis, got {counts}")

@@ -35,7 +35,7 @@ def _euclidean():
                                     a0=1.0, b0=1.0, c0=1.0)
     params = bi.closed_form_params("euclidean", consts)
     s0 = bi.closed_form("euclidean", consts, 1.0)
-    return dict(rhs=lambda t, y: bi._flow(params, *y), t0=s0.t,
+    return dict(rhs=lambda t, y: bi.type_a_flow(params, *y), t0=s0.t,
                 y0=(s0.a, s0.b, s0.c), t_end=2.0, rtol=1e-10, atol=1e-13,
                 positive_components=(0, 1, 2))
 

@@ -159,7 +159,7 @@ def test_replayed_bianchi_solve_is_the_live_dense_output(frozen):
     assert live.stop_reason == "t_end"
     assert live.last_step == live.t[-1] - live.t[-2]
     stored = Trajectory.from_csv(live.to_csv())
-    replayed = replay(lambda t, y: bi._flow(params, *y), stored)
+    replayed = replay(lambda t, y: bi.type_a_flow(params, *y), stored)
     assert_same_dense_output(live, replayed)
     assert_frozen_dense_output(live, frozen)
     assert_frozen_dense_output(replayed, frozen)
