@@ -122,6 +122,11 @@ class LeafSpec:
     ell: np.ndarray
     h: np.ndarray
     meta: dict = field(default_factory=dict)
+    # leaf_spec's curvature -2 check of l g0, carried to leaf_report: set
+    # by leaf_spec alone, not written to JSON, so None on a spec read back
+    # or built directly
+    rescaled_deviation: float | None = field(
+        default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         _refuse_short_axes(self.x_axis, self.y_axis)
@@ -171,7 +176,7 @@ def leaf_spec(x_axis: Axis, y_axis: Axis, h: str | np.ndarray = "x",
         raise DomainError(
             f"h is not harmonic at grid resolution: residual {worst:.3e}")
 
-    dev = _rescaled_deviation(spec)
+    dev = spec.rescaled_deviation = _rescaled_deviation(spec)
     if dev > curvature_tol:
         raise DomainError(
             f"ell does not define a curvature -2 metric: deviation {dev:.3e}")
@@ -249,15 +254,18 @@ def leaf_report(spec: LeafSpec) -> dict:
     """leaf_report.json's checks: |K_g - K| and the leaf equation on one
     slice per axis along which phi and K are both exactly constant, the
     K <= 0 nodes on the full grid, and leaf_spec's curvature -2 check of
-    l*g0, the rescaled metric K g up to rounding (_rescaled_deviation)."""
+    l*g0, the rescaled metric K g up to rounding (_rescaled_deviation),
+    taken from the spec when leaf_spec made it."""
     g, K = leaf_metric(spec)
     axes, phi, K_cut = _constant_cut(g.axes, g.components[..., 0, 0], K)
     g_cut = g if axes == g.axes else _conformal_metric(*axes, phi)
+    dev = spec.rescaled_deviation
     return {"gauss_curvature_deviation":
             interior_max(gauss_curvature_2d(g_cut) - K_cut, 2),
             "leaf_pde_residual": leaf_pde_residual(g_cut, K_cut).max_residual,
             "leaf_pde_excluded_nodes": int(np.sum(K <= 0.0)),
-            "rescaled_curvature_deviation": _rescaled_deviation(spec)}
+            "rescaled_curvature_deviation":
+            _rescaled_deviation(spec) if dev is None else dev}
 
 
 # ---------------------------------------------------------------------------
@@ -337,17 +345,20 @@ class _SplineAxis:
         to i + k are the ones nonzero at u, and b[..., r, 0] and
         b[..., r, 1] are the value and the u-derivative of the (i + r)-th.
         Past either end the end interval's polynomials continue; u is
-        never clamped. On a one-node axis b is [[1, 0]] for every u."""
-        if self.count == 1:
-            return np.zeros(np.shape(u), np.intp), self.table[0]
-        lo, hi = self.bounds
-        i = (np.floor(np.fmin(np.fmax(u, lo), hi)) - lo).astype(np.intp)
-        s = u - self.mid[i]
+        never clamped."""
+        i, s = self.interval(u)
         # 1, s, s^2, ... by products: numpy's float power costs far more
         powers = np.multiply.accumulate(
             np.where(self.first, 1.0, s[..., None]), -1)
         b = powers[..., None, :] @ self.table[i]
         return i, b.reshape(np.shape(s) + (self.degree + 1, 2))
+
+    def interval(self, u):
+        """(i, s): the knot interval of u, a numpy scalar or array in node
+        steps, and u's offset s from its midpoint."""
+        lo, hi = self.bounds
+        i = (np.floor(np.fmin(np.fmax(u, lo), hi)) - lo).astype(np.intp)
+        return i, u - self.mid[i]
 
     def fit(self, values: np.ndarray) -> np.ndarray:
         """The B-spline coefficients of the interpolant of the columns of
@@ -365,41 +376,101 @@ class _SplineAxis:
 
 
 class _FactorSpline:
-    """The tensor-product not-a-knot interpolant of phi on uniform axes,
-    fitted with one banded collocation solve per axis; axes of one count
-    share their B-splines and factors. Called at (px, py), numpy scalars
-    or arrays of one shape, it returns (phi, d_x phi, d_y phi) from one
-    gather of each point's window of coefficients; along a one-node axis
-    phi is constant and its derivative exactly zero."""
+    """The not-a-knot interpolant of phi on uniform axes, fitted with one
+    banded collocation solve per axis. Called at (px, py), numpy scalars
+    or arrays of one shape, it returns (phi, d_x phi, d_y phi).
+
+    On two axes of 2 nodes or more it is the tensor product: axes of one
+    count share their B-splines and factors, and each point gathers its
+    window of coefficients. With a one-node axis phi is a spline along the
+    other axis alone (along x if both have one node: the constant), kept
+    in pp-form (de Boor, ch. VII): per knot interval, the power
+    coefficients about its midpoint of phi and of its derivative,
+    _SplineAxis.table summed against the interval's B-spline
+    coefficients. Horner's rule evaluates them, in Python floats at a
+    scalar point and in numpy at an array: the same IEEE operations in the
+    same order, so a 0-d lane and an array lane give the same bits. The
+    derivative along the one-node axis is an exact zero."""
 
     def __init__(self, axes, phi: np.ndarray):
         nx, ny = self.shape = phi.shape
-        self.x = _SplineAxis(nx)
-        self.y = self.x if ny == nx else _SplineAxis(ny)
-        self.start = tuple(ax.start for ax in axes)
-        self.step = tuple(ax.step for ax in axes)
-        # coef_t[j * nx + i] multiplies the i-th B-spline in x and the j-th
-        # in y: the y fit's rows, so no copy is made to flatten it
-        self.coef_t = self.y.fit(self.x.fit(phi).T).ravel()
-        self.window = (np.arange(self.y.degree + 1)[:, None] * nx
-                       + np.arange(self.x.degree + 1))
+        # Python floats, so a scalar point's node-step offset is one too
+        self.start = tuple(float(ax.start) for ax in axes)
+        self.step = tuple(float(ax.step) for ax in axes)
+        self.along = None if min(nx, ny) > 1 else int(ny > 1)
+        if self.along is None:
+            self.x = _SplineAxis(nx)
+            self.y = self.x if ny == nx else _SplineAxis(ny)
+            # coef_t[j * nx + i] multiplies the i-th B-spline in x and the
+            # j-th in y: the y fit's rows, so no copy is made to flatten it
+            self.coef_t = self.y.fit(self.x.fit(phi).T).ravel()
+            self.window = (np.arange(self.y.degree + 1)[:, None] * nx
+                           + np.arange(self.x.degree + 1))
+            return
+        ax = self.axis = _SplineAxis(phi.size)
+        n, k = ax.count, ax.degree
+        coef = ax.fit(phi.reshape(n, 1))[:, 0]
+        # interval, power, B-spline, value or derivative; the sum over the
+        # window runs elementwise, in no BLAS call
+        table = ax.table.reshape(n - k, k + 1, k + 1, 2)
+        pp = table[:, :, 0] * coef[:n - k, None, None]
+        for r in range(1, k + 1):
+            pp += table[:, :, r] * coef[r:n - k + r, None, None]
+        # the derivative's top power is zero; a constant keeps it, as 0
+        value, slope = pp[..., 0], pp[:, :max(k, 1), 1]
+        # per interval: a row for a scalar point, its midpoint first, and
+        # columns an array gathers
+        self.rows = list(zip(ax.mid.tolist(), value.tolist(), slope.tolist()))
+        self.columns = value.T, slope.T
 
     def __call__(self, px, py):
-        (x0, y0), (hx, hy) = self.start, self.step
-        ix, bx = self.x.basis((px - x0) / hx)
-        iy, by = self.y.basis((py - y0) / hy)
-        w = self.coef_t[(iy * self.shape[0] + ix)[..., None, None]
-                        + self.window]
-        v = np.swapaxes(by, -1, -2) @ (w @ bx)
-        return v[..., 0, 0], v[..., 0, 1] / hx, v[..., 1, 0] / hy
+        m = self.along
+        if m is None:
+            (x0, y0), (hx, hy) = self.start, self.step
+            ix, bx = self.x.basis((px - x0) / hx)
+            iy, by = self.y.basis((py - y0) / hy)
+            w = self.coef_t[(iy * self.shape[0] + ix)[..., None, None]
+                            + self.window]
+            v = np.swapaxes(by, -1, -2) @ (w @ bx)
+            return v[..., 0, 0], v[..., 0, 1] / hx, v[..., 1, 0] / hy
+        p, step = (px, py)[m], self.step[m]
+        # a numpy scalar too runs in Python floats
+        scalar = isinstance(p, float)
+        u = ((float(p) if scalar else p) - self.start[m]) / step
+        if scalar:
+            # the interval lookup of _SplineAxis.interval: max and min keep
+            # their first argument against a NaN, as fmax and fmin drop
+            # it, so a NaN lands on the first interval and never reaches
+            # math.floor
+            lo, hi = self.axis.bounds
+            mid, value, slope = self.rows[
+                math.floor(min(hi, max(lo, u))) - int(lo)]
+            s = u - mid
+        else:
+            i, s = self.axis.interval(u)
+            value, slope = (c[:, i] for c in self.columns)
+        f, df = value[-1], slope[-1]
+        for c in value[-2::-1]:
+            f = f * s + c
+        for c in slope[-2::-1]:
+            df = df * s + c
+        df = df / step
+        # numpy scalars out: the caller's phi/(phi phi) gives inf or NaN,
+        # not ZeroDivisionError, at phi = 0
+        if scalar:
+            f, df, zero = np.float64(f), np.float64(df), np.float64(0.0)
+        else:
+            zero = np.zeros(np.shape(f))
+        return (f, df, zero) if m == 0 else (f, zero, df)
 
 
 def _factor_spline(g: MetricGrid) -> _FactorSpline:
     """Spline of phi = g_xx: quintic, cubic along a 5-node axis, as the
     interpolant is differentiated twice downstream. An axis along which
     phi is exactly constant (grids.constant_axes) is first cut to one
-    node, so there phi is splined along the other axis alone and its
-    derivative is an exact zero."""
+    node, so there phi is splined along the other axis alone, as
+    piecewise polynomials (see _FactorSpline), and its derivative along
+    the cut is an exact zero."""
     return _FactorSpline(*_constant_cut(g.axes, g.components[..., 0, 0]))
 
 
@@ -415,21 +486,20 @@ def _rk4(f_lo, f_mid, f_hi, u, h):
 
 def _geodesic_rhs(spline, u):
     """d/dt of u = (px, py, vx, vy): (vx, vy, -Gamma^k_ij v^i v^j) on
-    g = phi (dx^2 + dy^2), given phi's spline. With q = phi/(phi phi)
-    = g^xx = g^yy, a = q (0.5 phi_x) = Gamma^x_xx and b = q (0.5 phi_y) =
-    Gamma^y_yy, the sums are the nonzero terms of an i, j, k Christoffel
-    loop in the loop's order, so bit for bit its result."""
-    px, py, v = u[0], u[1], u[2:]
+    g = phi (dx^2 + dy^2), given phi's spline, for a (4,) state, whose
+    terms are numpy scalars, and a (4, L) one alike. With q = phi/(phi
+    phi) = g^xx = g^yy, a = q (0.5 phi_x) = Gamma^x_xx and b = q (0.5
+    phi_y) = Gamma^y_yy, the sums are the nonzero terms of an i, j, k
+    Christoffel loop in the loop's order, so bit for bit its result."""
+    px, py, vx, vy = u
     phi, phi_x, phi_y = spline(px, py)
     q = phi / (phi * phi)
     a = q * (0.5 * phi_x)
     b = q * (0.5 * phi_y)
-    vxx, vxy, vyy = v[0] * v[0], v[0] * v[1], v[1] * v[1]
-    out = np.empty((4,) + px.shape)
-    out[:2] = v
-    out[2] = ((-(a * vxx) - b * vxy) - b * vxy) + a * vyy
-    out[3] = ((b * vxx - a * vxy) - a * vxy) - b * vyy
-    return out
+    vxx, vxy, vyy = vx * vx, vx * vy, vy * vy
+    ax = ((-(a * vxx) - b * vxy) - b * vxy) + a * vyy
+    ay = ((b * vxx - a * vxy) - a * vxy) - b * vyy
+    return np.array((vx, vy, ax, ay))
 
 
 @dataclass
@@ -515,14 +585,15 @@ def geodesic_parallel_profile(g: MetricGrid, x_axis: Axis | None = None,
     (substeps >= 1 per profile step). g must be conformal, phi (dx^2 +
     dy^2), as every leaf metric is; any other metric raises GridError
     before a spline is fitted. phi between nodes comes from one
-    not-a-knot spline, quintic (cubic along a 5-node axis),
-    fitted and evaluated here in numpy (see _FactorSpline): one evaluation
-    per right-hand side gives phi and both first derivatives. Within the
-    rounding slack past the source rectangle, where stage points may
-    land, its end polynomials continue. When phi is exactly constant
-    along y, the spline cuts y to one node and y is a Killing direction:
-    one geodesic is shot, as a 0-d lane from the lowest seed, and
-    translated along y, so c and x_map are constant along y bit for bit.
+    not-a-knot spline, quintic (cubic along a 5-node axis), fitted here
+    (see _FactorSpline): one evaluation per right-hand side gives phi and
+    both first derivatives. Within the rounding slack past the source
+    rectangle, where stage points may land, its end polynomials continue.
+    When phi is exactly constant along y, the spline cuts y to one node
+    and y is a Killing direction: one geodesic is shot, as a 0-d lane (a
+    (4,) state) from the lowest seed, on which the spline's piecewise
+    polynomials in x run in Python floats, and translated along y, so c
+    and x_map are constant along y bit for bit.
     Geodesics exiting the source rectangle or focusing (c below c_floor)
     truncate the profile, recorded in coverage/truncation_reason; if one
     leaves before the second profile node, DomainError names it. A source
@@ -590,7 +661,7 @@ def geodesic_parallel_profile(g: MetricGrid, x_axis: Axis | None = None,
     for i in range(1, n_park):
         for _ in range(substeps):
             u = _rk4(rhs, rhs, rhs, u, hs)
-            if not np.all(inside(u[0], u[1])):
+            if not inside(u[0], u[1]).all():
                 break
         else:
             X[i], Y[i] = u[0], u[1]

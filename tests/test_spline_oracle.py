@@ -91,27 +91,44 @@ def test_2d_spline_matches_rect_bivariate_spline(build):
                               ky=_degree(axes[1].count), s=0)
     px, py = _points(axes, np.random.default_rng(3))
     want = (ref.ev(px, py), ref.ev(px, py, dx=1), ref.ev(px, py, dy=1))
-    _assert_close(spline(px, py), want, phi)
+    got = spline(px, py)
+    _assert_close(got, want, phi)
+    # a point of Python floats gives the array's bits
+    one = spline(float(px[0]), float(py[0]))
+    assert np.array_equal(np.array(one).view(np.int64),
+                          np.stack(got)[:, 0].view(np.int64))
 
 
 def test_y_invariant_spline_matches_make_interp_spline():
     # the shoot's spline cuts y to one node: phi in x alone, as
-    # make_interp_spline fits it, and d_y phi exactly zero
-    axes, phi = _crit10_phi()
-    spline = lp._factor_spline(lp._conformal_metric(*axes, phi))
-    assert spline.shape == (axes[0].count, 1)
-    ref = make_interp_spline(axes[0].nodes, phi[:, 0], k=5)
-    px, py = _points(axes, np.random.default_rng(4))
-    got = spline(px, py)
-    want = (ref(px), ref.derivative()(px), np.zeros_like(px))
-    _assert_close(got, want, phi)
-    assert np.all(got[2] == 0.0)
-    # a 0-d lane, as the invariant shoot marches, gives the same bits
-    one = spline(px[0], py[0])
-    assert all(np.ndim(v) == 0 and v == w[0] for v, w in zip(one, got))
+    # make_interp_spline fits it, and d_y phi exactly zero; the same leaf
+    # turned a quarter, constant along x, is cut to one x node
+    (ax, ay), phi = _crit10_phi()
+    turned = (Axis("x", ay.start, ay.step, ay.count),
+              Axis("y", ax.start, ax.step, ax.count))
+    for along, axes, values in ((0, (ax, ay), phi), (1, turned, phi.T)):
+        spline = lp._factor_spline(lp._conformal_metric(*axes, values))
+        assert spline.shape[along] == axes[along].count
+        assert spline.shape[1 - along] == 1
+        ref = make_interp_spline(axes[along].nodes,
+                                 np.take(values, 0, 1 - along), k=5)
+        px, py = _points(axes, np.random.default_rng(4))
+        p = (px, py)[along]
+        got = spline(px, py)
+        want = [ref(p), np.zeros_like(p)]
+        want.insert(1 + along, ref.derivative()(p))
+        _assert_close(got, want, values)
+        assert np.all(got[2 - along] == 0.0)
+        # each point as a 0-d lane, as the invariant shoot marches it,
+        # gives the same bits
+        one = np.array([spline(x, y) for x, y in zip(px, py)])
+        assert one.shape == (px.size, 3)
+        assert np.array_equal(one.T.view(np.int64),
+                              np.stack(got).view(np.int64))
 
 
-@pytest.mark.parametrize("counts", [(9, 11), (5, 7), (6, 5), (33, 1)])
+@pytest.mark.parametrize("counts", [(9, 11), (5, 7), (6, 5), (33, 1), (1, 33),
+                                    (1, 1)])
 def test_polynomials_of_the_spline_degree_are_reproduced(counts):
     # degree 5 (3 along a 5-node axis, 0 along a one-node one) in each
     # variable, so every such polynomial is its own interpolant
