@@ -466,7 +466,7 @@ def pde_construct(ctx, profile_path, init, compat_threshold):
     report = {"sys2": {"radial_R": s2.radial_R, "transverse_R": s2.transverse_R,
                        "radial_L": s2.radial_L, "mixed_PQ": s2.mixed_PQ,
                        "second_order": s2.second_order,
-                       "excluded_nodes": s2.n_excluded}}
+                       "excluded_nodes": fields.n_excluded}}
     coeffs = lp.vecsys_coefficients(fields)
     try:
         sol = lp.integrate_vecsys(coeffs, cp, init=init_vals,
@@ -482,7 +482,7 @@ def pde_construct(ctx, profile_path, init, compat_threshold):
     mf.write_text(form.to_json(), out / "kahler.json")
     report.update({"compat_residual": sol.compat_residual, "det0": sol.det0,
                    "det_drift": sol.det_drift,
-                   "window_offset": list(sol.meta.get("window_offset", (0, 0))),
+                   "window_offset": list(sol.window_offset),
                    "window_shape": list(sol.a.shape)})
     mf.write_json(report, out / "construct_report.json")
     mf.save(out)

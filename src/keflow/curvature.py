@@ -58,6 +58,8 @@ from .grids import (MetricGrid, TwoFormGrid, central_diff, collapse_constant,
 
 # Derivative quantities are valid this many layers in from the boundary.
 CURVATURE_MARGIN = 1
+# convergence_order's bound on a residual a log-log fit can use
+ORDER_FLOOR = 1e-14
 
 
 def _inverse_metric(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -320,11 +322,11 @@ class OrderFit:
     below_floor: bool
 
 
-def convergence_order(spacings, residuals, floor: float = 1e-14) -> OrderFit:
+def convergence_order(spacings, residuals) -> OrderFit:
     """Fit residual ~ C h^p through (spacing, residual) pairs.
 
     Requires at least three spacings in geometric progression. Residuals at
-    or below `floor` cannot support a log-log fit and yield below_floor=True;
+    or below ORDER_FLOOR admit no log-log fit and yield below_floor=True;
     negative residuals are rejected.
     """
     h = np.asarray(spacings, dtype=np.float64)
@@ -338,7 +340,7 @@ def convergence_order(spacings, residuals, floor: float = 1e-14) -> OrderFit:
         raise ValueError("spacings must form a geometric progression")
     if np.any(r < 0.0):
         raise ValueError("residuals must be nonnegative")
-    if np.any(r <= floor):
+    if np.any(r <= ORDER_FLOOR):
         return OrderFit(order=None, below_floor=True)
     slope = np.polyfit(np.log(h), np.log(r), 1)[0]
     return OrderFit(order=float(slope), below_floor=False)

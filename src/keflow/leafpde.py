@@ -38,6 +38,8 @@ from .curvature import gauss_curvature_2d, interior_max, laplace_beltrami
 from .frame_algebra import sys_flow
 
 SQRT2 = math.sqrt(2.0)
+# leaf_spec's relative harmonicity bound; the profile's caustic floor on c
+HARMONIC_TOL, C_FLOOR = 1e-4, 1e-8
 
 _H_NAMESPACE = {
     "log": np.log, "exp": np.exp, "sin": np.sin, "cos": np.cos,
@@ -122,11 +124,6 @@ class LeafSpec:
     ell: np.ndarray
     h: np.ndarray
     meta: dict = field(default_factory=dict)
-    # leaf_spec's curvature -2 check of l g0, carried to leaf_report: set
-    # by leaf_spec alone, not written to JSON, so None on a spec read back
-    # or built directly
-    rescaled_deviation: float | None = field(
-        default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         _refuse_short_axes(self.x_axis, self.y_axis)
@@ -150,13 +147,13 @@ class LeafSpec:
 
 def leaf_spec(x_axis: Axis, y_axis: Axis, h: str | np.ndarray = "x",
               ell: np.ndarray | None = None,
-              harmonic_tol: float = 1e-4,
               curvature_tol: float = 1e-2) -> LeafSpec:
     """Validated leaf data: l positive with l*g0 of curvature -2, h harmonic.
 
     Both properties are checked by finite differences at the grid's own
-    resolution; tolerances are absolute on the residuals. The curvature
-    check is _rescaled_deviation's.
+    resolution: h's Laplacian against HARMONIC_TOL, relative to its larger
+    second difference (at least 1), and _rescaled_deviation against the
+    absolute curvature_tol.
     """
     meta = {}
     if isinstance(h, str):
@@ -172,11 +169,11 @@ def leaf_spec(x_axis: Axis, y_axis: Axis, h: str | np.ndarray = "x",
     scale = max(1.0, float(np.nanmax(np.abs(hxx))),
                 float(np.nanmax(np.abs(hyy))))
     worst = float(np.nanmax(np.abs(lap))) / scale
-    if worst > harmonic_tol:
+    if worst > HARMONIC_TOL:
         raise DomainError(
             f"h is not harmonic at grid resolution: residual {worst:.3e}")
 
-    dev = spec.rescaled_deviation = _rescaled_deviation(spec)
+    dev = _rescaled_deviation(spec)
     if dev > curvature_tol:
         raise DomainError(
             f"ell does not define a curvature -2 metric: deviation {dev:.3e}")
@@ -229,7 +226,6 @@ class LeafPdeReport:
     """Residual of the leaf equation: Laplacian of log K minus 6K."""
 
     max_residual: float
-    n_excluded: int
 
 
 def leaf_pde_residual(g: MetricGrid, K: np.ndarray) -> LeafPdeReport:
@@ -240,14 +236,12 @@ def leaf_pde_residual(g: MetricGrid, K: np.ndarray) -> LeafPdeReport:
     if K.shape != g.counts:
         raise GridError(f"K shape must be {g.counts}")
     bad = K <= 0.0
-    if np.all(bad):
-        return LeafPdeReport(math.nan, int(bad.sum()))
     logK = np.where(bad, np.nan, np.log(np.where(bad, 1.0, K)))
     resid = np.abs(laplace_beltrami(g, logK) - 6.0 * K)
     inner = interior(resid, 1, 2)
     if not np.any(np.isfinite(inner)):
-        return LeafPdeReport(math.nan, int(bad.sum()))
-    return LeafPdeReport(float(np.nanmax(inner)), int(bad.sum()))
+        return LeafPdeReport(math.nan)
+    return LeafPdeReport(float(np.nanmax(inner)))
 
 
 def leaf_report(spec: LeafSpec) -> dict:
@@ -255,17 +249,15 @@ def leaf_report(spec: LeafSpec) -> dict:
     slice per axis along which phi and K are both exactly constant, the
     K <= 0 nodes on the full grid, and leaf_spec's curvature -2 check of
     l*g0, the rescaled metric K g up to rounding (_rescaled_deviation),
-    taken from the spec when leaf_spec made it."""
+    run on the spec as it is now."""
     g, K = leaf_metric(spec)
     axes, phi, K_cut = _constant_cut(g.axes, g.components[..., 0, 0], K)
     g_cut = g if axes == g.axes else _conformal_metric(*axes, phi)
-    dev = spec.rescaled_deviation
     return {"gauss_curvature_deviation":
             interior_max(gauss_curvature_2d(g_cut) - K_cut, 2),
             "leaf_pde_residual": leaf_pde_residual(g_cut, K_cut).max_residual,
             "leaf_pde_excluded_nodes": int(np.sum(K <= 0.0)),
-            "rescaled_curvature_deviation":
-            _rescaled_deviation(spec) if dev is None else dev}
+            "rescaled_curvature_deviation": _rescaled_deviation(spec)}
 
 
 # ---------------------------------------------------------------------------
@@ -575,8 +567,7 @@ def base_curve_axis(sy: Axis, step: float, start: float | None = None,
 
 def geodesic_parallel_profile(g: MetricGrid, x_axis: Axis | None = None,
                               y_axis: Axis | None = None,
-                              substeps: int = 4,
-                              c_floor: float = 1e-8) -> CProfile:
+                              substeps: int = 4) -> CProfile:
     """Extract c of the form 2(dx^2 + c^2 dy^2) by shooting geodesics.
 
     The base curve is the left edge of the source domain, parametrized by
@@ -594,7 +585,7 @@ def geodesic_parallel_profile(g: MetricGrid, x_axis: Axis | None = None,
     (4,) state) from the lowest seed, on which the spline's piecewise
     polynomials in x run in Python floats, and translated along y, so c
     and x_map are constant along y bit for bit.
-    Geodesics exiting the source rectangle or focusing (c below c_floor)
+    Geodesics exiting the source rectangle or focusing (c below C_FLOOR)
     truncate the profile, recorded in coverage/truncation_reason; if one
     leaves before the second profile node, DomainError names it. A source
     or profile axis of fewer than 2 nodes raises GridError before a
@@ -694,7 +685,7 @@ def geodesic_parallel_profile(g: MetricGrid, x_axis: Axis | None = None,
     # differently and moves the last bits of every profile
     c2 = 0.5 * (phi * Xy ** 2 + phi * Yy ** 2)
 
-    caustic = np.nonzero(np.any(c2 <= c_floor ** 2, axis=1))[0]
+    caustic = np.nonzero(np.any(c2 <= C_FLOOR ** 2, axis=1))[0]
     if caustic.size:
         delivered = int(caustic[0])
         if delivered < 2:
@@ -772,7 +763,6 @@ class Sys2Residuals:
     radial_L: float
     mixed_PQ: float
     second_order: float
-    n_excluded: int
 
     def worst(self) -> float:
         return max(self.radial_R, self.transverse_R, self.radial_L,
@@ -802,8 +792,7 @@ def sys2_residuals(fields: ReducedFields, cp: CProfile) -> Sys2Residuals:
                          transverse_R=_nanmax_interior(r2),
                          radial_L=_nanmax_interior(r3),
                          mixed_PQ=_nanmax_interior(r4),
-                         second_order=_nanmax_interior(r5),
-                         n_excluded=fields.n_excluded)
+                         second_order=_nanmax_interior(r5))
 
 
 @dataclass
@@ -827,7 +816,8 @@ def vecsys_coefficients(fields: ReducedFields) -> VecSysCoefficients:
 
 @dataclass
 class VecSysSolution:
-    """Frame coefficient grids with the conserved determinant as-rb."""
+    """Frame coefficient grids with the conserved determinant as-rb, on
+    the profile nodes from window_offset on."""
 
     x_axis: Axis
     y_axis: Axis
@@ -837,7 +827,7 @@ class VecSysSolution:
     s: np.ndarray
     det0: float
     compat_residual: float
-    meta: dict = field(default_factory=dict)
+    window_offset: tuple[int, int]
 
     @property
     def det(self) -> np.ndarray:
@@ -941,11 +931,9 @@ def integrate_vecsys(coeffs: VecSysCoefficients, cp: CProfile,
             f"mixed-partial residual {resid:.3e} over threshold "
             f"{compat_threshold:.3e}; input fields violate the reduced system")
 
-    sol = VecSysSolution(x_axis=x_axis, y_axis=y_axis, a=a, b=b, r=r, s=s,
-                         det0=det0, compat_residual=resid,
-                         meta={"init": [a0, b0, r0, s0],
-                               "window_offset": [win[0].start, win[1].start]})
-    return sol
+    return VecSysSolution(x_axis=x_axis, y_axis=y_axis, a=a, b=b, r=r, s=s,
+                          det0=det0, compat_residual=resid,
+                          window_offset=(int(win[0].start), int(win[1].start)))
 
 
 def assemble_four_metric(v: VecSysSolution, cp: CProfile,
@@ -960,7 +948,7 @@ def assemble_four_metric(v: VecSysSolution, cp: CProfile,
     """
     axes = (v.x_axis, v.y_axis, Axis("u", 0.0, v.x_axis.step, 1),
             Axis("v", 0.0, v.x_axis.step, 1))
-    i0, j0 = v.meta.get("window_offset", (0, 0))
+    i0, j0 = v.window_offset
     c = cp.c[i0:i0 + v.x_axis.count, j0:j0 + v.y_axis.count]
     if c.shape != v.a.shape:
         raise GridError("profile window does not match the solution grid")

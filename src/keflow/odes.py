@@ -88,7 +88,8 @@ _EPS = float(np.finfo(float).eps)
 _BLOW_UPS = ("step_underflow", "component_overflow", "positivity_loss")
 
 # Trajectory CSV header fields and their parsers; absent ones take the
-# Trajectory defaults (NaN for the tolerances and last_step).
+# Trajectory defaults (NaN for the tolerances and last_step); n_steps, if
+# given, must match the rows.
 _CSV_FIELDS = {"rtol": float, "atol": float, "blow_up": lambda v: bool(int(v)),
                "stop_reason": str, "n_steps": int, "n_rhs_evals": int,
                "last_step": float}
@@ -109,7 +110,6 @@ class Trajectory:
     variable: str = "t"
     blow_up: bool = False
     stop_reason: str = "t_end"
-    n_steps: int = 0
     n_rhs_evals: int = 0
     last_step: float = math.nan
     meta: dict = field(default_factory=dict)
@@ -125,6 +125,11 @@ class Trajectory:
                               f"is also a column of {self.columns}")
         if not np.all(np.diff(self.t) > 0.0):
             raise DomainError(f"{self.variable} must be strictly increasing")
+
+    @property
+    def n_steps(self) -> int:
+        """Accepted steps: one fewer than the sample rows."""
+        return len(self.t) - 1
 
     def column(self, name: str) -> np.ndarray:
         return self.states[:, self.columns.index(name)]
@@ -153,8 +158,8 @@ class Trajectory:
     @classmethod
     def from_csv(cls, text: str | bytes) -> "Trajectory":
         info, meta, columns, data = read_table(text, _CSV_FIELDS)
-        if info.get("n_steps", len(data) - 1) != len(data) - 1:
-            raise DomainError(f"n_steps {info['n_steps']} but {len(data)} "
+        if (n_steps := info.pop("n_steps", len(data) - 1)) != len(data) - 1:
+            raise DomainError(f"n_steps {n_steps} but {len(data)} "
                               f"sample rows; n steps store n + 1 rows")
         return cls(t=data[:, 0], states=data[:, 1:], columns=columns[1:],
                    variable=columns[0], meta=meta,
@@ -541,8 +546,7 @@ def integrate_flow(rhs, t0: float, y0: Sequence[float], t_end: float,
                             np.array(stages).transpose(1, 2, 0))
     return Trajectory(t=ts, states=ys, columns=columns, rtol=rtol, atol=atol,
                       variable=variable, blow_up=reason in _BLOW_UPS,
-                      stop_reason=reason, n_steps=len(ts) - 1,
-                      n_rhs_evals=nfev, last_step=last_step,
+                      stop_reason=reason, n_rhs_evals=nfev, last_step=last_step,
                       meta=meta or {}, interpolant=dense)
 
 

@@ -690,10 +690,8 @@ def test_leaf_build_ell_axis_x(tmp_path, monkeypatch):
     # 1/(2 x^2) comes from leafpde.hyperbolic_factor, as 1/(2 y^2) does;
     # sha256 of the spec cli wrote when it built the factor inline, the
     # same bytes; numpy 2.4.6. The leaf is exactly constant along y, so
-    # leaf_spec's curvature -2 check, the report's Gauss curvature check
-    # and its leaf residual all run on one y slice, and the report takes
-    # the rescaled check from the spec; the report's from when the
-    # rescaled check became leaf_spec's
+    # leaf_spec's curvature -2 check and the report's Gauss curvature
+    # check, leaf residual and curvature -2 check all run on one y slice
     counts = []
 
     def recorded(f):
@@ -708,7 +706,7 @@ def test_leaf_build_ell_axis_x(tmp_path, monkeypatch):
                  "--domain", "1,2,0,1", "--n", "33", "--ell-axis", "x"]) == 0
     assert manifest.sha256_of(tmp_path / "leafspec.json") == (
         "eabbeb4d3e19b189e38b2cc89e420d3e2131a17844a5ddfe21c5e26525d4c237")
-    assert counts == [(33, 1)] * 3
+    assert counts == [(33, 1)] * 4
     assert manifest.sha256_of(tmp_path / "leaf_report.json") == (
         "f24fa5275a451f58a6c05b43acf0fe9d36531cc82faa503687ebbe641e06fe8c")
 

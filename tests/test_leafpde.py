@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from functools import cache
 from pathlib import Path
 
@@ -258,6 +259,28 @@ def test_leaf_pde_residual_negative_control():
     K = np.full((n, n), 0.5)
     rep = lp.leaf_pde_residual(grid, K)
     assert abs(rep.max_residual - 3.0) < 1e-6
+
+
+def test_leaf_pde_residual_with_no_positive_k_is_nan():
+    # every node is excluded, so no interior node is left to check: NaN,
+    # and no numpy warning on the way
+    ax = Axis("x", 0.0, 0.1, 9)
+    grid = lp._conformal_metric(ax, ax, np.ones((9, 9)))
+    K = np.linspace(-1.0, 0.0, 81).reshape(9, 9)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rep = lp.leaf_pde_residual(grid, K)
+    assert math.isnan(rep.max_residual)
+
+
+def test_leaf_report_checks_the_spec_as_it_is():
+    # l doubled after leaf_spec is l*g0 of curvature -1, not -2: the
+    # report's rescaled check runs on the spec it is given
+    spec = hyperbolic_spec(n=33)
+    spec.ell = 2.0 * spec.ell
+    rep = lp.leaf_report(spec)
+    assert rep["rescaled_curvature_deviation"] == lp._rescaled_deviation(spec)
+    assert abs(rep["rescaled_curvature_deviation"] - 1.0) < 1e-2
 
 
 def test_flat_profile_is_constant():
