@@ -140,9 +140,12 @@ def closed_form(case: str, consts: ClosedFormConstants, t: float) -> ABCState:
                           f"expected one of {CLOSED_FORM_CASES}")
     dt = t - consts.t0
     k, w3, alpha = consts.k, consts.w3, consts.alpha
+    try:
+        growth = math.exp(alpha * dt)
+    except OverflowError:
+        raise DomainError(f"exp(alpha (t - t0)) overflows at t = {t}") from None
     if case == "torus":
-        return ABCState(t=t, a=consts.a0, b=consts.b0,
-                        c=consts.c0 * math.exp(alpha * dt))
+        return ABCState(t=t, a=consts.a0, b=consts.b0, c=consts.c0 * growth)
     if w3 <= 0.0 or k <= 0.0:
         raise DomainError("closed forms need k > 0 and w3 > 0")
     if case == "poincare":
@@ -153,7 +156,7 @@ def closed_form(case: str, consts: ClosedFormConstants, t: float) -> ABCState:
         return ABCState(t=t,
                         a=math.sqrt(w3 / math.tan(u)),
                         b=math.sqrt(w3 * math.tan(u)),
-                        c=k * math.exp(alpha * dt)
+                        c=k * growth
                         * math.sqrt(math.sin(2.0 * u) / (2.0 * w3)))
     if dt <= 0.0:
         raise DomainError(f"{case} domain is t > t0; got t - t0 = {dt}")
@@ -161,13 +164,13 @@ def closed_form(case: str, consts: ClosedFormConstants, t: float) -> ABCState:
         return ABCState(t=t,
                         a=1.0 / math.sqrt(dt),
                         b=w3 * math.sqrt(dt),
-                        c=k * math.exp(alpha * dt) * math.sqrt(dt))
+                        c=k * growth * math.sqrt(dt))
     # euclidean
     u = w3 * dt
     return ABCState(t=t,
                     a=math.sqrt(w3 / math.tanh(u)),
                     b=math.sqrt(w3 * math.tanh(u)),
-                    c=k * math.exp(alpha * dt)
+                    c=k * growth
                     * math.sqrt(math.sinh(2.0 * u) / (2.0 * w3)))
 
 

@@ -42,6 +42,16 @@ single ulp is differenced in full, so the cut skips only work whose result
 is known exactly, and the checker reads it from the numbers instead of
 trusting the code that built the grid. The array functions (`ricci`,
 `riemann`, ...) evaluate every node and keep the NaN margin.
+
+The four entry points `einstein_residual`, `riemann_max`,
+`gauss_curvature_2d` and `laplace_beltrami` evaluate node axis 0 in row
+slabs (`_slabs`), so that no temporary spans the whole grid: a 257^2 leaf
+needs about 2 MB instead of 26 MB. Every stencil reads at most one
+neighbour per axis, so each slab carries one halo row on either side and
+its other rows are exactly the full grid's; every other operation is
+elementwise per node. The results are therefore bit for bit those of the
+whole grid in one slab, NaN margin included: the margin rows come from the end slabs' own
+stencils, and the checks take the max of each slab's interior max.
 """
 
 from __future__ import annotations
@@ -60,6 +70,9 @@ from .grids import (MetricGrid, TwoFormGrid, central_diff, collapse_constant,
 CURVATURE_MARGIN = 1
 # convergence_order's bound on a residual a log-log fit can use
 ORDER_FLOOR = 1e-14
+# Bytes of d^3 float64 values per node that one row slab spans: the knee
+# of a sweep from 64 KB to 4 MB (CHANGES.md); measured, not a knob.
+SLAB_BYTES = 2 ** 18
 
 
 def _inverse_metric(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -78,6 +91,20 @@ def _inverse_metric(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ginv = np.linalg.inv(g)
     # Force exact symmetry so downstream contractions commute bitwise.
     return dets, 0.5 * (ginv + np.swapaxes(ginv, -1, -2))
+
+
+def _slabs(g: np.ndarray):
+    """Row slabs of node axis 0 of g[..., d, d], as slices
+    (window, own, rows): g[window] is evaluated, and its rows `own` are the
+    output's `rows`. A window is its rows plus one halo row on each side,
+    so neighbouring windows overlap by two rows; the grid's margin rows
+    belong to the end windows. An axis 0 of one node is one slab."""
+    n, d = g.shape[0], g.shape[-1]
+    step = max(1, SLAB_BYTES // (8 * d ** 3 * (g[0].size // (d * d))))
+    for lo in range(0, max(n - 2, 1), step):
+        hi = min(lo + step + 2, n)
+        a, b = lo + (lo > 0), hi - (hi < n)
+        yield slice(lo, hi), slice(a - lo, b - lo), slice(a, b)
 
 
 def _component_major(a: np.ndarray) -> np.ndarray:
@@ -234,7 +261,8 @@ def interior_max(arr: np.ndarray, dim: int) -> float:
 def riemann_max(grid: MetricGrid) -> float:
     """Componentwise max |R^a_{bcd}| over the valid interior."""
     _, g = collapse_constant(grid.components, grid.dim)
-    return interior_max(_raised(*_lowered(g, grid.steps)), grid.dim)
+    return max(interior_max(_raised(*_lowered(g[win], grid.steps)), grid.dim)
+               for win, _, _ in _slabs(g))
 
 
 def einstein_residual(grid: MetricGrid, lam: float) -> float:
@@ -245,15 +273,21 @@ def einstein_residual(grid: MetricGrid, lam: float) -> float:
         lam_g = lam * g
     if not np.all(np.isfinite(lam_g)):
         raise GridError(f"lam * g is not finite for lam = {lam!r}")
-    return interior_max(_ricci(*_lowered(g, grid.steps)) - lam_g, grid.dim)
+    return max(interior_max(_ricci(*_lowered(g[win], grid.steps))
+                            - lam_g[win], grid.dim)
+               for win, _, _ in _slabs(g))
 
 
 def gauss_curvature_2d(grid: MetricGrid) -> np.ndarray:
     """Gauss curvature of a 2D metric grid; NaN margin 1."""
     if grid.dim != 2:
         raise GridError("gauss_curvature_2d needs a 2D grid")
-    return (_curvature(grid.components, grid.steps)[1][0, 0]
-            / det(grid.components))
+    g = grid.components
+    out = np.empty(grid.counts)
+    for win, own, rows in _slabs(g):
+        out[rows] = (_curvature(g[win], grid.steps)[1][0, 0]
+                     / det(g[win]))[own]
+    return out
 
 
 def laplace_beltrami(grid: MetricGrid, u: np.ndarray) -> np.ndarray:
@@ -266,21 +300,29 @@ def laplace_beltrami(grid: MetricGrid, u: np.ndarray) -> np.ndarray:
     u = np.asarray(u, dtype=np.float64)
     if u.shape != grid.counts:
         raise GridError(f"scalar shape {u.shape} != grid shape {grid.counts}")
-    d = grid.dim
-    dets, ginv = _inverse_metric(grid.components)
+    out = np.empty_like(u)
+    for win, own, rows in _slabs(grid.components):
+        out[rows] = _divergence(grid.components[win], u[win], grid.steps)[own]
+    return out
+
+
+def _divergence(g: np.ndarray, u: np.ndarray, steps) -> np.ndarray:
+    """laplace_beltrami of u on the metric components g."""
+    d = len(steps)
+    dets, ginv = _inverse_metric(g)
     sqrtg = np.sqrt(dets)
     weights = sqrtg[..., None, None] * ginv
     div = np.zeros_like(u)
     for i in range(d):
-        div = div + _staggered_div(weights[..., i, i], u, grid.steps[i], i)
+        div = div + _staggered_div(weights[..., i, i], u, steps[i], i)
     if d > 1:
         du = np.stack(
-            [central_diff(u, grid.steps[m], m) for m in range(d)], axis=-1)
+            [central_diff(u, steps[m], m) for m in range(d)], axis=-1)
         for i in range(d):
             for j in range(d):
                 if i != j:
                     div = div + central_diff(weights[..., i, j] * du[..., j],
-                                             grid.steps[i], i)
+                                             steps[i], i)
     return div / sqrtg
 
 

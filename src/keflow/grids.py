@@ -204,8 +204,8 @@ class MetricGrid:
 
     components has shape counts + (d, d), is exactly symmetric in the two
     trailing indices, and is positive-definite at every node: every leading
-    principal minor is positive, the 2x2 one in closed form (`det`), taken
-    on one slice per exactly constant axis.
+    principal minor is finite and positive, the 2x2 one in closed form
+    (`det`), taken on one slice per exactly constant axis.
     """
 
     kind = "metric_grid"
@@ -252,7 +252,13 @@ class MetricGrid:
         # same verdict, and argmin the same first failing node
         _, g = collapse_constant(g, d)
         for k in range(1, d + 1):
-            minors = det(g[..., :k, :k]) if k > 1 else g[..., 0, 0]
+            # finite components can only overflow to a non-finite minor
+            with np.errstate(over="ignore", invalid="ignore"):
+                minors = det(g[..., :k, :k]) if k > 1 else g[..., 0, 0]
+            if not np.all(np.isfinite(minors)):
+                node = tuple(int(i[0])
+                             for i in np.nonzero(~np.isfinite(minors)))
+                raise GridError(f"metric minor {k} overflows at node {node}")
             if not np.all(minors > 0.0):
                 node = tuple(int(i) for i in
                              np.unravel_index(np.argmin(minors), minors.shape))

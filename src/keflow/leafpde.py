@@ -97,7 +97,9 @@ def harmonic_grid(expr: str, x_axis: Axis, y_axis: Axis) -> np.ndarray:
     x, y = np.meshgrid(x_axis.nodes, y_axis.nodes, indexing="ij")
     names = dict(_H_NAMESPACE, x=x, y=y)
     try:
-        values = _h_eval(ast.parse(expr, mode="eval").body, names)
+        # a singularity is refused below, by the non-finite check
+        with np.errstate(all="ignore"):
+            values = _h_eval(ast.parse(expr, mode="eval").body, names)
     except Exception as exc:
         raise DomainError(f"cannot evaluate harmonic expression {expr!r}: "
                           f"{exc}") from None
@@ -163,13 +165,15 @@ def leaf_spec(x_axis: Axis, y_axis: Axis, h: str | np.ndarray = "x",
         ell = hyperbolic_factor(x_axis, y_axis)
     spec = LeafSpec(x_axis, y_axis, ell, h, meta=meta)
 
-    hxx = second_diff(spec.h, x_axis.step, 0)
-    hyy = second_diff(spec.h, y_axis.step, 1)
-    lap = hxx + hyy
+    # an overflowing difference is inf or NaN; a NaN residual is refused
+    with np.errstate(over="ignore", invalid="ignore"):
+        hxx = second_diff(spec.h, x_axis.step, 0)
+        hyy = second_diff(spec.h, y_axis.step, 1)
+        lap = hxx + hyy
     scale = max(1.0, float(np.nanmax(np.abs(hxx))),
                 float(np.nanmax(np.abs(hyy))))
     worst = float(np.nanmax(np.abs(lap))) / scale
-    if worst > HARMONIC_TOL:
+    if not worst <= HARMONIC_TOL:
         raise DomainError(
             f"h is not harmonic at grid resolution: residual {worst:.3e}")
 
@@ -919,12 +923,13 @@ def integrate_vecsys(coeffs: VecSysCoefficients, cp: CProfile,
     zero = np.zeros_like(c)
     m_x = np.stack((al, be, -be, -al), -1).reshape(nx, ny, 2, 2)
     m_y = np.stack((zero, c * nu, c * ch, zero), -1).reshape(nx, ny, 2, 2)
-    u = _linear_march(m_y[0], np.array([[a0, b0], [r0, s0]]), hy)
-    u = _linear_march(m_x, u, hx)
+    # a frame that overflows is refused by assemble_four_metric's grid
+    with np.errstate(all="ignore"):
+        u = _linear_march(m_y[0], np.array([[a0, b0], [r0, s0]]), hy)
+        u = _linear_march(m_x, u, hx)
+        resid = _nanmax_interior(central_diff(_times(m_x)(u), hy, 1)
+                                 - central_diff(_times(m_y)(u), hx, 0))
     (a, b), (r, s) = np.moveaxis(u, (2, 3), (0, 1))
-
-    resid = _nanmax_interior(central_diff(_times(m_x)(u), hy, 1)
-                             - central_diff(_times(m_y)(u), hx, 0))
 
     if compat_threshold is not None and not (resid <= compat_threshold):
         raise CompatibilityError(
@@ -953,14 +958,16 @@ def assemble_four_metric(v: VecSysSolution, cp: CProfile,
     if c.shape != v.a.shape:
         raise GridError("profile window does not match the solution grid")
 
-    det = v.det
     xy = (slice(None), slice(None), None, None)
     g = np.zeros(c.shape + (1, 1, 4, 4))
     g[..., 0, 0] = 2.0
     g[..., 1, 1] = (2.0 * c * c)[xy]
-    g[..., 2, 2] = ((v.s ** 2 + v.b ** 2) / det ** 2)[xy]
-    g[..., 3, 3] = ((v.r ** 2 + v.a ** 2) / det ** 2)[xy]
-    guv = (-(v.s * v.r + v.a * v.b) / det ** 2)[xy]
+    # a non-finite component is refused by MetricGrid
+    with np.errstate(all="ignore"):
+        det = v.det
+        g[..., 2, 2] = ((v.s ** 2 + v.b ** 2) / det ** 2)[xy]
+        g[..., 3, 3] = ((v.r ** 2 + v.a ** 2) / det ** 2)[xy]
+        guv = (-(v.s * v.r + v.a * v.b) / det ** 2)[xy]
     g[..., 2, 3] = guv
     g[..., 3, 2] = guv
     metric = MetricGrid(axes, g, manifest=manifest)

@@ -8,7 +8,7 @@ import pytest
 
 from keflow import e2flow, leafpde, manifest, odes
 from keflow.cli import main
-from keflow.grids import Axis, TwoFormGrid
+from keflow.grids import Axis, TwoFormGrid, dump_artifact
 
 
 def read_json(path):
@@ -945,3 +945,71 @@ def test_manifests_are_reproducible(tmp_path):
         (d2 / "manifest.json").read_bytes()
     m = read_json(d1 / "manifest.json")
     assert set(m["outputs"]) == set(m["checksums"])
+
+
+def _refused_without_warning(capsys, argv):
+    """stderr of main(argv), which must exit 1 with no RuntimeWarning."""
+    capsys.readouterr()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(argv) == 1
+    assert not [str(w.message) for w in caught
+                if issubclass(w.category, RuntimeWarning)]
+    return capsys.readouterr().err
+
+
+# a singular h printed numpy's RuntimeWarning (divide by zero, overflow)
+# before the refusal; with warnings as errors the refusal quoted numpy
+@pytest.mark.parametrize("h_expr", ["log(x)", "1/x", "exp(1000*x)"])
+def test_leaf_build_refuses_a_singular_h_without_a_warning(tmp_path, capsys,
+                                                          h_expr):
+    err = _refused_without_warning(capsys, [
+        "--out-dir", str(tmp_path), "pde", "leaf-build", "--h-expr", h_expr,
+        "--domain", "0,1,1,2", "--n", "33"])
+    assert err == (f"error: harmonic expression {h_expr!r} is singular on "
+                   f"the domain\n")
+    assert not any(tmp_path.iterdir())
+
+
+# a metric whose leading minors overflow printed numpy's RuntimeWarning and
+# was then refused as "metric not invertible at node (0, 0, 0, 0)"
+@pytest.mark.parametrize("counts, diagonal, message", [
+    ((7, 7, 1, 1), 1e150, "metric minor 3 overflows at node (0, 0, 0, 0)"),
+    ((7, 7), 1e300, "metric minor 2 overflows at node (0, 0)"),
+])
+def test_pde_verify_refuses_a_metric_whose_minors_overflow(
+        tmp_path, capsys, counts, diagonal, message):
+    axes = [Axis(f"x{m}", 0.0, 0.1, n) for m, n in enumerate(counts)]
+    d = len(counts)
+    g = np.zeros(counts + (d, d))
+    for k in range(d):
+        g[..., k, k] = diagonal
+    path = tmp_path / "metric.json"
+    path.write_text(dump_artifact("metric_grid", axes, {"components": g}))
+    out = tmp_path / "out"
+    err = _refused_without_warning(capsys, [
+        "--out-dir", str(out), "pde", "verify", "--metric", str(path),
+        "--lam", "0"])
+    assert err == f"error: {message}\n"
+
+
+# a frame whose march or metric overflows (non-finite or huge entries, or a
+# determinant whose square underflows) printed numpy's RuntimeWarnings
+@pytest.mark.parametrize("init", ["0,0,0,inf", "1,0,0,1e300", "1e-320,0,0,1",
+                                  "1,1e308,1e308,1"])
+def test_pde_construct_refuses_a_frame_that_overflows(pde_run, tmp_path,
+                                                     capsys, init):
+    err = _refused_without_warning(capsys, [
+        "--out-dir", str(tmp_path), "pde", "construct", "--profile",
+        str(pde_run / "prof" / "cprofile.json"), "--init", init])
+    assert err == "error: non-finite metric component\n"
+    assert not any(tmp_path.iterdir())
+
+
+# exp(alpha (t - t0)) ended in an OverflowError traceback
+def test_bianchi_closed_form_growth_that_overflows_exits_1(tmp_path, capsys):
+    err = _refused_without_warning(capsys, [
+        "--out-dir", str(tmp_path), "bianchi", "solve", "--case", "poincare",
+        "--alpha", "1e308"])
+    assert err == "error: exp(alpha (t - t0)) overflows at t = 0.4\n"
+    assert not any(tmp_path.iterdir())

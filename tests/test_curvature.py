@@ -1,6 +1,7 @@
 import ast
 import importlib.util
 import sys
+import tracemalloc
 from itertools import combinations
 from pathlib import Path
 
@@ -11,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from keflow import bianchi as bi
 from keflow import curvature
 from keflow import e2flow as e2
+from keflow import leafpde as lp
 from keflow.curvature import (christoffel, convergence_order,
                               einstein_residual,
                               exterior_derivative_closedness,
@@ -555,3 +557,73 @@ def test_minor_check_names_lapacks_first_failing_node(dets):
         MetricGrid(axes, g)
     assert str(err.value) == ("metric not positive-definite: minor 2 fails "
                               f"at node {node}")
+
+
+# Row slabs: the four entry points evaluate node axis 0 slab by slab, and
+# must give the whole grid's bits at any slab size. The grids are the
+# README leaf (257 rows; phi varies along both axes) and the pde-sweep
+# metric (45x47x1x1, criterion 10's pipeline at h = 1e-2).
+
+@pytest.fixture(scope="module")
+def slab_grids():
+    n = 257
+    spec = lp.leaf_spec(Axis("x", 0.0, 1.0 / (n - 1), n),
+                        Axis("y", 1.0, 1.0 / (n - 1), n), h="x")
+    leaf, K = lp.leaf_metric(spec)
+    _, sweep, _ = acceptance.leaf_pipeline(1e-2, span=0.48)
+    x, y = (ax.nodes for ax in sweep.axes[:2])
+    u = np.sin(3.0 * x)[:, None, None, None] * np.exp(y)[None, :, None, None]
+    assert leaf.counts == (n, n) and sweep.counts == (45, 47, 1, 1)
+    return (leaf, np.log(K), -2.0), (sweep, u, 0.0)
+
+
+def whole_grid(grid, u, lam):
+    """The four entry points' values computed on the whole grid at once."""
+    g, steps, d = grid.components, grid.steps, grid.dim
+    arrays = [curvature._divergence(g, u, steps)]
+    if d == 2:
+        arrays.append(curvature._curvature(g, steps)[1][0, 0] / det(g))
+    _, g = collapse_constant(g, d)
+    ginv, low = curvature._lowered(g, steps)
+    return arrays, (interior_max(curvature._ricci(ginv, low) - lam * g, d),
+                    interior_max(curvature._raised(ginv, low), d))
+
+
+def by_slabs(grid, u, lam):
+    arrays = [laplace_beltrami(grid, u)]
+    if grid.dim == 2:
+        arrays.append(gauss_curvature_2d(grid))
+    return arrays, (einstein_residual(grid, lam), riemann_max(grid))
+
+
+# one-row slabs; 16 rows of the leaf and 11 of the sweep metric, so that
+# the last slab of each is partial (255 = 15 * 16 + 15, 43 = 3 * 11 + 10);
+# one slab
+@pytest.mark.parametrize("slab_bytes", [1, 2 ** 18 + 2 ** 14, 2 ** 40])
+def test_slabs_tile_the_whole_grid_bit_for_bit(slab_grids, monkeypatch,
+                                               slab_bytes):
+    monkeypatch.setattr(curvature, "SLAB_BYTES", slab_bytes)
+    for grid, u, lam in slab_grids:
+        arrays, maxima = by_slabs(grid, u, lam)
+        ref_arrays, ref_maxima = whole_grid(grid, u, lam)
+        for new, old in zip(arrays, ref_arrays):
+            assert_bits(new, old)
+        assert maxima == ref_maxima
+
+
+def traced_peak_mb(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2 ** 20
+    finally:
+        tracemalloc.stop()
+
+
+def test_slabs_bound_the_peak_memory(slab_grids):
+    # whole-grid peaks: 26.2, 8.2, 8.7 and 8.5 MB
+    (leaf, logK, _), (sweep, _, _) = slab_grids
+    assert traced_peak_mb(lambda: gauss_curvature_2d(leaf)) < 3.0
+    assert traced_peak_mb(lambda: laplace_beltrami(leaf, logK)) < 2.0
+    assert traced_peak_mb(lambda: einstein_residual(sweep, 0.0)) < 3.5
+    assert traced_peak_mb(lambda: riemann_max(sweep)) < 3.5

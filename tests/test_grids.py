@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -96,6 +97,32 @@ def test_padded_metric_reports_first_failing_node():
         MetricGrid(axes, g)
     assert str(err.value) == (
         "metric not positive-definite: minor 2 fails at node (3, 4, 0, 0)")
+
+
+# A positive-definite metric whose leading minors overflow used to print
+# numpy's overflow RuntimeWarning (from the closed-form 2x2 determinant's
+# multiply in 2D, from LAPACK's det in 4D) and load, inf being positive;
+# curvature then refused it as "metric not invertible at node (0, 0, 0, 0)"
+@pytest.mark.parametrize("counts, scaled, diagonal, message", [
+    ((7, 7), (), 1e300, "metric minor 2 overflows at node (0, 0)"),
+    ((7, 7, 1, 1), (), 1e150,
+     "metric minor 3 overflows at node (0, 0, 0, 0)"),
+    ((7, 9, 5, 5), (2, 3), 1e150,
+     "metric minor 3 overflows at node (2, 3, 0, 0)"),
+])
+def test_metric_whose_minors_overflow_is_refused(counts, scaled, diagonal,
+                                                 message):
+    d = len(counts)
+    axes = [Axis(f"x{m}", 0.0, 0.1, n) for m, n in enumerate(counts)]
+    g = np.zeros(counts + (d, d))
+    for k in range(d):
+        g[..., k, k] = 1.0
+    g[scaled] *= diagonal
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(GridError) as err:
+            MetricGrid(axes, g)
+    assert str(err.value) == message
 
 
 def test_metric_grid_too_few_nodes():
