@@ -408,10 +408,8 @@ def pde_leaf_build(ctx, h_expr, domain, n, nx, ny, ell_axis):
                    "axis's own step].")
 @click.option("--y-start", type=float, default=None,
               help="First base-curve seed [default: two steps in].")
-@click.option("--substeps", type=int, default=4, show_default=True,
-              help="Geodesic integrator substeps per profile step.")
 @click.pass_context
-def pde_profile(ctx, spec_path, nx, ny, step, y_start, substeps):
+def pde_profile(ctx, spec_path, nx, ny, step, y_start):
     """Shoot geodesics off the left edge and extract the profile c(x, y)."""
     spec = lp.LeafSpec.from_json(Path(spec_path).read_bytes())
     g, _ = lp.leaf_metric(spec)
@@ -423,11 +421,10 @@ def pde_profile(ctx, spec_path, nx, ny, step, y_start, substeps):
 
     mf = RunManifest("pde profile",
                      {"spec": str(spec_path), "nx": nx, "ny": ny,
-                      "step": step, "y_start": y_start,
-                      "substeps": substeps}, {})
+                      "step": step, "y_start": y_start}, {})
     out = ctx.obj["out_dir"]
 
-    cp = lp.geodesic_parallel_profile(g, x_axis, y_axis, substeps=substeps)
+    cp = lp.geodesic_parallel_profile(g, x_axis, y_axis)
     mf.write_text(cp.to_json(), out / "cprofile.json")
     mf.write_json({"coverage": cp.coverage, "truncated": cp.truncated,
                    "truncation_reason": cp.truncation_reason,

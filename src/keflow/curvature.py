@@ -15,10 +15,13 @@ rounding on the valid interior.
 
 Only the pair blocks a < b, c < d of R_abcd are computed (1 component in
 2D instead of 16, 36 in 4D instead of 256), with the quadratic term taken
-as Gamma^f_bc (g_fe Gamma^e_ad); R_bacd and R_abdc are filled in by exact
-negation, so the antisymmetry in each index pair holds bitwise, and the
-components with a == b or c == d are exactly zero (NaN on the margin).
-`gauss_curvature_2d` reads its one block directly.
+as Gamma^f_bc (g_fe Gamma^e_ad). The checks never build R_abcd: `_raised`
+unfolds and raises only the first index pair, H[a, b, q] = R^a_bkl with
+(k, l) the q-th pair, `riemann_max` reads every |R^a_bcd| off H, and
+`_ricci` sums Ric_bd = R^a_bad from H pair by pair. `gauss_curvature_2d`
+reads its one block directly. Only `riemann_lowered` writes out all d^4
+components, R_bacd and R_abdc by exact negation, so the antisymmetry in
+each index pair holds bitwise, and those with a == b or c == d as zero.
 
 The core is component-major (component indices lead, node axes trail),
 so stencils and products run over contiguous node arrays. It differences
@@ -40,18 +43,18 @@ since every node along it has the same curvature. The test is exact
 equality, never a tolerance: an axis along which the metric varies by a
 single ulp is differenced in full, so the cut skips only work whose result
 is known exactly, and the checker reads it from the numbers instead of
-trusting the code that built the grid. The array functions (`ricci`,
-`riemann`, ...) evaluate every node and keep the NaN margin.
+trusting the code that built the grid. The array functions (`christoffel`,
+`riemann_lowered`, `ricci`) evaluate every node and keep the NaN margin.
 
-The four entry points `einstein_residual`, `riemann_max`,
+The entry points `einstein_residual`, `riemann_max`, `ricci`,
 `gauss_curvature_2d` and `laplace_beltrami` evaluate node axis 0 in row
 slabs (`_slabs`), so that no temporary spans the whole grid: a 257^2 leaf
 needs about 2 MB instead of 26 MB. Every stencil reads at most one
 neighbour per axis, so each slab carries one halo row on either side and
 its other rows are exactly the full grid's; every other operation is
-elementwise per node. The results are therefore bit for bit those of the
-whole grid in one slab, NaN margin included: the margin rows come from the end slabs' own
-stencils, and the checks take the max of each slab's interior max.
+elementwise per node. So the results are bit for bit the whole grid's,
+NaN margin included: the margin rows come from the end slabs' own
+stencils; the arrays join the slabs' own rows, the checks their maxima.
 """
 
 from __future__ import annotations
@@ -94,17 +97,17 @@ def _inverse_metric(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _slabs(g: np.ndarray):
-    """Row slabs of node axis 0 of g[..., d, d], as slices
-    (window, own, rows): g[window] is evaluated, and its rows `own` are the
-    output's `rows`. A window is its rows plus one halo row on each side,
-    so neighbouring windows overlap by two rows; the grid's margin rows
+    """Row slabs of node axis 0 of g[..., d, d], as slices (window, own):
+    g[window] is evaluated, and its rows `own`, slab after slab, tile the
+    output. A window is its rows plus one halo row on each side, so
+    neighbouring windows overlap by two rows; the grid's margin rows
     belong to the end windows. An axis 0 of one node is one slab."""
     n, d = g.shape[0], g.shape[-1]
     step = max(1, SLAB_BYTES // (8 * d ** 3 * (g[0].size // (d * d))))
     for lo in range(0, max(n - 2, 1), step):
         hi = min(lo + step + 2, n)
         a, b = lo + (lo > 0), hi - (hi < n)
-        yield slice(lo, hi), slice(a - lo, b - lo), slice(a, b)
+        yield slice(lo, hi), slice(a - lo, b - lo)
 
 
 def _component_major(a: np.ndarray) -> np.ndarray:
@@ -119,22 +122,21 @@ def _contract(m: np.ndarray, t: np.ndarray) -> np.ndarray:
 
 
 def _connection(g: np.ndarray, steps) -> tuple[np.ndarray, np.ndarray]:
-    """Inverse metric ginv[..., k, l] and Christoffel symbols of g, the
-    latter component-major: Gamma[k, i, j] over the nodes.
+    """Inverse metric ginv[k, l] and Christoffel symbols Gamma[k, i, j] of
+    g over the nodes, both component-major.
 
-    g holds components with the node axes leading, as ginv does; every
-    axis of more than one node gets a NaN boundary layer. Gamma is exactly
-    symmetric in (i, j).
+    g holds components with the node axes leading; every axis of more than
+    one node gets a NaN boundary layer. Gamma is exactly symmetric in (i, j).
     """
     comp = _component_major(g)
     # dg[m, i, j] = d g_ij / d x_m
     dg = np.stack([central_diff(comp, step, m + 2)
                    for m, step in enumerate(steps)])
-    _, ginv = _inverse_metric(g)
+    ginv = _component_major(_inverse_metric(g)[1])
     t1 = np.swapaxes(dg, 0, 1)            # [l, i, j] = d_i g_lj
     t2 = np.moveaxis(dg, 0, 2)            # [l, i, j] = d_j g_li
     t3 = dg                               # [l, i, j] = d_l g_ij
-    return ginv, 0.5 * _contract(_component_major(ginv), t1 + t2 - t3)
+    return ginv, 0.5 * _contract(ginv, t1 + t2 - t3)
 
 
 @cache
@@ -168,7 +170,7 @@ def _pair_maps(d: int):
 
 def _curvature(g: np.ndarray, steps) -> tuple[np.ndarray, np.ndarray]:
     """Inverse metric and the pair blocks B[p, q, ...] of the lowered
-    curvature of g, component-major: B[p, q] = R_ijkl over the nodes, with
+    curvature of g, both component-major: B[p, q] = R_ijkl over the nodes, with
     (i, j) = pairs[p] and (k, l) = pairs[q] (see `_pair_maps`).
 
     The one curvature core: the array functions call it on the full grid,
@@ -192,28 +194,27 @@ def _curvature(g: np.ndarray, steps) -> tuple[np.ndarray, np.ndarray]:
     return ginv, blocks
 
 
-def _lowered(g: np.ndarray, steps) -> tuple[np.ndarray, np.ndarray]:
-    """Inverse metric and R[..., a, b, c, d] = R_abcd of g from the pair
-    blocks of `_curvature`: R_bacd and R_abdc are the blocks negated, and
-    a == b or c == d gives zero, NaN on the margin of the blocks."""
+def _raised(g: np.ndarray, steps) -> np.ndarray:
+    """H[a, b, q] = R^a_{bkl} = g^ae R_ebkl over the nodes, summed in the
+    order of e, with (k, l) = pairs[q]; NaN margin 1. R_ebkl for e > b is
+    block (b, e) negated, zero for e == b."""
     ginv, blocks = _curvature(g, steps)
-    i, j, k, l = _pair_maps(len(steps))[0]
-    node_major = np.moveaxis(blocks, (0, 1), (-2, -1))
-    R = np.zeros(g.shape[:-2] + (len(steps),) * 4)
-    R[..., i, j, k, l] = node_major
-    R[..., j, i, l, k] = node_major
-    R[..., j, i, k, l] = -node_major
-    R[..., i, j, l, k] = -node_major
-    R[np.isnan(blocks[0, 0])] = np.nan
-    return ginv, R
+    k, l = _pair_maps(len(steps))[0][2:]
+    low = np.zeros((len(steps),) * 2 + blocks.shape[1:])
+    low[k, l], low[l, k] = blocks, -blocks     # low[e, b, q] = R_ebkl
+    return _contract(ginv, low)
 
 
-def _ricci(ginv: np.ndarray, lowered: np.ndarray) -> np.ndarray:
-    return np.einsum("...ae,...ebad->...bd", ginv, lowered)
-
-
-def _raised(ginv: np.ndarray, lowered: np.ndarray) -> np.ndarray:
-    return np.einsum("...ae,...ebcd->...abcd", ginv, lowered)
+def _ricci(H: np.ndarray) -> np.ndarray:
+    """Ric[..., b, d] = sum_a R^a_{bad} from H of `_raised`, summed over
+    the pairs in order: pair q = (k, l) adds R^k_{bkl} = H[k, b, q] to
+    Ric_bl and R^l_{blk} = -H[l, b, q] to Ric_bk. NaN margin 1."""
+    d = len(H)
+    ric = np.zeros((d, d) + H.shape[3:])
+    for q, (k, l) in enumerate(zip(*_pair_maps(d)[0][2:])):
+        ric[:, l] += H[k, :, q]
+        ric[:, k] -= H[l, :, q]
+    return np.moveaxis(ric, (0, 1), (-2, -1))
 
 
 def christoffel(grid: MetricGrid) -> np.ndarray:
@@ -230,12 +231,14 @@ def riemann_lowered(grid: MetricGrid) -> np.ndarray:
 
     Sign convention fixed by R_0101 = det(g) K on a round sphere (K = +1).
     """
-    return _lowered(grid.components, grid.steps)[1]
-
-
-def riemann(grid: MetricGrid) -> np.ndarray:
-    """Curvature tensor R[..., a, b, c, d] = R^a_{bcd}; NaN margin 1."""
-    return _raised(*_lowered(grid.components, grid.steps))
+    blocks = _curvature(grid.components, grid.steps)[1]
+    i, j, k, l = _pair_maps(grid.dim)[0]
+    node_major = np.moveaxis(blocks, (0, 1), (-2, -1))
+    R = np.zeros(grid.counts + (grid.dim,) * 4)
+    R[..., i, j, k, l] = R[..., j, i, l, k] = node_major
+    R[..., j, i, k, l] = R[..., i, j, l, k] = -node_major
+    R[np.isnan(blocks[0, 0])] = np.nan
+    return R
 
 
 def ricci(grid: MetricGrid) -> np.ndarray:
@@ -243,7 +246,9 @@ def ricci(grid: MetricGrid) -> np.ndarray:
 
     Sign fixed by Ric = K g on a round sphere; symmetric to rounding.
     """
-    return _ricci(*_lowered(grid.components, grid.steps))
+    g = grid.components
+    return np.concatenate([_ricci(_raised(g[win], grid.steps))[own]
+                           for win, own in _slabs(g)])
 
 
 def interior_max(arr: np.ndarray, dim: int) -> float:
@@ -261,8 +266,9 @@ def interior_max(arr: np.ndarray, dim: int) -> float:
 def riemann_max(grid: MetricGrid) -> float:
     """Componentwise max |R^a_{bcd}| over the valid interior."""
     _, g = collapse_constant(grid.components, grid.dim)
-    return max(interior_max(_raised(*_lowered(g[win], grid.steps)), grid.dim)
-               for win, _, _ in _slabs(g))
+    return max(interior_max(np.moveaxis(_raised(g[win], grid.steps),
+                                        (0, 1, 2), (-3, -2, -1)), grid.dim)
+               for win, _ in _slabs(g))
 
 
 def einstein_residual(grid: MetricGrid, lam: float) -> float:
@@ -273,9 +279,9 @@ def einstein_residual(grid: MetricGrid, lam: float) -> float:
         lam_g = lam * g
     if not np.all(np.isfinite(lam_g)):
         raise GridError(f"lam * g is not finite for lam = {lam!r}")
-    return max(interior_max(_ricci(*_lowered(g[win], grid.steps))
-                            - lam_g[win], grid.dim)
-               for win, _, _ in _slabs(g))
+    return max(interior_max(_ricci(_raised(g[win], grid.steps)) - lam_g[win],
+                            grid.dim)
+               for win, _ in _slabs(g))
 
 
 def gauss_curvature_2d(grid: MetricGrid) -> np.ndarray:
@@ -283,11 +289,8 @@ def gauss_curvature_2d(grid: MetricGrid) -> np.ndarray:
     if grid.dim != 2:
         raise GridError("gauss_curvature_2d needs a 2D grid")
     g = grid.components
-    out = np.empty(grid.counts)
-    for win, own, rows in _slabs(g):
-        out[rows] = (_curvature(g[win], grid.steps)[1][0, 0]
-                     / det(g[win]))[own]
-    return out
+    return np.concatenate([(_curvature(g[win], grid.steps)[1][0, 0]
+                            / det(g[win]))[own] for win, own in _slabs(g)])
 
 
 def laplace_beltrami(grid: MetricGrid, u: np.ndarray) -> np.ndarray:
@@ -300,10 +303,9 @@ def laplace_beltrami(grid: MetricGrid, u: np.ndarray) -> np.ndarray:
     u = np.asarray(u, dtype=np.float64)
     if u.shape != grid.counts:
         raise GridError(f"scalar shape {u.shape} != grid shape {grid.counts}")
-    out = np.empty_like(u)
-    for win, own, rows in _slabs(grid.components):
-        out[rows] = _divergence(grid.components[win], u[win], grid.steps)[own]
-    return out
+    return np.concatenate([_divergence(grid.components[win], u[win],
+                                       grid.steps)[own]
+                           for win, own in _slabs(grid.components)])
 
 
 def _divergence(g: np.ndarray, u: np.ndarray, steps) -> np.ndarray:

@@ -40,6 +40,8 @@ from .frame_algebra import sys_flow
 SQRT2 = math.sqrt(2.0)
 # leaf_spec's relative harmonicity bound; the profile's caustic floor on c
 HARMONIC_TOL, C_FLOOR = 1e-4, 1e-8
+# RK4 steps of the geodesic shoot per profile step
+SUBSTEPS = 4
 
 _H_NAMESPACE = {
     "log": np.log, "exp": np.exp, "sin": np.sin, "cos": np.cos,
@@ -570,14 +572,13 @@ def base_curve_axis(sy: Axis, step: float, start: float | None = None,
 
 
 def geodesic_parallel_profile(g: MetricGrid, x_axis: Axis | None = None,
-                              y_axis: Axis | None = None,
-                              substeps: int = 4) -> CProfile:
+                              y_axis: Axis | None = None) -> CProfile:
     """Extract c of the form 2(dx^2 + c^2 dy^2) by shooting geodesics.
 
     The base curve is the left edge of the source domain, parametrized by
     the source y coordinate. Geodesics leave it orthogonally with squared
     speed 2, integrated with a classical fixed-step fourth-order scheme
-    (substeps >= 1 per profile step). g must be conformal, phi (dx^2 +
+    (SUBSTEPS per profile step). g must be conformal, phi (dx^2 +
     dy^2), as every leaf metric is; any other metric raises GridError
     before a spline is fitted. phi between nodes comes from one
     not-a-knot spline, quintic (cubic along a 5-node axis), fitted here
@@ -603,8 +604,6 @@ def geodesic_parallel_profile(g: MetricGrid, x_axis: Axis | None = None,
     if np.any(gxy != 0.0) or np.any(gyy != gxx):
         raise GridError("the profile needs a conformal metric "
                         "phi (dx^2 + dy^2), as every leaf metric is")
-    if substeps < 1:
-        raise DomainError(f"substeps must be at least 1, got {substeps}")
     sx, sy = g.axes
     if x_axis is None:
         x_axis = Axis("x", 0.0, sx.step, sx.count)
@@ -637,7 +636,7 @@ def geodesic_parallel_profile(g: MetricGrid, x_axis: Axis | None = None,
     X = np.empty((n_park,) + np.shape(lanes))
     Y = np.empty((n_park,) + np.shape(lanes))
     X[0], Y[0] = px, py
-    hs = x_axis.step / substeps
+    hs = x_axis.step / SUBSTEPS
     delivered = n_park
     reason = ""
 
@@ -654,7 +653,7 @@ def geodesic_parallel_profile(g: MetricGrid, x_axis: Axis | None = None,
         return _geodesic_rhs(spline, w)
 
     for i in range(1, n_park):
-        for _ in range(substeps):
+        for _ in range(SUBSTEPS):
             u = _rk4(rhs, rhs, rhs, u, hs)
             if not inside(u[0], u[1]).all():
                 break
@@ -703,7 +702,7 @@ def geodesic_parallel_profile(g: MetricGrid, x_axis: Axis | None = None,
     return CProfile(out_axis, y_axis, np.sqrt(c2), Xc, Yc,
                     coverage=delivered / n_park, truncated=truncated,
                     truncation_reason=reason,
-                    meta={"base_curve": "left edge", "substeps": substeps})
+                    meta={"base_curve": "left edge", "substeps": SUBSTEPS})
 
 
 # ---------------------------------------------------------------------------
@@ -906,8 +905,9 @@ def integrate_vecsys(coeffs: VecSysCoefficients, cp: CProfile,
     """
     a0, b0, r0, s0 = (float(v) for v in init)
     det0 = a0 * s0 - r0 * b0
-    if det0 == 0.0:
-        raise DomainError("initial frame must have as - rb != 0")
+    if det0 == 0.0 or not math.isfinite(det0):
+        raise DomainError("initial frame must have a finite, nonzero "
+                          f"as - rb, got {det0!r}")
 
     win = _finite_window((coeffs.alpha, coeffs.beta, coeffs.nu, coeffs.chi))
     al, be = coeffs.alpha[win], coeffs.beta[win]

@@ -756,18 +756,6 @@ def test_leaf_build_refuses_steps_whose_square_is_not_normal(
     assert not any(tmp_path.iterdir())
 
 
-@pytest.mark.parametrize("substeps", ["0", "-1"])
-def test_pde_profile_rejects_substeps_below_one(pde_run, tmp_path, capsys,
-                                                substeps):
-    capsys.readouterr()
-    assert main(["--out-dir", str(tmp_path), "pde", "profile",
-                 "--spec", str(pde_run / "spec" / "leafspec.json"),
-                 "--substeps", substeps]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: substeps must be at least 1")
-    assert not (tmp_path / "cprofile.json").exists()
-
-
 @pytest.mark.parametrize("option", ["--nx", "--ny"])
 @pytest.mark.parametrize("count", ["0", "1", "-3"])
 def test_pde_profile_rejects_counts_below_two(pde_run, tmp_path, capsys,
@@ -993,16 +981,30 @@ def test_pde_verify_refuses_a_metric_whose_minors_overflow(
     assert err == f"error: {message}\n"
 
 
-# a frame whose march or metric overflows (non-finite or huge entries, or a
-# determinant whose square underflows) printed numpy's RuntimeWarnings
-@pytest.mark.parametrize("init", ["0,0,0,inf", "1,0,0,1e300", "1e-320,0,0,1",
-                                  "1,1e308,1e308,1"])
+# a frame whose march or metric overflows (huge entries, or a determinant
+# whose square underflows) printed numpy's RuntimeWarnings
+@pytest.mark.parametrize("init", ["1,0,0,1e300", "1e-320,0,0,1"])
 def test_pde_construct_refuses_a_frame_that_overflows(pde_run, tmp_path,
                                                      capsys, init):
     err = _refused_without_warning(capsys, [
         "--out-dir", str(tmp_path), "pde", "construct", "--profile",
         str(pde_run / "prof" / "cprofile.json"), "--init", init])
     assert err == "error: non-finite metric component\n"
+    assert not any(tmp_path.iterdir())
+
+
+# a non-finite entry, or finite ones whose as - rb overflows, was refused
+# only by the assembled metric's "non-finite metric component"
+@pytest.mark.parametrize("init, det0", [
+    ("nan,1,1,1", "nan"), ("0,0,0,inf", "nan"), ("1e200,0,0,1e200", "inf"),
+    ("1,1e308,1e308,1", "-inf")])
+def test_pde_construct_refuses_an_initial_frame_whose_det_is_not_finite(
+        pde_run, tmp_path, capsys, init, det0):
+    err = _refused_without_warning(capsys, [
+        "--out-dir", str(tmp_path), "pde", "construct", "--profile",
+        str(pde_run / "prof" / "cprofile.json"), "--init", init])
+    assert err == ("error: initial frame must have a finite, nonzero "
+                   f"as - rb, got {det0}\n")
     assert not any(tmp_path.iterdir())
 
 

@@ -71,7 +71,7 @@ COMMANDS = {
     "pde profile": ([], {
         "--spec": _paths("leafspec.json", "cprofile.json"),
         "--nx": _ints, "--ny": _ints, "--step": _floats,
-        "--y-start": _floats, "--substeps": _ints}),
+        "--y-start": _floats}),
     "pde construct": ([], {
         "--profile": _paths("cprofile.json", "leafspec.json"),
         "--init": _list(4), "--compat-threshold": _floats}),
