@@ -50,11 +50,14 @@ The entry points `einstein_residual`, `riemann_max`, `ricci`,
 `gauss_curvature_2d` and `laplace_beltrami` evaluate node axis 0 in row
 slabs (`_slabs`), so that no temporary spans the whole grid: a 257^2 leaf
 needs about 2 MB instead of 26 MB. Every stencil reads at most one
-neighbour per axis, so each slab carries one halo row on either side and
-its other rows are exactly the full grid's; every other operation is
-elementwise per node. So the results are bit for bit the whole grid's,
-NaN margin included: the margin rows come from the end slabs' own
-stencils; the arrays join the slabs' own rows, the checks their maxima.
+neighbour per axis, so each slab's stencils run on a window with one halo
+row on either side, and their values on the slab's own rows are exactly
+the full grid's; every other operation is elementwise per node and runs
+on the own rows alone, except in `laplace_beltrami`, whose staggered
+fluxes read the halo rows' weights. So the results are bit for bit the
+whole grid's, NaN margin included: the margin rows come from the end
+slabs' own stencils; the arrays join the slabs' rows, and the checks,
+whose slabs tile the interior rows, take the maximum of theirs.
 """
 
 from __future__ import annotations
@@ -96,17 +99,19 @@ def _inverse_metric(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return dets, 0.5 * (ginv + np.swapaxes(ginv, -1, -2))
 
 
-def _slabs(g: np.ndarray):
-    """Row slabs of node axis 0 of g[..., d, d], as slices (window, own):
-    g[window] is evaluated, and its rows `own`, slab after slab, tile the
-    output. A window is its rows plus one halo row on each side, so
+def _slabs(g: np.ndarray, inner: bool = False):
+    """Row slabs of node axis 0 of g[..., d, d], as slices (window, rows):
+    the stencils run on g[window], everything else on its rows `rows`,
+    and the rows, slab after slab, tile axis 0, or its margin-1 interior
+    if `inner`. A window is its rows plus one halo row on each side, so
     neighbouring windows overlap by two rows; the grid's margin rows
-    belong to the end windows. An axis 0 of one node is one slab."""
+    belong to the end windows. An axis 0 of one node is one slab, whole."""
     n, d = g.shape[0], g.shape[-1]
     step = max(1, SLAB_BYTES // (8 * d ** 3 * (g[0].size // (d * d))))
+    edge = not inner or n == 1
     for lo in range(0, max(n - 2, 1), step):
         hi = min(lo + step + 2, n)
-        a, b = lo + (lo > 0), hi - (hi < n)
+        a, b = lo + (lo > 0 or not edge), hi - (hi < n or not edge)
         yield slice(lo, hi), slice(a - lo, b - lo)
 
 
@@ -121,9 +126,10 @@ def _contract(m: np.ndarray, t: np.ndarray) -> np.ndarray:
     return sum(m[:, l, None, None] * t[None, l] for l in range(len(m)))
 
 
-def _connection(g: np.ndarray, steps) -> tuple[np.ndarray, np.ndarray]:
+def _connection(g: np.ndarray, steps,
+                rows: slice = slice(None)) -> tuple[np.ndarray, np.ndarray]:
     """Inverse metric ginv[k, l] and Christoffel symbols Gamma[k, i, j] of
-    g over the nodes, both component-major.
+    g over the nodes of its rows `rows` (node axis 0), both component-major.
 
     g holds components with the node axes leading; every axis of more than
     one node gets a NaN boundary layer. Gamma is exactly symmetric in (i, j).
@@ -131,8 +137,8 @@ def _connection(g: np.ndarray, steps) -> tuple[np.ndarray, np.ndarray]:
     comp = _component_major(g)
     # dg[m, i, j] = d g_ij / d x_m
     dg = np.stack([central_diff(comp, step, m + 2)
-                   for m, step in enumerate(steps)])
-    ginv = _component_major(_inverse_metric(g)[1])
+                   for m, step in enumerate(steps)])[:, :, :, rows]
+    ginv = _component_major(_inverse_metric(g[rows])[1])
     t1 = np.swapaxes(dg, 0, 1)            # [l, i, j] = d_i g_lj
     t2 = np.moveaxis(dg, 0, 2)            # [l, i, j] = d_j g_li
     t3 = dg                               # [l, i, j] = d_l g_ij
@@ -168,10 +174,13 @@ def _pair_maps(d: int):
     return (i, j, k, l), groups, terms
 
 
-def _curvature(g: np.ndarray, steps) -> tuple[np.ndarray, np.ndarray]:
+def _curvature(g: np.ndarray, steps,
+               rows: slice = slice(None)) -> tuple[np.ndarray, np.ndarray]:
     """Inverse metric and the pair blocks B[p, q, ...] of the lowered
-    curvature of g, both component-major: B[p, q] = R_ijkl over the nodes, with
-    (i, j) = pairs[p] and (k, l) = pairs[q] (see `_pair_maps`).
+    curvature of g, both component-major: B[p, q] = R_ijkl over the nodes
+    of rows `rows` of node axis 0, with (i, j) = pairs[p] and (k, l) =
+    pairs[q] (see `_pair_maps`). The stencils run on all of g, every
+    node-wise product on those rows alone.
 
     The one curvature core: the array functions call it on the full grid,
     the scalar checks on one slice per symmetry axis.
@@ -184,9 +193,9 @@ def _curvature(g: np.ndarray, steps) -> tuple[np.ndarray, np.ndarray]:
     ddg = np.concatenate([
         second_diff(comp[a, b], steps[m], m + 1) if m == n
         else mixed_diff(comp[a, b], steps[m], m + 1, steps[n], n + 1)
-        for (m, n), a, b in groups])
-    ginv, gamma = _connection(g, steps)
-    glow = _contract(comp, gamma)         # [f, i, l] = g_fe Gamma^e_il
+        for (m, n), a, b in groups])[:, rows]
+    ginv, gamma = _connection(g, steps, rows)
+    glow = _contract(comp[:, :, rows], gamma)   # [f, i, l] = g_fe Gamma^e_il
     t1, t2, t3, t4 = (ddg[t] for t in terms)
     blocks = (0.5 * (t1 + t2 - t3 - t4)
               + sum(gamma[f, j, k] * glow[f, i, l] for f in range(d))
@@ -194,11 +203,12 @@ def _curvature(g: np.ndarray, steps) -> tuple[np.ndarray, np.ndarray]:
     return ginv, blocks
 
 
-def _raised(g: np.ndarray, steps) -> np.ndarray:
-    """H[a, b, q] = R^a_{bkl} = g^ae R_ebkl over the nodes, summed in the
-    order of e, with (k, l) = pairs[q]; NaN margin 1. R_ebkl for e > b is
-    block (b, e) negated, zero for e == b."""
-    ginv, blocks = _curvature(g, steps)
+def _raised(g: np.ndarray, steps, rows: slice = slice(None)) -> np.ndarray:
+    """H[a, b, q] = R^a_{bkl} = g^ae R_ebkl over the nodes of rows `rows`
+    (see `_curvature`), summed in the order of e, with (k, l) = pairs[q];
+    NaN margin 1. R_ebkl for e > b is block (b, e) negated, zero for
+    e == b."""
+    ginv, blocks = _curvature(g, steps, rows)
     k, l = _pair_maps(len(steps))[0][2:]
     low = np.zeros((len(steps),) * 2 + blocks.shape[1:])
     low[k, l], low[l, k] = blocks, -blocks     # low[e, b, q] = R_ebkl
@@ -247,8 +257,8 @@ def ricci(grid: MetricGrid) -> np.ndarray:
     Sign fixed by Ric = K g on a round sphere; symmetric to rounding.
     """
     g = grid.components
-    return np.concatenate([_ricci(_raised(g[win], grid.steps))[own]
-                           for win, own in _slabs(g)])
+    return np.concatenate([_ricci(_raised(g[win], grid.steps, rows))
+                           for win, rows in _slabs(g)])
 
 
 def interior_max(arr: np.ndarray, dim: int) -> float:
@@ -263,12 +273,19 @@ def interior_max(arr: np.ndarray, dim: int) -> float:
     return float(vals.max())
 
 
+def _rows_max(arr: np.ndarray, dim: int) -> float:
+    """interior_max of node-major values on a slab's rows of the margin-1
+    interior (`_slabs(g, inner=True)`): the rows move past the components,
+    so only node axes 1 .. dim - 1 lose a margin."""
+    return interior_max(np.moveaxis(arr, 0, -1), dim - 1)
+
+
 def riemann_max(grid: MetricGrid) -> float:
     """Componentwise max |R^a_{bcd}| over the valid interior."""
     _, g = collapse_constant(grid.components, grid.dim)
-    return max(interior_max(np.moveaxis(_raised(g[win], grid.steps),
-                                        (0, 1, 2), (-3, -2, -1)), grid.dim)
-               for win, _ in _slabs(g))
+    return max(_rows_max(np.moveaxis(_raised(g[win], grid.steps, rows),
+                                     (0, 1, 2), (-3, -2, -1)), grid.dim)
+               for win, rows in _slabs(g, inner=True))
 
 
 def einstein_residual(grid: MetricGrid, lam: float) -> float:
@@ -279,9 +296,9 @@ def einstein_residual(grid: MetricGrid, lam: float) -> float:
         lam_g = lam * g
     if not np.all(np.isfinite(lam_g)):
         raise GridError(f"lam * g is not finite for lam = {lam!r}")
-    return max(interior_max(_ricci(_raised(g[win], grid.steps)) - lam_g[win],
-                            grid.dim)
-               for win, _ in _slabs(g))
+    return max(_rows_max(_ricci(_raised(g[win], grid.steps, rows))
+                         - lam_g[win][rows], grid.dim)
+               for win, rows in _slabs(g, inner=True))
 
 
 def gauss_curvature_2d(grid: MetricGrid) -> np.ndarray:
@@ -289,8 +306,8 @@ def gauss_curvature_2d(grid: MetricGrid) -> np.ndarray:
     if grid.dim != 2:
         raise GridError("gauss_curvature_2d needs a 2D grid")
     g = grid.components
-    return np.concatenate([(_curvature(g[win], grid.steps)[1][0, 0]
-                            / det(g[win]))[own] for win, own in _slabs(g)])
+    return np.concatenate([_curvature(g[win], grid.steps, rows)[1][0, 0]
+                           / det(g[win][rows]) for win, rows in _slabs(g)])
 
 
 def laplace_beltrami(grid: MetricGrid, u: np.ndarray) -> np.ndarray:
@@ -304,8 +321,8 @@ def laplace_beltrami(grid: MetricGrid, u: np.ndarray) -> np.ndarray:
     if u.shape != grid.counts:
         raise GridError(f"scalar shape {u.shape} != grid shape {grid.counts}")
     return np.concatenate([_divergence(grid.components[win], u[win],
-                                       grid.steps)[own]
-                           for win, own in _slabs(grid.components)])
+                                       grid.steps)[rows]
+                           for win, rows in _slabs(grid.components)])
 
 
 def _divergence(g: np.ndarray, u: np.ndarray, steps) -> np.ndarray:

@@ -102,6 +102,18 @@ def collapse_constant(arr: np.ndarray, naxes: int):
                             for m in range(naxes))]
 
 
+def constant_cut(axes, *fields):
+    """(axes, *fields) with every axis along which all the fields are
+    exactly constant (constant_axes) cut to its first node; the fields
+    are cut as views, so the axes are `axes` if nothing is cut."""
+    const = set.intersection(*(set(constant_axes(f, len(axes)))
+                               for f in fields))
+    keep = tuple(slice(0, 1) if m in const else slice(None)
+                 for m in range(len(axes)))
+    return (tuple(Axis(ax.name, ax.start, ax.step, 1) if m in const else ax
+                  for m, ax in enumerate(axes)), *(f[keep] for f in fields))
+
+
 def encode_array(arr: np.ndarray, naxes: int) -> dict:
     """Artifact form of a node array: each of its first `naxes` axes on
     which it is constant bit for bit (0.0 and -0.0 differ here) is

@@ -32,10 +32,11 @@ import numpy as np
 
 from .errors import CompatibilityError, DomainError, GridError
 from .grids import (Axis, MetricGrid, TwoFormGrid, central_diff,
-                    check_axis_counts, constant_axes, dump_artifact,
+                    check_axis_counts, constant_cut, dump_artifact,
                     interior, load_artifact, second_diff)
 from .curvature import gauss_curvature_2d, interior_max, laplace_beltrami
 from .frame_algebra import sys_flow
+from .spline import factor_spline
 
 SQRT2 = math.sqrt(2.0)
 # leaf_spec's relative harmonicity bound; the profile's caustic floor on c
@@ -119,9 +120,11 @@ def _refuse_short_axes(x_axis: Axis, y_axis: Axis) -> None:
         raise GridError(f"need at least 2 nodes per axis, got {shape}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class LeafSpec:
-    """Flat-patch conformal data (l, h) for a leaf-like metric."""
+    """Flat-patch conformal data (l, h) for a leaf-like metric. Frozen, so
+    every spec is validated: a changed one is made by dataclasses.replace,
+    which runs __post_init__ again."""
 
     x_axis: Axis
     y_axis: Axis
@@ -132,8 +135,9 @@ class LeafSpec:
     def __post_init__(self) -> None:
         _refuse_short_axes(self.x_axis, self.y_axis)
         shape = (self.x_axis.count, self.y_axis.count)
-        self.ell = np.asarray(self.ell, dtype=np.float64)
-        self.h = np.asarray(self.h, dtype=np.float64)
+        for name in ("ell", "h"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name),
+                                                      dtype=np.float64))
         if self.ell.shape != shape or self.h.shape != shape:
             raise GridError(f"ell/h shape must be {shape}")
         if not np.all(self.ell > 0.0):
@@ -193,21 +197,9 @@ def _rescaled_deviation(spec: LeafSpec) -> float:
     an exact zero, so the slice's interior holds the full grid's values.
     Axis counts a grid refuses are refused, cut or not."""
     check_axis_counts((spec.x_axis, spec.y_axis))
-    cut, ell_cut = _constant_cut((spec.x_axis, spec.y_axis), spec.ell)
+    cut, ell_cut = constant_cut((spec.x_axis, spec.y_axis), spec.ell)
     curv = gauss_curvature_2d(_conformal_metric(*cut, ell_cut))
     return interior_max(curv + 2.0, 2)
-
-
-def _constant_cut(axes, *fields):
-    """(axes, *fields) with every axis along which all the fields are
-    exactly constant (grids.constant_axes) cut to its first node; the
-    fields are cut as views, so the axes are `axes` if nothing is cut."""
-    const = set.intersection(*(set(constant_axes(f, len(axes)))
-                               for f in fields))
-    keep = tuple(slice(0, 1) if m in const else slice(None)
-                 for m in range(len(axes)))
-    return (tuple(Axis(ax.name, ax.start, ax.step, 1) if m in const else ax
-                  for m, ax in enumerate(axes)), *(f[keep] for f in fields))
 
 
 def _conformal_metric(x_axis: Axis, y_axis: Axis,
@@ -257,7 +249,7 @@ def leaf_report(spec: LeafSpec) -> dict:
     l*g0, the rescaled metric K g up to rounding (_rescaled_deviation),
     run on the spec as it is now."""
     g, K = leaf_metric(spec)
-    axes, phi, K_cut = _constant_cut(g.axes, g.components[..., 0, 0], K)
+    axes, phi, K_cut = constant_cut(g.axes, g.components[..., 0, 0], K)
     g_cut = g if axes == g.axes else _conformal_metric(*axes, phi)
     return {"gauss_curvature_deviation":
             interior_max(gauss_curvature_2d(g_cut) - K_cut, 2),
@@ -269,244 +261,57 @@ def leaf_report(spec: LeafSpec) -> dict:
 # ---------------------------------------------------------------------------
 # Geodesic parallel coordinates.
 
-class _SplineAxis:
-    """The B-splines of the not-a-knot interpolant on the nodes 0, 1, ...,
-    n - 1 of an axis measured in node steps (de Boor, A Practical Guide to
-    Splines, ch. XIII): degree 5, 3 along an axis of 5 nodes (a grid axis
-    has 1 or at least 5), and 0 along a one-node axis, where the spline is
-    the constant. The interior knots are the nodes m, ..., n - 1 - m,
-    m = (k + 1)/2, as in scipy's make_interp_spline and fitpack's
-    interpolating regrid. On each knot interval the k + 1 B-splines
-    nonzero there are kept as polynomials in the offset s from its
-    midpoint, where every knot is an integer: the Cox-de Boor recursion
-    run on power coefficients. Centered, |s| is at most 1.5 on the axis,
-    so the powers stay small and the sums cancel little. The collocation
-    matrix is factored here, once per axis, for fit."""
-
-    def __init__(self, n: int):
-        k = 5 if n > 5 else min(3, n - 1)
-        m = (k + 1) // 2
-        knots = np.concatenate((np.zeros(k + 1), m + np.arange(n - k - 1.0),
-                                np.full(k + 1, n - 1.0)))
-        ell = np.arange(k, n)  # the knot starting each interval
-        mid = 0.5 * (knots[ell] + knots[ell + 1])
-        basis = np.zeros((n - k, k + 1, k + 1))  # interval, B-spline, power
-        basis[:, 0, 0] = 1.0
-        for j in range(1, k + 1):
-            saved = np.zeros((n - k, k + 1))
-            for r in range(j):
-                lo, hi = knots[ell + r + 1 - j], knots[ell + r + 1]
-                temp = basis[:, r] / (hi - lo)[:, None]
-                # s temp: its top power is zero, so the roll wraps a zero
-                s_temp = np.roll(temp, 1, axis=1)
-                basis[:, r] = saved + ((hi - mid)[:, None] * temp - s_temp)
-                saved = (mid - lo)[:, None] * temp + s_temp
-            basis[:, j] = saved
-        slope = np.zeros_like(basis)
-        slope[..., :-1] = basis[..., 1:] * np.arange(1.0, k + 1)
-        self.count, self.degree, self.mid = n, k, mid
-        # u is clamped to this range before its interval is looked up, so
-        # a NaN lands on the first one and is never cast
-        self.bounds = (m - 1.0, n - k + m - 2.0)
-        self.first = np.arange(k + 1) == 0
-        # table[i, j] = the s^j coefficients of each B-spline's value and
-        # derivative, interleaved, on interval i
-        self.table = (np.stack((basis, slope), -1).transpose(0, 2, 1, 3)
-                      .reshape(n - k, k + 1, 2 * (k + 1)))
-        # The collocation matrix has k diagonals each side of its own and
-        # is totally positive, so Gaussian elimination without pivoting is
-        # stable (de Boor, ch. XIII). It runs on the band alone, row by
-        # row, in Python floats, with no LAPACK call to start BLAS threads:
-        # row j of band holds columns j - k .. j + k, with k zero rows past
-        # the end, and ends as L left of the diagonal and U from it on.
-        i, b = self.basis(np.arange(n, dtype=np.float64))
-        band = np.zeros((n + k, 2 * k + 1))
-        node = np.arange(n)[:, None]
-        band[node, k + i[:, None] - node + np.arange(k + 1)] = b[..., 0]
-        rows = band.tolist()
-        for j in range(n - 1):
-            top = rows[j]
-            for d in range(1, k + 1):
-                row = rows[j + d]
-                f = row[k - d] = row[k - d] / top[k]
-                for c in range(1, k + 1):
-                    row[k - d + c] -= f * top[k + c]
-        band = np.array(rows)
-        d = np.arange(1, k + 1)
-        # row j's multipliers, its U part right of the diagonal, its pivot
-        self.lower = list(band[node + d, k - d, None])
-        self.upper = list(band[:n, k + 1:])
-        self.pivot = band[:n, k].tolist()
-
-    def basis(self, u):
-        """(i, b) at u, a numpy scalar or array in node steps: B-splines i
-        to i + k are the ones nonzero at u, and b[..., r, 0] and
-        b[..., r, 1] are the value and the u-derivative of the (i + r)-th.
-        Past either end the end interval's polynomials continue; u is
-        never clamped."""
-        i, s = self.interval(u)
-        # 1, s, s^2, ... by products: numpy's float power costs far more
-        powers = np.multiply.accumulate(
-            np.where(self.first, 1.0, s[..., None]), -1)
-        b = powers[..., None, :] @ self.table[i]
-        return i, b.reshape(np.shape(s) + (self.degree + 1, 2))
-
-    def interval(self, u):
-        """(i, s): the knot interval of u, a numpy scalar or array in node
-        steps, and u's offset s from its midpoint."""
-        lo, hi = self.bounds
-        i = (np.floor(np.fmin(np.fmax(u, lo), hi)) - lo).astype(np.intp)
-        return i, u - self.mid[i]
-
-    def fit(self, values: np.ndarray) -> np.ndarray:
-        """The B-spline coefficients of the interpolant of the columns of
-        values at the nodes: forward and back substitution through L U."""
-        n, k = self.count, self.degree
-        x = np.zeros((n + k,) + values.shape[1:])
-        x[:n] = values
-        rows = list(x)
-        for j in range(n):
-            x[j + 1:j + k + 1] -= self.lower[j] * rows[j]
-        for j in reversed(range(n)):
-            rows[j] -= self.upper[j] @ x[j + 1:j + k + 1]
-            rows[j] /= self.pivot[j]
-        return x[:n]
-
-
-class _FactorSpline:
-    """The not-a-knot interpolant of phi on uniform axes, fitted with one
-    banded collocation solve per axis. Called at (px, py), numpy scalars
-    or arrays of one shape, it returns (phi, d_x phi, d_y phi).
-
-    On two axes of 2 nodes or more it is the tensor product: axes of one
-    count share their B-splines and factors, and each point gathers its
-    window of coefficients. With a one-node axis phi is a spline along the
-    other axis alone (along x if both have one node: the constant), kept
-    in pp-form (de Boor, ch. VII): per knot interval, the power
-    coefficients about its midpoint of phi and of its derivative,
-    _SplineAxis.table summed against the interval's B-spline
-    coefficients. Horner's rule evaluates them, in Python floats at a
-    scalar point and in numpy at an array: the same IEEE operations in the
-    same order, so a 0-d lane and an array lane give the same bits. The
-    derivative along the one-node axis is an exact zero."""
-
-    def __init__(self, axes, phi: np.ndarray):
-        nx, ny = self.shape = phi.shape
-        # Python floats, so a scalar point's node-step offset is one too
-        self.start = tuple(float(ax.start) for ax in axes)
-        self.step = tuple(float(ax.step) for ax in axes)
-        self.along = None if min(nx, ny) > 1 else int(ny > 1)
-        if self.along is None:
-            self.x = _SplineAxis(nx)
-            self.y = self.x if ny == nx else _SplineAxis(ny)
-            # coef_t[j * nx + i] multiplies the i-th B-spline in x and the
-            # j-th in y: the y fit's rows, so no copy is made to flatten it
-            self.coef_t = self.y.fit(self.x.fit(phi).T).ravel()
-            self.window = (np.arange(self.y.degree + 1)[:, None] * nx
-                           + np.arange(self.x.degree + 1))
-            return
-        ax = self.axis = _SplineAxis(phi.size)
-        n, k = ax.count, ax.degree
-        coef = ax.fit(phi.reshape(n, 1))[:, 0]
-        # interval, power, B-spline, value or derivative; the sum over the
-        # window runs elementwise, in no BLAS call
-        table = ax.table.reshape(n - k, k + 1, k + 1, 2)
-        pp = table[:, :, 0] * coef[:n - k, None, None]
-        for r in range(1, k + 1):
-            pp += table[:, :, r] * coef[r:n - k + r, None, None]
-        # the derivative's top power is zero; a constant keeps it, as 0
-        value, slope = pp[..., 0], pp[:, :max(k, 1), 1]
-        # per interval: a row for a scalar point, its midpoint first, and
-        # columns an array gathers
-        self.rows = list(zip(ax.mid.tolist(), value.tolist(), slope.tolist()))
-        self.columns = value.T, slope.T
-
-    def __call__(self, px, py):
-        m = self.along
-        if m is None:
-            (x0, y0), (hx, hy) = self.start, self.step
-            ix, bx = self.x.basis((px - x0) / hx)
-            iy, by = self.y.basis((py - y0) / hy)
-            w = self.coef_t[(iy * self.shape[0] + ix)[..., None, None]
-                            + self.window]
-            v = np.swapaxes(by, -1, -2) @ (w @ bx)
-            return v[..., 0, 0], v[..., 0, 1] / hx, v[..., 1, 0] / hy
-        p, step = (px, py)[m], self.step[m]
-        # a numpy scalar too runs in Python floats
-        scalar = isinstance(p, float)
-        u = ((float(p) if scalar else p) - self.start[m]) / step
-        if scalar:
-            # the interval lookup of _SplineAxis.interval: max and min keep
-            # their first argument against a NaN, as fmax and fmin drop
-            # it, so a NaN lands on the first interval and never reaches
-            # math.floor
-            lo, hi = self.axis.bounds
-            mid, value, slope = self.rows[
-                math.floor(min(hi, max(lo, u))) - int(lo)]
-            s = u - mid
-        else:
-            i, s = self.axis.interval(u)
-            value, slope = (c[:, i] for c in self.columns)
-        f, df = value[-1], slope[-1]
-        for c in value[-2::-1]:
-            f = f * s + c
-        for c in slope[-2::-1]:
-            df = df * s + c
-        df = df / step
-        # numpy scalars out: the caller's phi/(phi phi) gives inf or NaN,
-        # not ZeroDivisionError, at phi = 0
-        if scalar:
-            f, df, zero = np.float64(f), np.float64(df), np.float64(0.0)
-        else:
-            zero = np.zeros(np.shape(f))
-        return (f, df, zero) if m == 0 else (f, zero, df)
-
-
-def _factor_spline(g: MetricGrid) -> _FactorSpline:
-    """Spline of phi = g_xx: quintic, cubic along a 5-node axis, as the
-    interpolant is differentiated twice downstream. An axis along which
-    phi is exactly constant (grids.constant_axes) is first cut to one
-    node, so there phi is splined along the other axis alone, as
-    piecewise polynomials (see _FactorSpline), and its derivative along
-    the cut is an exact zero."""
-    return _FactorSpline(*_constant_cut(g.axes, g.components[..., 0, 0]))
-
-
 def _rk4(f_lo, f_mid, f_hi, u, h):
     """One classical fourth-order step of u' = f(t, u) of length h, given
-    u -> f(t, u) at the start, the midpoint and the end of the step."""
+    u -> f(t, u) at the start, the midpoint and the end of the step. u is
+    a numpy array or a tuple of Python floats, which is combined component
+    by component: the same IEEE operations in the same order, so a tuple
+    gets the bits of the array."""
+    if isinstance(u, tuple):
+        def each(f, *args):
+            return tuple(map(f, *args))
+    else:
+        def each(f, *args):
+            return f(*args)
     k1 = f_lo(u)
-    k2 = f_mid(u + 0.5 * h * k1)
-    k3 = f_mid(u + 0.5 * h * k2)
-    k4 = f_hi(u + h * k3)
-    return u + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    k2 = f_mid(each(lambda y, k: y + 0.5 * h * k, u, k1))
+    k3 = f_mid(each(lambda y, k: y + 0.5 * h * k, u, k2))
+    k4 = f_hi(each(lambda y, k: y + h * k, u, k3))
+    return each(lambda y, a, b, c, d:
+                y + (h / 6.0) * (a + 2.0 * b + 2.0 * c + d), u, k1, k2, k3, k4)
 
 
 def _geodesic_rhs(spline, u):
     """d/dt of u = (px, py, vx, vy): (vx, vy, -Gamma^k_ij v^i v^j) on
-    g = phi (dx^2 + dy^2), given phi's spline, for a (4,) state, whose
-    terms are numpy scalars, and a (4, L) one alike. With q = phi/(phi
-    phi) = g^xx = g^yy, a = q (0.5 phi_x) = Gamma^x_xx and b = q (0.5
-    phi_y) = Gamma^y_yy, the sums are the nonzero terms of an i, j, k
-    Christoffel loop in the loop's order, so bit for bit its result."""
+    g = phi (dx^2 + dy^2), given phi's spline, for a tuple of four Python
+    floats, returned as one, and for a (4,) or (4, L) array alike. With
+    q = phi/(phi phi) = g^xx = g^yy, a = q (0.5 phi_x) = Gamma^x_xx and
+    b = q (0.5 phi_y) = Gamma^y_yy, the sums are the nonzero terms of an
+    i, j, k Christoffel loop in the loop's order, so bit for bit its
+    result. Where phi phi is a Python 0.0, q is what IEEE division gives,
+    +-inf or NaN at phi = 0, as on a numpy lane, not ZeroDivisionError."""
     px, py, vx, vy = u
     phi, phi_x, phi_y = spline(px, py)
-    q = phi / (phi * phi)
+    try:
+        q = phi / (phi * phi)
+    except ZeroDivisionError:
+        q = math.copysign(math.inf, phi) if phi else math.nan
     a = q * (0.5 * phi_x)
     b = q * (0.5 * phi_y)
     vxx, vxy, vyy = vx * vx, vx * vy, vy * vy
     ax = ((-(a * vxx) - b * vxy) - b * vxy) + a * vyy
     ay = ((b * vxx - a * vxy) - a * vxy) - b * vyy
-    return np.array((vx, vy, ax, ay))
+    out = vx, vy, ax, ay
+    return out if isinstance(u, tuple) else np.array(out)
 
 
-@dataclass
+@dataclass(frozen=True)
 class CProfile:
     """Geodesic-parallel profile: metric 2(dx^2 + c^2 dy^2) on (x, y).
 
     x is scaled arclength along geodesics leaving the base curve, y the
     base-curve parameter. x_map/y_map give the source coordinates of each
-    profile node, for pullback checks.
+    profile node, for pullback checks. Frozen and validated, as LeafSpec.
     """
 
     x_axis: Axis
@@ -522,7 +327,7 @@ class CProfile:
     def __post_init__(self) -> None:
         _refuse_short_axes(self.x_axis, self.y_axis)
         shape = (self.x_axis.count, self.y_axis.count)
-        self.c = np.asarray(self.c, dtype=np.float64)
+        object.__setattr__(self, "c", np.asarray(self.c, dtype=np.float64))
         if self.c.shape != shape:
             raise GridError(f"c shape must be {shape}")
         if not np.all(self.c > 0.0):
@@ -582,14 +387,16 @@ def geodesic_parallel_profile(g: MetricGrid, x_axis: Axis | None = None,
     dy^2), as every leaf metric is; any other metric raises GridError
     before a spline is fitted. phi between nodes comes from one
     not-a-knot spline, quintic (cubic along a 5-node axis), fitted here
-    (see _FactorSpline): one evaluation per right-hand side gives phi and
-    both first derivatives. Within the rounding slack past the source
-    rectangle, where stage points may land, its end polynomials continue.
-    When phi is exactly constant along y, the spline cuts y to one node
-    and y is a Killing direction: one geodesic is shot, as a 0-d lane (a
-    (4,) state) from the lowest seed, on which the spline's piecewise
-    polynomials in x run in Python floats, and translated along y, so c
-    and x_map are constant along y bit for bit.
+    (see spline.FactorSpline): one evaluation per right-hand side gives
+    phi and both first derivatives. Within the rounding slack past the
+    source rectangle, where stage points may land, its end polynomials
+    continue. When phi is exactly constant along y, the spline cuts y to
+    one node and y is a Killing direction: one geodesic is shot from the
+    lowest seed and translated along y, so c and x_map are constant along
+    y bit for bit. Its state is a tuple of four Python floats, on which
+    the right-hand side, the spline's piecewise polynomials in x, the RK4
+    step and the domain test all run in Python floats, with the bits a
+    numpy lane gets; the other seeds' lanes are one (4, L) array.
     Geodesics exiting the source rectangle or focusing (c below C_FLOOR)
     truncate the profile, recorded in coverage/truncation_reason; if one
     leaves before the second profile node, DomainError names it. A source
@@ -623,14 +430,18 @@ def geodesic_parallel_profile(g: MetricGrid, x_axis: Axis | None = None,
     # y is a Killing direction when phi is exactly constant along it (the
     # grids.constant_axes rule): the spline cuts y to one node, and every
     # geodesic is the first one moved along y, so only that one is shot,
-    # as a 0-d lane
-    spline = _factor_spline(g)
+    # as one lane of four Python floats
+    spline = factor_spline(g)
     invariant = spline.shape[1] == 1
     lanes = seeds[0] if invariant else seeds
     px = np.full_like(lanes, sx.start)
     py = np.copy(lanes)
     vx = np.sqrt(2.0 / spline(px, py)[0])
     u = np.stack((px, py, vx, np.zeros_like(vx)))
+    if invariant:
+        u = tuple(u.tolist())
+    # after each substep: a bool on the float lane, all lanes' on arrays
+    every = bool if invariant else np.ndarray.all
 
     n_park = x_axis.count
     X = np.empty((n_park,) + np.shape(lanes))
@@ -641,13 +452,15 @@ def geodesic_parallel_profile(g: MetricGrid, x_axis: Axis | None = None,
     reason = ""
 
     # rounding-scale slack: seeds on the boundary pick up O(1e-19) drift
-    # from spline noise, which must not count as leaving the domain
+    # from spline noise, which must not count as leaving the domain; the
+    # bounds are Python floats, so the float lane compares floats
     tol_x = 1e-9 * (sx.stop - sx.start)
     tol_y = 1e-9 * (sy.stop - sy.start)
+    x_lo, x_hi = float(sx.start - tol_x), float(sx.stop + tol_x)
+    y_lo, y_hi = float(sy.start - tol_y), float(sy.stop + tol_y)
 
     def inside(ax_, ay_):
-        return ((ax_ >= sx.start - tol_x) & (ax_ <= sx.stop + tol_x)
-                & (ay_ >= sy.start - tol_y) & (ay_ <= sy.stop + tol_y))
+        return (ax_ >= x_lo) & (ax_ <= x_hi) & (ay_ >= y_lo) & (ay_ <= y_hi)
 
     def rhs(w):
         return _geodesic_rhs(spline, w)
@@ -655,7 +468,7 @@ def geodesic_parallel_profile(g: MetricGrid, x_axis: Axis | None = None,
     for i in range(1, n_park):
         for _ in range(SUBSTEPS):
             u = _rk4(rhs, rhs, rhs, u, hs)
-            if not inside(u[0], u[1]).all():
+            if not every(inside(u[0], u[1])):
                 break
         else:
             X[i], Y[i] = u[0], u[1]
@@ -874,9 +687,12 @@ def _half_nodes(v: np.ndarray) -> np.ndarray:
 
 
 def _times(m: np.ndarray):
-    """u -> m u for stacks of 2x2 matrices. einsum, not matmul: matmul can
-    round differently (fused multiply-adds) and move the last bits."""
-    return lambda u: np.einsum("...ij,...jk->...ik", m, u)
+    """u -> m u for stacks of 2x2 matrices, each entry the sum of its two
+    products: no matmul, which can round differently (fused multiply-adds)
+    and move the last bits. Where both products are -0.0 the entry is
+    -0.0; einsum, the tests' oracle, sums from +0.0 and gives +0.0."""
+    return lambda u: (m[..., :, 0, None] * u[..., None, 0, :]
+                      + m[..., :, 1, None] * u[..., None, 1, :])
 
 
 def _linear_march(m: np.ndarray, u0: np.ndarray, h: float) -> np.ndarray:

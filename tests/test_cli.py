@@ -778,7 +778,7 @@ def test_pde_profile_refuses_a_one_node_base_curve(pde_run, tmp_path,
     def shoot(*args):
         raise AssertionError("the shoot ran")
 
-    monkeypatch.setattr(leafpde, "_factor_spline", shoot)
+    monkeypatch.setattr(leafpde, "factor_spline", shoot)
     monkeypatch.setattr(leafpde, "_rk4", shoot)
     capsys.readouterr()
     assert main(["--out-dir", str(tmp_path), "pde", "profile",

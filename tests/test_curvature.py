@@ -656,6 +656,43 @@ def test_slabs_tile_the_whole_grid_bit_for_bit(slab_grids, monkeypatch,
         assert maxima == ref_maxima
 
 
+def criterion_07_grid(h=1e-3):
+    """Criterion 07's E(2) grid, 7 x 7 x 5 x 5 nodes on (t, theta, x, y)
+    about the shoot's b = 1 point."""
+    traj = e2.shoot_unstable(1.0, 1e-5, b_max=100.0, tol=1e-12)
+    tmid = traj.t[int(np.searchsorted(traj.column("b"), 1.0))]
+    return e2.e2_metric_grid(traj, Axis("t", tmid - 3 * h, h, 7),
+                             Axis("theta", 0.7 - 3 * h, h, 7),
+                             Axis("x", -2 * h, h, 5), Axis("y", -2 * h, h, 5))
+
+
+def test_slabs_run_the_algebra_on_their_own_rows(monkeypatch):
+    # two rows per slab on criterion 07's grid: the stencils read the
+    # windows [0, 4), [2, 6) and [4, 7) of its 7 rows, the node-wise
+    # algebra, counted at the inverse metric, only each slab's own rows:
+    # 7 for ricci (11, the windows, before), and for the scalar checks,
+    # on the grid cut to 7 x 7 x 1 x 1 and one slab, the 5 interior rows
+    grid = criterion_07_grid()
+    g, steps = grid.components, grid.steps
+    ref = curvature._ricci(curvature._raised(g, steps))
+    _, cut = collapse_constant(g, 4)
+    H = curvature._raised(cut, steps)
+    ref_checks = (interior_max(curvature._ricci(H) + cut, 4),
+                  interior_max(np.moveaxis(H, (0, 1, 2), (-3, -2, -1)), 4))
+    rows = []
+
+    def inverse(g, _inverse=curvature._inverse_metric):
+        rows.append(g.shape[0])
+        return _inverse(g)
+
+    monkeypatch.setattr(curvature, "_inverse_metric", inverse)
+    assert_bits(ricci(grid), ref)
+    assert rows == [3, 2, 2]
+    rows.clear()
+    assert (einstein_residual(grid, -1.0), riemann_max(grid)) == ref_checks
+    assert rows == [5, 5]
+
+
 def traced_peak_mb(fn):
     tracemalloc.start()
     try:

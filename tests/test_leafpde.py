@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import warnings
+from dataclasses import FrozenInstanceError, replace
 from functools import cache
 from pathlib import Path
 
@@ -15,6 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from keflow import leafpde as lp
+from keflow import spline as sp
 from keflow.cli import main
 from keflow.curvature import (einstein_residual,
                               exterior_derivative_closedness,
@@ -277,10 +279,27 @@ def test_leaf_report_checks_the_spec_as_it_is():
     # l doubled after leaf_spec is l*g0 of curvature -1, not -2: the
     # report's rescaled check runs on the spec it is given
     spec = hyperbolic_spec(n=33)
-    spec.ell = 2.0 * spec.ell
+    spec = replace(spec, ell=2.0 * spec.ell)
     rep = lp.leaf_report(spec)
     assert rep["rescaled_curvature_deviation"] == lp._rescaled_deviation(spec)
     assert abs(rep["rescaled_curvature_deviation"] - 1.0) < 1e-2
+
+
+def test_specs_are_frozen_and_a_replaced_one_is_validated():
+    # a spec or profile is changed only through dataclasses.replace, which
+    # validates the new values: a negative ell is refused, not computed
+    # through NaN, and so is a nonpositive c
+    spec = hyperbolic_spec(n=33)
+    with pytest.raises(FrozenInstanceError):
+        spec.ell = -spec.ell
+    with pytest.raises(DomainError, match="ell must be positive"):
+        replace(spec, ell=-spec.ell)
+    cp = lp.CProfile(spec.x_axis, spec.y_axis, spec.ell, spec.ell, spec.h)
+    with pytest.raises(FrozenInstanceError):
+        cp.c = -cp.c
+    with pytest.raises(DomainError, match="c must be positive"):
+        replace(cp, c=-cp.c)
+    assert replace(cp, coverage=0.5).coverage == 0.5
 
 
 def test_flat_profile_is_constant():
@@ -422,8 +441,8 @@ def digests(**arrays):
 
 # Golden digests of the arrays the pipeline gives since the geodesic shoot
 # splines phi in numpy (numpy 2.4.6, x86-64). Taking the 2x2 products with
-# matmul instead of einsum, reassociating a Christoffel sum, or changing
-# the spline's arithmetic changes the last bits and fails them.
+# matmul instead of two products each, reassociating a Christoffel sum, or
+# changing the spline's arithmetic changes the last bits and fails them.
 
 def test_leaf_pipeline_golden_bytes():
     h = 1.0 / 32
@@ -450,14 +469,14 @@ def test_geodesic_rhs_spline_evaluations(monkeypatch, grid):
     # on a leaf whose phi is exactly constant along y, the spline is cut to
     # one y node and d_y phi is an exact zero
     g = grid()
-    spline = lp._factor_spline(g)
+    spline = sp.factor_spline(g)
     count = []
 
-    def counted(self, px, py, _call=lp._FactorSpline.__call__):
+    def counted(self, px, py, _call=sp.FactorSpline.__call__):
         count.append(1)
         return _call(self, px, py)
 
-    monkeypatch.setattr(lp._FactorSpline, "__call__", counted)
+    monkeypatch.setattr(sp.FactorSpline, "__call__", counted)
     x0, y0 = (ax.start for ax in g.axes)
     u = np.array([[x0 + 0.2, x0 + 0.3], [y0 + 0.2, y0 + 0.4], [1.0, 0.9],
                   [0.1, -0.2]])
@@ -468,6 +487,22 @@ def test_geodesic_rhs_spline_evaluations(monkeypatch, grid):
     assert (spline.shape[1] == 1) == invariant
     if invariant:
         assert np.all(spline(u[0], u[1])[2] == 0.0)
+
+
+def test_a_spline_axis_is_built_once_per_node_count():
+    # the B-splines and the factored collocation matrix depend on the node
+    # count alone: every spline along n nodes shares one read-only axis
+    a = sp.spline_axis(29)
+    assert sp.spline_axis(29) is a and sp.spline_axis(15) is not a
+    g = y_invariant_leaf()
+    assert sp.factor_spline(g).axis is sp.spline_axis(g.counts[0])
+    arrays = (a.mid, a.first, a.table, *a.lower, *a.upper)
+    assert len(arrays) == 3 + 2 * a.count
+    for arr in arrays:
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            arr[...] = 0.0
+    assert isinstance(a.pivot, tuple) and isinstance(a.bounds, tuple)
 
 
 def _frozen_metric_at(spline, px, py, dx=0, dy=0):
@@ -531,8 +566,8 @@ _RHS_GRIDS = {
 def _grid_and_splines(name):
     build, cut = _RHS_GRIDS[name]
     g = build()
-    return g, (lp._factor_spline(g) if cut else
-               lp._FactorSpline(g.axes, g.components[..., 0, 0]))
+    return g, (sp.factor_spline(g) if cut else
+               sp.FactorSpline(g.axes, g.components[..., 0, 0]))
 
 
 # velocities of every sign and size, with exact zeros of both signs often
@@ -564,9 +599,10 @@ def _same_bits(got, want):
 @settings(max_examples=300, deadline=None)
 @given(data=st.data(), name=st.sampled_from(sorted(_RHS_GRIDS)))
 def test_geodesic_rhs_matches_the_frozen_loop_bit_for_bit(data, name):
-    # m = 0 draws one 0-d lane, a (4,) state, as the invariant shoot has;
-    # a (4, m) state gives each lane the bits it gets as a 0-d lane, on
-    # which a cut spline runs in Python floats; no point raises
+    # m = 0 draws one 0-d lane, a (4,) state; a (4, m) state gives each
+    # lane the bits it gets as a 0-d lane and as a tuple of four Python
+    # floats, the invariant shoot's state, on which a cut spline runs in
+    # Python floats; no point raises
     g, splines = _grid_and_splines(name)
     m = data.draw(st.integers(0, 6))
     u = np.array([data.draw(st.lists(strategy, min_size=max(m, 1),
@@ -580,9 +616,86 @@ def test_geodesic_rhs_matches_the_frozen_loop_bit_for_bit(data, name):
         got = lp._geodesic_rhs(splines, u)
         want = frozen_geodesic_rhs(splines, u)
         lanes = [lp._geodesic_rhs(splines, lane) for lane in u.T] if m else []
+        # the same lanes as tuples of Python floats, the invariant shoot's
+        floats = [lp._geodesic_rhs(splines, tuple(lane.tolist()))
+                  for lane in (u.T if m else [u])]
     assert _same_bits(got, want)
     for j, lane in enumerate(lanes):
         assert _same_bits(lane, got[:, j])
+    for j, lane in enumerate(floats):
+        assert type(lane) is tuple and len(lane) == 4
+        assert _same_bits(np.array(lane), got[:, j] if m else got)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), name=st.sampled_from(["y-invariant, spline in x",
+                                             "x-invariant, spline in y"]),
+       h=st.sampled_from([2.5e-3, 1e-2, 0.0125, 0.3]))
+def test_rk4_on_a_float_tuple_gives_the_array_bits(data, name, h):
+    # one RK4 step of the geodesic flow on a tuple of four Python floats
+    # and on the same state as a (4,) array: the same bits, every stage
+    # point inside the source rectangle as in the shoot, or outside it
+    g, spline = _grid_and_splines(name)
+    (x0, x1), (y0, y1) = ((float(ax.start), float(ax.stop)) for ax in g.axes)
+    u = np.array([data.draw(st.floats(x0, x1)), data.draw(st.floats(y0, y1)),
+                  data.draw(st.floats(-3.0, 3.0)),
+                  data.draw(st.floats(-3.0, 3.0))])
+
+    def rhs(w):
+        return lp._geodesic_rhs(spline, w)
+
+    want = lp._rk4(rhs, rhs, rhs, u, h)
+    got = lp._rk4(rhs, rhs, rhs, tuple(u.tolist()), h)
+    assert type(got) is tuple and all(type(v) is float for v in got)
+    assert np.array_equal(np.array(got).view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize("phi", [0.0, 1e-170, -1e-170])
+def test_a_float_lane_at_phi_zero_ends_as_the_array_lane(phi):
+    # phi = 0 gives q = 0/0, and |phi| < 1e-162 a phi phi that underflows
+    # to 0: NaN and +-inf on a numpy lane, where Python's division would
+    # raise ZeroDivisionError. A lane of Python floats gets the array
+    # lane's values, and no warning or exception
+    axes = Axis("x", 1.0, 0.05, 13), Axis("y", 0.0, 0.05, 1)
+    spline = sp.FactorSpline(axes, np.full((13, 1), phi))
+
+    def rhs(w):
+        return lp._geodesic_rhs(spline, w)
+
+    u = np.array([[1.2], [0.0], [1.0], [0.5]])
+    with np.errstate(all="ignore"):
+        want = lp._rk4(rhs, rhs, rhs, u, 0.01)[:, 0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = np.array(lp._rk4(rhs, rhs, rhs, tuple(u[:, 0].tolist()), 0.01))
+    assert not np.all(np.isfinite(want))
+    assert _same_bits(got, want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), shape=st.sampled_from([(2, 2), (1, 2, 2), (9, 2, 2),
+                                              (3, 5, 2, 2)]))
+def test_times_is_einsum_up_to_the_sign_of_a_zero(data, shape):
+    # each entry of m u is the sum of two products; einsum's sum starts
+    # from +0.0, so it differs only where both products are -0.0, giving
+    # +0.0 for this -0.0. NaN-ness is compared, not a NaN's sign bit
+    entry = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -2.5, math.inf,
+                                       -math.inf, math.nan, 1e308, 5e-324]),
+                      st.floats(-1e3, 1e3))
+    size = int(np.prod(shape))
+    m, u = (np.reshape(data.draw(st.lists(entry, min_size=size,
+                                          max_size=size)), shape)
+            for _ in range(2))
+    with np.errstate(all="ignore"):
+        got = lp._times(m)(u)
+        want = np.einsum("...ij,...jk->...ik", m, u)
+    nan = np.isnan(want)
+    assert got.shape == want.shape
+    assert np.array_equal(np.isnan(got), nan)
+    moved = got.view(np.int64) != want.view(np.int64)
+    moved &= ~nan
+    assert np.all(got[moved] == 0.0) and np.all(np.signbit(got[moved]))
+    assert not np.any(np.signbit(want[moved]))
 
 
 def _nearly_conformal(perturb):
@@ -609,7 +722,7 @@ def test_profile_refuses_a_non_conformal_metric(monkeypatch, grid):
     def shoot(*args, **kwargs):
         raise AssertionError("the shoot ran")
 
-    monkeypatch.setattr(lp, "_FactorSpline", shoot)
+    monkeypatch.setattr(lp, "factor_spline", shoot)
     monkeypatch.setattr(lp, "_rk4", shoot)
     with pytest.raises(GridError, match=re.escape(
             "needs a conformal metric phi (dx^2 + dy^2)")):
@@ -644,7 +757,7 @@ def test_one_ulp_off_y_invariance_takes_the_full_shoot(monkeypatch):
     # criterion 10's source leaf with one phi node moved by one ulp: y is
     # no longer exactly a Killing direction, so every seed's geodesic is
     # shot, and c agrees with the translated one's to rounding. The
-    # translated one is a 0-d lane, a (4,) state
+    # translated one is a lane of four Python floats, a tuple of shape (4,)
     h = 1e-2
     sx, sy = Axis("x", 1.0, h, 57), Axis("y", 0.0, h, 73)
     g = lp.leaf_metric(lp.leaf_spec(sx, sy, h="-x",
@@ -655,7 +768,7 @@ def test_one_ulp_off_y_invariance_takes_the_full_shoot(monkeypatch):
     lanes = []
 
     def rhs(spline, u, _rhs=lp._geodesic_rhs):
-        lanes.append(u.shape[1:])
+        lanes.append(np.shape(u)[1:])
         return _rhs(spline, u)
 
     monkeypatch.setattr(lp, "_geodesic_rhs", rhs)
@@ -707,7 +820,7 @@ def test_leaf_spec_and_profile_refuse_a_one_node_axis(monkeypatch, counts):
     def fit(*args):
         raise AssertionError("a spline was fitted")
 
-    monkeypatch.setattr(lp, "_factor_spline", fit)
+    monkeypatch.setattr(lp, "factor_spline", fit)
     with pytest.raises(GridError, match=message):
         lp.geodesic_parallel_profile(lp._conformal_metric(x_axis, y_axis,
                                                           ones))

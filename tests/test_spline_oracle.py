@@ -1,7 +1,7 @@
 """The geodesic shoot's spline of phi against scipy's, the interpolant it
 reimplements.
 
-leafpde._FactorSpline fits the not-a-knot interpolant that scipy's
+spline.FactorSpline fits the not-a-knot interpolant that scipy's
 make_interp_spline (1D) and RectBivariateSpline with s = 0 (2D) fit, on
 the same knots, so the two agree up to rounding: values within 1e-13 of
 max |phi| and first derivatives within 1e-10 of max |grad phi|, at random
@@ -17,6 +17,7 @@ import pytest
 from scipy.interpolate import RectBivariateSpline, make_interp_spline
 
 from keflow import leafpde as lp
+from keflow import spline as sp
 from keflow.grids import Axis
 
 VALUE_TOL = 1e-13
@@ -85,7 +86,7 @@ def _assert_close(got, want, phi):
                          ids=["readme-257", "cubic-5-node-axis"])
 def test_2d_spline_matches_rect_bivariate_spline(build):
     axes, phi = build()
-    spline = lp._FactorSpline(axes, phi)
+    spline = sp.FactorSpline(axes, phi)
     ref = RectBivariateSpline(axes[0].nodes, axes[1].nodes, phi,
                               kx=_degree(axes[0].count),
                               ky=_degree(axes[1].count), s=0)
@@ -107,7 +108,7 @@ def test_y_invariant_spline_matches_make_interp_spline():
     turned = (Axis("x", ay.start, ay.step, ay.count),
               Axis("y", ax.start, ax.step, ax.count))
     for along, axes, values in ((0, (ax, ay), phi), (1, turned, phi.T)):
-        spline = lp._factor_spline(lp._conformal_metric(*axes, values))
+        spline = sp.factor_spline(lp._conformal_metric(*axes, values))
         assert spline.shape[along] == axes[along].count
         assert spline.shape[1 - along] == 1
         ref = make_interp_spline(axes[along].nodes,
@@ -138,7 +139,7 @@ def test_polynomials_of_the_spline_degree_are_reproduced(counts):
     coef = rng.uniform(-1.0, 1.0, (deg[0] + 1, deg[1] + 1))
     poly = np.polynomial.polynomial
     x, y = np.meshgrid(axes[0].nodes, axes[1].nodes, indexing="ij")
-    spline = lp._FactorSpline(axes, poly.polyval2d(x, y, coef))
+    spline = sp.FactorSpline(axes, poly.polyval2d(x, y, coef))
     px = rng.uniform(axes[0].start, axes[0].stop, 200)
     py = rng.uniform(axes[1].start, axes[1].stop, 200)
     want = (poly.polyval2d(px, py, coef),
@@ -164,7 +165,7 @@ def _separable_reference(axes, phi, px, py):
 
 def test_past_the_source_rectangle_the_end_polynomials_continue():
     axes, phi = _readme_phi()
-    spline = lp._FactorSpline(axes, phi)
+    spline = sp.FactorSpline(axes, phi)
     ax, ay = axes
     corners = np.array([[ax.start, ay.start], [ax.stop, ay.start],
                         [ax.start, ay.stop], [ax.stop, ay.stop]])
