@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import click
@@ -259,7 +260,7 @@ def e2_shoot(ctx, q, eps, b_max, r_max, start):
     mf.write_json({"stop_reason": traj.stop_reason, "blow_up": traj.blow_up,
                    "n_steps": traj.n_steps, "r_final": float(traj.t[-1]),
                    "final_state": [float(v) for v in traj.states[-1]],
-                   "diagnostics": diag.to_dict()},
+                   "diagnostics": asdict(diag)},
                   out / "e2_diagnostics.json")
     mf.save(out)
 
@@ -282,7 +283,7 @@ def e2_diagnose(ctx, traj_csv):
 
     fresh = e2.replay_shoot(stored)
     diag = e2.diagnose(fresh)
-    doc = diag.to_dict()
+    doc = asdict(diag)
     doc["monotone_all"] = all(doc["monotone_ok"].values())
     mf.write_json(doc, out / "e2_diagnostics.json")
     mf.save(out)
@@ -326,7 +327,7 @@ def e2_bolt(ctx, traj_csv, r_max, n, r0):
     profile = e2.bolt_profile(fresh, r_max=r_max, n=n)
     mf.write_text(profile.to_csv(), out / "bolt_profile.csv")
     sm = e2.bolt_smoothness(profile, r0=r0)
-    doc = sm.to_dict()
+    doc = asdict(sm)
     doc["db_dr_deviation"] = sm.db_dr_error
     doc["db_dr_bound"] = tol
     doc["smooth"] = doc["db_dr_deviation"] <= tol

@@ -137,15 +137,11 @@ def shoot_unstable(q: float, eps: float | None = None,
         raise DomainError(f"r_max {r_max!r} must lie above the start's "
                           f"r = {r0!r}")
 
-    def hit_b(r, y):
-        return y[1] - b_max
-    hit_b.terminal = True
-    hit_b.direction = 1.0
-    hit_b.name = "b_max"
-
     return integrate_flow(_shoot_rhs, r0, y0, r_max,
                           columns=("a", "b", "c", "t"), variable="r",
-                          rtol=tol, atol=tol * 1e-2, events=[hit_b],
+                          rtol=tol, atol=tol * 1e-2,
+                          stops=[(lambda r, y: y[1] - b_max, 1.0,
+                                  "event:b_max")],
                           positive_components=(0, 1, 2),
                           meta={"q": q, "eps": eps, "k": eps,
                                "start": list(y0[:3]), "b_max": b_max,
@@ -191,7 +187,7 @@ def replay_shoot(traj: Trajectory) -> Trajectory:
 
 def _r_at_b(traj: Trajectory, value: float) -> float:
     """r at which b, increasing along traj, equals value. A shoot stopped
-    by its b_max event crosses b_max at r[-1], whichever side of b_max the
+    by its b_max stop crosses b_max at r[-1], whichever side of b_max the
     stored b[-1] landed on (it may land an ulp or two either side)."""
     if traj.stop_reason == "event:b_max" and value == traj.meta.get("b_max"):
         return float(traj.t[-1])
@@ -210,16 +206,12 @@ def _tail_gap(traj: Trajectory) -> float:
     q = traj.meta["q"]
     r0, (a0, b0, c0, t0) = float(traj.t[0]), traj.states[0]
     r_bolt = r0 - a0 * b0 * c0 / (q * q)
-
-    def cut(r, y, _b=b0 / 10.0):
-        return y[1] - _b
-    cut.terminal = True
-    cut.direction = -1.0
-    cut.name = "cut"
-
+    b_cut = b0 / 10.0
     back = integrate_flow(_shoot_rhs, r0, (a0, b0, c0, t0), r_bolt,
                           columns=traj.columns, variable=traj.variable,
-                          rtol=1e-12, atol=1e-20, events=[cut])
+                          rtol=1e-12, atol=1e-20,
+                          stops=[(lambda r, y: y[1] - b_cut, -1.0,
+                                  "event:cut")])
     if back.stop_reason != "event:cut":
         raise DomainError("backward leg did not reach the b0/10 cutoff")
     ac, bc_, cc, _ = back.states[0]
@@ -244,11 +236,6 @@ class E2Diagnostics:
     ac_ratio_max: float
     inconclusive: bool
     notes: str = ""
-
-    def to_dict(self) -> dict:
-        d = dict(self.__dict__)
-        d["k2_decades"] = list(self.k2_decades) if self.k2_decades else None
-        return d
 
 
 def diagnose(traj: Trajectory) -> E2Diagnostics:
@@ -382,9 +369,6 @@ class BoltSmoothness:
     crab_limit: float
     crab_refinement_change: float
     r0: float
-
-    def to_dict(self) -> dict:
-        return dict(self.__dict__)
 
 
 def bolt_smoothness(profile: BoltProfile, r0: float | None = None) -> BoltSmoothness:

@@ -3,7 +3,7 @@
 integrate_flow marches the Dormand-Prince 5(4) pair (Dormand & Prince
 1980; Hairer, Norsett & Wanner, Solving ODEs I, sec. II.4) on Python
 floats, with the quartic dense output of Shampine (1986). Tableau, first
-step, error norm, step control and event handling are scipy RK45's: the
+step, error norm, step control and stop roots are scipy RK45's: the
 fifth-order solution is kept, the RMS norm of the embedded error over
 atol + rtol max(|y|, |y_new|) must be below 1, and each step is scaled by
 0.9 err^(-1/5) clamped to [0.2, 10] (an elementary controller, not a PI
@@ -14,34 +14,37 @@ error estimate cancels to about the tolerance, so step sizes match
 scipy's to about 1e-5 relative and step counts match except where an
 error norm lands within that of 1.
 
-`rhs(t, y)` and the event functions take y as a tuple of floats; rhs
-returns a sequence of floats. An event with a true `terminal` stops the
-run at its first crossing of zero in its `direction` (+1 rising, -1
-falling, 0 either), at the root of event(t, y(t)) on the step's dense
-output, found by `root` (Brent's method as in scipy's brentq, ported and
-parity-tested) at xtol = rtol = 4 eps; other events cannot change the
-result and are not evaluated.
+`rhs(t, y)` and the stop functions take y as a tuple of floats; rhs
+returns a sequence of floats. A stop is a triple (function, direction,
+reason): it ends the run at the first crossing of zero of
+function(t, y(t)) in direction (+1 rising, -1 falling, 0 either), at
+its root on the step's dense output, found by `root` (Brent's method as
+in scipy's brentq, ported and parity-tested) at xtol = rtol = 4 eps,
+and reason becomes the trajectory's stop_reason. When several stops
+cross within one step, the root the march reaches first ends the run;
+at a tie, the stop listed first (the built-in ones come before the
+caller's).
 
 Blow-up is a flagged early stop, not an exception: the run terminates
 cleanly when a component magnitude crosses MAX_COMPONENT, when the step
-size underflows, or when a caller-supplied terminal event fires, and the
+size underflows, or when a caller-supplied stop fires, and the
 trajectory records which of these happened.
 
 A Trajectory's CSV keeps every node exactly (repr of each float) and,
 as the `# last_step:` header, the full length of the march's final step,
-which an event root cuts short. replay(rhs, traj) rebuilds the dense
+which a stop's root cuts short. replay(rhs, traj) rebuilds the dense
 output of a forward run from those alone: each stored row is the y_new
 of a step of length t[i+1] - t[i] (the march takes h = t_new - t), so
 all seven stages of all steps are evaluated at once on arrays by the
 march's own stage arithmetic (_stages). The march and the replay build
 the same DenseOutput: one array table of every step's start, length,
 state and stages. Its quartic coefficients (_coefficients) and their
-evaluation (_quartic) are the arithmetic the march's event roots run on
+evaluation (_quartic) are the arithmetic the march's stop roots run on
 floats, applied to every sample time at once, so a replayed sample is
 the live one bit for bit. The replay verifies what it rebuilds: every
 step passes the error test, every row equals the step replayed from the
-row before, bit for bit (the last one may be the dense output at an
-event root), and no step is longer than the controller's proposal after
+row before, bit for bit (the last one may be the dense output at a
+stop's root), and no step is longer than the controller's proposal after
 the step before (up to 2 ulp of t). A failure raises VerificationError.
 """
 
@@ -410,10 +413,10 @@ def _march_rtol(rtol: float, atol: float) -> float:
 def _march(rhs, t0: float, y0: tuple, t_end: float, rtol: float,
            atol: float, stops: list):
     """scipy RK45's march from (t0, y0) toward t_end. `stops` holds
-    (terminal event, direction, reason). Returns the node times and
-    states, the accepted steps as (t_old, h, y_old, stages), the RHS count
-    and the stop reason: "t_end", "step_underflow" or the reason of the
-    event."""
+    (function, direction, reason) triples, at least one. Returns the node
+    times and states, the accepted steps as (t_old, h, y_old, stages), the
+    RHS count and the stop reason: "t_end", "step_underflow" or the reason
+    of the stop."""
     e1, e3, e4, e5, e6, e7 = _E
     direction = 1.0 if t_end > t0 else -1.0
     rms = len(y0) ** 0.5
@@ -423,8 +426,7 @@ def _march(rhs, t0: float, y0: tuple, t_end: float, rtol: float,
                           f"{tuple(f)!r}")
     h_abs = _initial_step(rhs, t0, y0, f, t_end, direction, rtol, atol)
     nfev = 2
-    events = [ev for ev, _, _ in stops]
-    g = [ev(t0, y0) for ev in events]
+    g = [ev(t0, y0) for ev, _, _ in stops]
     t, y = t0, y0
     ts, ys, steps = [t0], [y0], []
     while True:
@@ -464,22 +466,20 @@ def _march(rhs, t0: float, y0: tuple, t_end: float, rtol: float,
         steps.append((t, h, y, stages))
         t_old, y_old, t, y, f = t, y, t_new, y_new, stages[-1]
         reason = "t_end" if direction * (t - t_end) >= 0.0 else None
-        if events:
-            g_new = [ev(t, y) for ev in events]
-            first = None  # (root, stop index) of the earliest stopping root
-            q = None
-            for i, (ev, d, _) in enumerate(stops):
-                a, b = g[i], g_new[i]
-                if (a <= 0.0 <= b and d >= 0.0) or (a >= 0.0 >= b and d <= 0.0):
-                    q = q or _coefficients(stages)
-                    x = root(lambda s, ev=ev: ev(s, _quartic(
-                        t_old, h, y_old, q, s)), t_old, t, 4 * _EPS, 4 * _EPS)
-                    if first is None or direction * (x - first[0]) < 0.0:
-                        first = (x, i)
-            g = g_new
-            if first is not None:
-                t, reason = first[0], stops[first[1]][2]
-                y = _quartic(t_old, h, y_old, q, t)
+        g_new = [ev(t, y) for ev, _, _ in stops]
+        first = None  # (root, reason) of the earliest stopping root
+        q = None
+        for (ev, d, why), a, b in zip(stops, g, g_new):
+            if (a <= 0.0 <= b and d >= 0.0) or (a >= 0.0 >= b and d <= 0.0):
+                q = q or _coefficients(stages)
+                x = root(lambda s, ev=ev: ev(s, _quartic(
+                    t_old, h, y_old, q, s)), t_old, t, 4 * _EPS, 4 * _EPS)
+                if first is None or direction * (x - first[0]) < 0.0:
+                    first = (x, why)
+        g = g_new
+        if first is not None:
+            t, reason = first
+            y = _quartic(t_old, h, y_old, q, t)
         if t != ts[-1]:
             ts.append(t)
             ys.append(y)
@@ -491,15 +491,15 @@ def _march(rhs, t0: float, y0: tuple, t_end: float, rtol: float,
 
 def integrate_flow(rhs, t0: float, y0: Sequence[float], t_end: float,
                    columns: tuple[str, ...], rtol: float, atol: float,
-                   events: Sequence | None = None,
+                   stops: Sequence[tuple] = (),
                    positive_components: Sequence[int] = (),
                    meta: dict | None = None,
                    variable: str = "t") -> Trajectory:
     """Integrate y' = rhs(t, y) adaptively; returns samples at accepted steps.
 
-    `events` are event functions as in the module docstring; an entry may
-    carry a `name` attribute used in stop_reason. `positive_components`
-    lists state indices whose collapse to <= 0 terminates the run.
+    `stops` are (function, direction, reason) triples as in the module
+    docstring. `positive_components` lists state indices whose collapse
+    to <= 0 terminates the run.
     `variable` names t on the trajectory. A start at which rhs is not
     finite raises DomainError.
     """
@@ -519,20 +519,18 @@ def integrate_flow(rhs, t0: float, y0: Sequence[float], t_end: float,
     def overflow(t, y):
         return max(map(abs, y)) - MAX_COMPONENT
 
-    stops = [(overflow, 1.0, "component_overflow")]
+    built_in = [(overflow, 1.0, "component_overflow")]
     if positive_components:
         pos = tuple(positive_components)
         floor = 1e-13 * max(1.0, min(abs(y0[i]) for i in pos))
 
         def positivity(t, y):
             return min([y[i] for i in pos]) - floor
-        stops.append((positivity, -1.0, "positivity_loss"))
-    stops += [(ev, getattr(ev, "direction", 0.0),
-               f"event:{getattr(ev, 'name', i)}")
-              for i, ev in enumerate(events or ()) if getattr(ev, "terminal", 0)]
+        built_in.append((positivity, -1.0, "positivity_loss"))
 
     ts, ys, steps, nfev, reason = _march(rhs, t0, y0, t_end,
-                                         _march_rtol(rtol, atol), atol, stops)
+                                         _march_rtol(rtol, atol), atol,
+                                         built_in + list(stops))
     last_step = steps[-1][1] if steps else math.nan
     if t_end < t0:
         ts.reverse()
@@ -574,7 +572,7 @@ def replay(rhs, traj: Trajectory) -> Trajectory:
 
     t, rows = traj.t, traj.states.T
     h = np.diff(t)
-    cut = h_last != h[-1]  # an event root ended the run inside its step
+    cut = h_last != h[-1]  # a stop's root ended the run inside its step
     if h_last < h[-1]:
         raise VerificationError(f"the last row lies beyond the last step "
                                 f"({h[-1]:.17g} > {h_last!r})")
@@ -601,7 +599,7 @@ def replay(rhs, traj: Trajectory) -> Trajectory:
         [[np.broadcast_to(v, h.shape) for v in k] for k in stages]))
     replayed, stored = np.array(y_new), rows[:, 1:]
     if cut or np.any(replayed[:, -1] != stored[:, -1]):
-        # an event root stores the dense output at the root, which may be
+        # a stop stores the dense output at its root, which may be
         # the end of its step
         replayed[:, -1] = dense(t[-1])
     bad = _first(np.any(replayed != stored, axis=0))

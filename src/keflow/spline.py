@@ -4,15 +4,14 @@ The geodesic shoot of `leafpde.geodesic_parallel_profile` evaluates phi
 and its first derivatives between the nodes of a leaf metric
 phi (dx^2 + dy^2) through `factor_spline`: quintic, cubic along a 5-node
 axis, the interpolant scipy's make_interp_spline and RectBivariateSpline
-fit on the same nodes (tests/test_spline_oracle.py). The B-splines and
-the factored collocation matrix of an axis depend on its node count
-alone, so `spline_axis` builds them once per count, read-only.
+fit on the same nodes (tests/test_spline_oracle.py). Each spline builds
+the B-splines and the factored collocation matrix of its axes itself;
+two axes of one node count share one SplineAxis.
 """
 
 from __future__ import annotations
 
 import math
-from functools import cache
 
 import numpy as np
 
@@ -31,8 +30,7 @@ class SplineAxis:
     midpoint, where every knot is an integer: the Cox-de Boor recursion
     run on power coefficients. Centered, |s| is at most 1.5 on the axis,
     so the powers stay small and the sums cancel little. The collocation
-    matrix is factored here, for fit: once per node count, as
-    spline_axis builds each count's axis once."""
+    matrix is factored here, for fit."""
 
     def __init__(self, n: int):
         k = 5 if n > 5 else min(3, n - 1)
@@ -88,9 +86,6 @@ class SplineAxis:
         self.lower = tuple(band[node + d, k - d, None])
         self.upper = tuple(band[:n, k + 1:])
         self.pivot = tuple(band[:n, k].tolist())
-        # shared by every spline along n nodes (spline_axis): read-only
-        for arr in (mid, self.first, self.table, *self.lower, *self.upper):
-            arr.flags.writeable = False
 
     def basis(self, u):
         """(i, b) at u, a number or an array in node steps: B-splines i
@@ -127,12 +122,6 @@ class SplineAxis:
         return x[:n]
 
 
-@cache
-def spline_axis(n: int) -> SplineAxis:
-    """The SplineAxis of n nodes, built once per n and then shared."""
-    return SplineAxis(n)
-
-
 class FactorSpline:
     """The not-a-knot interpolant of phi on uniform axes, fitted with one
     banded collocation solve per axis. Called at (px, py), Python floats,
@@ -159,14 +148,15 @@ class FactorSpline:
         self.step = tuple(float(ax.step) for ax in axes)
         self.along = None if min(nx, ny) > 1 else int(ny > 1)
         if self.along is None:
-            self.x, self.y = spline_axis(nx), spline_axis(ny)
+            self.x = SplineAxis(nx)
+            self.y = self.x if ny == nx else SplineAxis(ny)
             # coef_t[j * nx + i] multiplies the i-th B-spline in x and the
             # j-th in y: the y fit's rows, so no copy is made to flatten it
             self.coef_t = self.y.fit(self.x.fit(phi).T).ravel()
             self.window = (np.arange(self.y.degree + 1)[:, None] * nx
                            + np.arange(self.x.degree + 1))
             return
-        ax = self.axis = spline_axis(phi.size)
+        ax = self.axis = SplineAxis(phi.size)
         n, k = ax.count, ax.degree
         coef = ax.fit(phi.reshape(n, 1))[:, 0]
         # interval, power, B-spline, value or derivative; the sum over the

@@ -62,13 +62,12 @@ def _direct_tail_gap(traj):
 
     def cut(r, y, _b=b0 / 10.0):
         return y[1] - _b
-    cut.terminal = True
-    cut.direction = -1.0
 
     back = integrate_flow(e2._shoot_rhs, traj.t[0], (a0, b0, c0, t0),
                           r_bolt, ("a", "b", "c", "t"), rtol=1e-12,
-                          atol=1e-20, events=[cut], variable="r")
-    assert back.stop_reason == "event:0"
+                          atol=1e-20, stops=[(cut, -1.0, "cut")],
+                          variable="r")
+    assert back.stop_reason == "cut"
     ac, bc_, cc, _ = back.states[0]
     return abs(back.t[0] - r_bolt - ac * bc_ * cc / (q * q))
 

@@ -489,20 +489,15 @@ def test_geodesic_rhs_spline_evaluations(monkeypatch, grid):
         assert np.all(spline(u[0], u[1])[2] == 0.0)
 
 
-def test_a_spline_axis_is_built_once_per_node_count():
+def test_equal_counts_share_one_spline_axis():
     # the B-splines and the factored collocation matrix depend on the node
-    # count alone: every spline along n nodes shares one read-only axis
-    a = sp.spline_axis(29)
-    assert sp.spline_axis(29) is a and sp.spline_axis(15) is not a
-    g = y_invariant_leaf()
-    assert sp.factor_spline(g).axis is sp.spline_axis(g.counts[0])
-    arrays = (a.mid, a.first, a.table, *a.lower, *a.upper)
-    assert len(arrays) == 3 + 2 * a.count
-    for arr in arrays:
-        assert not arr.flags.writeable
-        with pytest.raises(ValueError, match="read-only"):
-            arr[...] = 0.0
-    assert isinstance(a.pivot, tuple) and isinstance(a.bounds, tuple)
+    # count alone: a spline on x and y of one count builds one axis for both
+    phi = 1.0 + np.add.outer(np.arange(9.0), np.arange(9.0)) ** 2 / 64
+    axes = (Axis("x", 0.0, 0.1, 9), Axis("y", 1.0, 0.1, 9))
+    spline = sp.FactorSpline(axes, phi)
+    assert spline.y is spline.x and spline.x.count == 9
+    other = sp.FactorSpline((axes[0], Axis("y", 1.0, 0.1, 7)), phi[:, :7])
+    assert other.y is not other.x and other.y.count == 7
 
 
 def _frozen_metric_at(spline, px, py, dx=0, dy=0):

@@ -105,13 +105,41 @@ def test_positivity_loss_terminates():
 def test_named_event_stop():
     def cross(t, y):
         return y[0] - 0.25
-    cross.terminal = True
-    cross.direction = -1.0
-    cross.name = "quarter"
     traj = integrate_flow(lambda t, y: (-y[0],), 0.0, [1.0], 10.0, ("y",),
-                          rtol=1e-10, atol=1e-12, events=[cross])
+                          rtol=1e-10, atol=1e-12,
+                          stops=[(cross, -1.0, "event:quarter")])
     assert traj.stop_reason == "event:quarter"
     assert abs(traj.column("y")[-1] - 0.25) < 1e-8
+
+
+@pytest.mark.parametrize("t0, t_end", [(0.0, 3.0), (3.0, 0.0)])
+def test_earlier_of_two_stops_in_one_step_ends_the_run(t0, t_end):
+    # y = exp(-t): two stops whose roots lie inside the longest step of the
+    # run without them; the root the march reaches first ends the run,
+    # whichever of the two is listed first
+    args = dict(rhs=lambda t, y: (-y[0],), t0=t0, y0=[math.exp(-t0)],
+                t_end=t_end, columns=("y",), rtol=1e-6, atol=1e-9)
+    free = integrate_flow(**args)
+    k = int(np.argmax(np.diff(free.t)))
+    lo, hi = free.t[k], free.t[k + 1]
+    roots = [lo + 0.3 * (hi - lo), lo + 0.7 * (hi - lo)]
+    if t_end < t0:
+        roots.reverse()
+    first, second = [(lambda t, y, v=math.exp(-r): y[0] - v, 0.0, reason)
+                     for r, reason in zip(roots, ("first", "second"))]
+    # the node the step starts from and the stopped end, in march order
+    start, end = (-2, -1) if t_end > t0 else (1, 0)
+    only = integrate_flow(**args, stops=[second])
+    assert only.stop_reason == "second"
+    assert only.t[start] == (lo if t_end > t0 else hi)
+    ends = []
+    for stops in ([first, second], [second, first]):
+        traj = integrate_flow(**args, stops=stops)
+        assert traj.stop_reason == "first"
+        assert traj.t[start] == only.t[start]
+        assert abs(traj.t[end] - roots[0]) < 1e-6
+        ends.append(traj.t[end])
+    assert ends[0] == ends[1]
 
 
 def test_empty_span_rejected():

@@ -20,14 +20,20 @@ from keflow import e2flow as e2
 from keflow.odes import MAX_COMPONENT, integrate_flow
 
 
-def _stop_at(value, index, direction, name=None):
+def _stop_at(value, index, direction, name):
+    """A terminal scipy event; integrate_flow stops on the same function
+    (_stops)."""
     def event(t, y):
         return y[index] - value
     event.terminal = True
     event.direction = direction
-    if name is not None:
-        event.name = name
+    event.name = name
     return event
+
+
+def _stops(events):
+    """integrate_flow's (function, direction, reason) stops for events."""
+    return [(ev, ev.direction, f"event:{ev.name}") for ev in events]
 
 
 def _euclidean():
@@ -106,8 +112,10 @@ def _worst_relative(actual, desired):
 def test_integrate_flow_matches_scipy_rk45(case):
     args, cap = CASES[case]
     columns = tuple(f"y{i}" for i in range(len(args["y0"])))
-    traj = integrate_flow(columns=columns, **args)
-    sol, t_ref, y_ref, reason = _scipy_rk45(**args)
+    args = dict(args)
+    events = args.pop("events", ())
+    traj = integrate_flow(columns=columns, stops=_stops(events), **args)
+    sol, t_ref, y_ref, reason = _scipy_rk45(events=events, **args)
 
     assert traj.n_steps == t_ref.size - 1
     assert traj.n_rhs_evals == sol.nfev
