@@ -17,8 +17,10 @@ Only the pair blocks a < b, c < d of R_abcd are computed (1 component in
 2D instead of 16, 36 in 4D instead of 256), with the quadratic term taken
 as Gamma^f_bc (g_fe Gamma^e_ad). The checks never build R_abcd: `_raised`
 unfolds and raises only the first index pair, H[a, b, q] = R^a_bkl with
-(k, l) the q-th pair, `riemann_max` reads every |R^a_bcd| off H, and
-`_ricci` sums Ric_bd = R^a_bad from H pair by pair. `gauss_curvature_2d`
+(k, l) the q-th pair, and `riemann_max` reads every |R^a_bcd| off H.
+`_ricci` sums Ric_bd = R^a_bad from H pair by pair, which reads only the
+rows H[k, :, q] and H[l, :, q], so `ricci` and `einstein_residual` raise
+those two rows alone: half of H in 4D, all of it in 2D. `gauss_curvature_2d`
 reads its one block directly. Only `riemann_lowered` writes out all d^4
 components, R_bacd and R_abdc by exact negation, so the antisymmetry in
 each index pair holds bitwise, and those with a == b or c == d as zero.
@@ -27,7 +29,11 @@ The core is component-major (component indices lead, node axes trail),
 so stencils and products run over contiguous node arrays. It differences
 only the second derivatives g_ab,mn that the blocks read, each once with
 a <= b and m <= n, as g and the stencils are exactly symmetric (the mixed
-stencil takes axis m, then n): 3 in 2D and 72 in 4D, not 16 and 256.
+stencil takes axis m, then n): 3 in 2D and 72 in 4D, not 16 and 256. For
+the same reason Gamma^k_ij, the first derivatives g_ij,m and
+g_fe Gamma^e_ij are exactly symmetric in (i, j), and each is computed once
+per symmetric pair i <= j (3 of 4 in 2D, 10 of 16 in 4D), every value
+with the products and the summation order of the full tensor.
 
 The 2x2 determinant is the closed form of `grids.det`, and the 2D inverse
 metric is the adjugate over it, exactly symmetric because the components
@@ -35,7 +41,11 @@ are: LAPACK's batched det and inv together cost about 0.17 us per 2x2
 matrix, many times the arithmetic, on grids of 257^2 nodes.
 
 A Killing direction is an axis of one node (see `grids`): every
-difference along it is exactly zero and it has no margin. The scalar
+difference along it is exactly zero and it has no margin, so the core
+runs no stencil along it and writes the zeros itself. (A mixed difference
+that takes it first would be zeros with a NaN margin along its second
+axis; plain zeros give the same blocks, which are NaN on the margin of
+every axis of more than one node through Gamma.) The scalar
 checks `einstein_residual` and `riemann_max` cut every axis on which every
 component equals the first slice exactly (`grids.constant_axes`) to
 that one slice with `grids.collapse_constant`, the same representation,
@@ -50,14 +60,16 @@ The entry points `einstein_residual`, `riemann_max`, `ricci`,
 `gauss_curvature_2d` and `laplace_beltrami` evaluate node axis 0 in row
 slabs (`_slabs`), so that no temporary spans the whole grid: a 257^2 leaf
 needs about 2 MB instead of 26 MB. Every stencil reads at most one
-neighbour per axis, so each slab's stencils run on a window with one halo
-row on either side, and their values on the slab's own rows are exactly
-the full grid's; every other operation is elementwise per node and runs
-on the own rows alone, except in `laplace_beltrami`, whose staggered
-fluxes read the halo rows' weights. So the results are bit for bit the
-whole grid's, NaN margin included: the margin rows come from the end
-slabs' own stencils; the arrays join the slabs' rows, and the checks,
-whose slabs tile the interior rows, take the maximum of theirs.
+neighbour per axis, so each slab's stencils along axis 0 run on a window
+with one halo row on either side, and their values on the slab's own
+rows are exactly the full grid's. Stencils along node axes 1 .. d - 1
+and every other operation, elementwise per node, run on the own rows
+alone, except in `laplace_beltrami`, whose fluxes differenced along axis
+0 read the halo rows' weights and first differences of u. So the results
+are bit for bit the whole grid's, NaN margin included: the margin rows
+come from the end slabs' own stencils; the arrays join the slabs' rows,
+and the checks, whose slabs tile the interior rows, take the maximum of
+theirs.
 """
 
 from __future__ import annotations
@@ -70,7 +82,7 @@ import numpy as np
 
 from .errors import GridError
 from .grids import (MetricGrid, TwoFormGrid, central_diff, collapse_constant,
-                    det, interior, mixed_diff, second_diff, shift)
+                    det, interior, second_diff, shift)
 
 # Derivative quantities are valid this many layers in from the boundary.
 CURVATURE_MARGIN = 1
@@ -101,11 +113,12 @@ def _inverse_metric(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _slabs(g: np.ndarray, inner: bool = False):
     """Row slabs of node axis 0 of g[..., d, d], as slices (window, rows):
-    the stencils run on g[window], everything else on its rows `rows`,
-    and the rows, slab after slab, tile axis 0, or its margin-1 interior
-    if `inner`. A window is its rows plus one halo row on each side, so
-    neighbouring windows overlap by two rows; the grid's margin rows
-    belong to the end windows. An axis 0 of one node is one slab, whole."""
+    the stencils along axis 0 run on g[window], everything else on its
+    rows `rows`, and the rows, slab after slab, tile axis 0, or its
+    margin-1 interior if `inner`. A window is its rows plus one halo row
+    on each side, so neighbouring windows overlap by two rows; the grid's
+    margin rows belong to the end windows. An axis 0 of one node is one
+    slab, whole."""
     n, d = g.shape[0], g.shape[-1]
     step = max(1, SLAB_BYTES // (8 * d ** 3 * (g[0].size // (d * d))))
     edge = not inner or n == 1
@@ -121,40 +134,62 @@ def _component_major(a: np.ndarray) -> np.ndarray:
 
 
 def _contract(m: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """sum_l m[k, l] t[l, i, j] over component-major arrays, summed in the
+    """sum_l m[k, l] t[l, ...] over component-major arrays, summed in the
     order of l."""
-    return sum(m[:, l, None, None] * t[None, l] for l in range(len(m)))
+    mid = (None,) * (t.ndim - m.ndim + 1)
+    return sum(m[(slice(None), l, *mid)] * t[None, l] for l in range(len(m)))
+
+
+def _stencil(f: np.ndarray, steps, rows: slice, m: int,
+             n: int | None = None) -> np.ndarray:
+    """d f / dx_m, or d^2 f / dx_m dx_n with m <= n (the mixed stencil
+    takes m, then n), of the component-major f[c, ...] over the rows
+    `rows` of node axis 0. Only a stencil along axis 0 reads the rows
+    around them; along an axis of one node every difference is an exact
+    zero, and no stencil runs."""
+    if 1 in (f.shape[m + 1], f.shape[(m if n is None else n) + 1]):
+        return np.zeros_like(f[:, rows])
+    diff = second_diff if m == n else central_diff
+    out = (diff(f, steps[0], 1)[:, rows] if m == 0
+           else diff(f[:, rows], steps[m], m + 1))
+    return out if n in (None, m) else central_diff(out, steps[n], n + 1)
 
 
 def _connection(g: np.ndarray, steps,
                 rows: slice = slice(None)) -> tuple[np.ndarray, np.ndarray]:
-    """Inverse metric ginv[k, l] and Christoffel symbols Gamma[k, i, j] of
-    g over the nodes of its rows `rows` (node axis 0), both component-major.
+    """Inverse metric ginv[k, l] and Christoffel symbols Gamma[k, s] of g
+    over the nodes of its rows `rows` (node axis 0), both component-major,
+    with Gamma^k_ij at s = sym[i, j] (see `_pair_maps`).
 
     g holds components with the node axes leading; every axis of more than
-    one node gets a NaN boundary layer. Gamma is exactly symmetric in (i, j).
+    one node gets a NaN boundary layer. Gamma^k_ij is exactly symmetric in
+    (i, j), as g and its stencils are, so it is computed once per i <= j.
     """
-    comp = _component_major(g)
-    # dg[m, i, j] = d g_ij / d x_m
-    dg = np.stack([central_diff(comp, step, m + 2)
-                   for m, step in enumerate(steps)])[:, :, :, rows]
+    d = len(steps)
+    sym = _pair_maps(d)[3]
+    a, b = np.triu_indices(d)
+    # dg[m, s] = d g_ab / d x_m, s = sym[a, b]
+    up = np.moveaxis(g, (-2, -1), (0, 1))[a, b]
+    dg = np.stack([_stencil(up, steps, rows, m) for m in range(d)])
     ginv = _component_major(_inverse_metric(g[rows])[1])
-    t1 = np.swapaxes(dg, 0, 1)            # [l, i, j] = d_i g_lj
-    t2 = np.moveaxis(dg, 0, 2)            # [l, i, j] = d_j g_li
-    t3 = dg                               # [l, i, j] = d_l g_ij
-    return ginv, 0.5 * _contract(ginv, t1 + t2 - t3)
+    l = np.arange(d)[:, None]
+    # [l, s] = d_a g_lb + d_b g_la - d_l g_ab
+    return ginv, 0.5 * _contract(ginv, dg[a, sym[l, b]] + dg[b, sym[l, a]]
+                                 - dg)
 
 
 @cache
 def _pair_maps(d: int):
     """Index maps of the pair blocks in dimension d, shared by every call
-    and so read-only: ((i, j, k, l), groups, terms).
+    and so read-only: ((i, j, k, l), groups, terms, sym).
 
     Block (p, q) is R_ijkl with (i, j) = pairs[p], (k, l) = pairs[q]; i, j
     have shape (P, 1), k, l shape (P,). `groups` lists the second
     derivatives g_ab,mn that the blocks read, a <= b and m <= n, as
     ((m, n), rows a, rows b) in sorted order; `terms` maps g_il,jk,
     g_jk,il, g_jl,ik and g_ik,jl of every block into those rows, in order.
+    sym[a, b] = sym[b, a] numbers the symmetric pairs a <= b in sorted
+    order, the index of Gamma^k_ab in `_connection`.
     """
     lo, hi = np.array(list(combinations(range(d), 2))).T
     i, j, k, l = lo[:, None], hi[:, None], lo, hi
@@ -169,9 +204,12 @@ def _pair_maps(d: int):
     terms = np.array([entries.index(key) for key in keys]).reshape(m.shape)
     groups = tuple((mn, *np.array([e[2:] for e in entries if e[:2] == mn]).T)
                    for mn in sorted({e[:2] for e in entries}))
-    for arr in (i, j, k, l, terms, *(x for grp in groups for x in grp[1:])):
+    sym, upper = np.empty((d, d), dtype=int), np.triu_indices(d)
+    sym[upper] = sym.T[upper] = range(len(upper[0]))
+    for arr in (i, j, k, l, terms, sym,
+                *(x for grp in groups for x in grp[1:])):
         arr.flags.writeable = False
-    return (i, j, k, l), groups, terms
+    return (i, j, k, l), groups, terms, sym
 
 
 def _curvature(g: np.ndarray, steps,
@@ -179,51 +217,58 @@ def _curvature(g: np.ndarray, steps,
     """Inverse metric and the pair blocks B[p, q, ...] of the lowered
     curvature of g, both component-major: B[p, q] = R_ijkl over the nodes
     of rows `rows` of node axis 0, with (i, j) = pairs[p] and (k, l) =
-    pairs[q] (see `_pair_maps`). The stencils run on all of g, every
-    node-wise product on those rows alone.
+    pairs[q] (see `_pair_maps`). The stencils along axis 0 run on all of
+    g, every other operation on those rows alone.
 
     The one curvature core: the array functions call it on the full grid,
     the scalar checks on one slice per symmetry axis.
     """
     d = len(steps)
-    (i, j, k, l), groups, terms = _pair_maps(d)
+    (i, j, k, l), groups, terms, sym = _pair_maps(d)
     comp = _component_major(g)                  # comp[a, b] = g_ab
-    # ddg[e] = d^2 g_ab / dx_m dx_n for the e-th (m, n, a, b) of groups,
-    # node axis m of a component-major array being its axis m + 1
-    ddg = np.concatenate([
-        second_diff(comp[a, b], steps[m], m + 1) if m == n
-        else mixed_diff(comp[a, b], steps[m], m + 1, steps[n], n + 1)
-        for (m, n), a, b in groups])[:, rows]
+    # ddg[e] = d^2 g_ab / dx_m dx_n for the e-th (m, n, a, b) of groups
+    ddg = np.concatenate([_stencil(comp[a, b], steps, rows, m, n)
+                          for (m, n), a, b in groups])
     ginv, gamma = _connection(g, steps, rows)
-    glow = _contract(comp[:, :, rows], gamma)   # [f, i, l] = g_fe Gamma^e_il
+    glow = _contract(comp[:, :, rows], gamma)   # [f, s] = g_fe Gamma^e_s
     t1, t2, t3, t4 = (ddg[t] for t in terms)
+    jk, il, jl, ik = sym[j, k], sym[i, l], sym[j, l], sym[i, k]
     blocks = (0.5 * (t1 + t2 - t3 - t4)
-              + sum(gamma[f, j, k] * glow[f, i, l] for f in range(d))
-              - sum(gamma[f, j, l] * glow[f, i, k] for f in range(d)))
+              + sum(gamma[f][jk] * glow[f][il] for f in range(d))
+              - sum(gamma[f][jl] * glow[f][ik] for f in range(d)))
     return ginv, blocks
 
 
-def _raised(g: np.ndarray, steps, rows: slice = slice(None)) -> np.ndarray:
+def _raised(g: np.ndarray, steps, rows: slice = slice(None),
+            half: bool = False) -> np.ndarray:
     """H[a, b, q] = R^a_{bkl} = g^ae R_ebkl over the nodes of rows `rows`
     (see `_curvature`), summed in the order of e, with (k, l) = pairs[q];
     NaN margin 1. R_ebkl for e > b is block (b, e) negated, zero for
-    e == b."""
+    e == b. With `half`, only the rows that `_ricci` reads, a = k and
+    a = l, as H[0, b, q] and H[1, b, q] (all of H in 2D)."""
     ginv, blocks = _curvature(g, steps, rows)
-    k, l = _pair_maps(len(steps))[0][2:]
-    low = np.zeros((len(steps),) * 2 + blocks.shape[1:])
+    d = len(steps)
+    k, l = _pair_maps(d)[0][2:]
+    low = np.zeros((d, d) + blocks.shape[1:])
     low[k, l], low[l, k] = blocks, -blocks     # low[e, b, q] = R_ebkl
-    return _contract(ginv, low)
+    if not half:
+        return _contract(ginv, low)
+    kl = np.stack((k, l))
+    return sum(ginv[kl, e][:, None] * low[e][None] for e in range(d))
 
 
 def _ricci(H: np.ndarray) -> np.ndarray:
-    """Ric[..., b, d] = sum_a R^a_{bad} from H of `_raised`, summed over
-    the pairs in order: pair q = (k, l) adds R^k_{bkl} = H[k, b, q] to
-    Ric_bl and R^l_{blk} = -H[l, b, q] to Ric_bk. NaN margin 1."""
-    d = len(H)
+    """Ric[..., b, d] = sum_a R^a_{bad} from H of `_raised`, whole or
+    half, summed over the pairs in order: pair q = (k, l) adds R^k_{bkl}
+    to Ric_bl and R^l_{blk} = -R^l_{bkl} to Ric_bk. NaN margin 1."""
+    d = H.shape[1]
     ric = np.zeros((d, d) + H.shape[3:])
     for q, (k, l) in enumerate(zip(*_pair_maps(d)[0][2:])):
-        ric[:, l] += H[k, :, q]
-        ric[:, k] -= H[l, :, q]
+        # R^k_{bkl} and R^l_{bkl}: rows k and l of a whole H, 0 and 1 of
+        # a half one
+        hk, hl = (k, l) if len(H) > 2 else (0, 1)
+        ric[:, l] += H[hk, :, q]
+        ric[:, k] -= H[hl, :, q]
     return np.moveaxis(ric, (0, 1), (-2, -1))
 
 
@@ -232,8 +277,9 @@ def christoffel(grid: MetricGrid) -> np.ndarray:
 
     Exactly symmetric in (i, j); NaN on the outermost node layer.
     """
-    return np.moveaxis(_connection(grid.components, grid.steps)[1],
-                       (0, 1, 2), (-3, -2, -1))
+    gamma = _connection(grid.components, grid.steps)[1]
+    return np.moveaxis(gamma[:, _pair_maps(grid.dim)[3]], (0, 1, 2),
+                       (-3, -2, -1))
 
 
 def riemann_lowered(grid: MetricGrid) -> np.ndarray:
@@ -257,7 +303,7 @@ def ricci(grid: MetricGrid) -> np.ndarray:
     Sign fixed by Ric = K g on a round sphere; symmetric to rounding.
     """
     g = grid.components
-    return np.concatenate([_ricci(_raised(g[win], grid.steps, rows))
+    return np.concatenate([_ricci(_raised(g[win], grid.steps, rows, half=True))
                            for win, rows in _slabs(g)])
 
 
@@ -296,7 +342,7 @@ def einstein_residual(grid: MetricGrid, lam: float) -> float:
         lam_g = lam * g
     if not np.all(np.isfinite(lam_g)):
         raise GridError(f"lam * g is not finite for lam = {lam!r}")
-    return max(_rows_max(_ricci(_raised(g[win], grid.steps, rows))
+    return max(_rows_max(_ricci(_raised(g[win], grid.steps, rows, half=True))
                          - lam_g[win][rows], grid.dim)
                for win, rows in _slabs(g, inner=True))
 
@@ -321,28 +367,39 @@ def laplace_beltrami(grid: MetricGrid, u: np.ndarray) -> np.ndarray:
     if u.shape != grid.counts:
         raise GridError(f"scalar shape {u.shape} != grid shape {grid.counts}")
     return np.concatenate([_divergence(grid.components[win], u[win],
-                                       grid.steps)[rows]
+                                       grid.steps, rows)
                            for win, rows in _slabs(grid.components)])
 
 
-def _divergence(g: np.ndarray, u: np.ndarray, steps) -> np.ndarray:
-    """laplace_beltrami of u on the metric components g."""
+def _divergence(g: np.ndarray, u: np.ndarray, steps,
+                rows: slice = slice(None)) -> np.ndarray:
+    """laplace_beltrami of u on the metric components g, over the rows
+    `rows` of node axis 0. Only the fluxes differenced along axis 0 read
+    the rows around them, and with them the first differences of u."""
     d = len(steps)
     dets, ginv = _inverse_metric(g)
     sqrtg = np.sqrt(dets)
     weights = sqrtg[..., None, None] * ginv
-    div = np.zeros_like(u)
+
+    def along(i, stencil, *fields):
+        # stencil(*fields, steps[i], i) over the rows
+        if i == 0:
+            return stencil(*fields, steps[0], 0)[rows]
+        return stencil(*(f[rows] for f in fields), steps[i], i)
+
+    div = np.zeros_like(u[rows])
     for i in range(d):
-        div = div + _staggered_div(weights[..., i, i], u, steps[i], i)
+        div = div + along(i, _staggered_div, weights[..., i, i], u)
     if d > 1:
         du = np.stack(
             [central_diff(u, steps[m], m) for m in range(d)], axis=-1)
         for i in range(d):
             for j in range(d):
                 if i != j:
-                    div = div + central_diff(weights[..., i, j] * du[..., j],
-                                             steps[i], i)
-    return div / sqrtg
+                    div = div + along(i, lambda w, v, *at:
+                                      central_diff(w * v, *at),
+                                      weights[..., i, j], du[..., j])
+    return div / sqrtg[rows]
 
 
 def _staggered_div(a: np.ndarray, u: np.ndarray, step: float, axis: int) -> np.ndarray:

@@ -255,7 +255,9 @@ class MetricGrid:
             raise GridError(f"components shape {g.shape} != {expected}")
         if not np.all(np.isfinite(g)):
             raise GridError(f"non-finite {noun} component")
-        if not np.array_equal(g, self.transpose_sign * np.swapaxes(g, -1, -2)):
+        # the transpose is a view: a metric's check allocates no copy
+        gt = np.swapaxes(g, -1, -2)
+        if not np.array_equal(g, gt if metric else -gt):
             raise GridError(f"{noun} components are not exactly "
                             f"{'' if metric else 'anti'}symmetric")
         if not metric:

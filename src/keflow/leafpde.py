@@ -214,9 +214,16 @@ def leaf_metric(spec: LeafSpec) -> tuple[MetricGrid, np.ndarray]:
 
     The predicted Gauss curvature is K = e^h l^{3/2}, strictly positive.
     """
-    factor = spec.ell ** (-0.5) * np.exp(-spec.h)
-    K = np.exp(spec.h) * spec.ell ** 1.5
-    return _conformal_metric(spec.x_axis, spec.y_axis, factor), K
+    g = np.zeros((spec.x_axis.count, spec.y_axis.count, 2, 2))
+    # every step in place, into g's two diagonal slots, with the bits of
+    # ell ** -0.5 * exp(-h) and exp(h) * ell ** 1.5
+    phi, scratch = g[..., 0, 0], g[..., 1, 1]
+    np.exp(np.negative(spec.h, out=phi), out=phi)
+    np.multiply(np.power(spec.ell, -0.5, out=scratch), phi, out=phi)
+    K = np.exp(spec.h)
+    K *= np.power(spec.ell, 1.5, out=scratch)
+    scratch[...] = phi
+    return MetricGrid((spec.x_axis, spec.y_axis), g), K
 
 
 @dataclass(frozen=True)
@@ -686,24 +693,36 @@ def _half_nodes(v: np.ndarray) -> np.ndarray:
     return out
 
 
-def _times(m: np.ndarray):
+def _times(m):
     """u -> m u for stacks of 2x2 matrices, each entry the sum of its two
     products: no matmul, which can round differently (fused multiply-adds)
     and move the last bits. Where both products are -0.0 the entry is
-    -0.0; einsum, the tests' oracle, sums from +0.0 and gives +0.0."""
+    -0.0; einsum, the tests' oracle, sums from +0.0 and gives +0.0. For
+    one matrix m as a tuple of four Python floats, its entries row by
+    row, u is such a tuple too, and each entry the same two products."""
+    if isinstance(m, tuple):
+        m00, m01, m10, m11 = m
+        return lambda u: (m00 * u[0] + m01 * u[2], m00 * u[1] + m01 * u[3],
+                          m10 * u[0] + m11 * u[2], m10 * u[1] + m11 * u[3])
     return lambda u: (m[..., :, 0, None] * u[..., None, 0, :]
                       + m[..., :, 1, None] * u[..., None, 1, :])
 
 
-def _linear_march(m: np.ndarray, u0: np.ndarray, h: float) -> np.ndarray:
+def _linear_march(m: np.ndarray, u0, h: float) -> np.ndarray:
     """u' = m u along axis 0 of m, one RK4 step per node interval; the
-    midpoint matrices come from _half_nodes. Returns u at every node."""
-    mid = _half_nodes(m)
+    midpoint matrices come from _half_nodes. Returns u at every node. A
+    u0 of four Python floats, one 2x2 matrix row by row, is marched as
+    such a tuple against m's matrices as tuples (see `_times` and
+    `_rk4`), with the bits of the array march."""
+    shape, mid = m.shape, _half_nodes(m)
+    if isinstance(u0, tuple):
+        m, mid = ([tuple(row) for row in a.reshape(len(a), 4).tolist()]
+                  for a in (m, mid))
     u = [u0]
-    for i in range(m.shape[0] - 1):
+    for i in range(len(m) - 1):
         u.append(_rk4(_times(m[i]), _times(mid[i]), _times(m[i + 1]),
                       u[-1], h))
-    return np.stack(u)
+    return np.reshape(u, shape)
 
 
 def integrate_vecsys(coeffs: VecSysCoefficients, cp: CProfile,
@@ -714,8 +733,9 @@ def integrate_vecsys(coeffs: VecSysCoefficients, cp: CProfile,
     With U = [[a, b], [r, s]], both columns solve U_y = M_y U and
     U_x = M_x U, where M_y = [[0, c nu], [c chi, 0]] and
     M_x = [[alpha, beta], [-beta, -alpha]]. U is integrated up the first
-    column along y, then along every y-line in x, with a fourth-order
-    fixed-step scheme. The mixed-partial compatibility residual
+    column along y, one 2x2 frame marched as four Python floats, then
+    along every y-line in x on arrays, with a fourth-order fixed-step
+    scheme. The mixed-partial compatibility residual
     max |d_y(M_x U) - d_x(M_y U)| is reported; it is O(h^2) exactly when
     the reduced system holds.
     """
@@ -741,7 +761,7 @@ def integrate_vecsys(coeffs: VecSysCoefficients, cp: CProfile,
     m_y = np.stack((zero, c * nu, c * ch, zero), -1).reshape(nx, ny, 2, 2)
     # a frame that overflows is refused by assemble_four_metric's grid
     with np.errstate(all="ignore"):
-        u = _linear_march(m_y[0], np.array([[a0, b0], [r0, s0]]), hy)
+        u = _linear_march(m_y[0], (a0, b0, r0, s0), hy)
         u = _linear_march(m_x, u, hx)
         resid = _nanmax_interior(central_diff(_times(m_x)(u), hy, 1)
                                  - central_diff(_times(m_y)(u), hx, 0))

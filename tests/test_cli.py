@@ -982,8 +982,10 @@ def test_pde_verify_refuses_a_metric_whose_minors_overflow(
 
 
 # a frame whose march or metric overflows (huge entries, or a determinant
-# whose square underflows) printed numpy's RuntimeWarnings
-@pytest.mark.parametrize("init", ["1,0,0,1e300", "1e-320,0,0,1"])
+# whose square underflows) printed numpy's RuntimeWarnings; the last one
+# overflows to inf and NaN in the first column's march on Python floats
+@pytest.mark.parametrize("init", ["1,0,0,1e300", "1e-320,0,0,1",
+                                  "1e308,1e308,-1e-308,1e-308"])
 def test_pde_construct_refuses_a_frame_that_overflows(pde_run, tmp_path,
                                                      capsys, init):
     err = _refused_without_warning(capsys, [

@@ -693,6 +693,69 @@ def test_slabs_run_the_algebra_on_their_own_rows(monkeypatch):
     assert rows == [5, 5]
 
 
+def test_stencils_skip_one_node_axes_and_read_halo_rows_on_axis_0_only(
+        slab_grids, monkeypatch):
+    # the shapes that the core's stencils receive, slab by slab: its
+    # arrays are component-major, so node axis m is array axis m + 1 and
+    # array axis 1 counts rows. No stencil runs along an axis of one node
+    # (its differences are exact zeros), and only those along node axis 0
+    # read the window's halo rows
+    calls = []
+
+    def slabs(g, inner=False, _slabs=curvature._slabs):
+        for win, rows in _slabs(g, inner):
+            calls.append(("slab", win.stop - win.start,
+                          rows.stop - rows.start))
+            yield win, rows
+
+    def recording(stencil):
+        def run(*args):
+            calls.append(("stencil", args[-3].shape, args[-1]))
+            return stencil(*args)
+        return run
+
+    monkeypatch.setattr(curvature, "_slabs", slabs)
+    monkeypatch.setattr(curvature, "central_diff", recording(central_diff))
+    monkeypatch.setattr(curvature, "second_diff", recording(second_diff))
+    sweep = slab_grids[1][0]
+    for grid in (sweep, criterion_07_grid()):
+        for check in (ricci, lambda g: einstein_residual(g, 0.0),
+                      riemann_max):
+            calls.clear()
+            check(grid)
+            axes = set()
+            for kind, a, b in calls:
+                if kind == "slab":
+                    window, own = a, b
+                    continue
+                shape, axis = a, b
+                assert shape[axis] > 1
+                assert shape[1] == (window if axis == 1 else own)
+                axes.add(axis - 1)
+            # the sweep metric's u, v and criterion 07's cut theta, x are
+            # one-node axes of the scalar checks
+            assert axes == ({0, 1} if grid is sweep
+                            else {0, 1, 2, 3} if check is ricci else {0, 3})
+    # laplace_beltrami on the leaf, per slab: the fluxes along axis 1 run
+    # on the own rows; those along axis 0 read the window, and with them
+    # both first differences of u
+    monkeypatch.setattr(curvature, "_staggered_div",
+                        recording(curvature._staggered_div))
+    leaf, logK, _ = slab_grids[0]
+    calls.clear()
+    laplace_beltrami(leaf, logK)
+    slabs = []
+    for kind, a, b in calls:
+        if kind == "slab":
+            slabs.append(((a, b), []))
+        else:
+            slabs[-1][1].append((a[0], b))
+    assert len(slabs) == 17
+    for (window, own), seen in slabs:
+        assert seen == [(window, 0), (own, 1), (window, 0), (window, 1),
+                        (window, 0), (own, 1)]
+
+
 def traced_peak_mb(fn):
     tracemalloc.start()
     try:

@@ -460,6 +460,35 @@ def test_leaf_pipeline_golden_bytes():
     assert sol.compat_residual == 0.010763017128237351
 
 
+@pytest.mark.parametrize("init", [(1.0, 0.0, 0.0, 1.0), (1.0, -0.0, 0.0, 1.0),
+                                  (0.3, 1.7, -2.0, 0.5)])
+def test_first_column_march_on_floats_gives_the_array_bits(monkeypatch, init):
+    # integrate_vecsys marches the first column's one 2x2 frame as four
+    # Python floats; marched as a (1, 2, 2) array lane it has the same
+    # bits, the sign of a zero included
+    march, lanes = lp._linear_march, []
+
+    def both(m, u0, h):
+        got = march(m, u0, h)
+        if isinstance(u0, tuple):
+            lanes.append((got, march(m[:, None], np.reshape(u0, (1, 2, 2)),
+                                     h)[:, 0]))
+        return got
+
+    monkeypatch.setattr(lp, "_linear_march", both)
+    h = 1.0 / 32
+    g, _ = lp.leaf_metric(hyperbolic_spec(n=33))
+    cp = lp.geodesic_parallel_profile(g, Axis("x", 0.0, h, 13),
+                                      Axis("y", 1.0 + 3 * h, h, 21))
+    lp.integrate_vecsys(lp.vecsys_coefficients(lp.reduced_fields(cp)), cp,
+                        init=init)
+    (got, want), = lanes
+    assert got.shape == want.shape == (19, 2, 2)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    start = np.reshape(init, (2, 2))
+    assert np.array_equal(np.signbit(got[0]), np.signbit(start))
+
+
 @pytest.mark.parametrize("grid", [
     lambda: lp.leaf_metric(hyperbolic_spec(n=33))[0],
     lambda: y_invariant_leaf(),
