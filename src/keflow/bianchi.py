@@ -24,6 +24,7 @@ from .odes import Trajectory, integrate_flow
 SQRT2 = math.sqrt(2.0)
 
 CLOSED_FORM_CASES = ("poincare", "torus", "heisenberg", "euclidean")
+INTEGRATOR_TOL = 1e-10  # integrate's rtol; its atol is a thousandth of it
 
 _CASE_STRUCTURE = {
     "poincare": (1.0, -1.0),
@@ -307,7 +308,7 @@ def bianchi_frame_coefficients(params: BianchiParams, s: ABCState) -> FrameCoeff
 
 
 def integrate(params: BianchiParams, s0: ABCState, t_end: float,
-              tol: float = 1e-10) -> Trajectory:
+              tol: float = INTEGRATOR_TOL) -> Trajectory:
     """Adaptively integrate the flow from s0 to t_end (blow-up flagged)."""
     return integrate_flow(lambda t, y: type_a_flow(params, *y), s0.t,
                           (s0.a, s0.b, s0.c), t_end, columns=("a", "b", "c"),

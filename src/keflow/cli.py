@@ -7,8 +7,9 @@ conformal factors to an assembled Ricci-flat 4-metric.
 
 Every run writes a manifest.json recording the subcommand, the full
 parameter set, the tolerances and sha256 checksums of all artifacts, so
-runs are reproducible bit for bit. Time series are CSV, grids and reports
-JSON.
+runs are reproducible bit for bit. Each command's tolerances and
+acceptance bounds are the literals of TOLERANCES, which no option
+changes. Time series are CSV, grids and reports JSON.
 
 Exit codes: 0 success; 1 usage or domain error; 2 expected mathematical
 termination (blow-up or early stop, partial artifacts are still written);
@@ -43,6 +44,17 @@ EXIT_VERIFY = 3
 _CASE_SPANS = {"poincare": (0.4, 1.1), "torus": (0.0, 2.0),
                "heisenberg": (1.0, 2.0), "euclidean": (1.0, 2.0)}
 
+# Each command's tolerances and acceptance bounds: its manifest records
+# its entry, and its reports and verdicts read their bounds from it
+TOLERANCES = {
+    "bianchi solve": {"integrator_tol": bi.INTEGRATOR_TOL,
+                      "closed_form_match": 1e-6, "flatness": 1e-6},
+    "e2 shoot": {"integrator_tol": e2.SHOOT_TOL}, "e2 diagnose": {},
+    "e2 bolt": {"db_dr_bound": 1e-4},
+    "pde leaf-build": {}, "pde profile": {}, "pde construct": {},
+    "pde verify": {"einstein": 5e-3, "closedness": 1e-10},
+}
+
 
 def _parse_floats(text: str, n: int, label: str) -> tuple[float, ...]:
     try:
@@ -66,17 +78,20 @@ def _finite(ctx, param, value):
     return value
 
 
+def _start_run(ctx, command: str, parameters: dict):
+    """The run's manifest, which records the command's TOLERANCES entry,
+    and the directory its artifacts go to."""
+    return RunManifest(command, parameters, TOLERANCES[command]), ctx.obj
+
+
 @click.group()
-@click.option("--tol", type=float, default=None, callback=_positive_finite,
-              help="Override the command's main tolerance.")
 @click.option("--out-dir", type=click.Path(file_okay=False), default=".",
               show_default=True, help="Directory for artifacts.")
 @click.pass_context
-def cli(ctx, tol, out_dir):
+def cli(ctx, out_dir):
     """Cohomogeneity-one Einstein metrics: solve, construct, verify."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    ctx.obj = {"tol": tol, "out_dir": out}
+    ctx.obj = Path(out_dir)
+    ctx.obj.mkdir(parents=True, exist_ok=True)
 
 
 # ---------------------------------------------------------------------------
@@ -119,10 +134,6 @@ def bianchi():
 def bianchi_solve(ctx, p1, p2, p3, lam, alpha, case_name, alpha_eq_ab,
                   k, w3, t0, a0, b0, c0, start, t_start, t_end, samples):
     """Integrate one flow; verify against the matching explicit family."""
-    tol = ctx.obj["tol"] if ctx.obj["tol"] is not None else 1e-10
-    match_bound = max(1.0e4 * tol, 1e-8)
-    flat_bound = 1e-6
-
     consts = None
     if case_name is not None:
         dropped = [name for name, v in zip(
@@ -153,38 +164,35 @@ def bianchi_solve(ctx, p1, p2, p3, lam, alpha, case_name, alpha_eq_ab,
         s0 = bi.ABCState(t=tv, a=av, b=bv, c=cv)
         t_stop = t_end
 
-    mf = RunManifest("bianchi solve",
-                     {"p1": params.p1, "p2": params.p2, "p3": params.p3,
-                      "lam": params.lam, "alpha0": params.alpha0,
-                      "case": case_name, "alpha_eq_ab": alpha_eq_ab,
-                      "constants": consts.__dict__ if consts else None,
-                      "start": [s0.t, s0.a, s0.b, s0.c], "t_end": t_stop,
-                      "samples": samples},
-                     {"integrator_tol": tol, "closed_form_match": match_bound,
-                      "flatness": flat_bound})
-    out = ctx.obj["out_dir"]
+    mf, out = _start_run(ctx, "bianchi solve", {
+        "p1": params.p1, "p2": params.p2, "p3": params.p3, "lam": params.lam,
+        "alpha0": params.alpha0, "case": case_name,
+        "alpha_eq_ab": alpha_eq_ab,
+        "constants": consts.__dict__ if consts else None,
+        "start": [s0.t, s0.a, s0.b, s0.c], "t_end": t_stop,
+        "samples": samples})
+    tols = mf.tolerances
 
-    traj = bi.integrate(params, s0, t_stop, tol=tol)
+    traj = bi.integrate(params, s0, t_stop, tol=tols["integrator_tol"])
     mf.write_text(traj.to_csv(), out / "trajectory.csv")
 
+    # rows run in increasing t, so a backward march ends on the first
+    end = 0 if t_stop < s0.t else -1
+    t_final = float(traj.t[end])
     report = {"stop_reason": traj.stop_reason, "blow_up": traj.blow_up,
-              "n_steps": traj.n_steps, "t_final": float(traj.t[-1]),
-              "final_state": [float(v) for v in traj.states[-1]]}
+              "n_steps": traj.n_steps, "t_final": t_final,
+              "final_state": [float(v) for v in traj.states[end]]}
 
-    matched = None
     if case_name is not None and not traj.blow_up:
         ts = np.linspace(traj.t[0], traj.t[-1], samples + 2)[1:-1]
-        numeric = np.asarray(traj.sample(ts)).T
-        dev = 0.0
-        for i, tv in enumerate(ts):
-            ref = bi.closed_form(case_name, consts, float(tv))
-            exact = np.array([ref.a, ref.b, ref.c])
-            dev = max(dev, float(np.max(np.abs(numeric[i] - exact) / exact)))
-        matched = dev <= match_bound
+        refs = [bi.closed_form(case_name, consts, float(tv)) for tv in ts]
+        exact = np.array([[r.a, r.b, r.c] for r in refs])
+        dev = float(np.max(np.abs(np.asarray(traj.sample(ts)).T - exact)
+                           / exact))
         report["closed_form"] = {"case": case_name, "max_rel_deviation": dev,
-                                 "bound": match_bound, "matched": matched}
+                                 "bound": tols["closed_form_match"],
+                                 "matched": dev <= tols["closed_form_match"]}
 
-    flat = None
     if case_name == "torus" and not traj.blow_up:
         h = 1e-3
         t_mid = 0.5 * (traj.t[0] + traj.t[-1])
@@ -193,29 +201,30 @@ def bianchi_solve(ctx, p1, p2, p3, lam, alpha, case_name, alpha_eq_ab,
         mf.write_text(grid.to_json(), out / "torus_metric.json")
         rmax = riemann_max(grid)
         eres = einstein_residual(grid, params.lam)
-        flat = rmax <= flat_bound
         report["torus_flatness"] = {"max_riemann": rmax,
                                     "einstein_residual": eres,
-                                    "bound": flat_bound, "flat": flat}
+                                    "bound": tols["flatness"],
+                                    "flat": rmax <= tols["flatness"]}
 
     mf.write_json(report, out / "bianchi_report.json")
     mf.save(out)
 
     if traj.blow_up:
-        click.echo(f"terminated: {traj.stop_reason} at t = {traj.t[-1]:.6g} "
+        click.echo(f"terminated: {traj.stop_reason} at t = {t_final:.6g} "
                    f"(partial trajectory written)")
         return EXIT_MATH
-    click.echo(f"reached t = {traj.t[-1]:.6g} in {traj.n_steps} steps "
+    click.echo(f"reached t = {t_final:.6g} in {traj.n_steps} steps "
                f"({traj.stop_reason})")
-    if matched is not None:
+    closed, torus = report.get("closed_form"), report.get("torus_flatness")
+    if closed:
         click.echo(f"explicit-family deviation "
-                   f"{report['closed_form']['max_rel_deviation']:.3e} "
-                   f"(bound {match_bound:.1e})")
-        if not matched:
+                   f"{closed['max_rel_deviation']:.3e} "
+                   f"(bound {closed['bound']:.1e})")
+        if not closed["matched"]:
             raise VerificationError("numerical run left the explicit family")
-    if flat is not None:
-        click.echo(f"torus curvature max {report['torus_flatness']['max_riemann']:.3e}")
-        if alpha_eq_ab and not flat:
+    if torus:
+        click.echo(f"torus curvature max {torus['max_riemann']:.3e}")
+        if alpha_eq_ab and not torus["flat"]:
             raise VerificationError("alpha = a0 b0 torus metric is not flat "
                                     "to tolerance")
     return EXIT_OK
@@ -244,15 +253,13 @@ def e2grp():
 @click.pass_context
 def e2_shoot(ctx, q, eps, b_max, r_max, start):
     """Shoot from the saddle tail and record trajectory + diagnostics."""
-    tol = ctx.obj["tol"] if ctx.obj["tol"] is not None else 1e-12
     start_state = _parse_floats(start, 3, "--start") if start else None
-    mf = RunManifest("e2 shoot",
-                     {"q": q, "eps": eps, "b_max": b_max, "r_max": r_max,
-                      "start": list(start_state) if start_state else None},
-                     {"integrator_tol": tol})
-    out = ctx.obj["out_dir"]
+    mf, out = _start_run(ctx, "e2 shoot", {
+        "q": q, "eps": eps, "b_max": b_max, "r_max": r_max,
+        "start": list(start_state) if start_state else None})
 
-    traj = e2.shoot_unstable(q, eps=eps, b_max=b_max, r_max=r_max, tol=tol,
+    traj = e2.shoot_unstable(q, eps=eps, b_max=b_max, r_max=r_max,
+                             tol=mf.tolerances["integrator_tol"],
                              start=start_state)
     # a run that cannot be diagnosed leaves no artifact behind
     diag = e2.diagnose(traj)
@@ -276,10 +283,8 @@ def e2_shoot(ctx, q, eps, b_max, r_max, start):
 def e2_diagnose(ctx, traj_csv):
     """Replay a stored shoot and evaluate the qualitative diagnostics."""
     stored = e2.Trajectory.from_csv(Path(traj_csv).read_bytes())
-    mf = RunManifest("e2 diagnose",
-                     {"traj_csv": str(traj_csv), "meta": dict(stored.meta)},
-                     {})
-    out = ctx.obj["out_dir"]
+    mf, out = _start_run(ctx, "e2 diagnose", {"traj_csv": str(traj_csv),
+                                              "meta": dict(stored.meta)})
 
     fresh = e2.replay_shoot(stored)
     diag = e2.diagnose(fresh)
@@ -312,30 +317,26 @@ def e2_diagnose(ctx, traj_csv):
 def e2_bolt(ctx, traj_csv, r_max, n, r0):
     """Replay a stored shoot: arclength profile near r = 0 and the bolt
     smoothness extrapolation."""
-    tol = ctx.obj["tol"] if ctx.obj["tol"] is not None else 1e-4
     stored = e2.Trajectory.from_csv(Path(traj_csv).read_bytes())
     if stored.meta.get("r_origin") != "tail":
         raise DomainError("bolt analysis needs a tail-seeded shoot "
                           "(custom --start has no bolt at r = 0)")
-    mf = RunManifest("e2 bolt",
-                     {"traj_csv": str(traj_csv), "r_max": r_max, "n": n,
-                      "r0": r0, "meta": dict(stored.meta)},
-                     {"db_dr_bound": tol})
-    out = ctx.obj["out_dir"]
+    mf, out = _start_run(ctx, "e2 bolt", {
+        "traj_csv": str(traj_csv), "r_max": r_max, "n": n, "r0": r0,
+        "meta": dict(stored.meta)})
+    bound = mf.tolerances["db_dr_bound"]
 
     fresh = e2.replay_shoot(stored)
     profile = e2.bolt_profile(fresh, r_max=r_max, n=n)
     mf.write_text(profile.to_csv(), out / "bolt_profile.csv")
     sm = e2.bolt_smoothness(profile, r0=r0)
-    doc = asdict(sm)
-    doc["db_dr_deviation"] = sm.db_dr_error
-    doc["db_dr_bound"] = tol
-    doc["smooth"] = doc["db_dr_deviation"] <= tol
+    doc = {**asdict(sm), "db_dr_deviation": sm.db_dr_error,
+           "db_dr_bound": bound, "smooth": sm.db_dr_error <= bound}
     mf.write_json(doc, out / "bolt_report.json")
     mf.save(out)
 
     click.echo(f"db/dr -> {sm.db_dr_limit:.8f} (deviation "
-               f"{doc['db_dr_deviation']:.3e}, bound {tol:.1e})")
+               f"{doc['db_dr_deviation']:.3e}, bound {bound:.1e})")
     if not doc["smooth"]:
         raise VerificationError("bolt profile fails the db/dr = 1 "
                                 "smoothness check")
@@ -376,10 +377,9 @@ def pde_leaf_build(ctx, h_expr, domain, n, nx, ny, ell_axis):
     y_axis = Axis("y", y0, (y1 - y0) / (ny - 1), ny)
     ell = lp.hyperbolic_factor(x_axis, y_axis, ell_axis)
 
-    mf = RunManifest("pde leaf-build",
-                     {"h_expr": h_expr, "domain": [x0, x1, y0, y1],
-                      "nx": nx, "ny": ny, "ell_axis": ell_axis}, {})
-    out = ctx.obj["out_dir"]
+    mf, out = _start_run(ctx, "pde leaf-build", {
+        "h_expr": h_expr, "domain": [x0, x1, y0, y1], "nx": nx, "ny": ny,
+        "ell_axis": ell_axis})
 
     spec = lp.leaf_spec(x_axis, y_axis, h=h_expr, ell=ell)
     mf.write_text(spec.to_json(), out / "leafspec.json")
@@ -420,10 +420,9 @@ def pde_profile(ctx, spec_path, nx, ny, step, y_start):
     y_axis = lp.base_curve_axis(sy, sy.step if step is None else step,
                                 y_start, ny)
 
-    mf = RunManifest("pde profile",
-                     {"spec": str(spec_path), "nx": nx, "ny": ny,
-                      "step": step, "y_start": y_start}, {})
-    out = ctx.obj["out_dir"]
+    mf, out = _start_run(ctx, "pde profile", {
+        "spec": str(spec_path), "nx": nx, "ny": ny, "step": step,
+        "y_start": y_start})
 
     cp = lp.geodesic_parallel_profile(g, x_axis, y_axis)
     mf.write_text(cp.to_json(), out / "cprofile.json")
@@ -454,10 +453,9 @@ def pde_construct(ctx, profile_path, init, compat_threshold):
     """Solve the linear frame system and assemble the 4-metric + form."""
     cp = lp.CProfile.from_json(Path(profile_path).read_bytes())
     init_vals = _parse_floats(init, 4, "--init")
-    mf = RunManifest("pde construct",
-                     {"profile": str(profile_path), "init": list(init_vals),
-                      "compat_threshold": compat_threshold}, {})
-    out = ctx.obj["out_dir"]
+    mf, out = _start_run(ctx, "pde construct", {
+        "profile": str(profile_path), "init": list(init_vals),
+        "compat_threshold": compat_threshold})
 
     fields = lp.reduced_fields(cp)
     s2 = lp.sys2_residuals(fields, cp)
@@ -501,8 +499,6 @@ def pde_construct(ctx, profile_path, init, compat_threshold):
 @click.pass_context
 def pde_verify(ctx, metric_path, form_path, lam):
     """Independent curvature check of a stored metric artifact."""
-    tol = ctx.obj["tol"] if ctx.obj["tol"] is not None else 5e-3
-    closed_bound = 1e-10
     grid = MetricGrid.from_json(Path(metric_path).read_bytes())
     form = (TwoFormGrid.from_json(Path(form_path).read_bytes())
             if form_path else None)
@@ -510,28 +506,25 @@ def pde_verify(ctx, metric_path, form_path, lam):
         shapes = [tuple(ax.count for ax in g.axes) for g in (form, grid)]
         raise GridError(f"the form's axes do not match the metric's: "
                         f"shape {shapes[0]} against {shapes[1]}")
-    mf = RunManifest("pde verify",
-                     {"metric": str(metric_path), "form": form_path,
-                      "lam": lam},
-                     {"einstein": tol, "closedness": closed_bound})
-    out = ctx.obj["out_dir"]
+    mf, out = _start_run(ctx, "pde verify", {
+        "metric": str(metric_path), "form": form_path, "lam": lam})
+    tols = mf.tolerances
 
-    doc = {"einstein_residual": einstein_residual(grid, lam),
-           "einstein_bound": tol}
-    doc["einstein_ok"] = doc["einstein_residual"] <= tol
-
+    eres = einstein_residual(grid, lam)
+    doc = {"einstein_residual": eres, "einstein_bound": tols["einstein"],
+           "einstein_ok": eres <= tols["einstein"]}
     if form is not None:
-        doc["closedness"] = exterior_derivative_closedness(form)
-        doc["closedness_bound"] = closed_bound
-        doc["closedness_ok"] = doc["closedness"] <= closed_bound
+        closed = exterior_derivative_closedness(form)
+        doc.update(closedness=closed, closedness_bound=tols["closedness"],
+                   closedness_ok=closed <= tols["closedness"])
 
     checks = [k for k in ("einstein_ok", "closedness_ok") if k in doc]
     doc["passed"] = all(doc[k] for k in checks)
     mf.write_json(doc, out / "verify_report.json")
     mf.save(out)
 
-    click.echo(f"einstein residual {doc['einstein_residual']:.3e} "
-               f"(bound {tol:.1e})")
+    click.echo(f"einstein residual {eres:.3e} "
+               f"(bound {tols['einstein']:.1e})")
     if not doc["passed"]:
         failed = ", ".join(k[:-3] for k in checks if not doc[k])
         raise VerificationError(f"checks failed: {failed}")

@@ -28,6 +28,7 @@ from .odes import Trajectory, integrate_flow, replay, root, write_table
 EQUILIBRIUM_SADDLE = "q0q"
 EQUILIBRIUM_DEGENERATE = "0q0"
 E2_PARAMS = BianchiParams(1.0, 0.0, 1.0, lam=-1.0)
+SHOOT_TOL = 1e-12  # shoot_unstable's rtol; its atol is a hundredth of it
 
 # diagnose's slacks, and the drop of a/c below 1 that ends the transient
 REGION_SLACK = 1e-10
@@ -113,7 +114,7 @@ def _shoot_start(q: float, eps: float | None,
 
 def shoot_unstable(q: float, eps: float | None = None,
                    b_max: float = 100.0, r_max: float = 100.0,
-                   tol: float = 1e-12,
+                   tol: float = SHOOT_TOL,
                    start: tuple[float, float, float] | None = None) -> Trajectory:
     """Integrate in arclength r from (q, eps, q) at r = eps (or a custom
     start at r = 0) until b reaches b_max, which must lie above the

@@ -56,8 +56,12 @@ class RunManifest:
     subcommand: str
     parameters: dict = field(default_factory=dict)
     tolerances: dict = field(default_factory=dict)
-    outputs: list = field(default_factory=list)
     checksums: dict = field(default_factory=dict)
+
+    @property
+    def outputs(self) -> list:
+        """The artifacts' names, each once: the keys of checksums."""
+        return sorted(self.checksums)
 
     def header(self) -> dict:
         """The invocation record alone, for embedding inside artifacts.
@@ -71,9 +75,7 @@ class RunManifest:
 
     def record(self, path: Path) -> None:
         """Checksum an artifact that has already been written."""
-        path = Path(path)
-        self.outputs.append(path.name)
-        self.checksums[path.name] = sha256_of(path)
+        self.checksums[Path(path).name] = sha256_of(path)
 
     def write_json(self, doc: dict, path: Path) -> None:
         dump_json(doc, path)
@@ -85,7 +87,7 @@ class RunManifest:
 
     def to_dict(self) -> dict:
         doc = self.header()
-        doc["outputs"] = sorted(self.outputs)
+        doc["outputs"] = self.outputs
         doc["checksums"] = dict(sorted(self.checksums.items()))
         return doc
 
@@ -93,11 +95,11 @@ class RunManifest:
     def from_dict(cls, doc: dict) -> "RunManifest":
         if doc.get("schema") != SCHEMA_VERSION:
             raise ValueError(f"unsupported manifest schema {doc.get('schema')!r}")
-        return cls(subcommand=doc["subcommand"],
-                   parameters=doc.get("parameters", {}),
-                   tolerances=doc.get("tolerances", {}),
-                   outputs=list(doc.get("outputs", [])),
-                   checksums=dict(doc.get("checksums", {})))
+        checksums = dict(doc.get("checksums", {}))
+        if sorted(doc.get("outputs", [])) != sorted(checksums):
+            raise ValueError("outputs must name each checksummed file once")
+        return cls(doc["subcommand"], doc.get("parameters", {}),
+                   doc.get("tolerances", {}), checksums)
 
     def save(self, out_dir: Path) -> Path:
         path = Path(out_dir) / "manifest.json"

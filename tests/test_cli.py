@@ -122,6 +122,26 @@ def test_bianchi_overflowing_first_step_exits_2(tmp_path, capsys):
     assert "terminated: step_underflow" in capsys.readouterr().out
 
 
+# a backward march's rows run in increasing t too, and the report and the
+# echo gave the first of them, the start, as where the march ended
+@pytest.mark.parametrize("t_end, rc, reason", [("-1", 0, "t_end"),
+                                               ("-100", 2, "step_underflow")])
+def test_bianchi_backward_run_reports_where_the_march_ended(tmp_path, capsys,
+                                                           t_end, rc, reason):
+    capsys.readouterr()
+    assert main(["--out-dir", str(tmp_path), "bianchi", "solve", "--p1", "1",
+                 "--p2", "1", "--p3", "1", "--lam", "1", "--start", "0,1,1,1",
+                 "--t-end", t_end]) == rc
+    traj = odes.Trajectory.from_csv((tmp_path / "trajectory.csv").read_bytes())
+    rep = read_json(tmp_path / "bianchi_report.json")
+    assert rep["stop_reason"] == reason
+    assert rep["t_final"] == traj.t[0] < 0.0
+    assert rep["final_state"] == traj.states[0].tolist() != [1.0, 1.0, 1.0]
+    if reason == "t_end":
+        assert rep["t_final"] == -1.0
+    assert f"t = {traj.t[0]:.6g} " in capsys.readouterr().out
+
+
 def test_usage_error_exit_code(tmp_path):
     assert main(["--out-dir", str(tmp_path), "bianchi", "solve",
                  "--p1", "1", "--p2", "1"]) == 1
@@ -211,8 +231,7 @@ def test_e2_shoot_b_max_at_or_below_the_start_exits_1(tmp_path, capsys, args,
 # bolt, and exit 2 with the artifacts of a shoot that never heads for b_max
 @pytest.mark.parametrize("args, r_start", [
     (["e2", "shoot", "--b-max", "2", "--r-max", "1e-6"], "1e-05"),
-    (["--tol", "2", "e2", "shoot", "--b-max", "2", "--r-max", "1e-320"],
-     "1e-05"),
+    (["e2", "shoot", "--b-max", "2", "--r-max", "1e-320"], "1e-05"),
     (["e2", "shoot", "--eps", "1e-3", "--r-max", "1e-3"], "0.001"),
     (["e2", "shoot", "--start", "1,2,3", "--r-max", "0"], "0.0"),
     (["e2", "shoot", "--start", "1,2,3", "--r-max", "-inf"], "0.0"),
@@ -225,28 +244,6 @@ def test_e2_shoot_r_max_at_or_below_the_start_exits_1(tmp_path, capsys, args,
     assert capsys.readouterr().err == (
         f"error: r_max {r_max} must lie above the start's r = {r_start}\n")
     assert not any(tmp_path.iterdir())
-
-
-def test_e2_shoot_stopped_at_its_start_exits_1(tmp_path, capsys):
-    # atol = 0 with t starting at exactly 0 leaves no step that passes the
-    # error test (scipy's RK45 hangs there, retrying a NaN step); --tol 0
-    # is refused before anything runs
-    capsys.readouterr()
-    assert main(["--out-dir", str(tmp_path), "--tol", "0", "e2", "shoot",
-                 "--start", "1,2,3"]) == 1
-    err = capsys.readouterr().err
-    assert "Invalid value for '--tol'" in err
-
-
-@pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
-def test_tol_must_be_positive_and_finite(tmp_path, capsys, tol):
-    capsys.readouterr()
-    assert main(["--out-dir", str(tmp_path / "out"), "--tol", tol, "e2",
-                 "shoot"]) == 1
-    err = capsys.readouterr().err
-    assert "Invalid value for '--tol'" in err
-    assert "Traceback" not in err
-    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("samples", ["0", "-3"])
@@ -933,6 +930,59 @@ def test_manifests_are_reproducible(tmp_path):
         (d2 / "manifest.json").read_bytes()
     m = read_json(d1 / "manifest.json")
     assert set(m["outputs"]) == set(m["checksums"])
+
+
+# each command's tolerances and acceptance bounds: fixed literals, which
+# its manifest records and its report's bound fields repeat
+_TOLERANCES = {
+    "bianchi solve": {"integrator_tol": 1e-10, "closed_form_match": 1e-6,
+                      "flatness": 1e-6},
+    "e2 shoot": {"integrator_tol": 1e-12},
+    "e2 diagnose": {},
+    "e2 bolt": {"db_dr_bound": 1e-4},
+    "pde leaf-build": {},
+    "pde profile": {},
+    "pde construct": {},
+    "pde verify": {"einstein": 5e-3, "closedness": 1e-10},
+}
+
+
+def test_each_manifest_records_its_commands_fixed_tolerances(e2_run, pde_run,
+                                                             tmp_path):
+    runs = {"e2 shoot": e2_run, "pde leaf-build": pde_run / "spec",
+            "pde profile": pde_run / "prof", "pde construct": pde_run / "met",
+            "pde verify": pde_run / "ver"}
+    shoot = str(e2_run / "e2_trajectory.csv")
+    for command, argv in (
+            ("bianchi solve", _EUCLIDEAN + ["--t-end", "2.0"]),
+            ("e2 diagnose", ["e2", "diagnose", shoot]),
+            ("e2 bolt", ["e2", "bolt", shoot])):
+        runs[command] = tmp_path / command.replace(" ", "-")
+        assert main(["--out-dir", str(runs[command])] + argv) == 0
+    assert sorted(runs) == sorted(_TOLERANCES)
+    for command, d in runs.items():
+        m = read_json(d / "manifest.json")
+        assert (m["subcommand"], m["tolerances"]) == (command,
+                                                      _TOLERANCES[command])
+    bianchi = read_json(runs["bianchi solve"] / "bianchi_report.json")
+    assert bianchi["closed_form"]["bound"] == 1e-6
+    bolt = read_json(runs["e2 bolt"] / "bolt_report.json")
+    assert bolt["db_dr_bound"] == 1e-4
+    verify = read_json(runs["pde verify"] / "verify_report.json")
+    assert (verify["einstein_bound"], verify["closedness_bound"]) == (
+        5e-3, 1e-10)
+
+
+# the global --tol, which overrode each command's main tolerance and bound,
+# is gone: no option changes a bound
+@pytest.mark.parametrize("command", sorted(_TOLERANCES))
+def test_tol_is_no_option(tmp_path, capsys, command):
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert main(["--out-dir", str(out), "--tol", "1"]
+                + command.split()) == 1
+    assert "Error: No such option '--tol'" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
 
 
 def _refused_without_warning(capsys, argv):

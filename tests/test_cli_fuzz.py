@@ -84,15 +84,12 @@ COMMANDS = {
 
 @st.composite
 def argvs(draw):
-    """argv for one subcommand: the global --tol at times, the command,
-    its positionals, and some of its options with values from the pool.
-    Required options are left out at times too."""
+    """argv for one subcommand: the command, its positionals, and some of
+    its options with values from the pool. Required options are left out
+    at times too."""
     name = draw(st.sampled_from(sorted(COMMANDS)))
     positional, options = COMMANDS[name]
-    argv = []
-    if draw(st.booleans()):
-        argv += ["--tol", draw(_floats)]
-    argv += name.split() + [draw(p) for p in positional]
+    argv = name.split() + [draw(p) for p in positional]
     # the two options whose defaults are expensive: b_max 100, n 257
     if name == "e2 shoot":
         argv += ["--b-max", draw(st.sampled_from(B_MAX))]

@@ -51,6 +51,25 @@ def test_manifest_round_trip(tmp_path):
     assert sorted(back.outputs) == ["report.json", "table.csv"]
 
 
+def test_manifest_lists_a_path_recorded_twice_once(tmp_path):
+    mf = make_manifest(tmp_path)
+    mf.write_json({"value": 2.0}, tmp_path / "report.json")
+    assert mf.to_dict()["outputs"] == ["report.json", "table.csv"]
+    assert mf.checksums["report.json"] == sha256_of(tmp_path / "report.json")
+
+
+@pytest.mark.parametrize("outputs", [
+    ["report.json"],
+    ["report.json", "report.json", "table.csv"],
+    ["report.json", "table.csv", "extra.csv"],
+])
+def test_manifest_refuses_outputs_other_than_its_checksums(tmp_path,
+                                                          outputs):
+    doc = make_manifest(tmp_path).to_dict()
+    with pytest.raises(ValueError, match="outputs"):
+        RunManifest.from_dict({**doc, "outputs": outputs})
+
+
 def test_manifest_header_excludes_checksums(tmp_path):
     mf = make_manifest(tmp_path)
     head = mf.header()
