@@ -44,12 +44,20 @@ EXIT_VERIFY = 3
 _CASE_SPANS = {"poincare": (0.4, 1.1), "torus": (0.0, 2.0),
                "heisenberg": (1.0, 2.0), "euclidean": (1.0, 2.0)}
 
+# the slacks of e2flow.diagnose's verdicts and the tolerances of its tail
+# leg, which `e2 shoot` and `e2 diagnose` both run
+_DIAGNOSE = {"region_slack": e2.REGION_SLACK,
+             "monotone_slack": e2.MONOTONE_SLACK,
+             "nullcline_slack": e2.NULLCLINE_SLACK,
+             "tail_gap_rtol": e2.TAIL_GAP_RTOL,
+             "tail_gap_atol": e2.TAIL_GAP_ATOL}
 # Each command's tolerances and acceptance bounds: its manifest records
 # its entry, and its reports and verdicts read their bounds from it
 TOLERANCES = {
     "bianchi solve": {"integrator_tol": bi.INTEGRATOR_TOL,
                       "closed_form_match": 1e-6, "flatness": 1e-6},
-    "e2 shoot": {"integrator_tol": e2.SHOOT_TOL}, "e2 diagnose": {},
+    "e2 shoot": {"integrator_tol": e2.SHOOT_TOL, **_DIAGNOSE},
+    "e2 diagnose": _DIAGNOSE,
     "e2 bolt": {"db_dr_bound": 1e-4},
     "pde leaf-build": {}, "pde profile": {}, "pde construct": {},
     "pde verify": {"einstein": 5e-3, "closedness": 1e-10},

@@ -28,13 +28,20 @@ from .odes import Trajectory, integrate_flow, replay, root, write_table
 EQUILIBRIUM_SADDLE = "q0q"
 EQUILIBRIUM_DEGENERATE = "0q0"
 E2_PARAMS = BianchiParams(1.0, 0.0, 1.0, lam=-1.0)
-SHOOT_TOL = 1e-12  # shoot_unstable's rtol; its atol is a hundredth of it
+# shoot_unstable's rtol, which the march raises to 100 eps (2.2e-14); its
+# atol is a hundredth of it
+SHOOT_TOL = 1e-14
 
-# diagnose's slacks, and the drop of a/c below 1 that ends the transient
+# diagnose's slacks, the tolerances of its backward tail leg, and the drop
+# of a/c below 1 that ends the transient
 REGION_SLACK = 1e-10
 MONOTONE_SLACK = 1e-10
 NULLCLINE_SLACK = 1e-8
+TAIL_GAP_RTOL, TAIL_GAP_ATOL = 1e-12, 1e-20
 TRANSIENT_DROP = 1e-6
+# diagnose checks the region and the nullcline bound at this many evenly
+# spaced dense-output points inside each step, as well as at the rows
+DENSE_CHECKS = 7
 
 
 def _shoot_rhs(r, y):
@@ -210,7 +217,7 @@ def _tail_gap(traj: Trajectory) -> float:
     b_cut = b0 / 10.0
     back = integrate_flow(_shoot_rhs, r0, (a0, b0, c0, t0), r_bolt,
                           columns=traj.columns, variable=traj.variable,
-                          rtol=1e-12, atol=1e-20,
+                          rtol=TAIL_GAP_RTOL, atol=TAIL_GAP_ATOL,
                           stops=[(lambda r, y: y[1] - b_cut, -1.0,
                                   "event:cut")])
     if back.stop_reason != "event:cut":
@@ -240,13 +247,24 @@ class E2Diagnostics:
 
 
 def diagnose(traj: Trajectory) -> E2Diagnostics:
-    """Evaluate the invariant-region, monotonicity and distance diagnostics."""
+    """Evaluate the invariant-region, monotonicity and distance diagnostics.
+
+    The region and the nullcline bound are checked at the rows and at
+    DENSE_CHECKS evenly spaced points of the dense output inside each step,
+    so the evidence does not thin out with longer steps; monotonicity and
+    a/c <= 1 are checked at the rows, where the dense output's error would
+    come too close to their slack.
+    """
     if traj.t.size < 2:
         raise DomainError(f"diagnostics need two samples or more; the run "
                           f"stopped at its start ({traj.stop_reason})")
     a, b, c = traj.column("a"), traj.column("b"), traj.column("c")
-    lower = c * c - a * a
-    upper = 2.0 * a * a * b * b - lower
+    t = traj.t
+    x = np.arange(1, DENSE_CHECKS + 1) / (DENSE_CHECKS + 1)
+    inside = traj.sample((t[:-1, None] + np.diff(t)[:, None] * x).ravel())
+    ad, bd, cd = (np.concatenate((v, w)) for v, w in zip((a, b, c), inside))
+    lower = cd * cd - ad * ad
+    upper = 2.0 * ad * ad * bd * bd - lower
     region_ok = bool(lower.min() >= -REGION_SLACK and upper.min() >= -REGION_SLACK)
 
     monotone_ok = {}
@@ -255,8 +273,7 @@ def diagnose(traj: Trajectory) -> E2Diagnostics:
         monotone_ok[name] = bool(rel.min() >= -MONOTONE_SLACK)
 
     ratio = a / c
-    bound = 1.0 / np.sqrt(1.0 + b * b)
-    nullcline_min_slack = float((ratio - bound).min())
+    nullcline_min_slack = float((ad / cd - 1.0 / np.sqrt(1.0 + bd * bd)).min())
     nullcline_ok = bool(nullcline_min_slack >= -NULLCLINE_SLACK
                         and ratio.max() <= 1.0)
 

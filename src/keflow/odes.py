@@ -1,51 +1,57 @@
 """Adaptive ODE integration and the sampled-trajectory container.
 
-integrate_flow marches the Dormand-Prince 5(4) pair (Dormand & Prince
-1980; Hairer, Norsett & Wanner, Solving ODEs I, sec. II.4) on Python
-floats, with the quartic dense output of Shampine (1986). Tableau, first
-step, error norm, step control and stop roots are scipy RK45's: the
-fifth-order solution is kept, the RMS norm of the embedded error over
-atol + rtol max(|y|, |y_new|) must be below 1, and each step is scaled by
-0.9 err^(-1/5) clamped to [0.2, 10] (an elementary controller, not a PI
+integrate_flow marches the Dormand-Prince 8(5,3) pair (Prince & Dormand
+1981; Hairer, Norsett & Wanner, Solving ODEs I, sec. II.10, the DOP853
+code) on Python floats, with its seventh-order dense output; the tableau
+and the arithmetic of a step are keflow.dop853's. First step, error norm,
+step control and stop roots are scipy DOP853's: the eighth-order solution
+is kept; the error norm |h| |e5|^2 / sqrt(n (|e5|^2 + 0.01 |e3|^2)), with
+e5 and e3 the fifth- and third-order estimates over atol + rtol
+max(|y|, |y_new|), must be below 1; each step is scaled by
+0.9 err^(-1/8) clamped to [0.2, 10] (an elementary controller, not a PI
 one), with no growth on the step after a rejection; rtol below 100 eps is
 raised to 100 eps. A step below ten ulps of t, or a NaN one, ends the run
 as step_underflow. numpy's dot rounds the stage sums differently, and the
 error estimate cancels to about the tolerance, so step sizes match
 scipy's to about 1e-5 relative and step counts match except where an
-error norm lands within that of 1.
+error norm lands within that of 1, or is all rounding.
 
 `rhs(t, y)` and the stop functions take y as a tuple of floats; rhs
 returns a sequence of floats. A stop is a triple (function, direction,
 reason): it ends the run at the first crossing of zero of
 function(t, y(t)) in direction (+1 rising, -1 falling, 0 either), at
 its root on the step's dense output, found by `root` (Brent's method as
-in scipy's brentq, ported and parity-tested) at xtol = rtol = 4 eps,
-and reason becomes the trajectory's stop_reason. When several stops
-cross within one step, the root the march reaches first ends the run;
-at a tie, the stop listed first (the built-in ones come before the
-caller's).
+in scipy's brentq, ported and parity-tested) at xtol = rtol = 4 eps and
+then moved by whole ulps while |function| falls, and reason becomes the
+trajectory's stop_reason. When several stops cross within one step, the
+root the march reaches first ends the run; at a tie, the stop listed
+first (the built-in ones come before the caller's).
 
 Blow-up is a flagged early stop, not an exception: the run terminates
 cleanly when a component magnitude crosses MAX_COMPONENT, when the step
 size underflows, or when a caller-supplied stop fires, and the
 trajectory records which of these happened.
 
+A step evaluates rhs twelve times, the last at (t + h, y_new), which is
+the next step's first stage. Its dense output needs three more stages:
+the march evaluates them only on a step where a stop crosses, and
+n_rhs_evals counts them there; a march's DenseOutput evaluates them, on
+floats and uncounted, for each step the first time a sample falls in it.
+
 A Trajectory's CSV keeps every node exactly (repr of each float) and,
 as the `# last_step:` header, the full length of the march's final step,
 which a stop's root cuts short. replay(rhs, traj) rebuilds the dense
 output of a forward run from those alone: each stored row is the y_new
 of a step of length t[i+1] - t[i] (the march takes h = t_new - t), so
-all seven stages of all steps are evaluated at once on arrays by the
-march's own stage arithmetic (_stages). The march and the replay build
-the same DenseOutput: one array table of every step's start, length,
-state and stages. Its quartic coefficients (_coefficients) and their
-evaluation (_quartic) are the arithmetic the march's stop roots run on
-floats, applied to every sample time at once, so a replayed sample is
-the live one bit for bit. The replay verifies what it rebuilds: every
-step passes the error test, every row equals the step replayed from the
-row before, bit for bit (the last one may be the dense output at a
-stop's root), and no step is longer than the controller's proposal after
-the step before (up to 2 ulp of t). A failure raises VerificationError.
+all stages of all steps are evaluated at once on arrays by the march's
+own arithmetic (dop853.stages and dop853.dense_rows), and
+dop853.interpolate, which the march's stop roots run on floats, evaluates
+them; a replayed sample is the live one bit for bit. The replay verifies
+what it rebuilds: every step passes the error test, every row equals the
+step replayed from the row before, bit for bit (the last one may be the
+dense output at a stop's root), and no step is longer than the
+controller's proposal after the step before (up to 2 ulp of t). A
+failure raises VerificationError.
 """
 
 from __future__ import annotations
@@ -57,36 +63,13 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .dop853 import dense_rows, error_sums, interpolate, stages
 from .errors import DomainError, VerificationError
 
 MAX_COMPONENT = 1e12
 
-# Dormand-Prince 5(4): nodes C, stage weights A, fifth-order weights B
-# (B[1] = 0), error weights E over the stages and f(t + h, y_new), and
-# Shampine's dense-output matrix P (row 1 is zero), as in scipy's RK45.
-_C = (1 / 5, 3 / 10, 4 / 5, 8 / 9)
-_A = ((1 / 5,),
-      (3 / 40, 9 / 40),
-      (44 / 45, -56 / 15, 32 / 9),
-      (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-      (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656))
-_B = (35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)
-_E = (-71 / 57600, 71 / 16695, -71 / 1920, 17253 / 339200, -22 / 525,
-      1 / 40)
-_P = ((1, -8048581381 / 2820520608, 8663915743 / 2820520608,
-       -12715105075 / 11282082432),
-      (0, 131558114200 / 32700410799, -68118460800 / 10900136933,
-       87487479700 / 32700410799),
-      (0, -1754552775 / 470086768, 14199869525 / 1410260304,
-       -10690763975 / 1880347072),
-      (0, 127303824393 / 49829197408, -318862633887 / 49829197408,
-       701980252875 / 199316789632),
-      (0, -282668133 / 205662961, 2019193451 / 616988883,
-       -1453857185 / 822651844),
-      (0, 40617522 / 29380423, -110615467 / 29380423,
-       69997945 / 29380423))
 SAFETY, MIN_FACTOR, MAX_FACTOR = 0.9, 0.2, 10.0
-_ERROR_EXPONENT = -1 / 5
+_ERROR_EXPONENT = -1 / 8
 _EPS = float(np.finfo(float).eps)
 _BLOW_UPS = ("step_underflow", "component_overflow", "positivity_loss")
 
@@ -230,46 +213,24 @@ def read_table(text: str | bytes, fields: dict):
     return info, meta, columns, np.asarray(rows)
 
 
-def _coefficients(stages) -> tuple:
-    """Shampine's Q = K^T P over the stages K = (k1, k3, ..., k7) of
-    _stages, as (q1, q2, q3, q4), each one value per component, q1 = k1.
-    Like _stages it runs on floats for one step and on arrays for many;
-    each sum starts from 0.0 and adds the rows of P in order."""
-    q = [stages[0]]
-    for c in (1, 2, 3):
-        col = (0.0,) * len(stages[0])
-        for k, p in zip(stages, _P):
-            col = tuple([acc + v * p[c] for acc, v in zip(col, k)])
-        q.append(col)
-    return tuple(q)
-
-
-def _quartic(t_old, h, y_old, q, t) -> tuple:
-    """Shampine's quartic over the step of length h from (t_old, y_old):
-    y(t_old + x h) = y_old + h (q1 x + q2 x^2 + q3 x^3 + q4 x^4)."""
-    x = (t - t_old) / h
-    x2 = x * x
-    x3 = x2 * x
-    x4 = x3 * x
-    return tuple([y + h * (q1 * x + q2 * x2 + q3 * x3 + q4 * x4)
-                  for y, q1, q2, q3, q4 in zip(y_old, *q)])
-
-
 class DenseOutput:
-    """The piecewise quartic dense output of integrate_flow or of its
-    replay, over nodes in increasing time and the steps between them:
-    step k starts at (t_old[k], y_old[:, k]), has length h[k] and stages
-    stages[:, :, k]. At a time t in [nodes[0], nodes[-1]] the step that
-    covers t is evaluated, at an inner node the one on its left."""
+    """The piecewise dense output of integrate_flow or of its replay, over
+    nodes in increasing time and the steps between them: step k starts at
+    (t_old[k], y_old[:, k]), has length h[k] and the rows rows[:, :, k] of
+    dop853.dense_rows. At a time t in [nodes[0], nodes[-1]] the step
+    that covers t is evaluated, at an inner node the one on its left. A
+    replay gives every step's rows; a march gives instead fill(k), step
+    k's rows on floats, which runs the first time a time falls in step k."""
 
     def __init__(self, nodes: np.ndarray, t_old: np.ndarray, h: np.ndarray,
-                 y_old: np.ndarray, stages: np.ndarray):
+                 y_old: np.ndarray, rows: np.ndarray | None = None,
+                 fill: Callable[[int], tuple] | None = None):
         self._inner, self._t_old, self._h = nodes[1:-1], t_old, h
-        # the components as one block, so _quartic runs once per call;
-        # like floats, arrays overflow to inf and NaN without a warning
-        self._y_old = y_old[None]
-        with np.errstate(all="ignore"):
-            self._q = np.array(_coefficients(stages))[:, None]
+        self._y_old, self._rows, self._fill = y_old, rows, fill
+        self._missing = None  # the steps whose rows fill has not given
+        if rows is None:
+            self._rows = np.empty((7,) + y_old.shape)
+            self._missing = np.ones(h.shape, dtype=bool)
 
     def __call__(self, t) -> np.ndarray:
         """States at t, shape (n,) + np.shape(t)."""
@@ -277,9 +238,16 @@ class DenseOutput:
         flat = t.ravel()
         # the count of inner nodes below t: an inner node takes its left step
         k = np.searchsorted(self._inner, flat)
+        if self._missing is not None:
+            for j in np.unique(k[self._missing[k]]).tolist():
+                self._rows[:, :, j] = self._fill(j)
+                self._missing[j] = False
+        # the components as one block, so interpolate runs once per call;
+        # like floats, arrays overflow to inf and NaN without a warning
         with np.errstate(all="ignore"):
-            y, = _quartic(self._t_old[k], self._h[k], self._y_old[..., k],
-                          self._q[..., k], flat)
+            y, = interpolate(self._t_old[k], self._h[k],
+                             self._y_old[None, :, k],
+                             self._rows[:, None, :, k], flat)
         return y.reshape(y.shape[:1] + t.shape)
 
 
@@ -293,7 +261,8 @@ def _rms(values, scale) -> float:
 
 
 def _initial_step(rhs, t0, y0, f0, t_end, direction, rtol, atol) -> float:
-    """scipy's first-step rule (Hairer, Norsett & Wanner, sec. II.4)."""
+    """scipy's first-step rule (Hairer, Norsett & Wanner, sec. II.4) for
+    an error estimate of order 7."""
     span = abs(t_end - t0)
     scale = [atol + abs(y) * rtol for y in y0]
     d0, d1 = _rms(y0, scale), _rms(f0, scale)
@@ -306,38 +275,8 @@ def _initial_step(rhs, t0, y0, f0, t_end, direction, rtol, atol) -> float:
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
-        h1 = (0.01 / max(d1, d2)) ** (1 / 5)
+        h1 = (0.01 / max(d1, d2)) ** -_ERROR_EXPONENT
     return min(100 * h0, h1, span)
-
-
-def _stages(rhs, t, y: tuple, h, k1) -> tuple:
-    """y_new and the stages (k1, k3, k4, k5, k6, k7) that the error
-    estimate and the dense output read, for the step of length h from
-    (t, y) with k1 = f(t, y). The same arithmetic serves the march, on
-    floats, and the replay, on arrays that hold every step at once."""
-    c2, c3, c4, c5 = _C
-    (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54), \
-        (a61, a62, a63, a64, a65) = _A
-    b1, b3, b4, b5, b6 = _B
-    k2 = rhs(t + c2 * h, tuple([
-        y_ + (p * a21) * h for y_, p in zip(y, k1)]))
-    k3 = rhs(t + c3 * h, tuple([
-        y_ + (p * a31 + q * a32) * h
-        for y_, p, q in zip(y, k1, k2)]))
-    k4 = rhs(t + c4 * h, tuple([
-        y_ + (p * a41 + q * a42 + r * a43) * h
-        for y_, p, q, r in zip(y, k1, k2, k3)]))
-    k5 = rhs(t + c5 * h, tuple([
-        y_ + (p * a51 + q * a52 + r * a53 + s * a54) * h
-        for y_, p, q, r, s in zip(y, k1, k2, k3, k4)]))
-    k6 = rhs(t + h, tuple([
-        y_ + (p * a61 + q * a62 + r * a63 + s * a64 + u * a65) * h
-        for y_, p, q, r, s, u in zip(y, k1, k2, k3, k4, k5)]))
-    y_new = tuple([
-        y_ + h * (p * b1 + r * b3 + s * b4 + u * b5 + v * b6)
-        for y_, p, r, s, u, v in zip(y, k1, k3, k4, k5, k6)])
-    k7 = rhs(t + h, y_new)
-    return y_new, (k1, k3, k4, k5, k6, k7)
 
 
 def root(f, a: float, b: float, xtol: float, rtol: float) -> float:
@@ -410,16 +349,47 @@ def _march_rtol(rtol: float, atol: float) -> float:
     return max(rtol, 100 * _EPS)
 
 
+def _error_norm(y, y_new, ks, h, rtol, atol) -> float:
+    """scipy DOP853's error norm of the step of length h from y to y_new
+    with stages ks, on floats (replay has its array twin)."""
+    acc5 = acc3 = 0.0
+    for y_, yn, (e5, e3) in zip(y, y_new, error_sums(ks)):
+        ay, an = abs(y_), abs(yn)
+        scale = atol + (ay if ay > an else an) * rtol
+        e5 /= scale
+        e3 /= scale
+        acc5 += e5 * e5
+        acc3 += e3 * e3
+    if acc5 == 0.0 and acc3 == 0.0:
+        return 0.0
+    return abs(h) * acc5 / math.sqrt((acc5 + 0.01 * acc3) * len(y))
+
+
+def _crossing(g, a: float, b: float) -> float:
+    """The zero of g between a and b by root at xtol = rtol = 4 eps, then
+    moved by whole ulps, inside the bracket, while |g| falls: brentq's
+    tolerance spans a few ulps of t, over which a steep g moves by more
+    than its own rounding."""
+    x = root(g, a, b, 4 * _EPS, 4 * _EPS)
+    gx = abs(g(x))
+    lo, hi = min(a, b), max(a, b)
+    for toward in (math.inf, -math.inf):
+        while lo <= (y := math.nextafter(x, toward)) <= hi:
+            gy = abs(g(y))
+            if not gy < gx:
+                break
+            x, gx = y, gy
+    return x
+
+
 def _march(rhs, t0: float, y0: tuple, t_end: float, rtol: float,
            atol: float, stops: list):
-    """scipy RK45's march from (t0, y0) toward t_end. `stops` holds
+    """scipy DOP853's march from (t0, y0) toward t_end. `stops` holds
     (function, direction, reason) triples, at least one. Returns the node
-    times and states, the accepted steps as (t_old, h, y_old, stages), the
-    RHS count and the stop reason: "t_end", "step_underflow" or the reason
-    of the stop."""
-    e1, e3, e4, e5, e6, e7 = _E
+    times and states, the accepted steps as (t_old, h, y_old, y_new,
+    stages), the RHS count and the stop reason: "t_end", "step_underflow"
+    or the reason of the stop."""
     direction = 1.0 if t_end > t0 else -1.0
-    rms = len(y0) ** 0.5
     f = rhs(t0, y0)
     if not all(map(math.isfinite, f)):
         raise DomainError(f"the right-hand side is not finite at the start: "
@@ -442,17 +412,11 @@ def _march(rhs, t0: float, y0: tuple, t_end: float, rtol: float,
                 t_new = t_end
             h = t_new - t
             h_abs = abs(h)
-            nfev += 6
+            nfev += 12
             # a stage on a pole of rhs fails the error test, as 0/0 does
             try:
-                y_new, stages = _stages(rhs, t, y, h, f)
-                acc = 0.0
-                for y_, yn, p, r, s, u, v, w in zip(y, y_new, *stages):
-                    ay, an = abs(y_), abs(yn)
-                    x = ((p * e1 + r * e3 + s * e4 + u * e5 + v * e6 + w * e7)
-                         * h / (atol + (ay if ay > an else an) * rtol))
-                    acc += x * x
-                err = math.sqrt(acc) / rms
+                y_new, ks = stages(rhs, t, y, h, f)
+                err = _error_norm(y, y_new, ks, h, rtol, atol)
             except ZeroDivisionError:
                 err = math.nan
             if err < 1.0:
@@ -463,23 +427,25 @@ def _march(rhs, t0: float, y0: tuple, t_end: float, rtol: float,
             h_abs *= max(MIN_FACTOR, SAFETY * err ** _ERROR_EXPONENT)
             rejected = True
 
-        steps.append((t, h, y, stages))
-        t_old, y_old, t, y, f = t, y, t_new, y_new, stages[-1]
+        steps.append((t, h, y, y_new, ks))
+        t_old, y_old, t, y, f = t, y, t_new, y_new, ks[12]
         reason = "t_end" if direction * (t - t_end) >= 0.0 else None
         g_new = [ev(t, y) for ev, _, _ in stops]
         first = None  # (root, reason) of the earliest stopping root
-        q = None
+        rows = None
         for (ev, d, why), a, b in zip(stops, g, g_new):
             if (a <= 0.0 <= b and d >= 0.0) or (a >= 0.0 >= b and d <= 0.0):
-                q = q or _coefficients(stages)
-                x = root(lambda s, ev=ev: ev(s, _quartic(
-                    t_old, h, y_old, q, s)), t_old, t, 4 * _EPS, 4 * _EPS)
+                if rows is None:
+                    rows = dense_rows(rhs, t_old, h, y_old, y, ks)
+                    nfev += 3
+                x = _crossing(lambda s, ev=ev: ev(s, interpolate(
+                    t_old, h, y_old, rows, s)), t_old, t)
                 if first is None or direction * (x - first[0]) < 0.0:
                     first = (x, why)
         g = g_new
         if first is not None:
             t, reason = first
-            y = _quartic(t_old, h, y_old, q, t)
+            y = interpolate(t_old, h, y_old, rows, t)
         if t != ts[-1]:
             ts.append(t)
             ys.append(y)
@@ -538,10 +504,10 @@ def integrate_flow(rhs, t0: float, y0: Sequence[float], t_end: float,
         steps.reverse()
     dense = None
     if steps:
-        t_old, h, y_old, stages = zip(*steps)
+        t_old, h, y_old = zip(*[step[:3] for step in steps])
         dense = DenseOutput(np.array(ts), np.array(t_old), np.array(h),
                             np.array(y_old).T,
-                            np.array(stages).transpose(1, 2, 0))
+                            fill=lambda k: dense_rows(rhs, *steps[k]))
     return Trajectory(t=ts, states=ys, columns=columns, rtol=rtol, atol=atol,
                       variable=variable, blow_up=reason in _BLOW_UPS,
                       stop_reason=reason, n_rhs_evals=nfev, last_step=last_step,
@@ -568,7 +534,6 @@ def replay(rhs, traj: Trajectory) -> Trajectory:
         raise DomainError(f"replay needs the positive last_step of a "
                           f"forward run, got {h_last!r}")
     rtol = _march_rtol(rtol, atol)
-    e1, e3, e4, e5, e6, e7 = _E
 
     t, rows = traj.t, traj.states.T
     h = np.diff(t)
@@ -579,15 +544,19 @@ def replay(rhs, traj: Trajectory) -> Trajectory:
     h[-1] = h_last
     t0, y = t[:-1], tuple(rows[:, :-1])
     with np.errstate(all="ignore"):
-        # the march evaluates k1 of each step as k7 of the one before
-        k1 = rhs(np.concatenate((t[:1], t0[:-1] + h[:-1])), y)
-        y_new, stages = _stages(rhs, t0, y, h, k1)
-        acc = 0.0
-        for y_, yn, p, r, s, u, v, w in zip(y, y_new, *stages):
-            x = ((p * e1 + r * e3 + s * e4 + u * e5 + v * e6 + w * e7) * h
-                 / (atol + np.maximum(np.abs(y_), np.abs(yn)) * rtol))
-            acc = acc + x * x
-        err = np.sqrt(acc) / len(y) ** 0.5
+        # the march evaluates k_0 of each step as k_12 of the one before
+        k0 = rhs(np.concatenate((t[:1], t0[:-1] + h[:-1])), y)
+        y_new, ks = stages(rhs, t0, y, h, k0)
+        # _error_norm, on arrays
+        acc5 = acc3 = 0.0
+        for y_, yn, (e5, e3) in zip(y, y_new, error_sums(ks)):
+            scale = atol + np.maximum(np.abs(y_), np.abs(yn)) * rtol
+            e5 = e5 / scale
+            e3 = e3 / scale
+            acc5 = acc5 + e5 * e5
+            acc3 = acc3 + e3 * e3
+        err = np.where((acc5 == 0.0) & (acc3 == 0.0), 0.0, np.abs(h) * acc5
+                       / np.sqrt((acc5 + 0.01 * acc3) * len(y)))
         factor = np.where(err == 0.0, MAX_FACTOR, np.minimum(
             MAX_FACTOR, SAFETY * np.float_power(err, _ERROR_EXPONENT)))
 
@@ -595,8 +564,9 @@ def replay(rhs, traj: Trajectory) -> Trajectory:
     if bad is not None:
         raise VerificationError(f"the step from row {bad} fails the error "
                                 f"test (norm {err[bad]:.3g})")
-    dense = DenseOutput(t, t0, h, rows[:, :-1], np.array(
-        [[np.broadcast_to(v, h.shape) for v in k] for k in stages]))
+    with np.errstate(all="ignore"):
+        dense = DenseOutput(t, t0, h, rows[:, :-1],
+                            np.array(dense_rows(rhs, t0, h, y, y_new, ks)))
     replayed, stored = np.array(y_new), rows[:, 1:]
     if cut or np.any(replayed[:, -1] != stored[:, -1]):
         # a stop stores the dense output at its root, which may be

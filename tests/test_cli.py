@@ -344,7 +344,7 @@ def _samples(edit):
         ln if ln.startswith("#") and not ln.startswith("# columns:")
         else ln.rsplit(",", 1)[0] for ln in text.splitlines()),
      "are not those of 'e2 shoot' (r,a,b,c,t)"),
-    (lambda text: text.replace("# rtol: 1e-12", "# rtol: abc"),
+    (lambda text: text.replace("# rtol: 1e-14", "# rtol: abc"),
      "CSV line 2: could not convert"),
     (lambda text: text.replace("# meta q: 1.0", "# meta q: 'abc'"),
      "malformed shoot metadata"),
@@ -361,7 +361,7 @@ def _samples(edit):
      "trajectory columns t,a,b,c,r are not those of 'e2 shoot' (r,a,b,c,t)"),
     (lambda text: re.sub(r"# n_steps: (\d+)",
                          lambda m: f"# n_steps: {int(m[1]) + 1}", text),
-     "n_steps 1065 but 1065 sample rows; n steps store n + 1 rows"),
+     "n_steps 228 but 228 sample rows; n steps store n + 1 rows"),
 ])
 def test_e2_bad_csv_exit_1(e2_run, tmp_path, capsys, command, mutate,
                            message):
@@ -394,14 +394,14 @@ def _scale_row(k, factor):
 
 @pytest.mark.parametrize("command", ["diagnose", "bolt"])
 @pytest.mark.parametrize("mutate, message", [
-    (_scale_row(700, 1 + 1e-7),
-     "row 700 differs from the step replayed from the row before"),
-    # the merged step lands 3e-13 off the stored row, and its error norm
+    (_scale_row(100, 1 + 1e-7),
+     "row 100 differs from the step replayed from the row before"),
+    # the merged step lands 1e-13 off the stored row, and its error norm
     # is far above 1
-    (_drop_row(700), "the step from row 699 fails the error test"),
+    (_drop_row(100), "the step from row 99 fails the error test"),
     (lambda text: text.replace("# meta eps: 1e-05", "# meta eps: 2e-05"),
      "the start row is not the shoot's start"),
-    (lambda text: text.replace("# atol: 1e-14", "# atol: 1e-10"),
+    (lambda text: text.replace("# atol: 1e-16", "# atol: 1e-10"),
      "atol is not the shoot's rtol * 1e-2"),
 ])
 def test_e2_stale_csv_exit_3(e2_run, tmp_path, capsys, command, mutate,
@@ -937,8 +937,12 @@ def test_manifests_are_reproducible(tmp_path):
 _TOLERANCES = {
     "bianchi solve": {"integrator_tol": 1e-10, "closed_form_match": 1e-6,
                       "flatness": 1e-6},
-    "e2 shoot": {"integrator_tol": 1e-12},
-    "e2 diagnose": {},
+    "e2 shoot": {"integrator_tol": 1e-14, "region_slack": 1e-10,
+                 "monotone_slack": 1e-10, "nullcline_slack": 1e-8,
+                 "tail_gap_rtol": 1e-12, "tail_gap_atol": 1e-20},
+    "e2 diagnose": {"region_slack": 1e-10, "monotone_slack": 1e-10,
+                    "nullcline_slack": 1e-8, "tail_gap_rtol": 1e-12,
+                    "tail_gap_atol": 1e-20},
     "e2 bolt": {"db_dr_bound": 1e-4},
     "pde leaf-build": {},
     "pde profile": {},

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from functools import lru_cache
 
 import numpy as np
@@ -105,6 +106,28 @@ def test_shoot_reaches_target_and_stays_trapped(shoot100):
     assert diag.nullcline_ok
     assert all(diag.monotone_ok.values())
     assert not diag.inconclusive
+
+
+def test_diagnose_checks_the_region_between_rows(shoot100):
+    # a dense output that leaves the region inside one step, where c falls
+    # to a / 2 midway, while every row lies inside it: the rows alone pass
+    t = shoot100.t
+    k = t.size // 2
+    lo, hi = t[k], t[k + 1]
+    dense = shoot100.interpolant
+
+    def dipped(r):
+        y = dense(r)
+        bump = np.sin(np.pi * np.clip((r - lo) / (hi - lo), 0.0, 1.0))
+        y[2] = y[2] + (0.5 * y[0] - y[2]) * bump
+        return y
+    traj = replace(shoot100, interpolant=dipped)
+    a, c = traj.column("a"), traj.column("c")
+    assert (c * c - a * a).min() >= -e2.REGION_SLACK
+    diag = e2.diagnose(traj)
+    assert not diag.region_ok
+    assert diag.region_min_lower < -0.1
+    assert e2.diagnose(shoot100).region_ok
 
 
 def test_shoot_off_curve_flagged():

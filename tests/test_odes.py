@@ -46,7 +46,7 @@ def test_non_finite_inputs_rejected():
 
 
 def test_rtol_below_100_eps_is_raised_to_it():
-    # scipy's RK45 raises such an rtol too, and the trajectory keeps the
+    # scipy's DOP853 raises such an rtol too, and the trajectory keeps the
     # rtol it was given
     runs = [integrate_flow(lambda t, y: (-y[0],), 0.0, [1.0], 1.0, ("y",),
                            rtol=rtol, atol=1e-20)
@@ -59,7 +59,7 @@ def test_rtol_below_100_eps_is_raised_to_it():
 
 def test_zero_error_scale_ends_as_step_underflow():
     # atol 0 and a component fixed at exactly 0 give a 0/0 error estimate;
-    # scipy's RK45 keeps retrying a NaN step there
+    # scipy's DOP853 keeps retrying a NaN step there
     traj = integrate_flow(lambda t, y: (-y[0], 0.0), 0.0, [1.0, 0.0], 1.0,
                           ("u", "v"), rtol=1e-8, atol=0.0)
     assert traj.blow_up and traj.stop_reason == "step_underflow"
@@ -67,10 +67,12 @@ def test_zero_error_scale_ends_as_step_underflow():
 
 def test_overflowing_first_step_norm_is_no_division_by_zero():
     # f / (atol + rtol |y|) overflows in the first-step rule, leaving h0 = 0;
-    # the run used to end in a ZeroDivisionError
+    # the run used to end in a ZeroDivisionError. The squared error sums
+    # then overflow to a NaN norm, and the step underflows, as in scipy's
+    # DOP853
     traj = integrate_flow(lambda t, y: (1e300,), 0.0, [0.0], 1.0, ("y",),
                           rtol=1e-10, atol=1e-13)
-    assert traj.blow_up and traj.stop_reason == "component_overflow"
+    assert traj.blow_up and traj.stop_reason == "step_underflow"
 
 
 def test_stage_on_a_pole_fails_the_error_test():
