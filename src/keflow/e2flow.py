@@ -253,7 +253,10 @@ def diagnose(traj: Trajectory) -> E2Diagnostics:
     DENSE_CHECKS evenly spaced points of the dense output inside each step,
     so the evidence does not thin out with longer steps; monotonicity and
     a/c <= 1 are checked at the rows, where the dense output's error would
-    come too close to their slack.
+    come too close to their slack. The exact flow crosses each face of
+    R1 = {0 <= c^2 - a^2 <= a^2 b^2} inward where b > 0, so a tail shoot,
+    which starts on c = a, never leaves R1: the region and nullcline
+    slacks measure the march's error, not the geometry.
     """
     if traj.t.size < 2:
         raise DomainError(f"diagnostics need two samples or more; the run "

@@ -34,9 +34,9 @@ trajectory records which of these happened.
 
 A step evaluates rhs twelve times, the last at (t + h, y_new), which is
 the next step's first stage. Its dense output needs three more stages:
-the march evaluates them only on a step where a stop crosses, and
-n_rhs_evals counts them there; a march's DenseOutput evaluates them, on
-floats and uncounted, for each step the first time a sample falls in it.
+the march evaluates them, counted, on a step where a stop crosses, and
+its DenseOutput keeps those rows and evaluates the other steps' on
+floats, uncounted, the first time a sample falls in each.
 
 A Trajectory's CSV keeps every node exactly (repr of each float) and,
 as the `# last_step:` header, the full length of the march's final step,
@@ -239,7 +239,7 @@ class DenseOutput:
         # the count of inner nodes below t: an inner node takes its left step
         k = np.searchsorted(self._inner, flat)
         if self._missing is not None:
-            for j in np.unique(k[self._missing[k]]).tolist():
+            for j in set(k[self._missing[k]].tolist()):
                 self._rows[:, :, j] = self._fill(j)
                 self._missing[j] = False
         # the components as one block, so interpolate runs once per call;
@@ -387,8 +387,8 @@ def _march(rhs, t0: float, y0: tuple, t_end: float, rtol: float,
     """scipy DOP853's march from (t0, y0) toward t_end. `stops` holds
     (function, direction, reason) triples, at least one. Returns the node
     times and states, the accepted steps as (t_old, h, y_old, y_new,
-    stages), the RHS count and the stop reason: "t_end", "step_underflow"
-    or the reason of the stop."""
+    stages, dense rows if a stop crossed it, else None), the RHS count and
+    the stop reason: "t_end", "step_underflow" or the reason of the stop."""
     direction = 1.0 if t_end > t0 else -1.0
     f = rhs(t0, y0)
     if not all(map(math.isfinite, f)):
@@ -427,7 +427,6 @@ def _march(rhs, t0: float, y0: tuple, t_end: float, rtol: float,
             h_abs *= max(MIN_FACTOR, SAFETY * err ** _ERROR_EXPONENT)
             rejected = True
 
-        steps.append((t, h, y, y_new, ks))
         t_old, y_old, t, y, f = t, y, t_new, y_new, ks[12]
         reason = "t_end" if direction * (t - t_end) >= 0.0 else None
         g_new = [ev(t, y) for ev, _, _ in stops]
@@ -443,6 +442,7 @@ def _march(rhs, t0: float, y0: tuple, t_end: float, rtol: float,
                 if first is None or direction * (x - first[0]) < 0.0:
                     first = (x, why)
         g = g_new
+        steps.append((t_old, h, y_old, y, ks, rows))
         if first is not None:
             t, reason = first
             y = interpolate(t_old, h, y_old, rows, t)
@@ -507,7 +507,8 @@ def integrate_flow(rhs, t0: float, y0: Sequence[float], t_end: float,
         t_old, h, y_old = zip(*[step[:3] for step in steps])
         dense = DenseOutput(np.array(ts), np.array(t_old), np.array(h),
                             np.array(y_old).T,
-                            fill=lambda k: dense_rows(rhs, *steps[k]))
+                            fill=lambda k: (steps[k][5]
+                                            or dense_rows(rhs, *steps[k][:5])))
     return Trajectory(t=ts, states=ys, columns=columns, rtol=rtol, atol=atol,
                       variable=variable, blow_up=reason in _BLOW_UPS,
                       stop_reason=reason, n_rhs_evals=nfev, last_step=last_step,

@@ -53,8 +53,7 @@ COMMANDS = {
         "--case": _choice("poincare", "torus", "heisenberg", "euclidean"),
         "--alpha-eq-ab": None, "--k": _floats, "--w3": _floats,
         "--t0": _floats, "--a0": _floats, "--b0": _floats, "--c0": _floats,
-        "--start": _list(4), "--t-start": _floats, "--t-end": _floats,
-        "--samples": _ints}),
+        "--start": _list(4), "--t-start": _floats, "--t-end": _floats}),
     "e2 shoot": ([], {
         "--q": _floats, "--eps": _floats, "--r-max": _floats,
         "--start": _list(3)}),

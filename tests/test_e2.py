@@ -1,5 +1,7 @@
+import itertools
 import math
 from dataclasses import replace
+from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -95,6 +97,93 @@ def test_degenerate_equilibrium_has_zero_jacobian():
     assert np.max(np.abs(lin.matrix)) == 0.0
     with pytest.raises(DomainError):
         lin.unstable_direction
+
+
+# Integer polynomials in (a, b, c), as {(i, j, k): coefficient of
+# a^i b^j c^k}, for the exact identities on the faces of the trapping region
+def _poly(*terms):
+    return {(i, j, k): n for n, i, j, k in terms}
+
+
+def _add(*polys):
+    out = {}
+    for p in polys:
+        for m, n in p.items():
+            out[m] = out.get(m, 0) + n
+    return {m: n for m, n in out.items() if n}
+
+
+def _mul(p, q):
+    return _add(*({(i + x, j + y, k + z): n * w}
+                  for (i, j, k), n in p.items() for (x, y, z), w in q.items()))
+
+
+def _diff(p, var):
+    out = {}
+    for m, n in p.items():
+        if m[var]:
+            out[tuple(e - (v == var) for v, e in enumerate(m))] = n * m[var]
+    return out
+
+
+def _value(p, a, b, c):
+    return sum(n * a ** i * b ** j * c ** k for (i, j, k), n in p.items())
+
+
+# twice the E(2) flow in t: 2a' = a(c^2 - a^2), 2b' = b(a^2 + c^2),
+# 2c' = c(a^2 - c^2 + 2a^2 b^2)
+_FLOW2 = (_poly((-1, 3, 0, 0), (1, 1, 0, 2)),
+          _poly((1, 2, 1, 0), (1, 0, 1, 2)),
+          _poly((1, 2, 0, 1), (-1, 0, 0, 3), (2, 2, 2, 1)))
+
+
+def _rate2(p):
+    """Twice dp/dt along the flow."""
+    return _add(*(_mul(_diff(p, v), f) for v, f in enumerate(_FLOW2)))
+
+
+def _on_face(p, c2):
+    """p with c^2 replaced by c2, a polynomial in a and b."""
+    out = {}
+    for (i, j, k), n in p.items():
+        term = {(i, j, k % 2): n}
+        for _ in range(k // 2):
+            term = _mul(term, c2)
+        out = _add(out, term)
+    return out
+
+
+def test_polynomial_flow_is_the_type_a_flow():
+    # each component has degree at most 3 in each variable, so six points
+    # per variable fix it; at these dyadic points every float is exact
+    points = [Fraction(n, 4) for n in range(1, 7)]
+    for a, b, c in itertools.product(points, repeat=3):
+        flow = type_a_flow(e2.E2_PARAMS, float(a), float(b), float(c))
+        assert [2 * Fraction(v) for v in flow] == [
+            _value(p, a, b, c) for p in _FLOW2]
+
+
+# The faces of 0 <= c^2 - a^2 <= 2a^2 b^2 and of the sharper region
+# R1 = {0 <= c^2 - a^2 <= a^2 b^2}, whose upper face is the nullcline bound
+# a/c = 1/sqrt(1 + b^2). Each face function F vanishes on its face, and
+# there dF/dt is a polynomial with positive coefficients, > 0 wherever
+# a, b > 0: the flow crosses each face inward, so the exact flow never
+# leaves either region
+@pytest.mark.parametrize("face, c2, rate", [
+    # c = a: d(c^2 - a^2)/dt = 2a^4 b^2
+    (_poly((1, 0, 0, 2), (-1, 2, 0, 0)), _poly((1, 2, 0, 0)),
+     _poly((2, 4, 2, 0))),
+    # c^2 - a^2 = 2a^2 b^2: d(2a^2 b^2 - c^2 + a^2)/dt = 2a^4 b^2 (4b^2 + 3)
+    (_poly((2, 2, 2, 0), (-1, 0, 0, 2), (1, 2, 0, 0)),
+     _poly((1, 2, 0, 0), (2, 2, 2, 0)), _poly((8, 4, 4, 0), (6, 4, 2, 0))),
+    # c^2 - a^2 = a^2 b^2: d(a^2 b^2 - c^2 + a^2)/dt = a^4 b^2 (b^2 + 2)
+    (_poly((1, 2, 2, 0), (-1, 0, 0, 2), (1, 2, 0, 0)),
+     _poly((1, 2, 0, 0), (1, 2, 2, 0)), _poly((1, 4, 4, 0), (2, 4, 2, 0))),
+], ids=["c=a", "c2-a2=2a2b2", "c2-a2=a2b2"])
+def test_trapping_region_face_identities(face, c2, rate):
+    assert _on_face(face, c2) == {}
+    assert _on_face(_rate2(face), c2) == _mul(rate, _poly((2, 0, 0, 0)))
+    assert min(rate.values()) > 0
 
 
 def test_shoot_reaches_target_and_stays_trapped(shoot100):

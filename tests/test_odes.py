@@ -114,6 +114,30 @@ def test_named_event_stop():
     assert abs(traj.column("y")[-1] - 0.25) < 1e-8
 
 
+@pytest.mark.parametrize("t0, t_end", [(0.0, 10.0), (10.0, 0.0)])
+def test_sampling_the_stop_step_evaluates_no_stage(t0, t_end):
+    # the march evaluates the dense output's three extra stages of the step
+    # a stop crosses to find its root; the dense output keeps those rows
+    calls = []
+
+    def rhs(t, y):
+        calls.append(t)
+        return (-y[0],)
+    traj = integrate_flow(rhs, t0, [math.exp(-t0)], t_end, ("y",),
+                          rtol=1e-10, atol=1e-12,
+                          stops=[(lambda t, y: y[0] - math.exp(-5.0), 0.0,
+                                  "event:five")])
+    assert traj.stop_reason == "event:five"
+    # rows run in increasing t, so a backward march's stop step comes first
+    stop_step, other = (traj.t[-2:], traj.t[:2]) if t_end > t0 else (
+        traj.t[:2], traj.t[-2:])
+    calls.clear()
+    traj.sample(stop_step.mean())
+    assert calls == []
+    traj.sample(other.mean())
+    assert len(calls) == 3
+
+
 @pytest.mark.parametrize("t0, t_end", [(0.0, 3.0), (3.0, 0.0)])
 def test_earlier_of_two_stops_in_one_step_ends_the_run(t0, t_end):
     # y = exp(-t): two stops whose roots lie inside the longest step of the
